@@ -50,10 +50,9 @@ from .models import (
     MODEL_E_DEFAULT_FIELD,
     ModelConfig,
     model_d,
-    model_e,
-    sector_eigenvalues,
-    sz_sector_indices,
+    model_e_blocks,
 )
+from .quantum import block_spectrum
 
 __all__ = ["main", "entry_point"]
 
@@ -390,13 +389,13 @@ def _cmd_stats(args) -> int:
             eigs = np.linalg.eigvalsh(sample(spec, seed).matrix)
         elif args.source == "D":
             eigs = np.linalg.eigvalsh(model_d(args.theta, seed, dim=args.dim).matrix)
-        else:  # E
-            ham = model_e(n_qubits=args.qubits, d=args.d_value, h=args.h,
-                          J=args.coupling, seed=seed)
+        else:  # E, solved in its total-sigma_z sectors as in sweep-defect
+            blocks = model_e_blocks(n_qubits=args.qubits, d=args.d_value, h=args.h,
+                                    J=args.coupling, seed=seed)
             if args.sector == "restricted":
-                eigs = sector_eigenvalues(ham, sz_sector_indices(args.qubits))
+                eigs = np.linalg.eigvalsh(blocks[args.qubits // 2][1])
             else:
-                eigs = np.linalg.eigvalsh(ham.matrix)
+                eigs = block_spectrum(blocks).eigenvalues
         try:
             samples.append(
                 spacing_sample_from_levels(

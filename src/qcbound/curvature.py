@@ -21,7 +21,6 @@ from .quantum import (
     DEGENERACY_RTOL,
     DegenerateSpectrumError,
     QubitPartition,
-    SpectralDecomposition,
 )
 
 __all__ = [
@@ -118,37 +117,37 @@ def curvature_spectrum(inputs: EntanglementInputs) -> np.ndarray:
     return 2.0 * terms.sum(axis=1)
 
 
-def _ground_gaps(decomposition: SpectralDecomposition) -> np.ndarray:
-    eps = decomposition.eigenvalues
+def bound_b(eigenvalues: np.ndarray) -> float:
+    """Cauchy-Schwarz bound constant b = 8 sqrt( sum_{k>=1} 1/(eps_k - eps_0) ).
+
+    Takes the ascending eigenvalues of H0; a ground gap below
+    DEGENERACY_RTOL times the spectral width raises DegenerateSpectrumError.
+    """
+    eps = np.asarray(eigenvalues)
     gaps = eps[1:] - eps[0]
-    width = decomposition.spectral_width
+    width = float(eps[-1] - eps[0])
     if width <= 0.0 or gaps[0] <= DEGENERACY_RTOL * width:
         raise DegenerateSpectrumError(
             f"ground-state gap {gaps[0]:.3e} below the degeneracy guard"
         )
-    return gaps
-
-
-def bound_b(decomposition: SpectralDecomposition) -> float:
-    """Cauchy-Schwarz bound constant b = 8 sqrt( sum_{k>=1} 1/(eps_k - eps_0) )."""
-    gaps = _ground_gaps(decomposition)
     return 8.0 * math.sqrt(float(np.sum(1.0 / gaps)))
 
 
 def bound_b_prime(
-    decomposition: SpectralDecomposition, n_qubits: int, a: float | None = None
+    eigenvalues: np.ndarray, n_qubits: int, a: float | None = None
 ) -> float:
     """Statistical bound b' = (8a/sqrt(3N)) sqrt( sum_{k>=1} 1/(eps_k - eps_0) ).
 
-    ``a`` is the half-width of the assumed uniform range of the per-site
-    overlap terms; default 1/2^N (the empirically good choice), with 1/N the
-    natural alternative.
+    Takes the ascending eigenvalues of H0, like ``bound_b``.  ``a`` is the
+    half-width of the assumed uniform range of the per-site overlap terms;
+    default 1/2^N (the empirically good choice), with 1/N the natural
+    alternative.
     """
     if a is None:
         a = 2.0**-n_qubits
     if a <= 0:
         raise ValueError("overlap half-width a must be positive")
-    return bound_b(decomposition) * (a / math.sqrt(3.0 * n_qubits))
+    return bound_b(eigenvalues) * (a / math.sqrt(3.0 * n_qubits))
 
 
 def saturation_index(dq_abs: float, k0: float, b: float) -> float:

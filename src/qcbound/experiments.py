@@ -32,11 +32,9 @@ from .models import (
     ModelConfig,
     build_scatter_model,
     model_d,
-    model_e,
-    sector_eigenvalues,
-    sz_sector_indices,
+    model_e_blocks,
 )
-from .quantum import DegenerateSpectrumError, eigensystem
+from .quantum import DegenerateSpectrumError, block_spectrum, eigensystem
 
 __all__ = [
     "ExperimentError",
@@ -159,8 +157,8 @@ def scatter_bound_test(
     decomposition.require_nondegenerate()
     n = config.n_qubits
     overlaps = ground_state_site_overlaps(decomposition, n)
-    b = bound_b(decomposition)
-    b_prime = bound_b_prime(decomposition, n, a_value)
+    b = bound_b(decomposition.eigenvalues)
+    b_prime = bound_b_prime(decomposition.eigenvalues, n, a_value)
     u = decomposition.eigenvectors
 
     def one_sample(i: int):
@@ -265,14 +263,6 @@ def _aggregate_row(
     )
 
 
-def bound_b_from_eigenvalues(eigenvalues: np.ndarray) -> float:
-    """b computed straight from a sorted eigenvalue vector."""
-    gaps = eigenvalues[1:] - eigenvalues[0]
-    if gaps[0] <= 0:
-        raise DegenerateSpectrumError("degenerate ground state")
-    return 8.0 * math.sqrt(float(np.sum(1.0 / gaps)))
-
-
 def sweep_theta(
     theta_grid,
     realizations: int = 100,
@@ -300,7 +290,7 @@ def sweep_theta(
             h = model_d(theta, seed, dim=dim, chaotic_scale=chaotic_scale)
             eigs = np.linalg.eigvalsh(h.matrix)
             try:
-                b = bound_b_from_eigenvalues(eigs)
+                b = bound_b(eigs)
                 sample = spacing_sample_from_levels(
                     eigs, source=f"model-D theta={theta:g}",
                     poly_degree=poly_degree, edge_trim=edge_trim,
@@ -349,34 +339,35 @@ def sweep_defect(
 ) -> list:
     """Chaos, bound, and entanglement statistics of the defect chain over d.
 
-    Spacing statistics default to the largest total-sigma_z sector (mixing
-    symmetry sectors fakes Poisson statistics); b and the ground-state Q come
-    from the full spectrum.
+    Each draw is solved block by block in the total-sigma_z sectors (see
+    ``models``).  Spacing statistics default to the largest sector, n_down =
+    N // 2 (mixing symmetry sectors fakes Poisson statistics); b and the
+    ground-state Q come from the merged spectrum of all sectors.
     """
     d_grid = [float(d) for d in d_grid]
-    sector = sz_sector_indices(n_qubits) if sector_restricted else None
     rows = []
     for d_index, d in enumerate(d_grid):
 
         def one_draw(r: int):
             seed = spawn_seed(master_seed, d_index, r)
-            ham = model_e(n_qubits=n_qubits, d=d, h=h, J=J, seed=seed)
-            decomposition = eigensystem(ham)
-            spectrum = (
-                sector_eigenvalues(ham, sector)
-                if sector is not None
-                else decomposition.eigenvalues
+            spectrum = block_spectrum(
+                model_e_blocks(n_qubits=n_qubits, d=d, h=h, J=J, seed=seed)
+            )
+            levels = (
+                spectrum.block_eigenvalues[n_qubits // 2]
+                if sector_restricted
+                else spectrum.eigenvalues
             )
             try:
-                b = bound_b(decomposition)
+                b = bound_b(spectrum.eigenvalues)
                 sample = spacing_sample_from_levels(
-                    spectrum, source=f"model-E d={d:g}",
+                    levels, source=f"model-E d={d:g}",
                     poly_degree=poly_degree, edge_trim=edge_trim,
                 )
             except (UnfoldingError, DegenerateSpectrumError) as exc:
                 logger.warning("d=%g draw %d failed: %s", d, r, exc)
                 return None
-            q = mean_bipartite_Q(decomposition.vector(0), n_qubits)
+            q = mean_bipartite_Q(spectrum.ground_vector, n_qubits)
             return b, q, sample
 
         results = _run_indexed(one_draw, realizations, threads)

@@ -10,6 +10,18 @@ parameter values, and the default homogeneous field h = 0.98 sits just above
 the clean chain's last saturation crossing (h* ~ 0.970 for N = 9, J = 1): the
 defect-free ground state is barely fully polarized, and weak defects
 immediately start generating entanglement.
+
+Model E sector blocks: total sigma_z is fixed by the number n_down of down
+spins (set bits of the basis index), so H is block diagonal in the N + 1
+sectors n_down = 0..N, of dimensions C(N, n_down).  ``model_e_blocks`` builds
+each block directly from bit patterns (the standard block method, e.g.
+Sandvik, arXiv:1101.3281): a bond whose two bits are equal adds +1 to the
+diagonal of sigma_j . sigma_{j+1}; a bond whose two bits differ adds -1 to
+the diagonal and 2 to the state with that pair flipped.  The coupling blocks
+and site-z signs depend on N only and are cached; a draw adds its field
+diagonal sum_j (h + h_j) sigma_zj.  The largest block (dim 126 at N = 9)
+replaces a dense dim-512 solve, and the dense ``model_e`` is the blocks
+written into a 2^N matrix.
 """
 
 from __future__ import annotations
@@ -37,9 +49,9 @@ __all__ = [
     "model_c",
     "model_d",
     "model_e",
+    "model_e_blocks",
     "build_scatter_model",
     "sz_sector_indices",
-    "sector_eigenvalues",
 ]
 
 VSampler = Callable[[int], HermitianOperator]
@@ -127,12 +139,26 @@ def _all_pairs_coupling(n_qubits: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _chain_coupling(n_qubits: int) -> np.ndarray:
-    total = np.zeros((2**n_qubits, 2**n_qubits))
-    for j in range(n_qubits - 1):
-        total += _pair_coupling(j, j + 1, n_qubits)
-    total.setflags(write=False)
-    return total
+def _sector_chain(n_qubits: int) -> tuple:
+    """Per sector n_down = 0..N: its basis indices, the block of
+    sum_j sigma_j . sigma_{j+1}, and the site-z signs (column j = site j)."""
+    masks = 1 << (n_qubits - 1 - np.arange(n_qubits))  # site 0 = most significant bit
+    sectors = []
+    for n_down in range(n_qubits + 1):
+        indices = sz_sector_indices(n_qubits, n_down)
+        bits = (indices[:, None] & masks) != 0
+        rows = np.arange(indices.size)
+        coupling = np.zeros((indices.size, indices.size))
+        for j in range(n_qubits - 1):
+            differ = bits[:, j] != bits[:, j + 1]
+            coupling[rows, rows] += np.where(differ, -1.0, 1.0)
+            flipped = indices[differ] ^ (masks[j] | masks[j + 1])
+            coupling[rows[differ], np.searchsorted(indices, flipped)] += 2.0
+        signs = np.where(bits, -1.0, 1.0)
+        for a in (indices, coupling, signs):
+            a.setflags(write=False)
+        sectors.append((indices, coupling, signs))
+    return tuple(sectors)
 
 
 def _hermitian_sampler(kind: EnsembleKind, dim: int) -> VSampler:
@@ -211,6 +237,39 @@ def model_d(
     return HermitianOperator(math.cos(theta) * hp + math.sin(theta) * hw)
 
 
+def model_e_blocks(
+    n_qubits: int = 9,
+    d: float = 0.0,
+    h: float = MODEL_E_DEFAULT_FIELD,
+    J: float = 1.0,
+    seed: int = 0,
+) -> tuple:
+    """Model E as its total-sigma_z sector blocks: one (indices, block) pair per
+    n_down = 0..N, in that order (see the module notes).
+
+    ``indices`` are the sector's basis indices (``sz_sector_indices``) and
+    ``block`` the real symmetric restriction of H to them; the defects h_j are
+    drawn as in ``model_e``.
+    """
+    if n_qubits < 2:
+        raise ValueError("need at least 2 qubits")
+    if d < 0:
+        raise ValueError("defect strength d must be nonnegative")
+    if J == 0:
+        raise ValueError("coupling J must be nonzero")
+    rng = np.random.default_rng(int(seed))
+    defects = rng.normal(0.0, d, size=n_qubits) if d > 0 else np.zeros(n_qubits)
+    blocks = []
+    for indices, coupling, signs in _sector_chain(n_qubits):
+        block = (J / 4.0) * coupling
+        diagonal = block.diagonal()
+        for j in range(n_qubits):
+            diagonal = diagonal + (h + defects[j]) * signs[:, j]
+        np.fill_diagonal(block, diagonal)
+        blocks.append((indices, block))
+    return tuple(blocks)
+
+
 def model_e(
     n_qubits: int = 9,
     d: float = 0.0,
@@ -222,19 +281,11 @@ def model_e(
 
     H = sum_j (h + h_j) sigma_zj + (J/4) sum_{j<N-1} sigma_j . sigma_{j+1},
     with defects h_j i.i.d. normal(0, d^2).  Real symmetric; commutes with
-    total sigma_z.
+    total sigma_z.  Assembled from ``model_e_blocks``.
     """
-    if n_qubits < 2:
-        raise ValueError("need at least 2 qubits")
-    if d < 0:
-        raise ValueError("defect strength d must be nonnegative")
-    if J == 0:
-        raise ValueError("coupling J must be nonzero")
-    rng = np.random.default_rng(int(seed))
-    defects = rng.normal(0.0, d, size=n_qubits) if d > 0 else np.zeros(n_qubits)
-    matrix = (J / 4.0) * _chain_coupling(n_qubits)
-    for j in range(n_qubits):
-        matrix = matrix + (h + defects[j]) * _site_z(n_qubits)[j]
+    matrix = np.zeros((2**n_qubits, 2**n_qubits))
+    for indices, block in model_e_blocks(n_qubits, d, h, J, seed):
+        matrix[np.ix_(indices, indices)] = block
     return HermitianOperator(matrix)
 
 
@@ -251,9 +302,3 @@ def sz_sector_indices(n_qubits: int, n_down: int | None = None) -> np.ndarray:
         raise ValueError("n_down out of range")
     indices = [m for m in range(2**n_qubits) if bin(m).count("1") == n_down]
     return np.asarray(indices, dtype=np.intp)
-
-
-def sector_eigenvalues(op: HermitianOperator, indices: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the operator restricted to a symmetry-sector block."""
-    block = op.matrix[np.ix_(indices, indices)]
-    return np.linalg.eigvalsh(block)

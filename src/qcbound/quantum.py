@@ -1,5 +1,9 @@
 """N-qubit operator algebra, dense Hermitian eigendecomposition, and partial traces.
 
+Operators that conserve a quantum number are block diagonal in its sectors;
+``block_spectrum`` solves such an operator one (indices, block) pair at a time
+instead of as one dense matrix.
+
 Tensor-ordering convention (shared by every module in this package): site 0 maps
 to the MOST significant bit of the computational-basis index.  For two qubits the
 basis is ordered |00>, |01>, |10>, |11> with the left bit belonging to site 0, so
@@ -21,11 +25,13 @@ __all__ = [
     "DegenerateSpectrumError",
     "HermitianOperator",
     "SpectralDecomposition",
+    "BlockSpectrum",
     "QubitPartition",
     "pauli",
     "embed_site",
     "heisenberg_coupling",
     "eigensystem",
+    "block_spectrum",
     "partial_trace",
     "partial_trace_dyad",
 ]
@@ -190,6 +196,14 @@ def heisenberg_coupling(i: int, j: int, n_qubits: int) -> HermitianOperator:
     return HermitianOperator(total.real if np.allclose(total.imag, 0.0) else total)
 
 
+def _fix_phases(vectors: np.ndarray) -> np.ndarray:
+    """Rotate each column so its largest-|.| component is real and positive."""
+    pivots = np.argmax(np.abs(vectors), axis=0)
+    pivot_values = vectors[pivots, np.arange(vectors.shape[1])]
+    phases = pivot_values / np.abs(pivot_values)
+    return vectors * phases.conj()[np.newaxis, :]
+
+
 def eigensystem(op: HermitianOperator) -> SpectralDecomposition:
     """Full dense eigendecomposition with fixed eigenvector phases.
 
@@ -199,17 +213,51 @@ def eigensystem(op: HermitianOperator) -> SpectralDecomposition:
         eigenvalues, vectors = np.linalg.eigh(op.matrix)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver failed on dim-{op.dim} operator: {exc}") from exc
-    # Phase gauge: rotate each column so its largest-|.| component is real > 0.
-    pivots = np.argmax(np.abs(vectors), axis=0)
-    pivot_values = vectors[pivots, np.arange(vectors.shape[1])]
-    phases = pivot_values / np.abs(pivot_values)
-    vectors = vectors * phases.conj()[np.newaxis, :]
+    vectors = _fix_phases(vectors)
     eigenvalues.setflags(write=False)
     vectors.setflags(write=False)
     return SpectralDecomposition(
         eigenvalues=eigenvalues,
         eigenvectors=vectors,
         min_gap=float(np.min(np.diff(eigenvalues))),
+    )
+
+
+@dataclass(frozen=True)
+class BlockSpectrum:
+    """Spectrum of a block-diagonal Hermitian operator, solved block by block.
+
+    ``block_eigenvalues[k]`` are the ascending eigenvalues of block k,
+    ``eigenvalues`` all of them merged in ascending order, and
+    ``ground_vector`` the eigenvector of the lowest one, embedded in the full
+    space with the phase gauge of ``eigensystem``.
+    """
+
+    block_eigenvalues: tuple
+    eigenvalues: np.ndarray
+    ground_vector: np.ndarray
+
+
+def block_spectrum(blocks) -> BlockSpectrum:
+    """Solve an operator given as (indices, block) pairs that partition its basis.
+
+    Every block gets an eigenvalue-only solve; only the block holding the
+    lowest eigenvalue is solved for its eigenvectors.  A ground level shared
+    by two blocks is not resolved here: the merged eigenvalues carry the
+    degeneracy to the guards downstream.
+    """
+    try:
+        values = tuple(np.linalg.eigvalsh(block) for _, block in blocks)
+        indices, block = blocks[int(np.argmin([v[0] for v in values]))]
+        _, vectors = np.linalg.eigh(block)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"eigensolver failed on a symmetry block: {exc}") from exc
+    ground = np.zeros(sum(len(idx) for idx, _ in blocks), dtype=vectors.dtype)
+    ground[indices] = _fix_phases(vectors[:, :1])[:, 0]
+    return BlockSpectrum(
+        block_eigenvalues=values,
+        eigenvalues=np.sort(np.concatenate(values)),
+        ground_vector=ground,
     )
 
 

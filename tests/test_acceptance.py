@@ -1,7 +1,7 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  Full-scale sweeps included;
-the whole module takes a few minutes (dominated by the dim-512 defect sweep).
+the whole module takes a few minutes (dominated by the N = 9 defect sweep).
 """
 
 import json

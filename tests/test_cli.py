@@ -214,6 +214,18 @@ class TestStatsCommand:
         stats = json.loads((out / "stats.json").read_text())
         assert stats["gamma"] < 0.3  # deep in the chaotic regime
 
+    def test_defect_chain_stats_by_sector(self, tmp_path):
+        gammas = {}
+        for sector in ("restricted", "full"):
+            out = tmp_path / sector
+            code = run_cli(["stats", "--source", "E", "--qubits", "8", "--d-value", "0.3",
+                            "--draws", "10", "--sector", sector, "--seed", "4",
+                            "--out", str(out)])
+            assert code == 0
+            gammas[sector] = json.loads((out / "stats.json").read_text())["gamma"]
+        # mixing symmetry sectors pushes the statistics toward Poisson
+        assert gammas["full"] > gammas["restricted"]
+
 
 class TestReportEnsembles:
     def test_prints_ratios(self, tmp_path, capsys, monkeypatch):

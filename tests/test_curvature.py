@@ -76,7 +76,7 @@ class TestLevelCurvature:
 class TestBoundB:
     def test_one_gap(self):
         dec = eigensystem(HermitianOperator(np.diag([0.0, 4.0])))
-        assert bound_b(dec) == pytest.approx(4.0)
+        assert bound_b(dec.eigenvalues) == pytest.approx(4.0)
 
     def test_model_a_regression_value(self):
         # pinned on first run with the documented defaults a=(0.1,0.2,0.3),
@@ -85,17 +85,17 @@ class TestBoundB:
 
         h0, _ = model_a()
         dec = eigensystem(h0)
-        assert bound_b(dec) == pytest.approx(24.844450458020454, rel=1e-12)
-        assert bound_b_prime(dec, 3) == pytest.approx(1.035185435750852, rel=1e-12)
+        assert bound_b(dec.eigenvalues) == pytest.approx(24.844450458020454, rel=1e-12)
+        assert bound_b_prime(dec.eigenvalues, 3) == pytest.approx(1.035185435750852, rel=1e-12)
 
     def test_harmonic_gaps(self):
         dec = eigensystem(HermitianOperator(np.diag([0.0, 1.0, 2.0, 3.0])))
-        assert bound_b(dec) == pytest.approx(8.0 * math.sqrt(11.0 / 6.0))
+        assert bound_b(dec.eigenvalues) == pytest.approx(8.0 * math.sqrt(11.0 / 6.0))
 
     def test_degenerate_ground_state_rejected(self):
         dec = eigensystem(HermitianOperator(np.diag([0.0, 0.0, 1.0])))
         with pytest.raises(DegenerateSpectrumError):
-            bound_b(dec)
+            bound_b(dec.eigenvalues)
 
 
 class TestBoundBPrime:
@@ -103,23 +103,25 @@ class TestBoundBPrime:
         dec = eigensystem(HermitianOperator(np.diag([0.0, 0.7, 1.9, 3.4])))
         n = 2
         a = 2.0**-n
-        assert bound_b_prime(dec, n) / bound_b(dec) == a / math.sqrt(3 * n)
+        eps = dec.eigenvalues
+        assert bound_b_prime(eps, n) / bound_b(eps) == a / math.sqrt(3 * n)
 
     def test_default_a_value(self):
         dec = eigensystem(HermitianOperator(np.diag([0.0, 1.0, 2.0, 3.0])))
         expected = (8.0 * 0.25 / math.sqrt(6.0)) * math.sqrt(11.0 / 6.0)
-        assert bound_b_prime(dec, 2) == pytest.approx(expected)
+        assert bound_b_prime(dec.eigenvalues, 2) == pytest.approx(expected)
 
     def test_a_choice_scaling(self):
         dec = eigensystem(HermitianOperator(np.diag([0.0, 1.0, 2.0, 3.0])))
         n = 2
-        ratio = bound_b_prime(dec, n, a=1.0 / n) / bound_b_prime(dec, n, a=2.0**-n)
+        eps = dec.eigenvalues
+        ratio = bound_b_prime(eps, n, a=1.0 / n) / bound_b_prime(eps, n, a=2.0**-n)
         assert ratio == pytest.approx(2.0**n / n, rel=1e-14)
 
     def test_rejects_nonpositive_a(self):
         dec = eigensystem(HermitianOperator(np.diag([0.0, 1.0])))
         with pytest.raises(ValueError):
-            bound_b_prime(dec, 1, a=0.0)
+            bound_b_prime(dec.eigenvalues, 1, a=0.0)
 
 
 class TestSaturationIndex:

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from qcbound.experiments import (
     trim_outliers,
 )
 from qcbound.models import ModelConfig
+from qcbound.quantum import DegenerateSpectrumError
 
 
 class TestTrimOutliers:
@@ -154,3 +156,14 @@ class TestSweepDefect:
         mixed = sweep_defect([0.3], realizations=8, n_qubits=6, master_seed=1,
                              sector_restricted=False)
         assert mixed[0].gamma_mean > restricted[0].gamma_mean
+
+    def test_ground_doublet_draws_counted_as_failed(self, caplog):
+        # N = 5 at zero field: every draw at d = 0 has its ground doublet split
+        # over two sector blocks, so each fails the guard instead of yielding
+        # a row from one arbitrarily chosen ground vector
+        with caplog.at_level(logging.WARNING, logger="qcbound.experiments"):
+            with pytest.raises(ExperimentError, match="4/4 draws failed"):
+                sweep_defect([0.0], realizations=4, n_qubits=5, h=0.0, master_seed=2)
+        failures = [r.args[-1] for r in caplog.records]
+        assert len(failures) == 4
+        assert all(isinstance(exc, DegenerateSpectrumError) for exc in failures)

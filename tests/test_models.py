@@ -1,7 +1,17 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
-from qcbound import eigensystem, embed_site, mean_bipartite_Q, pauli
+from qcbound import (
+    HermitianOperator,
+    bound_b,
+    eigensystem,
+    embed_site,
+    heisenberg_coupling,
+    mean_bipartite_Q,
+    pauli,
+)
 from qcbound.ensembles import EnsembleKind
 from qcbound.models import (
     MODEL_E_DEFAULT_FIELD,
@@ -12,9 +22,10 @@ from qcbound.models import (
     model_c,
     model_d,
     model_e,
-    sector_eigenvalues,
+    model_e_blocks,
     sz_sector_indices,
 )
+from qcbound.quantum import DegenerateSpectrumError, block_spectrum
 
 
 def total_z(n):
@@ -191,8 +202,69 @@ class TestSectorRestriction:
         assert np.max(np.abs(ham.matrix[np.ix_(idx, outside)])) == 0.0
 
     def test_sector_eigenvalues_subset_of_spectrum(self):
-        ham = model_e(n_qubits=4, d=0.3, seed=8)
-        full = np.linalg.eigvalsh(ham.matrix)
-        sector = sector_eigenvalues(ham, sz_sector_indices(4))
+        full = np.linalg.eigvalsh(model_e(n_qubits=4, d=0.3, seed=8).matrix)
+        sector = np.linalg.eigvalsh(model_e_blocks(n_qubits=4, d=0.3, seed=8)[2][1])
         for e in sector:
             assert np.min(np.abs(full - e)) < 1e-10
+
+
+@lru_cache(maxsize=None)
+def dense_chain_coupling(n):
+    return sum(heisenberg_coupling(j, j + 1, n).matrix for j in range(n - 1))
+
+
+def dense_model_e(n, d, h=MODEL_E_DEFAULT_FIELD, J=1.0, seed=0):
+    """Oracle: model E summed from Kronecker-embedded Pauli terms in 2^N space."""
+    rng = np.random.default_rng(int(seed))
+    defects = rng.normal(0.0, d, size=n) if d > 0 else np.zeros(n)
+    matrix = (J / 4.0) * dense_chain_coupling(n)
+    for j in range(n):
+        matrix = matrix + (h + defects[j]) * embed_site(pauli("z"), j, n).matrix.real
+    return matrix
+
+
+class TestModelEBlocks:
+    @pytest.mark.parametrize("n", range(2, 10))
+    @pytest.mark.parametrize("d", [0.0, 0.3, 2.5])
+    def test_matches_dense_oracle(self, n, d):
+        seed = 100 * n + 7
+        oracle = dense_model_e(n, d, seed=seed)
+        assert np.max(np.abs(model_e(n, d, seed=seed).matrix - oracle)) <= 1e-14
+
+        spectrum = block_spectrum(model_e_blocks(n, d, seed=seed))
+        dense = eigensystem(HermitianOperator(oracle))
+        eps = dense.eigenvalues
+        width = eps[-1] - eps[0]
+        assert np.max(np.abs(spectrum.eigenvalues - eps)) <= 1e-12 * width
+        assert abs(spectrum.ground_vector @ dense.vector(0)) >= 1.0 - 1e-12
+        assert bound_b(spectrum.eigenvalues) == pytest.approx(bound_b(eps), rel=1e-12)
+        # Q = 2 - (2/N) sum of purities near 1: its rounding error is absolute
+        assert mean_bipartite_Q(spectrum.ground_vector, n) == pytest.approx(
+            mean_bipartite_Q(dense.vector(0), n), rel=1e-12, abs=1e-12
+        )
+
+    def test_sectors_in_n_down_order(self):
+        blocks = model_e_blocks(5, 0.4, seed=1)
+        assert len(blocks) == 6
+        for n_down, (indices, block) in enumerate(blocks):
+            assert np.array_equal(indices, sz_sector_indices(5, n_down))
+            assert block.shape == (indices.size, indices.size)
+
+    def test_ground_doublet_across_blocks_rejected(self):
+        # odd open Heisenberg chain at zero field: S_z = +-1/2 ground doublet,
+        # one state in the n_down = 2 block and one in n_down = 3
+        spectrum = block_spectrum(model_e_blocks(5, d=0.0, h=0.0))
+        lows = [v[0] for v in spectrum.block_eigenvalues]
+        assert lows[2] == pytest.approx(lows[3], abs=1e-12)
+        assert min(lows[2], lows[3]) < min(lows[:2] + lows[4:])
+        with pytest.raises(DegenerateSpectrumError):
+            bound_b(spectrum.eigenvalues)
+
+    def test_ground_state_in_one_dimensional_block(self):
+        # clean chain above saturation: all spins down, the lone n_down = N state
+        n = 6
+        spectrum = block_spectrum(model_e_blocks(n, d=0.0))
+        expected = np.zeros(2**n)
+        expected[-1] = 1.0
+        assert np.array_equal(spectrum.ground_vector, expected)
+        assert mean_bipartite_Q(spectrum.ground_vector, n) == 0.0
