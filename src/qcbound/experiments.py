@@ -16,10 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import BoundRecord, bound_b, bound_b_prime, level_curvature
+from .curvature import BoundRecord, bound_b, bound_b_prime, level_curvature, saturation_index
 from .ensembles import spawn_seed
 from .entanglement import EntanglementInputs, dQ0_dtau, ground_state_site_overlaps, mean_bipartite_Q
 from .level_stats import (
+    FitConvergenceError,
+    TooFewSpacingsError,
     UnfoldingError,
     gamma_chaos,
     pool_spacing_samples,
@@ -63,6 +65,7 @@ class ExperimentError(RuntimeError):
 class TrimResult:
     kept: np.ndarray
     trimmed: np.ndarray
+    mask: np.ndarray  # True where the input value was kept
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,7 @@ def trim_outliers(values, k: float = 1.5) -> TrimResult:
     q1, q3 = np.percentile(x, [25.0, 75.0])
     iqr = q3 - q1
     mask = (x >= q1 - k * iqr) & (x <= q3 + k * iqr)
-    return TrimResult(kept=x[mask], trimmed=x[~mask])
+    return TrimResult(kept=x[mask], trimmed=x[~mask], mask=mask)
 
 
 def _run_indexed(task, n_tasks: int, threads: int) -> list:
@@ -176,9 +179,9 @@ def scatter_bound_test(
         except DegenerateSpectrumError as exc:
             logger.warning("sample %d (seed %d) rejected: %s", i, seed, exc)
             return None
-        delta = dq_abs - b * math.sqrt(abs(k0))
         return BoundRecord(
-            seed=seed, dq_abs=dq_abs, k0=k0, b=b, b_prime=b_prime, delta=delta
+            seed=seed, dq_abs=dq_abs, k0=k0, b=b, b_prime=b_prime,
+            delta=saturation_index(dq_abs, k0, b),
         )
 
     results = _run_indexed(one_sample, samples, threads)
@@ -208,6 +211,29 @@ def scatter_bound_test(
     )
 
 
+# Per-draw failures: logged, dropped from the row and counted in n_failed; a
+# grid point with more than 10% of its draws failed aborts the sweep.
+# TooFewSpacingsError and FitConvergenceError come from per-realization fits.
+_DRAW_FAILURES = (
+    UnfoldingError, DegenerateSpectrumError, TooFewSpacingsError, FitConvergenceError
+)
+
+
+def _draw_statistics(
+    eigenvalues, levels, source: str, poly_degree: int, edge_trim: float,
+    per_realization_gamma: bool,
+) -> tuple:
+    """(b, spacing sample, gamma) of one sweep draw: b from the full sorted
+    spectrum, spacings from ``levels``, and gamma of this draw's own Weibull
+    fit in per-realization mode (None when gamma comes from the pooled fit)."""
+    b = bound_b(eigenvalues)
+    sample = spacing_sample_from_levels(
+        levels, source=source, poly_degree=poly_degree, edge_trim=edge_trim
+    )
+    gamma = gamma_chaos(weibull_fit(sample)) if per_realization_gamma else None
+    return b, sample, gamma
+
+
 def _aggregate_row(
     param: float,
     b_values: list,
@@ -226,7 +252,6 @@ def _aggregate_row(
         )
     b_arr = np.asarray(b_values, dtype=float)
     trim = trim_outliers(b_arr, k=outlier_k)
-    kept_mask = np.isin(b_arr, trim.kept)
     n_kept = int(trim.kept.size)
     b_stderr = (
         float(np.std(trim.kept, ddof=1) / math.sqrt(n_kept)) if n_kept > 1 else 0.0
@@ -243,7 +268,7 @@ def _aggregate_row(
 
     q_mean = q_stderr = None
     if q_values is not None:
-        q_arr = np.asarray(q_values, dtype=float)[kept_mask]
+        q_arr = np.asarray(q_values, dtype=float)[trim.mask]
         q_mean = float(q_arr.mean())
         q_stderr = (
             float(np.std(q_arr, ddof=1) / math.sqrt(q_arr.size)) if q_arr.size > 1 else 0.0
@@ -284,39 +309,31 @@ def sweep_theta(
     theta_grid = [float(t) for t in theta_grid]
     rows = []
     for t_index, theta in enumerate(theta_grid):
+        source = f"model-D theta={theta:g}"
 
         def one_draw(r: int):
             seed = spawn_seed(master_seed, t_index, r)
             h = model_d(theta, seed, dim=dim, chaotic_scale=chaotic_scale)
             eigs = np.linalg.eigvalsh(h.matrix)
             try:
-                b = bound_b(eigs)
-                sample = spacing_sample_from_levels(
-                    eigs, source=f"model-D theta={theta:g}",
-                    poly_degree=poly_degree, edge_trim=edge_trim,
-                )
-            except (UnfoldingError, DegenerateSpectrumError) as exc:
+                return _draw_statistics(eigs, eigs, source, poly_degree, edge_trim,
+                                        per_realization_gamma)
+            except _DRAW_FAILURES as exc:
                 logger.warning("theta=%g draw %d failed: %s", theta, r, exc)
                 return None
-            return b, sample
 
-        results = _run_indexed(one_draw, realizations, threads)
-        ok = [r for r in results if r is not None]
-        samples = [s for _, s in ok]
-        gammas = (
-            [gamma_chaos(weibull_fit(s)) for s in samples] if per_realization_gamma else []
-        )
+        ok = [r for r in _run_indexed(one_draw, realizations, threads) if r is not None]
         rows.append(
             _aggregate_row(
                 param=theta,
-                b_values=[b for b, _ in ok],
-                spacing_samples=samples,
-                gammas_per_draw=gammas,
+                b_values=[b for b, _, _ in ok],
+                spacing_samples=[s for _, s, _ in ok],
+                gammas_per_draw=[g for _, _, g in ok],
                 q_values=None,
                 n_failed=realizations - len(ok),
                 realizations=realizations,
                 outlier_k=outlier_k,
-                source=f"model-D theta={theta:g} pooled",
+                source=f"{source} pooled",
                 per_realization_gamma=per_realization_gamma,
             )
         )
@@ -347,6 +364,7 @@ def sweep_defect(
     d_grid = [float(d) for d in d_grid]
     rows = []
     for d_index, d in enumerate(d_grid):
+        source = f"model-E d={d:g}"
 
         def one_draw(r: int):
             seed = spawn_seed(master_seed, d_index, r)
@@ -359,34 +377,25 @@ def sweep_defect(
                 else spectrum.eigenvalues
             )
             try:
-                b = bound_b(spectrum.eigenvalues)
-                sample = spacing_sample_from_levels(
-                    levels, source=f"model-E d={d:g}",
-                    poly_degree=poly_degree, edge_trim=edge_trim,
-                )
-            except (UnfoldingError, DegenerateSpectrumError) as exc:
+                stats = _draw_statistics(spectrum.eigenvalues, levels, source,
+                                         poly_degree, edge_trim, per_realization_gamma)
+            except _DRAW_FAILURES as exc:
                 logger.warning("d=%g draw %d failed: %s", d, r, exc)
                 return None
-            q = mean_bipartite_Q(spectrum.ground_vector, n_qubits)
-            return b, q, sample
+            return (*stats, mean_bipartite_Q(spectrum.ground_vector, n_qubits))
 
-        results = _run_indexed(one_draw, realizations, threads)
-        ok = [r for r in results if r is not None]
-        samples = [s for _, _, s in ok]
-        gammas = (
-            [gamma_chaos(weibull_fit(s)) for s in samples] if per_realization_gamma else []
-        )
+        ok = [r for r in _run_indexed(one_draw, realizations, threads) if r is not None]
         rows.append(
             _aggregate_row(
                 param=d,
-                b_values=[b for b, _, _ in ok],
-                spacing_samples=samples,
-                gammas_per_draw=gammas,
-                q_values=[q for _, q, _ in ok],
+                b_values=[b for b, _, _, _ in ok],
+                spacing_samples=[s for _, s, _, _ in ok],
+                gammas_per_draw=[g for _, _, g, _ in ok],
+                q_values=[q for _, _, _, q in ok],
                 n_failed=realizations - len(ok),
                 realizations=realizations,
                 outlier_k=outlier_k,
-                source=f"model-E d={d:g} pooled",
+                source=f"{source} pooled",
                 per_realization_gamma=per_realization_gamma,
             )
         )

@@ -23,6 +23,7 @@ __all__ = [
     "S0_CROSSING",
     "UnfoldingError",
     "FitConvergenceError",
+    "TooFewSpacingsError",
     "WeibullParams",
     "SpacingSample",
     "poisson_density",
@@ -46,6 +47,10 @@ class UnfoldingError(RuntimeError):
 
 class FitConvergenceError(RuntimeError):
     """The Weibull maximum-likelihood iteration did not converge."""
+
+
+class TooFewSpacingsError(ValueError):
+    """A spacing sample is too small for a Weibull fit."""
 
 
 def poisson_density(s):
@@ -243,7 +248,7 @@ def weibull_mle(
 def weibull_fit(sample: SpacingSample) -> WeibullParams:
     """Fit the Weibull density to a spacing sample (needs >= 100 spacings)."""
     if len(sample) < 100:
-        raise ValueError(f"need at least 100 spacings to fit, got {len(sample)}")
+        raise TooFewSpacingsError(f"need at least 100 spacings to fit, got {len(sample)}")
     return weibull_mle(sample.spacings)
 
 

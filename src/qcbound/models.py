@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .ensembles import EnsembleKind, EnsembleSpec, sample, spawn_seed
-from .quantum import HermitianOperator, _embed, _PAULI
+from .quantum import HermitianOperator, _embed, _PAULI, heisenberg_coupling
 
 __all__ = [
     "ModelConfig",
@@ -121,19 +121,12 @@ def _site_z(n_qubits: int) -> tuple:
     return tuple(ops)
 
 
-def _pair_coupling(i: int, j: int, n_qubits: int) -> np.ndarray:
-    return sum(
-        (_embed(_PAULI[a], i, n_qubits) @ _embed(_PAULI[a], j, n_qubits)).real
-        for a in ("x", "y", "z")
-    )
-
-
 @lru_cache(maxsize=16)
 def _all_pairs_coupling(n_qubits: int) -> np.ndarray:
     total = np.zeros((2**n_qubits, 2**n_qubits))
     for i in range(n_qubits):
         for j in range(i + 1, n_qubits):
-            total += _pair_coupling(i, j, n_qubits)
+            total += heisenberg_coupling(i, j, n_qubits).matrix
     total.setflags(write=False)
     return total
 
@@ -159,6 +152,14 @@ def _sector_chain(n_qubits: int) -> tuple:
             a.setflags(write=False)
         sectors.append((indices, coupling, signs))
     return tuple(sectors)
+
+
+def _spectral_std(h: np.ndarray) -> float:
+    """Population standard deviation of the eigenvalues of a Hermitian d x d
+    matrix, without solving: sqrt(||H||_F^2 / d - (tr H / d)^2), because the
+    eigenvalues sum to tr H and their squares to ||H||_F^2."""
+    d = h.shape[0]
+    return math.sqrt(np.vdot(h, h).real / d - (np.trace(h).real / d) ** 2)
 
 
 def _hermitian_sampler(kind: EnsembleKind, dim: int) -> VSampler:
@@ -227,14 +228,20 @@ def model_d(
     H(theta) = cos(theta) H_P + sin(theta) H_W, with H_P normalized to unit
     spectral standard deviation and H_W to ``chaotic_scale`` times that, so the
     mixing weights act on comparable (and documented) energy scales.
+
+    The normalization needs no eigensolve: the eigenvalue standard deviation
+    of H_W is sqrt(||H_W||_F^2 / d - (tr H_W / d)^2) (``_spectral_std``).  H_P
+    is diagonal, so H(theta) is the scaled H_W with cos(theta) p / std(p),
+    p = diag(H_P), added to its diagonal in place.
     """
     if not 0.0 <= theta <= math.pi / 2.0 + 1e-12:
         raise ValueError("theta must lie in [0, pi/2]")
     hp = sample(EnsembleSpec(EnsembleKind.POISSON_DIAGONAL, dim), spawn_seed(seed, 0)).matrix
     hw = sample(EnsembleSpec(EnsembleKind.GOE, dim), spawn_seed(seed, 1)).matrix
-    hp = hp / np.std(np.diag(hp))
-    hw = hw * (chaotic_scale / np.std(np.linalg.eigvalsh(hw)))
-    return HermitianOperator(math.cos(theta) * hp + math.sin(theta) * hw)
+    p = np.diag(hp)
+    matrix = hw * (math.sin(theta) * chaotic_scale / _spectral_std(hw))
+    matrix[np.diag_indices(dim)] += math.cos(theta) * (p / np.std(p))
+    return HermitianOperator(matrix)
 
 
 def model_e_blocks(

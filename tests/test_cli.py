@@ -185,6 +185,13 @@ class TestSweepCommands:
     def test_invalid_points(self, tmp_path):
         assert run_cli(["sweep-theta", "--points", "1", "--out", str(tmp_path)]) == 2
 
+    def test_per_realization_fit_failures_are_counted(self, tmp_path, capsys):
+        code = run_cli(["sweep-theta", "--points", "2", "--realizations", "4",
+                        "--dim", "64", "--gamma-mode", "per-realization",
+                        "--out", str(tmp_path)])
+        assert code == 2
+        assert "4/4 draws failed at parameter 0" in capsys.readouterr().err
+
 
 class TestStatsCommand:
     def test_goe_stats(self, tmp_path):

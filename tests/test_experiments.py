@@ -12,6 +12,8 @@ from qcbound.experiments import (
     sweep_theta,
     trim_outliers,
 )
+from qcbound import experiments
+from qcbound.level_stats import FitConvergenceError, TooFewSpacingsError
 from qcbound.models import ModelConfig
 from qcbound.quantum import DegenerateSpectrumError
 
@@ -38,6 +40,13 @@ class TestTrimOutliers:
         x = rng.normal(size=50)
         res = trim_outliers(x)
         assert res.kept.size + res.trimmed.size == 50
+
+    def test_mask_selects_kept_in_input_order(self):
+        x = np.array([3.0, 1000.0, 1.0, 2.0, -900.0, 4.0])
+        res = trim_outliers(x)
+        assert list(res.mask) == [True, False, True, True, False, True]
+        assert np.array_equal(res.kept, x[res.mask])
+        assert np.array_equal(res.trimmed, x[~res.mask])
 
     @given(seed=st.integers(0, 5000), k=st.floats(1.0, 3.0))
     @settings(max_examples=30, deadline=None)
@@ -135,6 +144,35 @@ class TestSweepTheta:
                            per_realization_gamma=True)
         assert rows[0].gamma_stderr > 0
 
+    def test_per_realization_too_few_spacings_counted_as_failed(self, caplog):
+        # dim 64 leaves 57 spacings per draw, below the 100 a fit needs: every
+        # draw is a counted failure, not a bare ValueError after all draws
+        with caplog.at_level(logging.WARNING, logger="qcbound.experiments"):
+            with pytest.raises(ExperimentError, match="6/6 draws failed"):
+                sweep_theta([0.3], realizations=6, master_seed=5, dim=64,
+                            per_realization_gamma=True)
+        failures = [r.args[-1] for r in caplog.records]
+        assert len(failures) == 6
+        assert all(isinstance(exc, TooFewSpacingsError) for exc in failures)
+
+    def test_per_realization_fit_failure_dropped_and_counted(self, monkeypatch):
+        fit = experiments.weibull_fit
+        calls = []
+
+        def fail_third(sample):
+            calls.append(sample)
+            if len(calls) == 3:
+                raise FitConvergenceError("forced")
+            return fit(sample)
+
+        monkeypatch.setattr(experiments, "weibull_fit", fail_third)
+        rows = sweep_theta([0.3], realizations=12, master_seed=5, dim=128,
+                           per_realization_gamma=True)
+        assert len(calls) == 12
+        assert rows[0].n_failed == 1
+        assert rows[0].n_kept + rows[0].n_trimmed == 12
+        assert rows[0].n_kept <= 11
+
 
 class TestSweepDefect:
     def test_small_sweep_rows(self):
@@ -156,6 +194,14 @@ class TestSweepDefect:
         mixed = sweep_defect([0.3], realizations=8, n_qubits=6, master_seed=1,
                              sector_restricted=False)
         assert mixed[0].gamma_mean > restricted[0].gamma_mean
+
+    def test_per_realization_too_few_spacings_counted_as_failed(self, caplog):
+        # the N = 6 middle sector has 20 levels: too few spacings for a fit
+        with caplog.at_level(logging.WARNING, logger="qcbound.experiments"):
+            with pytest.raises(ExperimentError, match="4/4 draws failed"):
+                sweep_defect([0.5], realizations=4, n_qubits=6, master_seed=3,
+                             per_realization_gamma=True)
+        assert all(isinstance(r.args[-1], TooFewSpacingsError) for r in caplog.records)
 
     def test_ground_doublet_draws_counted_as_failed(self, caplog):
         # N = 5 at zero field: every draw at d = 0 has its ground doublet split

@@ -8,6 +8,7 @@ from qcbound.level_stats import (
     GAMMA_DENOMINATOR,
     S0_CROSSING,
     SpacingSample,
+    TooFewSpacingsError,
     UnfoldingError,
     gamma_chaos,
     gamma_from_density,
@@ -131,8 +132,9 @@ class TestWeibullFit:
 
     def test_requires_minimum_spacings(self):
         s = SpacingSample(np.ones(50) + np.random.default_rng(7).uniform(size=50), source="x")
-        with pytest.raises(ValueError):
+        with pytest.raises(TooFewSpacingsError, match="got 50"):
             weibull_fit(s)
+        assert issubclass(TooFewSpacingsError, ValueError)  # existing callers still catch it
 
     @given(seed=st.integers(0, 1000), shape=st.floats(0.5, 4.0))
     @settings(max_examples=15, deadline=None)

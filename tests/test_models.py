@@ -12,7 +12,7 @@ from qcbound import (
     mean_bipartite_Q,
     pauli,
 )
-from qcbound.ensembles import EnsembleKind
+from qcbound.ensembles import EnsembleKind, EnsembleSpec, sample, spawn_seed
 from qcbound.models import (
     MODEL_E_DEFAULT_FIELD,
     ModelConfig,
@@ -24,6 +24,7 @@ from qcbound.models import (
     model_e,
     model_e_blocks,
     sz_sector_indices,
+    _spectral_std,
 )
 from qcbound.quantum import DegenerateSpectrumError, block_spectrum
 
@@ -139,6 +140,34 @@ class TestModelD:
     def test_unit_spectral_std_components(self):
         hp = model_d(0.0, seed=11, dim=64).matrix
         assert np.std(np.linalg.eigvalsh(hp)) == pytest.approx(1.0, rel=1e-10)
+
+    @pytest.mark.parametrize("dim", [8, 32, 128])
+    def test_frobenius_spread_is_eigenvalue_std(self, dim):
+        for seed in range(6):
+            hw = sample(EnsembleSpec(EnsembleKind.GOE, dim), spawn_seed(seed, 1)).matrix
+            assert _spectral_std(hw) == pytest.approx(
+                np.std(np.linalg.eigvalsh(hw)), rel=1e-12
+            )
+
+    def test_frobenius_spread_complex_and_shifted(self):
+        h = sample(EnsembleSpec(EnsembleKind.GUE, 16), 4).matrix + 3.0 * np.eye(16)
+        assert _spectral_std(h) == pytest.approx(np.std(np.linalg.eigvalsh(h)), rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [32, 128])
+    def test_chaotic_part_has_chaotic_scale_std(self, dim):
+        for seed in range(5):
+            for scale in (0.3, 1.0):
+                m = model_d(np.pi / 2, seed=seed, dim=dim, chaotic_scale=scale).matrix
+                assert np.std(np.linalg.eigvalsh(m)) == pytest.approx(scale, rel=1e-12)
+
+    def test_no_eigensolver_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("model_d called an eigensolver")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for theta in (0.0, 0.7, np.pi / 2):
+            assert model_d(theta, seed=2, dim=64).dim == 64
 
 
 class TestModelE:
