@@ -21,6 +21,7 @@ from .quantum import (
     DEGENERACY_RTOL,
     DegenerateSpectrumError,
     QubitPartition,
+    SpectralDecomposition,
 )
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
     "TwoLevelRates",
     "TwoLevelDominanceError",
     "level_curvature",
+    "level_curvature_from_row",
     "curvature_spectrum",
     "bound_b",
     "bound_b_prime",
@@ -96,12 +98,19 @@ class TwoLevelRates:
 
 def level_curvature(n: int, inputs: EntanglementInputs) -> float:
     """K_n = 2 sum_{m != n} |V_nm|^2 / (eps_n - eps_m)."""
-    inputs.decomposition.require_nondegenerate()
-    eps = inputs.decomposition.eigenvalues
-    row = inputs.v_eig[n]
+    return level_curvature_from_row(n, inputs.decomposition, inputs.v_eig[n])
+
+
+def level_curvature_from_row(
+    n: int, decomposition: SpectralDecomposition, v_row: np.ndarray
+) -> float:
+    """:func:`level_curvature` from row n of the perturbation in the
+    eigenbasis, ``v_row[m]`` = <n|V|m>."""
+    decomposition.require_nondegenerate()
+    eps = decomposition.eigenvalues
     diffs = eps[n] - eps
     diffs[n] = 1.0  # placeholder; the n term is excluded below
-    terms = np.abs(row) ** 2 / diffs
+    terms = np.abs(v_row) ** 2 / diffs
     terms[n] = 0.0
     return 2.0 * float(np.sum(terms))
 

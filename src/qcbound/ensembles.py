@@ -61,17 +61,32 @@ def sample(spec: EnsembleSpec, seed: int) -> HermitianOperator:
     i.i.d. normal scaled so the mean-square spectral width matches a GOE draw
     of the same dimension (sigma = scale * sqrt(dim + 1)).
     """
+    return HermitianOperator(_sample_matrix(spec, seed))
+
+
+def _sample_matrix(spec: EnsembleSpec, seed: int) -> np.ndarray:
+    """The matrix of ``sample(spec, seed)`` as a plain array, for internal hot
+    paths.  Every kind is exactly Hermitian by construction (m == m^dag
+    bitwise), so the ``HermitianOperator`` symmetrization would not change it.
+    """
     rng = np.random.default_rng(int(seed))
     d = spec.dim
     if spec.kind is EnsembleKind.GOE:
         a = rng.standard_normal((d, d))
-        matrix = (a + a.T) * (spec.scale / math.sqrt(2.0))
+        matrix = a + a.T
+        matrix *= spec.scale / math.sqrt(2.0)
     elif spec.kind in (EnsembleKind.GUE, EnsembleKind.GENERIC_HERMITIAN):
-        b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        matrix = (b + b.conj().T) * (spec.scale / 2.0)
+        # (B + B^dag) * scale/2 for B = X + iY, written part by part into one
+        # buffer: real X + X^T, imaginary Y - Y^T (the same floats).
+        x = rng.standard_normal((d, d))
+        y = rng.standard_normal((d, d))
+        matrix = np.empty((d, d), dtype=complex)
+        np.add(x, x.T, out=matrix.real)
+        np.subtract(y, y.T, out=matrix.imag)
+        matrix *= spec.scale / 2.0
     elif spec.kind is EnsembleKind.POISSON_DIAGONAL:
         sigma = spec.scale * math.sqrt(d + 1.0)
         matrix = np.diag(rng.normal(0.0, sigma, size=d))
     else:  # pragma: no cover - enum is exhaustive
         raise ValueError(f"unknown ensemble kind {spec.kind!r}")
-    return HermitianOperator(matrix)
+    return matrix

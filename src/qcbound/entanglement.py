@@ -34,6 +34,7 @@ __all__ = [
     "dEL_dtau",
     "dEL_dtau_from_gamma",
     "dQ0_dtau",
+    "dQ0_dtau_from_row",
 ]
 
 # A mathematically-real result may carry a float imaginary residue; anything
@@ -207,12 +208,29 @@ def dQ0_dtau(inputs: EntanglementInputs, site_overlaps: np.ndarray | None = None
 
     dQ^0/dtau = (8/N) sum_{k >= 1} Re[V_0k A^0_0k] / (eps_k - eps_0), with the
     site-summed overlaps A^0_0k of :func:`ground_state_site_overlaps` (pass them
-    in to amortize over many perturbation draws).
+    in to amortize over many perturbation draws).  Only row 0 of ``v_eig``
+    enters; see :func:`dQ0_dtau_from_row`.
     """
-    inputs.decomposition.require_nondegenerate()
+    return dQ0_dtau_from_row(
+        inputs.decomposition, inputs.v_eig[0], inputs.n_qubits, site_overlaps
+    )
+
+
+def dQ0_dtau_from_row(
+    decomposition: SpectralDecomposition,
+    v_row: np.ndarray,
+    n_qubits: int,
+    site_overlaps: np.ndarray | None = None,
+) -> float:
+    """:func:`dQ0_dtau` from row 0 of the perturbation in the eigenbasis.
+
+    ``v_row[k]`` is <0|V|k>, i.e. (u_0^dag V) U, an O(d^2) product instead of
+    the O(d^3) full transform.
+    """
+    decomposition.require_nondegenerate()
     if site_overlaps is None:
-        site_overlaps = ground_state_site_overlaps(inputs.decomposition, inputs.n_qubits)
-    eps = inputs.decomposition.eigenvalues
+        site_overlaps = ground_state_site_overlaps(decomposition, n_qubits)
+    eps = decomposition.eigenvalues
     gaps = eps[1:] - eps[0]
-    terms = np.real(inputs.v_eig[0, 1:] * site_overlaps[1:]) / gaps
-    return (8.0 / inputs.n_qubits) * float(np.sum(terms))
+    terms = np.real(v_row[1:] * site_overlaps[1:]) / gaps
+    return (8.0 / n_qubits) * float(np.sum(terms))

@@ -16,9 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import BoundRecord, bound_b, bound_b_prime, level_curvature, saturation_index
+from .curvature import (
+    BoundRecord, bound_b, bound_b_prime, level_curvature_from_row, saturation_index,
+)
 from .ensembles import spawn_seed
-from .entanglement import EntanglementInputs, dQ0_dtau, ground_state_site_overlaps, mean_bipartite_Q
+from .entanglement import (
+    IMAG_RESIDUE_ATOL, dQ0_dtau_from_row, ground_state_site_overlaps, mean_bipartite_Q,
+)
 from .level_stats import (
     FitConvergenceError,
     TooFewSpacingsError,
@@ -32,8 +36,8 @@ from .models import (
     MODEL_D_CHAOTIC_SCALE,
     MODEL_E_DEFAULT_FIELD,
     ModelConfig,
+    _model_d_matrix,
     build_scatter_model,
-    model_d,
     model_e_blocks,
 )
 from .quantum import DegenerateSpectrumError, block_spectrum, eigensystem
@@ -152,6 +156,11 @@ def scatter_bound_test(
     saturation index delta against the per-model constants b and b'.  Draws
     rejected by the degeneracy guard are logged; more than 1% of them aborts
     (the model is misconfigured).
+
+    Both kernels read only row 0 of U^dag V U, so a draw computes just that
+    row, w = (u_0^dag V) U: O(d^2) after the sample instead of O(d^3).  Its
+    entry w_0 = <0|V|0> must be real; an imaginary part above
+    IMAG_RESIDUE_ATOL means V is not Hermitian and raises ValueError.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -163,19 +172,19 @@ def scatter_bound_test(
     b = bound_b(decomposition.eigenvalues)
     b_prime = bound_b_prime(decomposition.eigenvalues, n, a_value)
     u = decomposition.eigenvectors
+    u0_dag = u[:, 0].conj()
 
     def one_sample(i: int):
         seed = spawn_seed(master_seed, i + 1)
-        v = v_sampler(seed)
-        inputs = EntanglementInputs(
-            decomposition=decomposition,
-            v=v,
-            v_eig=u.conj().T @ v.matrix @ u,
-            n_qubits=n,
-        )
+        row = (u0_dag @ v_sampler(seed)) @ u
+        if abs(row[0].imag) > IMAG_RESIDUE_ATOL:
+            raise ValueError(
+                f"sample {i} (seed {seed}): <0|V|0> has imaginary part "
+                f"{row[0].imag:.3e}; the perturbation is not Hermitian"
+            )
         try:
-            dq_abs = abs(dQ0_dtau(inputs, site_overlaps=overlaps))
-            k0 = level_curvature(0, inputs)
+            dq_abs = abs(dQ0_dtau_from_row(decomposition, row, n, site_overlaps=overlaps))
+            k0 = level_curvature_from_row(0, decomposition, row)
         except DegenerateSpectrumError as exc:
             logger.warning("sample %d (seed %d) rejected: %s", i, seed, exc)
             return None
@@ -313,8 +322,7 @@ def sweep_theta(
 
         def one_draw(r: int):
             seed = spawn_seed(master_seed, t_index, r)
-            h = model_d(theta, seed, dim=dim, chaotic_scale=chaotic_scale)
-            eigs = np.linalg.eigvalsh(h.matrix)
+            eigs = np.linalg.eigvalsh(_model_d_matrix(theta, seed, dim, chaotic_scale))
             try:
                 return _draw_statistics(eigs, eigs, source, poly_degree, edge_trim,
                                         per_realization_gamma)

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ensembles import EnsembleKind, EnsembleSpec, sample, spawn_seed
+from .ensembles import EnsembleKind, EnsembleSpec, _sample_matrix, sample, spawn_seed
 from .quantum import HermitianOperator, _embed, _PAULI, heisenberg_coupling
 
 __all__ = [
@@ -54,7 +54,10 @@ __all__ = [
     "sz_sector_indices",
 ]
 
-VSampler = Callable[[int], HermitianOperator]
+# A perturbation sampler returns the plain matrix of V for a seed: the
+# ensemble draws are exactly Hermitian by construction, so the per-draw hot
+# path skips the HermitianOperator copy and drift scan.
+VSampler = Callable[[int], np.ndarray]
 
 # Repo-pinned defaults (the source constants are unspecified); changing them
 # invalidates the regression values recorded in the tests.
@@ -165,8 +168,8 @@ def _spectral_std(h: np.ndarray) -> float:
 def _hermitian_sampler(kind: EnsembleKind, dim: int) -> VSampler:
     spec = EnsembleSpec(kind=kind, dim=dim, scale=1.0)
 
-    def draw(seed: int) -> HermitianOperator:
-        return sample(spec, seed)
+    def draw(seed: int) -> np.ndarray:
+        return _sample_matrix(spec, seed)
 
     return draw
 
@@ -234,14 +237,21 @@ def model_d(
     is diagonal, so H(theta) is the scaled H_W with cos(theta) p / std(p),
     p = diag(H_P), added to its diagonal in place.
     """
+    return HermitianOperator(_model_d_matrix(theta, seed, dim, chaotic_scale))
+
+
+def _model_d_matrix(theta: float, seed: int, dim: int, chaotic_scale: float) -> np.ndarray:
+    """The matrix of ``model_d`` as a plain array, for the sweep's per-draw
+    path: a scaled GOE draw plus a diagonal is exactly symmetric, so the
+    ``HermitianOperator`` symmetrization would not change it."""
     if not 0.0 <= theta <= math.pi / 2.0 + 1e-12:
         raise ValueError("theta must lie in [0, pi/2]")
-    hp = sample(EnsembleSpec(EnsembleKind.POISSON_DIAGONAL, dim), spawn_seed(seed, 0)).matrix
-    hw = sample(EnsembleSpec(EnsembleKind.GOE, dim), spawn_seed(seed, 1)).matrix
+    hp = _sample_matrix(EnsembleSpec(EnsembleKind.POISSON_DIAGONAL, dim), spawn_seed(seed, 0))
+    hw = _sample_matrix(EnsembleSpec(EnsembleKind.GOE, dim), spawn_seed(seed, 1))
     p = np.diag(hp)
-    matrix = hw * (math.sin(theta) * chaotic_scale / _spectral_std(hw))
-    matrix[np.diag_indices(dim)] += math.cos(theta) * (p / np.std(p))
-    return HermitianOperator(matrix)
+    hw *= math.sin(theta) * chaotic_scale / _spectral_std(hw)
+    hw[np.diag_indices(dim)] += math.cos(theta) * (p / np.std(p))
+    return hw
 
 
 def model_e_blocks(

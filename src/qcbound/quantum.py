@@ -76,9 +76,10 @@ class HermitianOperator:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if m.shape[0] < 2:
             raise ValueError("operator dimension must be >= 2")
-        m = m.astype(complex if np.iscomplexobj(m) else float)
-        sym = 0.5 * (m + m.conj().T)
-        drift = float(np.max(np.abs(m - sym))) if m.size else 0.0
+        m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
+        sym = m + m.conj().T  # a new array: the input is never written
+        sym *= 0.5
+        drift = float(np.max(np.abs(m - sym)))
         if drift > HERMITICITY_WARN_ATOL:
             warnings.warn(
                 f"input symmetrized; max Hermiticity correction {drift:.3e}",
@@ -90,14 +91,6 @@ class HermitianOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
-        return HermitianOperator(self.matrix + other.matrix)
-
-    def __mul__(self, scalar: float) -> "HermitianOperator":
-        return HermitianOperator(self.matrix * scalar)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)

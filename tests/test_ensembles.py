@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qcbound.ensembles import EnsembleKind, EnsembleSpec, RNG_ALGORITHM, sample, spawn_seed
+from qcbound.ensembles import (
+    EnsembleKind, EnsembleSpec, RNG_ALGORITHM, _sample_matrix, sample, spawn_seed,
+)
 from qcbound.level_stats import spacing_sample_from_levels, weibull_mle
 
 
@@ -14,6 +16,37 @@ class TestSpecValidation:
     def test_rejects_bad_scale(self):
         with pytest.raises(ValueError):
             EnsembleSpec(EnsembleKind.GUE, dim=4, scale=-1.0)
+
+
+class TestHermitianByConstruction:
+    # Internal samplers skip HermitianOperator, so the drawer itself must
+    # return exactly Hermitian matrices (and sample() must not alter them).
+    @pytest.mark.parametrize("kind", list(EnsembleKind))
+    @pytest.mark.parametrize("dim", [4, 8, 32, 128, 512])
+    def test_drawer_output_is_exactly_hermitian(self, kind, dim):
+        for seed in range(20):
+            m = _sample_matrix(EnsembleSpec(kind, dim), seed)
+            assert np.array_equal(m, m.conj().T)
+
+    @pytest.mark.parametrize("dim", [4, 128])
+    def test_gue_drawer_is_textbook_formula(self, dim):
+        # the drawer assembles (B + B^dag) * scale/2, B = X + iY, part by
+        # part; it must give the same bytes as the textbook expression
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            expected = (b + b.conj().T) * (0.7 / 2.0)
+            m = _sample_matrix(EnsembleSpec(EnsembleKind.GUE, dim, scale=0.7), seed)
+            assert m.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", list(EnsembleKind))
+    def test_sample_is_the_drawer_output(self, kind):
+        spec = EnsembleSpec(kind, 16, scale=0.7)
+        for seed in range(5):
+            m = _sample_matrix(spec, seed)
+            op = sample(spec, seed)
+            assert op.matrix.dtype == m.dtype
+            assert np.array_equal(op.matrix, m)
 
 
 class TestDeterminism:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from qcbound.level_stats import (
     GAMMA_DENOMINATOR,
@@ -11,7 +12,6 @@ from qcbound.level_stats import (
     TooFewSpacingsError,
     UnfoldingError,
     gamma_chaos,
-    gamma_from_density,
     poisson_density,
     pool_spacing_samples,
     spacing_sample_from_levels,
@@ -22,6 +22,19 @@ from qcbound.level_stats import (
     wigner_dyson_density,
     WeibullParams,
 )
+
+
+def gamma_from_density(density) -> float:
+    """Chaos parameter of an arbitrary spacing density by quadrature on [0, s0]:
+    the oracle of the closed form in ``gamma_chaos``."""
+    numerator, _ = quad(
+        lambda s: density(s) - wigner_dyson_density(s),
+        0.0,
+        S0_CROSSING,
+        epsabs=1e-10,
+        limit=200,
+    )
+    return numerator / GAMMA_DENOMINATOR
 
 
 def wigner_samples(n, seed):
@@ -148,11 +161,21 @@ class TestWeibullFit:
 class TestGammaChaos:
     def test_poisson_is_one(self):
         fit = WeibullParams(a=1.0, c=1.0, log_likelihood=0.0, n_samples=1, converged=True)
-        assert gamma_chaos(fit) == pytest.approx(1.0, abs=1e-8)
+        assert gamma_chaos(fit) == 1.0
 
     def test_wigner_dyson_is_zero(self):
         fit = WeibullParams(a=np.pi / 4, c=2.0, log_likelihood=0.0, n_samples=1, converged=True)
-        assert gamma_chaos(fit) == pytest.approx(0.0, abs=1e-8)
+        assert gamma_chaos(fit) == 0.0
+
+    def test_closed_form_matches_quadrature(self):
+        # quad's epsabs = 1e-10 bounds the oracle's own error; the gap on this
+        # grid is at most ~4e-11 relative.
+        for a in np.linspace(0.3, 2.0, 9):
+            for c in np.linspace(0.6, 2.6, 11):
+                fit = WeibullParams(a=a, c=c, log_likelihood=0.0, n_samples=1,
+                                    converged=True)
+                oracle = gamma_from_density(lambda s: weibull_density(s, a, c))
+                assert gamma_chaos(fit) == pytest.approx(oracle, rel=1e-10), (a, c)
 
     def test_half_mixture(self):
         dens = lambda s: 0.5 * poisson_density(s) + 0.5 * wigner_dyson_density(s)

@@ -52,7 +52,7 @@ class TestModelA:
 
     def test_sampler_dimension(self):
         _, sampler = model_a()
-        assert sampler(0).dim == 8
+        assert sampler(0).shape == (8, 8)
 
     def test_rejects_wrong_coefficient_count(self):
         with pytest.raises(ValueError):
@@ -69,18 +69,18 @@ class TestModelB:
     def test_dimensions(self, n, dim):
         h0, sampler = model_b(n, seed=0)
         assert h0.dim == dim
-        assert sampler(1).dim == dim
+        assert sampler(1).shape == (dim, dim)
 
 
 class TestModelC:
     def test_goe_perturbations_are_real(self):
         _, sampler = model_c("GOE", seed=4)
         for s in range(3):
-            assert not np.iscomplexobj(sampler(s).matrix)
+            assert not np.iscomplexobj(sampler(s))
 
     def test_gue_perturbations_are_complex(self):
         _, sampler = model_c(EnsembleKind.GUE, seed=4)
-        assert np.iscomplexobj(sampler(0).matrix)
+        assert np.iscomplexobj(sampler(0))
 
     def test_rejects_other_ensembles(self):
         with pytest.raises(ValueError):
@@ -105,7 +105,7 @@ class TestModelConfig:
         for family, n in (("A", 3), ("B", 2), ("C", 2)):
             h0, sampler = build_scatter_model(ModelConfig(family=family, n_qubits=n), h0_seed=5)
             assert h0.dim == 2**n
-            assert sampler(0).dim == 2**n
+            assert sampler(0).shape == (2**n, 2**n)
 
 
 class TestModelD:
@@ -168,6 +168,17 @@ class TestModelD:
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         for theta in (0.0, 0.7, np.pi / 2):
             assert model_d(theta, seed=2, dim=64).dim == 64
+
+    def test_sweep_matrix_is_exactly_symmetric_model_d(self):
+        # sweep_theta solves the plain array without HermitianOperator: it
+        # must already be exactly symmetric and equal model_d bit for bit
+        from qcbound.models import _model_d_matrix
+
+        for seed in range(20):
+            for theta in (0.0, 0.3, 0.7, np.pi / 2):
+                m = _model_d_matrix(theta, seed, 128, 0.3)
+                assert np.array_equal(m, m.T)
+                assert m.tobytes() == model_d(theta, seed, dim=128).matrix.tobytes()
 
 
 class TestModelE:

@@ -111,6 +111,17 @@ class TestHermitianOperator:
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 5.0
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_input_neither_written_nor_aliased(self, dtype):
+        m = np.array([[1.0, 2.0], [0.5, 3.0]], dtype=dtype)
+        before = m.copy()
+        with pytest.warns(UserWarning):
+            op = HermitianOperator(m)
+        assert np.array_equal(m, before) and m.flags.writeable
+        assert not np.shares_memory(op.matrix, m)
+        assert op.matrix.dtype == dtype
+        assert np.array_equal(op.matrix, 0.5 * (before + before.conj().T))
+
 
 class TestEigensystem:
     def test_diagonal_input_sorted(self):
