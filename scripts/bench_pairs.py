@@ -10,9 +10,11 @@ one workload seed S per pair (3, 4, ... across all workloads), T the
 ``run_seconds`` of BENCHMARK.json, and the order inside a pair alternating
 (parent first, then change first), so that slow drift of the machine hits
 both sides alike.  The parent is exported with ``git archive`` into a
-temporary directory, which is removed on exit.  The run refuses to start
-when ``perfbench/`` or ``BENCHMARK.json`` differ between the two trees: the
-benchmark must be the same code on both sides.
+temporary directory, which is removed on exit.  Each perfbench run has its own
+process group, killed whole on a timeout, SIGTERM or Ctrl-C, so that no
+worker outlives the script.  The run refuses to start when ``perfbench/`` or
+``BENCHMARK.json`` differ between the two trees: the benchmark must be the
+same code on both sides.
 
 Per metric the output holds every run, median and quartiles of each side,
 the pairs the change won, the ratio of the medians, and whether the gap of
@@ -76,12 +78,23 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, ref_seed: int
     """One untraced perfbench run; returns its result line plus its details line."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0", "--ref-seed", str(ref_seed)]
-    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
-                          timeout=RUN_TIMEOUT_S)
-    lines = done.stdout.strip().splitlines()
-    if done.returncode != 0 or len(lines) < 2:
-        raise RuntimeError(f"{' '.join(argv[1:])} in {tree} exited {done.returncode}: "
-                           f"{done.stderr.strip()[-2000:]}")
+    # Its own session and process group, so that a timeout, SIGTERM or Ctrl-C
+    # here stops the perfbench/child.py worker too, not only run.py.
+    proc = subprocess.Popen(argv, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate(timeout=RUN_TIMEOUT_S)
+    except BaseException:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:  # the whole group has already exited
+            pass
+        proc.wait()
+        raise
+    lines = stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        raise RuntimeError(f"{' '.join(argv[1:])} in {tree} exited {proc.returncode}: "
+                           f"{stderr.strip()[-2000:]}")
     result = json.loads(lines[-1])
     result["details"] = json.loads(lines[-2])
     return result

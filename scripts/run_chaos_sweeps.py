@@ -20,7 +20,6 @@ def main() -> int:
     parser.add_argument("--out", default="runs/sweeps", help="parent output directory")
     parser.add_argument("--realizations", type=int, default=100)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--threads", type=int, default=4)
     parser.add_argument("--qubits", type=int, default=9, help="defect-chain size")
     args = parser.parse_args()
 
@@ -29,7 +28,6 @@ def main() -> int:
         "--points", "16",
         "--realizations", str(args.realizations),
         "--seed", str(args.seed),
-        "--threads", str(args.threads),
         "--out", f"{args.out}/theta",
     ])
     if code != 0:
@@ -42,7 +40,6 @@ def main() -> int:
         "--qubits", str(args.qubits),
         "--realizations", str(args.realizations),
         "--seed", str(args.seed),
-        "--threads", str(args.threads),
         "--out", f"{args.out}/defect",
     ])
     if code != 0:

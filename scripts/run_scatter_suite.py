@@ -27,7 +27,6 @@ def main() -> int:
     parser.add_argument("--out", default="runs/scatter", help="parent output directory")
     parser.add_argument("--samples", type=int, default=3000)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--threads", type=int, default=4)
     args = parser.parse_args()
 
     for name, model_args in RUNS:
@@ -35,7 +34,6 @@ def main() -> int:
             "check", *model_args,
             "--samples", str(args.samples),
             "--seed", str(args.seed),
-            "--threads", str(args.threads),
             "--out", f"{args.out}/{name}",
         ]
         code = qcbound_main(argv)

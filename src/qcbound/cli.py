@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .curvature import ensemble_deltaQ_ratios
-from .ensembles import RNG_ALGORITHM, EnsembleKind, EnsembleSpec, sample, spawn_seed
+from .ensembles import RNG_ALGORITHM, EnsembleKind, EnsembleSpec, _sample_matrix, spawn_seed
 from .experiments import (
     ExperimentError,
     RunManifest,
@@ -49,7 +49,7 @@ from .models import (
     MODEL_D_DEFAULT_DIM,
     MODEL_E_DEFAULT_FIELD,
     ModelConfig,
-    model_d,
+    _model_d_matrix,
     model_e_blocks,
 )
 from .quantum import block_spectrum
@@ -102,16 +102,16 @@ def _write_manifest(out_dir: Path, master_seed: int, config: dict, outputs: list
     _write_json(out_dir / "manifest.json", manifest.to_dict())
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
+def _check_threads(args) -> None:
+    """Reject a QCBOUND_THREADS that is not an integer when --threads is not
+    given.  Both are accepted for compatibility and change nothing: every draw
+    runs serially."""
     env = os.environ.get("QCBOUND_THREADS")
-    if env:
+    if args.threads is None and env:
         try:
-            return max(1, int(env))
+            int(env)
         except ValueError:
             raise CliError(f"QCBOUND_THREADS={env!r} is not an integer") from None
-    return 1
 
 
 def _load_config_file(args) -> None:
@@ -183,7 +183,6 @@ def _cmd_check(args) -> int:
         samples=args.samples,
         master_seed=args.seed,
         a_value=a_value,
-        threads=_threads(args),
     )
     out = _out_dir(args)
     records_path = out / "records.csv"
@@ -259,7 +258,6 @@ def _cmd_sweep_theta(args) -> int:
         edge_trim=args.unfold_trim,
         outlier_k=args.outlier_k,
         per_realization_gamma=(args.gamma_mode == "per-realization"),
-        threads=_threads(args),
     )
     out = _out_dir(args)
     csv_path = out / "theta_sweep.csv"
@@ -325,7 +323,6 @@ def _cmd_sweep_defect(args) -> int:
         edge_trim=args.unfold_trim,
         outlier_k=args.outlier_k,
         per_realization_gamma=(args.gamma_mode == "per-realization"),
-        threads=_threads(args),
     )
     out = _out_dir(args)
     csv_path = out / "defect_sweep.csv"
@@ -386,9 +383,11 @@ def _cmd_stats(args) -> int:
         seed = spawn_seed(args.seed, i)
         if args.source in ("GOE", "GUE", "PoissonDiagonal"):
             spec = EnsembleSpec(EnsembleKind(args.source), args.dim)
-            eigs = np.linalg.eigvalsh(sample(spec, seed).matrix)
+            eigs = np.linalg.eigvalsh(_sample_matrix(spec, seed))
         elif args.source == "D":
-            eigs = np.linalg.eigvalsh(model_d(args.theta, seed, dim=args.dim).matrix)
+            eigs = np.linalg.eigvalsh(
+                _model_d_matrix(args.theta, seed, args.dim, MODEL_D_CHAOTIC_SCALE)
+            )
         else:  # E, solved in its total-sigma_z sectors as in sweep-defect
             blocks = model_e_blocks(n_qubits=args.qubits, d=args.d_value, h=args.h,
                                     J=args.coupling, seed=seed)
@@ -470,7 +469,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
     p.add_argument("--out", type=str, default=None, help="output directory (default .)")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker cap (falls back to QCBOUND_THREADS, then 1)")
+                   help="accepted for compatibility, as is QCBOUND_THREADS; "
+                        "draws always run serially")
     p.add_argument("--config", type=str, default=None,
                    help="JSON config file mirroring the flags; flags win on conflict")
 
@@ -555,6 +555,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _load_config_file(args)
+        _check_threads(args)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,8 @@
 """Seeded random-matrix samplers.
 
 Reproducibility contract: every draw is a pure function of (spec, seed).  The
-generator is numpy's PCG64 (``numpy.random.default_rng``); child seeds for
-parallel work are derived as the first 64-bit word of
+generator is numpy's PCG64 (``numpy.random.default_rng``); the child seed of
+each task is derived as the first 64-bit word of
 ``numpy.random.SeedSequence([master_seed, *indices])``, so any sample can be
 re-derived in isolation from the run manifest.
 """

@@ -3,15 +3,14 @@
 Seeding layout (see ensembles.RNG_ALGORITHM): a scatter run derives the base
 Hamiltonian seed as spawn_seed(master, 0) and the i-th perturbation seed as
 spawn_seed(master, i + 1); a sweep derives the seed of realization r at grid
-index t as spawn_seed(master, t, r).  Results are reduced in task-index order,
-so outputs are identical for any worker count.
+index t as spawn_seed(master, t, r).  Draws run one after another in task-index
+order, in the calling thread.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,12 +134,16 @@ def trim_outliers(values, k: float = 1.5) -> TrimResult:
     return TrimResult(kept=x[mask], trimmed=x[~mask], mask=mask)
 
 
-def _run_indexed(task, n_tasks: int, threads: int) -> list:
-    """Evaluate task(i) for i in range(n_tasks), results in index order."""
-    if threads <= 1:
-        return [task(i) for i in range(n_tasks)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(task, range(n_tasks)))
+def _run_indexed(task, n_tasks: int, workers: int) -> list:
+    """Evaluate task(i) for i in range(n_tasks), in order, in the calling thread.
+
+    Every caller passes ``workers`` = 1, the number of workers used; perfbench's
+    tracer wraps this draw loop by its three positional arguments and records
+    the third.  There is no thread pool: on 2 cores, LAPACK at these sizes
+    (dim <= 512) did not scale across threads, and a defect-sweep draw on a
+    2-thread pool took twice as long as a serial one.
+    """
+    return [task(i) for i in range(n_tasks)]
 
 
 def scatter_bound_test(
@@ -148,7 +151,6 @@ def scatter_bound_test(
     samples: int = 3000,
     master_seed: int = 0,
     a_value: float | None = None,
-    threads: int = 1,
 ) -> ScatterResult:
     """Sample the inequality over perturbation draws on a fixed base Hamiltonian.
 
@@ -193,7 +195,7 @@ def scatter_bound_test(
             delta=saturation_index(dq_abs, k0, b),
         )
 
-    results = _run_indexed(one_sample, samples, threads)
+    results = _run_indexed(one_sample, samples, 1)
     records = [r for r in results if r is not None]
     n_rejected = samples - len(records)
     if n_rejected > max(1, 0.01 * samples):
@@ -307,7 +309,6 @@ def sweep_theta(
     edge_trim: float = 0.05,
     outlier_k: float = 1.5,
     per_realization_gamma: bool = False,
-    threads: int = 1,
 ) -> list:
     """Chaos and bound statistics of the Poisson/GOE rotation over a theta grid.
 
@@ -330,7 +331,7 @@ def sweep_theta(
                 logger.warning("theta=%g draw %d failed: %s", theta, r, exc)
                 return None
 
-        ok = [r for r in _run_indexed(one_draw, realizations, threads) if r is not None]
+        ok = [r for r in _run_indexed(one_draw, realizations, 1) if r is not None]
         rows.append(
             _aggregate_row(
                 param=theta,
@@ -360,7 +361,6 @@ def sweep_defect(
     edge_trim: float = 0.05,
     outlier_k: float = 1.5,
     per_realization_gamma: bool = False,
-    threads: int = 1,
 ) -> list:
     """Chaos, bound, and entanglement statistics of the defect chain over d.
 
@@ -392,7 +392,7 @@ def sweep_defect(
                 return None
             return (*stats, mean_bipartite_Q(spectrum.ground_vector, n_qubits))
 
-        ok = [r for r in _run_indexed(one_draw, realizations, threads) if r is not None]
+        ok = [r for r in _run_indexed(one_draw, realizations, 1) if r is not None]
         rows.append(
             _aggregate_row(
                 param=d,

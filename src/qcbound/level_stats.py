@@ -116,9 +116,19 @@ class SpacingSample:
 
 
 def _fit_counting_function(levels: np.ndarray, degree: int):
+    """Least-squares polynomial fit of the staircase, evaluated at the levels.
+
+    The same floats as ``Polynomial.fit(levels, y, degree)(levels)``: levels
+    mapped once from [min, max] to [-1, 1], then ``polyfit``/``polyval`` on
+    the mapped levels, without building the ``Polynomial`` object.
+    """
+    # Through the np.polynomial attribute: numpy loads that package lazily, and
+    # a process that never unfolds (a scatter run) does not pay for it.
+    poly, utils = np.polynomial.polynomial, np.polynomial.polyutils
     y = np.arange(levels.size) + 0.5
-    poly = np.polynomial.Polynomial.fit(levels, y, deg=degree)
-    return poly(levels)
+    off, scl = utils.mapparms(utils.getdomain(levels), (-1.0, 1.0))
+    x = off + scl * levels
+    return poly.polyval(x, poly.polyfit(x, y, degree))
 
 
 def unfold(

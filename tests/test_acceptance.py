@@ -6,7 +6,6 @@ the whole module takes a few minutes (dominated by the N = 9 defect sweep).
 
 import json
 import math
-import os
 import time
 
 import numpy as np
@@ -37,7 +36,6 @@ from qcbound.models import ModelConfig
 from qcbound.quantum import QubitPartition
 
 MASTER_SEED = 42
-THREADS = max(1, int(os.environ.get("QCBOUND_THREADS", "4")))
 
 SCATTER_CONFIGS = [
     ModelConfig(family="A", n_qubits=3),
@@ -60,8 +58,7 @@ def scatter_results(tmp_path_factory):
     for config in SCATTER_CONFIGS:
         out = root / config.tag
         argv = ["check", "--model", config.family, "--qubits", str(config.n_qubits),
-                "--samples", "3000", "--seed", str(MASTER_SEED),
-                "--threads", str(THREADS), "--out", str(out)]
+                "--samples", "3000", "--seed", str(MASTER_SEED), "--out", str(out)]
         if config.family == "C":
             argv += ["--ensemble", config.ensemble]
         start = time.monotonic()
@@ -76,8 +73,7 @@ def scatter_results(tmp_path_factory):
 def theta_rows():
     grid = np.linspace(0.0, math.pi / 2.0, 16)
     start = time.monotonic()
-    rows = sweep_theta(grid, realizations=100, master_seed=MASTER_SEED, dim=128,
-                       threads=THREADS)
+    rows = sweep_theta(grid, realizations=100, master_seed=MASTER_SEED, dim=128)
     return rows, time.monotonic() - start
 
 
@@ -85,8 +81,7 @@ def theta_rows():
 def defect_rows():
     grid = np.linspace(0.0, 2.5, 26)
     start = time.monotonic()
-    rows = sweep_defect(grid, realizations=100, n_qubits=9,
-                        master_seed=MASTER_SEED, threads=THREADS)
+    rows = sweep_defect(grid, realizations=100, n_qubits=9, master_seed=MASTER_SEED)
     return rows, time.monotonic() - start
 
 

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import pytest
 
@@ -243,6 +244,32 @@ class TestReportEnsembles:
         assert "DQ_GOE/DQ_GUE = 0.84" in out
         assert "DQ_GOE/DQ_GSE = 0.70" in out
         assert (tmp_path / "manifest.json").exists()
+
+
+class TestSerialDraws:
+    RUNS = [
+        (["check", "--model", "B", "--qubits", "3", "--samples", "40", "--seed", "5"],
+         ["records.csv", "summary.json"]),
+        (["sweep-theta", "--points", "2", "--realizations", "8", "--dim", "64",
+          "--seed", "9"],
+         ["theta_sweep.csv"]),
+        (["sweep-defect", "--points", "2", "--realizations", "4", "--qubits", "7",
+          "--seed", "5"],
+         ["defect_sweep.csv"]),
+    ]
+
+    @pytest.mark.parametrize("argv,outputs", RUNS, ids=[r[0][0] for r in RUNS])
+    def test_no_thread_is_started(self, tmp_path, monkeypatch, argv, outputs):
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        serial = tmp_path / "serial"
+        assert run_cli([*argv, "--threads", "1", "--out", str(serial)]) == 0
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        asked = tmp_path / "asked"
+        assert run_cli([*argv, "--threads", "4", "--out", str(asked)]) == 0
+        for name in outputs:
+            assert (asked / name).read_bytes() == (serial / name).read_bytes()
 
 
 class TestEnvThreads:

@@ -87,11 +87,11 @@ class TestScatterBoundTest:
             assert r.delta <= 0
             assert r.b > 0 and r.b_prime > 0
 
-    def test_thread_count_does_not_change_records(self):
+    def test_reruns_give_the_same_records(self):
         cfg = ModelConfig(family="B", n_qubits=3)
-        r1 = scatter_bound_test(cfg, samples=40, master_seed=7, threads=1)
-        r4 = scatter_bound_test(cfg, samples=40, master_seed=7, threads=4)
-        assert r1.records == r4.records
+        r1 = scatter_bound_test(cfg, samples=40, master_seed=7)
+        r2 = scatter_bound_test(cfg, samples=40, master_seed=7)
+        assert r1.records == r2.records
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
@@ -100,8 +100,7 @@ class TestScatterBoundTest:
     @pytest.mark.slow
     def test_six_qubit_scatter_full_scale(self):
         res = scatter_bound_test(
-            ModelConfig(family="B", n_qubits=6), samples=3000, master_seed=42,
-            threads=2,
+            ModelConfig(family="B", n_qubits=6), samples=3000, master_seed=42
         )
         assert res.violations_b == 0
         assert res.violations_b_prime / len(res.records) <= 0.05
@@ -177,7 +176,7 @@ class TestSweepTheta:
     def test_small_sweep_shape_and_reproducibility(self):
         grid = [0.0, 0.5, np.pi / 2]
         rows1 = sweep_theta(grid, realizations=12, master_seed=2, dim=64)
-        rows2 = sweep_theta(grid, realizations=12, master_seed=2, dim=64, threads=3)
+        rows2 = sweep_theta(grid, realizations=12, master_seed=2, dim=64)
         assert rows1 == rows2
         for row in rows1:
             assert row.n_kept + row.n_trimmed == 12
@@ -231,9 +230,9 @@ class TestSweepDefect:
             assert row.q_mean is not None
             assert 0.0 <= row.q_mean <= 1.0
 
-    def test_reproducible_across_threads(self):
-        rows1 = sweep_defect([0.3], realizations=6, n_qubits=6, master_seed=9, threads=1)
-        rows2 = sweep_defect([0.3], realizations=6, n_qubits=6, master_seed=9, threads=4)
+    def test_reproducible_across_reruns(self):
+        rows1 = sweep_defect([0.3], realizations=6, n_qubits=6, master_seed=9)
+        rows2 = sweep_defect([0.3], realizations=6, n_qubits=6, master_seed=9)
         assert rows1 == rows2
 
     def test_full_spectrum_mode_differs(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from qcbound.ensembles import spawn_seed
 from qcbound.level_stats import (
     GAMMA_DENOMINATOR,
     S0_CROSSING,
@@ -21,7 +22,10 @@ from qcbound.level_stats import (
     weibull_mle,
     wigner_dyson_density,
     WeibullParams,
+    _fit_counting_function,
 )
+from qcbound.models import MODEL_D_CHAOTIC_SCALE, _model_d_matrix, model_e_blocks
+from qcbound.quantum import block_spectrum
 
 
 def gamma_from_density(density) -> float:
@@ -87,6 +91,28 @@ class TestUnfold:
         u1 = unfold(np.arange(100.0)[::-1])
         u2 = unfold(np.arange(100.0))
         assert np.allclose(u1, u2)
+
+
+def _model_spectra():
+    """Sorted model-D spectra across theta and model-E spectra (middle sector
+    and merged) across d, as unfold sees them."""
+    for i, theta in enumerate(np.linspace(0.0, math.pi / 2.0, 8)):
+        yield np.sort(np.linalg.eigvalsh(
+            _model_d_matrix(theta, spawn_seed(5, i), 128, MODEL_D_CHAOTIC_SCALE)
+        ))
+    for i, d in enumerate((0.0, 0.3, 1.5)):
+        spectrum = block_spectrum(model_e_blocks(n_qubits=8, d=d, seed=spawn_seed(6, i)))
+        yield np.sort(spectrum.block_eigenvalues[4])
+        yield spectrum.eigenvalues
+
+
+class TestCountingFunctionFit:
+    @pytest.mark.parametrize("degree", [6, 5])
+    def test_same_floats_as_polynomial_fit(self, degree):
+        for levels in _model_spectra():
+            y = np.arange(levels.size) + 0.5
+            reference = np.polynomial.Polynomial.fit(levels, y, degree)(levels)
+            assert np.array_equal(_fit_counting_function(levels, degree), reference)
 
 
 class TestSpacingSample:
