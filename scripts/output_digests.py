@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of the outputs of fixed small CLI runs, to check that two
+source trees write the same bytes.
+
+Runs each configuration below in-process through ``qcbound.cli.main``,
+imported from the source tree given by ``--src`` (default: ``src/`` of this
+checkout), each into its own temporary directory, and prints
+``{config: {file: sha256}}`` as JSON.  ``manifest.json`` holds a timestamp
+and is left out.  For ``records.csv`` it also prints the digest of the
+``sample_seed`` column alone (key ``records.csv:sample_seed``): a change may
+move the floats of a scatter record at roundoff level but not its seeds.
+Compare two trees, from the repository root:
+
+    python3 scripts/output_digests.py --src /path/to/parent/src > parent.json
+    python3 scripts/output_digests.py > change.json
+    diff parent.json change.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_CHECK = ("records.csv", "summary.json")
+CONFIGS = {
+    "check-A": (["check", "--model", "A", "--samples", "200", "--seed", "7"], _CHECK),
+    "check-B-N3": (["check", "--model", "B", "--qubits", "3", "--samples", "300",
+                    "--seed", "5"], _CHECK),
+    "check-C-GOE": (["check", "--model", "C", "--ensemble", "GOE", "--samples", "200",
+                     "--seed", "6"], _CHECK),
+    "sweep-theta-d64": (["sweep-theta", "--points", "4", "--realizations", "12",
+                         "--dim", "64", "--seed", "9"], ("theta_sweep.csv",)),
+    "sweep-theta-d128-per-realization": (
+        ["sweep-theta", "--points", "3", "--realizations", "6", "--dim", "128",
+         "--seed", "2", "--gamma-mode", "per-realization"], ("theta_sweep.csv",)),
+    "sweep-defect-n7": (["sweep-defect", "--qubits", "7", "--points", "3",
+                         "--realizations", "8", "--seed", "9"], ("defect_sweep.csv",)),
+    "sweep-defect-n7-full": (["sweep-defect", "--qubits", "7", "--points", "3",
+                              "--realizations", "8", "--seed", "9", "--sector", "full"],
+                             ("defect_sweep.csv",)),
+    **{f"stats-{source}": (["stats", "--source", source, "--draws", "20", "--dim", "96",
+                            "--seed", "4"], ("stats.json",))
+       for source in ("GOE", "GUE", "PoissonDiagonal", "D")},
+    **{f"stats-E-{sector}": (["stats", "--source", "E", "--draws", "10", "--qubits", "8",
+                              "--seed", "4", "--sector", sector], ("stats.json",))
+       for sector in ("restricted", "full")},
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _seed_column(records_csv: bytes) -> bytes:
+    lines = records_csv.decode().splitlines()
+    column = lines[0].split(",").index("sample_seed")
+    return "\n".join(line.split(",")[column] for line in lines).encode()
+
+
+def digests(main) -> dict:
+    """Run every configuration with ``main`` and hash its outputs."""
+    result = {}
+    with tempfile.TemporaryDirectory(prefix="output_digests_") as tmp:
+        for name, (argv, files) in CONFIGS.items():
+            out = Path(tmp) / name
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main([*argv, "--out", str(out)])
+            if code != 0:
+                raise RuntimeError(f"{name}: exit code {code}")
+            entry = {}
+            for file in files:
+                data = (out / file).read_bytes()
+                entry[file] = _sha256(data)
+                if file == "records.csv":
+                    entry["records.csv:sample_seed"] = _sha256(_seed_column(data))
+            result[name] = entry
+    return result
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="source tree holding the qcbound package")
+    args = parser.parse_args()
+    sys.path.insert(0, str(args.src.resolve()))
+    from qcbound.cli import main as qcbound_main
+
+    print(json.dumps(digests(qcbound_main), indent=2, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

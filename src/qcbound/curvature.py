@@ -17,12 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import EntanglementInputs, dEL_dtau, overlap_coeff
-from .quantum import (
-    DEGENERACY_RTOL,
-    DegenerateSpectrumError,
-    QubitPartition,
-    SpectralDecomposition,
-)
+from .quantum import DEGENERACY_RTOL, DegenerateSpectrumError, QubitPartition
 
 __all__ = [
     "BoundRecord",
@@ -98,21 +93,26 @@ class TwoLevelRates:
 
 def level_curvature(n: int, inputs: EntanglementInputs) -> float:
     """K_n = 2 sum_{m != n} |V_nm|^2 / (eps_n - eps_m)."""
-    return level_curvature_from_row(n, inputs.decomposition, inputs.v_eig[n])
+    inputs.decomposition.require_nondegenerate()
+    diffs = _level_differences(n, inputs.decomposition.eigenvalues)
+    return level_curvature_from_row(inputs.v_eig[n], diffs)
 
 
-def level_curvature_from_row(
-    n: int, decomposition: SpectralDecomposition, v_row: np.ndarray
-) -> float:
+def level_curvature_from_row(v_row: np.ndarray, diffs: np.ndarray) -> float:
     """:func:`level_curvature` from row n of the perturbation in the
-    eigenbasis, ``v_row[m]`` = <n|V|m>."""
-    decomposition.require_nondegenerate()
-    eps = decomposition.eigenvalues
-    diffs = eps[n] - eps
-    diffs[n] = 1.0  # placeholder; the n term is excluded below
-    terms = np.abs(v_row) ** 2 / diffs
-    terms[n] = 0.0
-    return 2.0 * float(np.sum(terms))
+    eigenbasis, ``v_row[m]`` = <n|V|m>, and ``diffs = _level_differences(n,
+    eps)``.  The differences depend on H0 alone, so a run of many draws on
+    one H0 computes them once; the caller has checked the spectrum with
+    ``require_nondegenerate``."""
+    return 2.0 * float((np.abs(v_row) ** 2 / diffs).sum())
+
+
+def _level_differences(n: int, eigenvalues: np.ndarray) -> np.ndarray:
+    """eps_n - eps_m for every m, with +inf at m = n, so that the m = n term
+    of the curvature sum is exactly 0."""
+    diffs = eigenvalues[n] - eigenvalues
+    diffs[n] = np.inf
+    return diffs
 
 
 def curvature_spectrum(inputs: EntanglementInputs) -> np.ndarray:

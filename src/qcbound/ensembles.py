@@ -5,21 +5,45 @@ generator is numpy's PCG64 (``numpy.random.default_rng``); the child seed of
 each task is derived as the first 64-bit word of
 ``numpy.random.SeedSequence([master_seed, *indices])``, so any sample can be
 re-derived in isolation from the run manifest.
+
+Many draws at once: ``spawn_seeds`` derives a whole array of child seeds in
+one vectorized pass, and ``_seeded_generators`` hands out generators whose
+streams equal ``default_rng(seed)``, both bit for bit.  They run numpy's
+documented ``SeedSequence`` hash (O'Neill's seed_seq_fe, pool of four 32-bit
+words) column-wise on ``uint32`` arrays, and PCG64's ``set_seed`` on 128-bit
+Python ints, so a draw costs no ``SeedSequence`` object of its own.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .quantum import HermitianOperator
 
-__all__ = ["RNG_ALGORITHM", "EnsembleKind", "EnsembleSpec", "sample", "spawn_seed"]
+__all__ = [
+    "RNG_ALGORITHM", "EnsembleKind", "EnsembleSpec", "sample", "spawn_seed", "spawn_seeds",
+]
 
 RNG_ALGORITHM = "numpy PCG64 (default_rng); children via SeedSequence([master, *indices])"
+
+# numpy.random.SeedSequence constants (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+_PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
 
 
 class EnsembleKind(str, enum.Enum):
@@ -52,6 +76,117 @@ def spawn_seed(master_seed: int, *indices: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def spawn_seeds(master_seed: int, indices) -> np.ndarray:
+    """``[spawn_seed(master_seed, i) for i in indices]`` as a ``uint64`` array,
+    bit for bit, computed in one vectorized pass (indices in [0, 2^64))."""
+    indices = np.asarray(indices, dtype=np.uint64).ravel()
+    master_words = _int_words(int(master_seed))
+    return _as_uint64(_seed_sequence_words(indices, master_words, 2))[:, 0]
+
+
+def _seeded_generators(seeds) -> Callable[[int], np.random.Generator]:
+    """``rng(i)``: a generator whose stream equals ``default_rng(seeds[i])``.
+
+    Every call re-seeds and returns the same ``Generator`` on one reused
+    PCG64, so a draw must be finished with it before the next call.  The
+    seeds are hashed up front, 32 bytes per seed; each call runs PCG64's
+    ``set_seed`` on that seed alone.
+    """
+    # generate_state(4, np.uint64) per seed: seed hi, seed lo, inc hi, inc lo.
+    seeds = np.asarray(seeds, dtype=np.uint64).ravel()
+    state_words = _as_uint64(_seed_sequence_words(seeds, (), 8))
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+
+    def rng(i: int) -> np.random.Generator:
+        seed_hi, seed_lo, inc_hi, inc_lo = state_words[i].tolist()
+        # pcg64_set_seed: state = 0, inc = 2 initseq + 1; step; state += s; step.
+        inc = (((inc_hi << 64) | inc_lo) << 1 | 1) & _MASK128
+        state = ((inc + ((seed_hi << 64) | seed_lo)) * _PCG64_MULTIPLIER + inc) & _MASK128
+        bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0,
+        }
+        return generator
+
+    return rng
+
+
+def _as_uint64(words: np.ndarray) -> np.ndarray:
+    """Pairs of 32-bit words, low word first, as 64-bit words (the
+    little-endian view that ``generate_state(..., np.uint64)`` takes)."""
+    return words[:, 0::2].astype(np.uint64) | (words[:, 1::2].astype(np.uint64) << np.uint64(32))
+
+
+def _int_words(value: int) -> tuple:
+    """A nonnegative int as SeedSequence entropy: its 32-bit words, least
+    significant first, and one zero word for 0."""
+    if value < 0:
+        raise ValueError("seeds must be nonnegative")
+    words = [0] if value == 0 else []
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return tuple(words)
+
+
+def _seed_sequence_words(values: np.ndarray, prefix: tuple, n_words: int) -> np.ndarray:
+    """``SeedSequence([*prefix, v]).generate_state(n_words, np.uint32)`` for
+    every ``uint64`` value v, as one (len(values), n_words) ``uint32`` array.
+
+    A value's entropy is one word, or two when it is 2^32 or more, so the
+    rows are hashed in those two groups; within a group the hash constants
+    are the same for every row and each pool word is one column.
+    """
+    low = (values & np.uint64(_MASK32)).astype(np.uint32)
+    high = (values >> np.uint64(32)).astype(np.uint32)
+    out = np.empty((values.size, n_words), dtype=np.uint32)
+    for two_words in (False, True):
+        rows = np.flatnonzero((high != 0) == two_words)
+        if rows.size == 0:
+            continue
+        entropy = [np.full(rows.size, w, dtype=np.uint32) for w in prefix]
+        entropy.append(low[rows])
+        if two_words:
+            entropy.append(high[rows])
+        pool = _mix_entropy(entropy)
+        hash_const = _INIT_B
+        for k in range(n_words):  # SeedSequence.generate_state
+            value = pool[k % _POOL_SIZE] ^ np.uint32(hash_const)
+            hash_const = (hash_const * _MULT_B) & _MASK32
+            value *= np.uint32(hash_const)
+            out[rows, k] = value ^ (value >> _XSHIFT)
+    return out
+
+
+def _mix_entropy(entropy: list) -> list:
+    """SeedSequence.mix_entropy with ``entropy[k]`` the k-th word of every
+    row; returns the pool as ``_POOL_SIZE`` columns."""
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value *= np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    zeros = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+    return pool
+
+
 def sample(spec: EnsembleSpec, seed: int) -> HermitianOperator:
     """Draw one Hermitian matrix; output depends only on (spec, seed).
 
@@ -69,24 +204,66 @@ def _sample_matrix(spec: EnsembleSpec, seed: int) -> np.ndarray:
     paths.  Every kind is exactly Hermitian by construction (m == m^dag
     bitwise), so the ``HermitianOperator`` symmetrization would not change it.
     """
-    rng = np.random.default_rng(int(seed))
+    z = _normals(spec, np.random.default_rng(int(seed)))
     d = spec.dim
     if spec.kind is EnsembleKind.GOE:
-        a = rng.standard_normal((d, d))
-        matrix = a + a.T
+        matrix = z + z.T
         matrix *= spec.scale / math.sqrt(2.0)
-    elif spec.kind in (EnsembleKind.GUE, EnsembleKind.GENERIC_HERMITIAN):
+    elif spec.kind is EnsembleKind.POISSON_DIAGONAL:
+        matrix = np.diag(z)
+    else:
         # (B + B^dag) * scale/2 for B = X + iY, written part by part into one
         # buffer: real X + X^T, imaginary Y - Y^T (the same floats).
-        x = rng.standard_normal((d, d))
-        y = rng.standard_normal((d, d))
+        x, y = z
         matrix = np.empty((d, d), dtype=complex)
         np.add(x, x.T, out=matrix.real)
         np.subtract(y, y.T, out=matrix.imag)
         matrix *= spec.scale / 2.0
-    elif spec.kind is EnsembleKind.POISSON_DIAGONAL:
-        sigma = spec.scale * math.sqrt(d + 1.0)
-        matrix = np.diag(rng.normal(0.0, sigma, size=d))
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValueError(f"unknown ensemble kind {spec.kind!r}")
     return matrix
+
+
+def _sample_row(spec: EnsembleSpec, rng: np.random.Generator, c: np.ndarray) -> np.ndarray:
+    """c^T V for the V that ``_sample_matrix`` builds from the same stream,
+    without forming V: O(d^2) reads of the normals and no d x d temporary.
+
+    With C = [Re c, Im c] as a real (d, 2) array, Z c and Z^T c are real
+    (d x d)(d x 2) products read back as complex vectors, and
+    c^T V = (scale/2) [(X + X^T) c + i (Y^T - Y) c] for the GUE,
+    (scale/sqrt 2)(A + A^T) c for the GOE.  Equal to ``c @ V`` up to the
+    order of roundoff.
+    """
+    z = _normals(spec, rng)
+    if spec.kind is EnsembleKind.POISSON_DIAGONAL:
+        return c * z
+    cc = np.ascontiguousarray(c, dtype=complex).view(float).reshape(-1, 2)
+    zc = z @ cc
+    ztc = np.swapaxes(z, -1, -2) @ cc
+    if spec.kind is EnsembleKind.GOE:
+        zc += ztc
+        row = zc.view(complex)[:, 0]
+        row *= spec.scale / math.sqrt(2.0)
+        return row
+    sym = zc[0] + ztc[0]
+    anti = ztc[1] - zc[1]
+    row = sym.view(complex)[:, 0]
+    row += 1j * anti.view(complex)[:, 0]
+    row *= spec.scale / 2.0
+    return row
+
+
+def _normals(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
+    """The random numbers of one draw, in stream order; ``_sample_matrix``
+    and ``_sample_row`` both read them, so they see the same V.
+
+    GOE: A, (d, d).  GUE / GenericHermitian: X then Y, drawn as one (2, d, d)
+    array (the same normals as two (d, d) draws).  PoissonDiagonal: the
+    diagonal, N(0, sigma^2) with sigma = scale sqrt(d + 1).
+    """
+    d = spec.dim
+    if spec.kind is EnsembleKind.GOE:
+        return rng.standard_normal((d, d))
+    if spec.kind in (EnsembleKind.GUE, EnsembleKind.GENERIC_HERMITIAN):
+        return rng.standard_normal((2, d, d))
+    if spec.kind is EnsembleKind.POISSON_DIAGONAL:
+        return rng.normal(0.0, spec.scale * math.sqrt(d + 1.0), size=d)
+    raise ValueError(f"unknown ensemble kind {spec.kind!r}")  # pragma: no cover

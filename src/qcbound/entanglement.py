@@ -211,26 +211,24 @@ def dQ0_dtau(inputs: EntanglementInputs, site_overlaps: np.ndarray | None = None
     in to amortize over many perturbation draws).  Only row 0 of ``v_eig``
     enters; see :func:`dQ0_dtau_from_row`.
     """
-    return dQ0_dtau_from_row(
-        inputs.decomposition, inputs.v_eig[0], inputs.n_qubits, site_overlaps
-    )
+    decomposition = inputs.decomposition
+    decomposition.require_nondegenerate()
+    if site_overlaps is None:
+        site_overlaps = ground_state_site_overlaps(decomposition, inputs.n_qubits)
+    eps = decomposition.eigenvalues
+    return dQ0_dtau_from_row(inputs.v_eig[0], eps[1:] - eps[0], site_overlaps, inputs.n_qubits)
 
 
 def dQ0_dtau_from_row(
-    decomposition: SpectralDecomposition,
-    v_row: np.ndarray,
-    n_qubits: int,
-    site_overlaps: np.ndarray | None = None,
+    v_row: np.ndarray, gaps: np.ndarray, site_overlaps: np.ndarray, n_qubits: int
 ) -> float:
     """:func:`dQ0_dtau` from row 0 of the perturbation in the eigenbasis.
 
     ``v_row[k]`` is <0|V|k>, i.e. (u_0^dag V) U, an O(d^2) product instead of
-    the O(d^3) full transform.
+    the O(d^3) full transform.  ``gaps[k - 1]`` = eps_k - eps_0 and
+    ``site_overlaps`` depend on H0 alone, so a run of many draws on one H0
+    computes them once; the caller has checked the spectrum with
+    ``require_nondegenerate``.
     """
-    decomposition.require_nondegenerate()
-    if site_overlaps is None:
-        site_overlaps = ground_state_site_overlaps(decomposition, n_qubits)
-    eps = decomposition.eigenvalues
-    gaps = eps[1:] - eps[0]
-    terms = np.real(v_row[1:] * site_overlaps[1:]) / gaps
-    return (8.0 / n_qubits) * float(np.sum(terms))
+    terms = (v_row[1:] * site_overlaps[1:]).real / gaps
+    return (8.0 / n_qubits) * float(terms.sum())

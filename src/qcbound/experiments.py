@@ -2,9 +2,10 @@
 
 Seeding layout (see ensembles.RNG_ALGORITHM): a scatter run derives the base
 Hamiltonian seed as spawn_seed(master, 0) and the i-th perturbation seed as
-spawn_seed(master, i + 1); a sweep derives the seed of realization r at grid
-index t as spawn_seed(master, t, r).  Draws run one after another in task-index
-order, in the calling thread.
+spawn_seed(master, i + 1), all of the latter in one ``spawn_seeds`` pass; a
+sweep derives the seed of realization r at grid index t as
+spawn_seed(master, t, r).  Draws run one after another in task-index order, in
+the calling thread.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curvature import (
-    BoundRecord, bound_b, bound_b_prime, level_curvature_from_row, saturation_index,
+    BoundRecord, _level_differences, bound_b, bound_b_prime, level_curvature_from_row,
+    saturation_index,
 )
-from .ensembles import spawn_seed
+from .ensembles import _sample_row, _seeded_generators, spawn_seed, spawn_seeds
 from .entanglement import (
     IMAG_RESIDUE_ATOL, dQ0_dtau_from_row, ground_state_site_overlaps, mean_bipartite_Q,
 )
@@ -80,6 +82,8 @@ class ScatterResult:
     records: list
     violations_b: int
     violations_b_prime: int
+    # Always 0: the degeneracy guard runs on H0 only.  Kept because
+    # summary.json reports it as "rejected".
     n_rejected: int
     b: float
     b_prime: float
@@ -155,54 +159,52 @@ def scatter_bound_test(
     """Sample the inequality over perturbation draws on a fixed base Hamiltonian.
 
     Per sample: draw V with a child seed, compute |dQ^0/dtau|, K_0, and the
-    saturation index delta against the per-model constants b and b'.  Draws
-    rejected by the degeneracy guard are logged; more than 1% of them aborts
-    (the model is misconfigured).
+    saturation index delta against the per-model constants b and b'.  The
+    degeneracy guard runs once, on H0: a degenerate H0 raises
+    DegenerateSpectrumError before any draw, and no draw can be rejected.
 
     Both kernels read only row 0 of U^dag V U, so a draw computes just that
-    row, w = (u_0^dag V) U: O(d^2) after the sample instead of O(d^3).  Its
-    entry w_0 = <0|V|0> must be real; an imaginary part above
-    IMAG_RESIDUE_ATOL means V is not Hermitian and raises ValueError.
+    row, w = (u_0^dag V) U, and takes u_0^dag V straight from the normals
+    (``ensembles._sample_row``): O(d^2) after the sample instead of O(d^3),
+    and no d x d matrix besides the normals.  The child seeds and their
+    generators are derived for all draws in one pass, bit-identical to
+    ``spawn_seed`` and ``default_rng``.  The entry w_0 = <0|V|0> must be real;
+    an imaginary part above IMAG_RESIDUE_ATOL means V is not Hermitian and
+    raises ValueError.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    h0, v_sampler = build_scatter_model(config, h0_seed=spawn_seed(master_seed, 0))
+    h0, v_spec = build_scatter_model(config, h0_seed=spawn_seed(master_seed, 0))
     decomposition = eigensystem(h0)
     decomposition.require_nondegenerate()
     n = config.n_qubits
+    eps = decomposition.eigenvalues
     overlaps = ground_state_site_overlaps(decomposition, n)
-    b = bound_b(decomposition.eigenvalues)
-    b_prime = bound_b_prime(decomposition.eigenvalues, n, a_value)
+    gaps = eps[1:] - eps[0]
+    diffs = _level_differences(0, eps)
+    b = bound_b(eps)
+    b_prime = bound_b_prime(eps, n, a_value)
     u = decomposition.eigenvectors
-    u0_dag = u[:, 0].conj()
+    c = np.ascontiguousarray(u[:, 0].conj(), dtype=complex)
+    seeds = spawn_seeds(master_seed, np.arange(1, samples + 1, dtype=np.uint64))
+    rng = _seeded_generators(seeds)
 
-    def one_sample(i: int):
-        seed = spawn_seed(master_seed, i + 1)
-        row = (u0_dag @ v_sampler(seed)) @ u
+    def one_sample(i: int) -> BoundRecord:
+        seed = int(seeds[i])
+        row = _sample_row(v_spec, rng(i), c) @ u
         if abs(row[0].imag) > IMAG_RESIDUE_ATOL:
             raise ValueError(
                 f"sample {i} (seed {seed}): <0|V|0> has imaginary part "
                 f"{row[0].imag:.3e}; the perturbation is not Hermitian"
             )
-        try:
-            dq_abs = abs(dQ0_dtau_from_row(decomposition, row, n, site_overlaps=overlaps))
-            k0 = level_curvature_from_row(0, decomposition, row)
-        except DegenerateSpectrumError as exc:
-            logger.warning("sample %d (seed %d) rejected: %s", i, seed, exc)
-            return None
+        dq_abs = abs(dQ0_dtau_from_row(row, gaps, overlaps, n))
+        k0 = level_curvature_from_row(row, diffs)
         return BoundRecord(
             seed=seed, dq_abs=dq_abs, k0=k0, b=b, b_prime=b_prime,
             delta=saturation_index(dq_abs, k0, b),
         )
 
-    results = _run_indexed(one_sample, samples, 1)
-    records = [r for r in results if r is not None]
-    n_rejected = samples - len(records)
-    if n_rejected > max(1, 0.01 * samples):
-        raise ExperimentError(
-            f"{n_rejected}/{samples} degenerate-sample rejections; "
-            "model is misconfigured"
-        )
+    records = _run_indexed(one_sample, samples, 1)
     slack = BOUND_SLACK_RTOL * b
     violations_b = sum(
         1 for r in records if r.dq_abs > r.b * math.sqrt(abs(r.k0)) + slack
@@ -216,7 +218,7 @@ def scatter_bound_test(
         records=records,
         violations_b=violations_b,
         violations_b_prime=violations_b_prime,
-        n_rejected=n_rejected,
+        n_rejected=0,
         b=b,
         b_prime=b_prime,
     )

@@ -1,8 +1,8 @@
 """Model families used by the experiments.
 
-Scatter-test models (A, B, C) produce a fixed base Hamiltonian together with a
-perturbation sampler; chaos-sweep models (D, E) produce one Hamiltonian per
-(parameter, seed).
+Scatter-test models (A, B, C) produce a fixed base Hamiltonian together with
+the ``EnsembleSpec`` its perturbations V are drawn from; chaos-sweep models
+(D, E) produce one Hamiltonian per (parameter, seed).
 
 Model E convention notes: the chain is open (nearest-neighbor bonds j, j+1 for
 j = 0..N-2), defects are sigma_z-diagonal so total sigma_z is conserved for all
@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from .quantum import HermitianOperator, _embed, _PAULI, heisenberg_coupling
 
 __all__ = [
     "ModelConfig",
-    "VSampler",
     "MODEL_A_DEFAULT_COEFFS",
     "MODEL_A_DEFAULT_LAMBDA",
     "MODEL_D_DEFAULT_DIM",
@@ -53,11 +51,6 @@ __all__ = [
     "build_scatter_model",
     "sz_sector_indices",
 ]
-
-# A perturbation sampler returns the plain matrix of V for a seed: the
-# ensemble draws are exactly Hermitian by construction, so the per-draw hot
-# path skips the HermitianOperator copy and drift scan.
-VSampler = Callable[[int], np.ndarray]
 
 # Repo-pinned defaults (the source constants are unspecified); changing them
 # invalidates the regression values recorded in the tests.
@@ -165,18 +158,9 @@ def _spectral_std(h: np.ndarray) -> float:
     return math.sqrt(np.vdot(h, h).real / d - (np.trace(h).real / d) ** 2)
 
 
-def _hermitian_sampler(kind: EnsembleKind, dim: int) -> VSampler:
-    spec = EnsembleSpec(kind=kind, dim=dim, scale=1.0)
-
-    def draw(seed: int) -> np.ndarray:
-        return _sample_matrix(spec, seed)
-
-    return draw
-
-
 def model_a(
     a_coeffs=MODEL_A_DEFAULT_COEFFS, lam: float = MODEL_A_DEFAULT_LAMBDA
-) -> tuple[HermitianOperator, VSampler]:
+) -> tuple[HermitianOperator, EnsembleSpec]:
     """Three qubits with split fields and all-pairs isotropic coupling.
 
     H0 = sum_j a_j sigma_zj + lambda sum_{i<j} sigma_i . sigma_j, perturbed by
@@ -189,30 +173,32 @@ def model_a(
     matrix = lam * _all_pairs_coupling(n)
     for j, aj in enumerate(a_coeffs):
         matrix = matrix + aj * _site_z(n)[j]
-    return HermitianOperator(matrix), _hermitian_sampler(EnsembleKind.GENERIC_HERMITIAN, 2**n)
+    return HermitianOperator(matrix), EnsembleSpec(EnsembleKind.GENERIC_HERMITIAN, 2**n)
 
 
-def model_b(n_qubits: int, seed: int) -> tuple[HermitianOperator, VSampler]:
+def model_b(n_qubits: int, seed: int) -> tuple[HermitianOperator, EnsembleSpec]:
     """Arbitrary Hermitian base drawn once (seeded), generic Hermitian perturbations."""
     dim = 2**n_qubits
     h0 = sample(EnsembleSpec(EnsembleKind.GENERIC_HERMITIAN, dim), seed)
-    return h0, _hermitian_sampler(EnsembleKind.GENERIC_HERMITIAN, dim)
+    return h0, EnsembleSpec(EnsembleKind.GENERIC_HERMITIAN, dim)
 
 
 def model_c(
     ensemble: EnsembleKind | str, seed: int, n_qubits: int = 2
-) -> tuple[HermitianOperator, VSampler]:
+) -> tuple[HermitianOperator, EnsembleSpec]:
     """Base as model B; perturbations drawn from a specific symmetry ensemble."""
     kind = EnsembleKind(ensemble)
     if kind not in (EnsembleKind.GOE, EnsembleKind.GUE):
         raise ValueError("model C perturbations come from GOE or GUE")
     dim = 2**n_qubits
     h0 = sample(EnsembleSpec(EnsembleKind.GENERIC_HERMITIAN, dim), seed)
-    return h0, _hermitian_sampler(kind, dim)
+    return h0, EnsembleSpec(kind, dim)
 
 
-def build_scatter_model(config: ModelConfig, h0_seed: int) -> tuple[HermitianOperator, VSampler]:
-    """Resolve a scatter ModelConfig into its (H0, perturbation sampler) pair."""
+def build_scatter_model(
+    config: ModelConfig, h0_seed: int
+) -> tuple[HermitianOperator, EnsembleSpec]:
+    """Resolve a scatter ModelConfig into H0 and the ensemble of its perturbations."""
     if config.family == "A":
         return model_a(config.a_coeffs, config.lam)
     if config.family == "B":

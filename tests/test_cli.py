@@ -68,6 +68,20 @@ class TestCheckCommand:
                         "--out", str(tmp_path / "v")])
         assert code == 3
 
+    def test_degenerate_base_is_refused_before_any_draw(self, tmp_path, monkeypatch):
+        # model A with equal fields and no coupling has a degenerate H0
+        import qcbound.experiments as experiments
+
+        def no_draw(*args):
+            raise AssertionError("a perturbation was drawn on a degenerate H0")
+
+        monkeypatch.setattr(experiments, "_sample_row", no_draw)
+        out = tmp_path / "d"
+        code = run_cli(["check", "--model", "A", "--a-coeffs", "0.1,0.1,0.1",
+                        "--lambda", "0", "--samples", "5", "--out", str(out)])
+        assert code == 2
+        assert not (out / "records.csv").exists()
+
     def test_a_choice_flag_changes_b_prime(self, tmp_path):
         outs = {}
         for choice, name in (("1/2^N", "pow"), ("1/N", "lin")):

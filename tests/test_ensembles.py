@@ -3,7 +3,8 @@ import pytest
 from scipy import stats
 
 from qcbound.ensembles import (
-    EnsembleKind, EnsembleSpec, RNG_ALGORITHM, _sample_matrix, sample, spawn_seed,
+    EnsembleKind, EnsembleSpec, RNG_ALGORITHM, _sample_matrix, _sample_row,
+    _seeded_generators, sample, spawn_seed, spawn_seeds,
 )
 from qcbound.level_stats import spacing_sample_from_levels, weibull_mle
 
@@ -68,6 +69,43 @@ class TestDeterminism:
 
     def test_rng_algorithm_documented(self):
         assert "PCG64" in RNG_ALGORITHM
+
+
+class TestBatchSeeding:
+    # spawn_seeds and _seeded_generators re-implement numpy's SeedSequence
+    # hash and PCG64 seeding; numpy's own objects are the reference.
+    @pytest.mark.parametrize("master", [0, 7, 2**32 - 1, 2**32, 2**63, 2**70])
+    def test_spawn_seeds_equal_spawn_seed(self, master):
+        special = [0, 1, 2**32 - 1, 2**32, 2**32 + 5, 2**64 - 1]
+        got = spawn_seeds(master, special)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [spawn_seed(master, i) for i in special]
+        for length in (1, 2, 3, 1000, 3000):
+            indices = np.arange(1, length + 1)
+            expected = [spawn_seed(master, int(i)) for i in indices]
+            assert spawn_seeds(master, indices).tolist() == expected
+
+    def test_generators_equal_default_rng(self):
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, *spawn_seeds(5, np.arange(1000)).tolist()]
+        rng = _seeded_generators(seeds)
+        for i in [*range(len(seeds)), 3, 0]:  # any order, any number of times
+            got = rng(i).standard_normal(7).tobytes()
+            assert got == np.random.default_rng(seeds[i]).standard_normal(7).tobytes()
+
+    @pytest.mark.parametrize("kind", list(EnsembleKind))
+    @pytest.mark.parametrize("dim", [4, 8, 32, 128, 512])
+    def test_row_equals_row_of_sampled_matrix(self, kind, dim):
+        # c^T V from the normals against c @ V for the assembled V; the
+        # tolerance is roundoff of a length-d sum with unit-norm c
+        spec = EnsembleSpec(kind, dim, scale=1.3)
+        r = np.random.default_rng(dim)
+        c = r.standard_normal(dim) + 1j * r.standard_normal(dim)
+        c /= np.linalg.norm(c)
+        for seed in (0, 2**40 + 1):
+            v = _sample_matrix(spec, seed)
+            for vec in (c, c.real / np.linalg.norm(c.real)):
+                row = _sample_row(spec, np.random.default_rng(seed), vec)
+                assert np.max(np.abs(row - vec @ v)) <= 1e-14 * np.max(np.abs(v))
 
 
 class TestEnsembleShapes:

@@ -109,15 +109,16 @@ class TestScatterBoundTest:
         from qcbound.curvature import level_curvature
         from qcbound.entanglement import EntanglementInputs, dQ0_dtau
         from qcbound.models import build_scatter_model
-        from qcbound.ensembles import spawn_seed
+        from qcbound.ensembles import _sample_matrix, spawn_seed
         from qcbound.quantum import HermitianOperator, eigensystem
 
         cfg = ModelConfig(family="B", n_qubits=2)
         res = scatter_bound_test(cfg, samples=3, master_seed=21)
         record = res.records[2]
-        h0, sampler = build_scatter_model(cfg, h0_seed=spawn_seed(21, 0))
+        assert record.seed == spawn_seed(21, 3)
+        h0, v_spec = build_scatter_model(cfg, h0_seed=spawn_seed(21, 0))
         inputs = EntanglementInputs.from_perturbation(
-            eigensystem(h0), HermitianOperator(sampler(record.seed)), 2
+            eigensystem(h0), HermitianOperator(_sample_matrix(v_spec, record.seed)), 2
         )
         assert abs(dQ0_dtau(inputs)) == pytest.approx(record.dq_abs, rel=1e-14)
         assert level_curvature(0, inputs) == pytest.approx(record.k0, rel=1e-14)
@@ -137,37 +138,31 @@ class TestScatterBoundTest:
             EntanglementInputs, dQ0_dtau, ground_state_site_overlaps,
         )
         from qcbound.models import build_scatter_model
-        from qcbound.ensembles import spawn_seed
+        from qcbound.ensembles import _sample_matrix, spawn_seed
         from qcbound.quantum import HermitianOperator, eigensystem
 
         cfg = ModelConfig(family=family, n_qubits=n, ensemble=ensemble)
         res = scatter_bound_test(cfg, samples=20, master_seed=13)
         assert len(res.records) == 20
-        h0, sampler = build_scatter_model(cfg, h0_seed=spawn_seed(13, 0))
+        h0, v_spec = build_scatter_model(cfg, h0_seed=spawn_seed(13, 0))
         dec = eigensystem(h0)
         overlaps = ground_state_site_overlaps(dec, n)
         for record in res.records:
             inputs = EntanglementInputs.from_perturbation(
-                dec, HermitianOperator(sampler(record.seed)), n
+                dec, HermitianOperator(_sample_matrix(v_spec, record.seed)), n
             )
             dq = abs(dQ0_dtau(inputs, site_overlaps=overlaps))
             assert record.dq_abs == pytest.approx(dq, rel=1e-11, abs=1e-12)
             assert record.k0 == pytest.approx(level_curvature(0, inputs), rel=1e-13)
 
     def test_non_hermitian_perturbation_raises(self, monkeypatch):
-        build = experiments.build_scatter_model
+        sample_row = experiments._sample_row
 
-        def build_with_bad_sampler(config, h0_seed):
-            h0, sampler = build(config, h0_seed)
+        def bad_row(spec, rng, c):
+            # c^T (V + 1e-3j I): V with a non-real diagonal
+            return sample_row(spec, rng, c) + 1e-3j * c
 
-            def bad(seed):
-                v = sampler(seed).copy()
-                v[np.diag_indices_from(v)] += 1e-3j  # non-real diagonal
-                return v
-
-            return h0, bad
-
-        monkeypatch.setattr(experiments, "build_scatter_model", build_with_bad_sampler)
+        monkeypatch.setattr(experiments, "_sample_row", bad_row)
         with pytest.raises(ValueError, match="not Hermitian"):
             scatter_bound_test(ModelConfig(family="B", n_qubits=3), samples=5)
 

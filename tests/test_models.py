@@ -12,7 +12,7 @@ from qcbound import (
     mean_bipartite_Q,
     pauli,
 )
-from qcbound.ensembles import EnsembleKind, EnsembleSpec, sample, spawn_seed
+from qcbound.ensembles import EnsembleKind, EnsembleSpec, _sample_matrix, sample, spawn_seed
 from qcbound.models import (
     MODEL_E_DEFAULT_FIELD,
     ModelConfig,
@@ -50,9 +50,9 @@ class TestModelA:
         z = total_z(3)
         assert np.max(np.abs(h0.matrix @ z - z @ h0.matrix)) < 1e-12
 
-    def test_sampler_dimension(self):
-        _, sampler = model_a()
-        assert sampler(0).shape == (8, 8)
+    def test_perturbation_spec(self):
+        _, spec = model_a()
+        assert spec == EnsembleSpec(EnsembleKind.GENERIC_HERMITIAN, 8)
 
     def test_rejects_wrong_coefficient_count(self):
         with pytest.raises(ValueError):
@@ -67,20 +67,23 @@ class TestModelB:
 
     @pytest.mark.parametrize("n,dim", [(2, 4), (3, 8), (6, 64)])
     def test_dimensions(self, n, dim):
-        h0, sampler = model_b(n, seed=0)
+        h0, spec = model_b(n, seed=0)
         assert h0.dim == dim
-        assert sampler(1).shape == (dim, dim)
+        assert spec == EnsembleSpec(EnsembleKind.GENERIC_HERMITIAN, dim)
+        assert _sample_matrix(spec, 1).shape == (dim, dim)
 
 
 class TestModelC:
     def test_goe_perturbations_are_real(self):
-        _, sampler = model_c("GOE", seed=4)
+        _, spec = model_c("GOE", seed=4)
+        assert spec.kind is EnsembleKind.GOE
         for s in range(3):
-            assert not np.iscomplexobj(sampler(s))
+            assert not np.iscomplexobj(_sample_matrix(spec, s))
 
     def test_gue_perturbations_are_complex(self):
-        _, sampler = model_c(EnsembleKind.GUE, seed=4)
-        assert np.iscomplexobj(sampler(0))
+        _, spec = model_c(EnsembleKind.GUE, seed=4)
+        assert spec.kind is EnsembleKind.GUE
+        assert np.iscomplexobj(_sample_matrix(spec, 0))
 
     def test_rejects_other_ensembles(self):
         with pytest.raises(ValueError):
@@ -103,9 +106,9 @@ class TestModelConfig:
 
     def test_build_scatter_model(self):
         for family, n in (("A", 3), ("B", 2), ("C", 2)):
-            h0, sampler = build_scatter_model(ModelConfig(family=family, n_qubits=n), h0_seed=5)
+            h0, spec = build_scatter_model(ModelConfig(family=family, n_qubits=n), h0_seed=5)
             assert h0.dim == 2**n
-            assert sampler(0).shape == (2**n, 2**n)
+            assert spec.dim == 2**n
 
 
 class TestModelD:
