@@ -5,8 +5,9 @@ source trees write the same bytes.
 Runs each configuration below in-process through ``qcbound.cli.main``,
 imported from the source tree given by ``--src`` (default: ``src/`` of this
 checkout), each into its own temporary directory, and prints
-``{config: {file: sha256}}`` as JSON.  ``manifest.json`` holds a timestamp
-and is left out.  For ``records.csv`` it also prints the digest of the
+``{config: {file: sha256}}`` as JSON.  Every run's ``manifest.json`` is
+hashed without its ``created_utc`` line, the one part that changes between
+runs.  For ``records.csv`` it also prints the digest of the
 ``sample_seed`` column alone (key ``records.csv:sample_seed``): a change may
 move the floats of a scatter record at roundoff level but not its seeds.
 Compare two trees, from the repository root:
@@ -65,6 +66,11 @@ def _seed_column(records_csv: bytes) -> bytes:
     return "\n".join(line.split(",")[column] for line in lines).encode()
 
 
+def _without_timestamp(manifest_json: bytes) -> bytes:
+    return b"\n".join(line for line in manifest_json.split(b"\n")
+                      if not line.lstrip().startswith(b'"created_utc"'))
+
+
 def digests(main) -> dict:
     """Run every configuration with ``main`` and hash its outputs."""
     result = {}
@@ -75,7 +81,8 @@ def digests(main) -> dict:
                 code = main([*argv, "--out", str(out)])
             if code != 0:
                 raise RuntimeError(f"{name}: exit code {code}")
-            entry = {}
+            entry = {"manifest.json": _sha256(_without_timestamp(
+                (out / "manifest.json").read_bytes()))}
             for file in files:
                 data = (out / file).read_bytes()
                 entry[file] = _sha256(data)

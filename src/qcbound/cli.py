@@ -20,9 +20,11 @@ import argparse
 import datetime
 import hashlib
 import json
+import logging
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +57,8 @@ from .models import (
 from .quantum import block_spectrum
 
 __all__ = ["main", "entry_point"]
+
+logger = logging.getLogger(__name__)
 
 A_CHOICES = ("1/2^N", "1/N")
 
@@ -99,7 +103,7 @@ def _write_manifest(out_dir: Path, master_seed: int, config: dict, outputs: list
         config=config,
         outputs={p.name: _sha256(p) for p in outputs},
     )
-    _write_json(out_dir / "manifest.json", manifest.to_dict())
+    _write_json(out_dir / "manifest.json", asdict(manifest))
 
 
 def _check_threads(args) -> None:
@@ -114,6 +118,26 @@ def _check_threads(args) -> None:
             raise CliError(f"QCBOUND_THREADS={env!r} is not an integer") from None
 
 
+# JSON types a config value may have for a flag of the given argparse type;
+# every other flag takes a string.
+_CONFIG_TYPES = {int: (int,), float: (int, float)}
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    """``value`` checked as argparse checks the flag: of the flag's type and
+    among its choices.  --a-coeffs also takes a list of numbers."""
+    if action.dest == "a_coeffs" and isinstance(value, list):
+        items, kinds = value, (int, float)
+    else:
+        items, kinds = [value], _CONFIG_TYPES.get(action.type, (str,))
+    valid = all(isinstance(v, kinds) and not isinstance(v, bool) for v in items)
+    if not valid or (action.choices is not None and value not in action.choices):
+        expected = (f"one of {list(action.choices)}" if action.choices is not None
+                    else getattr(action.type, "__name__", "str"))
+        raise CliError(f"config key {key!r}: expected {expected}, got {value!r}")
+    return action.type(value) if action.type in _CONFIG_TYPES else value
+
+
 def _load_config_file(args) -> None:
     """Fill argparse namespace from a JSON config; explicit flags win."""
     if not getattr(args, "config", None):
@@ -124,14 +148,14 @@ def _load_config_file(args) -> None:
         raise CliError(f"cannot read config file {args.config}: {exc}") from exc
     if not isinstance(payload, dict):
         raise CliError("config file must hold a JSON object")
-    reserved = {"func", "defaults", "config", "subcommand"}
     for key, value in payload.items():
         dest = key.replace("-", "_")
-        if dest in reserved or not hasattr(args, dest):
+        action = args.flags.get(dest) if dest not in ("help", "config") else None
+        if action is None:
             raise CliError(f"unknown config key {key!r}")
+        value = _config_value(action, key, value)
         if getattr(args, dest) is None:
             setattr(args, dest, value)
-    return
 
 
 def _apply_defaults(args, defaults: dict) -> None:
@@ -227,11 +251,8 @@ def _cmd_check(args) -> int:
     return 0
 
 
-SWEEP_THETA_DEFAULTS = {
-    "points": 16,
+_SWEEP_DEFAULTS = {
     "realizations": 100,
-    "dim": MODEL_D_DEFAULT_DIM,
-    "chaotic_scale": MODEL_D_CHAOTIC_SCALE,
     "seed": 0,
     "out": ".",
     "unfold_degree": 6,
@@ -240,16 +261,63 @@ SWEEP_THETA_DEFAULTS = {
     "gamma_mode": "pooled",
 }
 
+SWEEP_THETA_DEFAULTS = {
+    **_SWEEP_DEFAULTS,
+    "points": 16,
+    "dim": MODEL_D_DEFAULT_DIM,
+    "chaotic_scale": MODEL_D_CHAOTIC_SCALE,
+}
 
-def _cmd_sweep_theta(args) -> int:
-    _apply_defaults(args, SWEEP_THETA_DEFAULTS)
+SWEEP_DEFECT_DEFAULTS = {
+    **_SWEEP_DEFAULTS,
+    "points": 26,
+    "d_max": 2.5,
+    "qubits": 9,
+    "h": MODEL_E_DEFAULT_FIELD,
+    "coupling": 1.0,
+    "sector": "restricted",
+}
+
+
+def _check_sweep_size(args) -> None:
     if args.points < 2:
         raise CliError("--points must be at least 2")
     if args.realizations < 4:
         raise CliError("--realizations must be at least 4 (outlier trimming)")
-    grid = np.linspace(0.0, math.pi / 2.0, args.points)
+
+
+def _write_sweep(args, rows: list, kind: str, param_column: str, config: dict) -> None:
+    """Write ``<kind>_sweep.csv``, with the q columns when the rows carry Q,
+    and the manifest of the sweep's resolved configuration."""
+    floats = ["gamma_mean", "gamma_stderr", "b_mean", "b_stderr"]
+    if rows[0].q_mean is not None:
+        floats += ["q_mean", "q_stderr"]
+    out = _out_dir(args)
+    csv_path = out / f"{kind}_sweep.csv"
+    _write_csv(
+        csv_path,
+        [param_column, *floats, "n_kept", "n_trimmed"],
+        [[_fmt(r.param), *(_fmt(getattr(r, name)) for name in floats),
+          str(r.n_kept), str(r.n_trimmed)] for r in rows],
+    )
+    config_dict = {
+        "subcommand": args.subcommand,
+        "points": args.points,
+        "realizations": args.realizations,
+        "unfolding": {"degree": args.unfold_degree, "edge_trim": args.unfold_trim},
+        "outlier_k": args.outlier_k,
+        "gamma_mode": args.gamma_mode,
+        **config,
+    }
+    _write_manifest(out, args.seed, config_dict, [csv_path])
+    print(f"{kind} sweep: {len(rows)} rows -> {csv_path}")
+
+
+def _cmd_sweep_theta(args) -> int:
+    _apply_defaults(args, SWEEP_THETA_DEFAULTS)
+    _check_sweep_size(args)
     rows = sweep_theta(
-        grid,
+        np.linspace(0.0, math.pi / 2.0, args.points),
         realizations=args.realizations,
         master_seed=args.seed,
         dim=args.dim,
@@ -259,60 +327,18 @@ def _cmd_sweep_theta(args) -> int:
         outlier_k=args.outlier_k,
         per_realization_gamma=(args.gamma_mode == "per-realization"),
     )
-    out = _out_dir(args)
-    csv_path = out / "theta_sweep.csv"
-    _write_csv(
-        csv_path,
-        ["theta", "gamma_mean", "gamma_stderr", "b_mean", "b_stderr", "n_kept", "n_trimmed"],
-        [
-            [_fmt(r.param), _fmt(r.gamma_mean), _fmt(r.gamma_stderr),
-             _fmt(r.b_mean), _fmt(r.b_stderr), str(r.n_kept), str(r.n_trimmed)]
-            for r in rows
-        ],
-    )
-    config_dict = {
-        "subcommand": "sweep-theta",
-        "points": args.points,
-        "realizations": args.realizations,
-        "dim": args.dim,
-        "chaotic_scale": args.chaotic_scale,
-        "unfolding": {"degree": args.unfold_degree, "edge_trim": args.unfold_trim},
-        "outlier_k": args.outlier_k,
-        "gamma_mode": args.gamma_mode,
-    }
-    _write_manifest(out, args.seed, config_dict, [csv_path])
-    print(f"theta sweep: {len(rows)} rows -> {csv_path}")
+    _write_sweep(args, rows, "theta", "theta",
+                 {"dim": args.dim, "chaotic_scale": args.chaotic_scale})
     return 0
-
-
-SWEEP_DEFECT_DEFAULTS = {
-    "points": 26,
-    "d_max": 2.5,
-    "realizations": 100,
-    "qubits": 9,
-    "h": MODEL_E_DEFAULT_FIELD,
-    "coupling": 1.0,
-    "seed": 0,
-    "out": ".",
-    "unfold_degree": 6,
-    "unfold_trim": 0.05,
-    "outlier_k": 1.5,
-    "gamma_mode": "pooled",
-    "sector": "restricted",
-}
 
 
 def _cmd_sweep_defect(args) -> int:
     _apply_defaults(args, SWEEP_DEFECT_DEFAULTS)
-    if args.points < 2:
-        raise CliError("--points must be at least 2")
+    _check_sweep_size(args)
     if args.d_max <= 0:
         raise CliError("--d-max must be positive")
-    if args.realizations < 4:
-        raise CliError("--realizations must be at least 4 (outlier trimming)")
-    grid = np.linspace(0.0, args.d_max, args.points)
     rows = sweep_defect(
-        grid,
+        np.linspace(0.0, args.d_max, args.points),
         realizations=args.realizations,
         n_qubits=args.qubits,
         h=args.h,
@@ -324,34 +350,13 @@ def _cmd_sweep_defect(args) -> int:
         outlier_k=args.outlier_k,
         per_realization_gamma=(args.gamma_mode == "per-realization"),
     )
-    out = _out_dir(args)
-    csv_path = out / "defect_sweep.csv"
-    _write_csv(
-        csv_path,
-        ["d", "gamma_mean", "gamma_stderr", "b_mean", "b_stderr",
-         "q_mean", "q_stderr", "n_kept", "n_trimmed"],
-        [
-            [_fmt(r.param), _fmt(r.gamma_mean), _fmt(r.gamma_stderr),
-             _fmt(r.b_mean), _fmt(r.b_stderr), _fmt(r.q_mean), _fmt(r.q_stderr),
-             str(r.n_kept), str(r.n_trimmed)]
-            for r in rows
-        ],
-    )
-    config_dict = {
-        "subcommand": "sweep-defect",
-        "points": args.points,
+    _write_sweep(args, rows, "defect", "d", {
         "d_max": args.d_max,
-        "realizations": args.realizations,
         "n_qubits": args.qubits,
         "h": args.h,
         "J": args.coupling,
         "sector": args.sector,
-        "unfolding": {"degree": args.unfold_degree, "edge_trim": args.unfold_trim},
-        "outlier_k": args.outlier_k,
-        "gamma_mode": args.gamma_mode,
-    }
-    _write_manifest(out, args.seed, config_dict, [csv_path])
-    print(f"defect sweep: {len(rows)} rows -> {csv_path}")
+    })
     return 0
 
 
@@ -404,7 +409,7 @@ def _cmd_stats(args) -> int:
             )
         except UnfoldingError as exc:
             n_failed += 1
-            print(f"draw {i} skipped: {exc}", file=sys.stderr)
+            logger.warning("%s draw %d skipped: %s", args.source, i, exc)
     if n_failed > args.draws // 2:
         raise CliError(f"{n_failed}/{args.draws} draws failed to unfold")
     pooled = pool_spacing_samples(samples, source=f"{args.source} pooled")
@@ -466,6 +471,9 @@ def _cmd_report_ensembles(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    """Add the flags every subcommand takes.  Call it after the subcommand's
+    own flags: it records the flag table that config files are checked
+    against."""
     p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
     p.add_argument("--out", type=str, default=None, help="output directory (default .)")
     p.add_argument("--threads", type=int, default=None,
@@ -473,6 +481,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "draws always run serially")
     p.add_argument("--config", type=str, default=None,
                    help="JSON config file mirroring the flags; flags win on conflict")
+    p.set_defaults(flags={action.dest: action for action in p._actions})
+
+
+def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--points", type=int, default=None)
+    p.add_argument("--realizations", type=int, default=None)
+    p.add_argument("--unfold-degree", dest="unfold_degree", type=int, default=None)
+    p.add_argument("--unfold-trim", dest="unfold_trim", type=float, default=None)
+    p.add_argument("--outlier-k", dest="outlier_k", type=float, default=None)
+    p.add_argument("--gamma-mode", dest="gamma_mode",
+                   choices=["pooled", "per-realization"], default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -498,32 +517,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check, defaults=CHECK_DEFAULTS)
 
     p = sub.add_parser("sweep-theta", help="chaos/bound sweep of the Poisson-GOE rotation")
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--realizations", type=int, default=None)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--chaotic-scale", dest="chaotic_scale", type=float, default=None)
-    p.add_argument("--unfold-degree", dest="unfold_degree", type=int, default=None)
-    p.add_argument("--unfold-trim", dest="unfold_trim", type=float, default=None)
-    p.add_argument("--outlier-k", dest="outlier_k", type=float, default=None)
-    p.add_argument("--gamma-mode", dest="gamma_mode",
-                   choices=["pooled", "per-realization"], default=None)
+    _add_sweep_flags(p)
     _add_common(p)
     p.set_defaults(func=_cmd_sweep_theta, defaults=SWEEP_THETA_DEFAULTS)
 
     p = sub.add_parser("sweep-defect", help="chaos/bound/entanglement sweep of the defect chain")
-    p.add_argument("--points", type=int, default=None)
     p.add_argument("--d-max", dest="d_max", type=float, default=None)
-    p.add_argument("--realizations", type=int, default=None)
     p.add_argument("--qubits", type=int, default=None)
     p.add_argument("--h", type=float, default=None, help="homogeneous field")
     p.add_argument("--J", dest="coupling", type=float, default=None, help="bond coupling")
     p.add_argument("--sector", choices=["restricted", "full"], default=None,
                    help="spacing statistics within the largest sigma_z sector or the full spectrum")
-    p.add_argument("--unfold-degree", dest="unfold_degree", type=int, default=None)
-    p.add_argument("--unfold-trim", dest="unfold_trim", type=float, default=None)
-    p.add_argument("--outlier-k", dest="outlier_k", type=float, default=None)
-    p.add_argument("--gamma-mode", dest="gamma_mode",
-                   choices=["pooled", "per-realization"], default=None)
+    _add_sweep_flags(p)
     _add_common(p)
     p.set_defaults(func=_cmd_sweep_defect, defaults=SWEEP_DEFECT_DEFAULTS)
 
@@ -567,3 +574,7 @@ def main(argv=None) -> int:
 
 def entry_point() -> None:  # pragma: no cover - thin wrapper
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -116,16 +116,6 @@ class RunManifest:
     config: dict
     outputs: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "tool_version": self.tool_version,
-            "created_utc": self.created_utc,
-            "master_seed": self.master_seed,
-            "rng_algorithm": self.rng_algorithm,
-            "config": self.config,
-            "outputs": self.outputs,
-        }
-
 
 def trim_outliers(values, k: float = 1.5) -> TrimResult:
     """Split values by Tukey fences [Q1 - k IQR, Q3 + k IQR]."""
@@ -232,21 +222,6 @@ _DRAW_FAILURES = (
 )
 
 
-def _draw_statistics(
-    eigenvalues, levels, source: str, poly_degree: int, edge_trim: float,
-    per_realization_gamma: bool,
-) -> tuple:
-    """(b, spacing sample, gamma) of one sweep draw: b from the full sorted
-    spectrum, spacings from ``levels``, and gamma of this draw's own Weibull
-    fit in per-realization mode (None when gamma comes from the pooled fit)."""
-    b = bound_b(eigenvalues)
-    sample = spacing_sample_from_levels(
-        levels, source=source, poly_degree=poly_degree, edge_trim=edge_trim
-    )
-    gamma = gamma_chaos(weibull_fit(sample)) if per_realization_gamma else None
-    return b, sample, gamma
-
-
 def _aggregate_row(
     param: float,
     b_values: list,
@@ -301,6 +276,59 @@ def _aggregate_row(
     )
 
 
+def _sweep(
+    grid, label: str, draw, realizations: int, master_seed: int, poly_degree: int,
+    edge_trim: float, outlier_k: float, per_realization_gamma: bool,
+    n_qubits: int | None = None,
+) -> list:
+    """One aggregated row per grid value of a sweep's critical parameter.
+
+    Realization r at grid index t is ``draw(param, spawn_seed(master_seed, t,
+    r))``, which returns (eigenvalues, levels, ground_vector): b comes from the
+    full sorted spectrum, the spacing sample from ``levels``, gamma from this
+    draw's own Weibull fit in per-realization mode (from the pooled fit
+    otherwise), and the ground-state Q only when ``n_qubits`` is given.  A
+    draw failing with one of _DRAW_FAILURES is logged with the exception as
+    the last argument and dropped.
+    """
+    rows = []
+    for t_index, param in enumerate(float(p) for p in grid):
+        source = f"{label}={param:g}"
+
+        def one_draw(r: int):
+            eigenvalues, levels, ground_vector = draw(
+                param, spawn_seed(master_seed, t_index, r)
+            )
+            try:
+                b = bound_b(eigenvalues)
+                sample = spacing_sample_from_levels(
+                    levels, source=source, poly_degree=poly_degree, edge_trim=edge_trim
+                )
+                gamma = gamma_chaos(weibull_fit(sample)) if per_realization_gamma else None
+            except _DRAW_FAILURES as exc:
+                logger.warning("%s draw %d failed: %s", source, r, exc)
+                return None
+            q = None if n_qubits is None else mean_bipartite_Q(ground_vector, n_qubits)
+            return b, sample, gamma, q
+
+        ok = [d for d in _run_indexed(one_draw, realizations, 1) if d is not None]
+        rows.append(
+            _aggregate_row(
+                param=param,
+                b_values=[d[0] for d in ok],
+                spacing_samples=[d[1] for d in ok],
+                gammas_per_draw=[d[2] for d in ok],
+                q_values=None if n_qubits is None else [d[3] for d in ok],
+                n_failed=realizations - len(ok),
+                realizations=realizations,
+                outlier_k=outlier_k,
+                source=f"{source} pooled",
+                per_realization_gamma=per_realization_gamma,
+            )
+        )
+    return rows
+
+
 def sweep_theta(
     theta_grid,
     realizations: int = 100,
@@ -318,37 +346,13 @@ def sweep_theta(
     constant b of the ground state and the unfolded spacing sample.  The chaos
     parameter comes from a pooled Weibull fit by default.
     """
-    theta_grid = [float(t) for t in theta_grid]
-    rows = []
-    for t_index, theta in enumerate(theta_grid):
-        source = f"model-D theta={theta:g}"
 
-        def one_draw(r: int):
-            seed = spawn_seed(master_seed, t_index, r)
-            eigs = np.linalg.eigvalsh(_model_d_matrix(theta, seed, dim, chaotic_scale))
-            try:
-                return _draw_statistics(eigs, eigs, source, poly_degree, edge_trim,
-                                        per_realization_gamma)
-            except _DRAW_FAILURES as exc:
-                logger.warning("theta=%g draw %d failed: %s", theta, r, exc)
-                return None
+    def draw(theta: float, seed: int) -> tuple:
+        eigs = np.linalg.eigvalsh(_model_d_matrix(theta, seed, dim, chaotic_scale))
+        return eigs, eigs, None
 
-        ok = [r for r in _run_indexed(one_draw, realizations, 1) if r is not None]
-        rows.append(
-            _aggregate_row(
-                param=theta,
-                b_values=[b for b, _, _ in ok],
-                spacing_samples=[s for _, s, _ in ok],
-                gammas_per_draw=[g for _, _, g in ok],
-                q_values=None,
-                n_failed=realizations - len(ok),
-                realizations=realizations,
-                outlier_k=outlier_k,
-                source=f"{source} pooled",
-                per_realization_gamma=per_realization_gamma,
-            )
-        )
-    return rows
+    return _sweep(theta_grid, "model-D theta", draw, realizations, master_seed,
+                  poly_degree, edge_trim, outlier_k, per_realization_gamma)
 
 
 def sweep_defect(
@@ -371,42 +375,15 @@ def sweep_defect(
     N // 2 (mixing symmetry sectors fakes Poisson statistics); b and the
     ground-state Q come from the merged spectrum of all sectors.
     """
-    d_grid = [float(d) for d in d_grid]
-    rows = []
-    for d_index, d in enumerate(d_grid):
-        source = f"model-E d={d:g}"
 
-        def one_draw(r: int):
-            seed = spawn_seed(master_seed, d_index, r)
-            spectrum = block_spectrum(
-                model_e_blocks(n_qubits=n_qubits, d=d, h=h, J=J, seed=seed)
-            )
-            levels = (
-                spectrum.block_eigenvalues[n_qubits // 2]
-                if sector_restricted
-                else spectrum.eigenvalues
-            )
-            try:
-                stats = _draw_statistics(spectrum.eigenvalues, levels, source,
-                                         poly_degree, edge_trim, per_realization_gamma)
-            except _DRAW_FAILURES as exc:
-                logger.warning("d=%g draw %d failed: %s", d, r, exc)
-                return None
-            return (*stats, mean_bipartite_Q(spectrum.ground_vector, n_qubits))
-
-        ok = [r for r in _run_indexed(one_draw, realizations, 1) if r is not None]
-        rows.append(
-            _aggregate_row(
-                param=d,
-                b_values=[b for b, _, _, _ in ok],
-                spacing_samples=[s for _, s, _, _ in ok],
-                gammas_per_draw=[g for _, _, g, _ in ok],
-                q_values=[q for _, _, _, q in ok],
-                n_failed=realizations - len(ok),
-                realizations=realizations,
-                outlier_k=outlier_k,
-                source=f"{source} pooled",
-                per_realization_gamma=per_realization_gamma,
-            )
+    def draw(d: float, seed: int) -> tuple:
+        spectrum = block_spectrum(model_e_blocks(n_qubits=n_qubits, d=d, h=h, J=J, seed=seed))
+        levels = (
+            spectrum.block_eigenvalues[n_qubits // 2]
+            if sector_restricted
+            else spectrum.eigenvalues
         )
-    return rows
+        return spectrum.eigenvalues, levels, spectrum.ground_vector
+
+    return _sweep(d_grid, "model-E d", draw, realizations, master_seed, poly_degree,
+                  edge_trim, outlier_k, per_realization_gamma, n_qubits=n_qubits)

@@ -1,9 +1,15 @@
 import json
+import logging
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 from qcbound.cli import main
+from qcbound.level_stats import UnfoldingError
 
 
 def run_cli(args):
@@ -113,6 +119,32 @@ class TestManifestReproduction:
         manifest2 = json.loads((out2 / "manifest.json").read_text())
         assert manifest2["outputs"] == manifest["outputs"]
 
+    SWEEP_CONFIGS = [
+        (["sweep-theta", "--points", "2", "--realizations", "8", "--dim", "64",
+          "--unfold-trim", "0.1", "--outlier-k", "2", "--seed", "9"],
+         {"subcommand": "sweep-theta", "points": 2, "realizations": 8, "dim": 64,
+          "chaotic_scale": 0.3, "unfolding": {"degree": 6, "edge_trim": 0.1},
+          "outlier_k": 2.0, "gamma_mode": "pooled"}),
+        (["sweep-defect", "--points", "2", "--d-max", "0.3", "--realizations", "6",
+          "--qubits", "6", "--h", "0.5", "--J", "1.2", "--unfold-degree", "5",
+          "--seed", "4"],
+         {"subcommand": "sweep-defect", "points": 2, "d_max": 0.3, "realizations": 6,
+          "n_qubits": 6, "h": 0.5, "J": 1.2, "sector": "restricted",
+          "unfolding": {"degree": 5, "edge_trim": 0.05}, "outlier_k": 1.5,
+          "gamma_mode": "pooled"}),
+    ]
+
+    @pytest.mark.parametrize("argv,config", SWEEP_CONFIGS, ids=["theta", "defect"])
+    def test_sweep_manifest_config(self, tmp_path, argv, config):
+        out = tmp_path / "m"
+        assert run_cli([*argv, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == config
+        assert set(manifest) == {"tool_version", "created_utc", "master_seed",
+                                 "rng_algorithm", "config", "outputs"}
+        kind = argv[0].removeprefix("sweep-")
+        assert list(manifest["outputs"]) == [f"{kind}_sweep.csv"]
+
     def test_defect_field_flags_parse(self, tmp_path):
         out = tmp_path / "d"
         code = run_cli(["sweep-defect", "--points", "2", "--d-max", "0.3",
@@ -150,6 +182,40 @@ class TestConfigFile:
                         "--config", str(tmp_path / "absent.json"),
                         "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def test_string_for_integer_flag_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"samples": "50"}))
+        code = run_cli(["check", "--model", "B", "--config", str(cfg),
+                        "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "'samples'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,payload", [
+        (["sweep-defect", "--qubits", "6", "--points", "2", "--d-max", "0.5",
+          "--realizations", "6", "--seed", "2"], {"sector": "bogus"}),
+        (["sweep-theta", "--dim", "64", "--points", "2", "--realizations", "8",
+          "--seed", "9"], {"gamma_mode": "per-realisation"}),
+    ], ids=["sector", "gamma_mode"])
+    def test_value_outside_choices_exits_2(self, tmp_path, argv, payload):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        assert run_cli([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "manifest.json").exists()
+
+    def test_list_coeffs_and_integer_for_float_flag(self, tmp_path):
+        flags = tmp_path / "flags"
+        assert run_cli(["check", "--model", "A", "--a-coeffs", "0.1,0.2,0.3",
+                        "--lambda", "1", "--samples", "20", "--out", str(flags)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"a_coeffs": [0.1, 0.2, 0.3], "lam": 1, "samples": 20}))
+        config = tmp_path / "config"
+        assert run_cli(["check", "--model", "A", "--config", str(cfg),
+                        "--out", str(config)]) == 0
+        assert (config / "records.csv").read_bytes() == (flags / "records.csv").read_bytes()
+        manifest = json.loads((config / "manifest.json").read_text())
+        assert manifest["config"]["model"]["lam"] == 1.0
 
 
 class TestSweepCommands:
@@ -248,6 +314,29 @@ class TestStatsCommand:
         # mixing symmetry sectors pushes the statistics toward Poisson
         assert gammas["full"] > gammas["restricted"]
 
+    def test_skipped_draws_are_logged(self, tmp_path, monkeypatch, caplog, capsys):
+        import qcbound.cli as cli_mod
+
+        real = cli_mod.spacing_sample_from_levels
+        calls = []
+
+        def fail_second(levels, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise UnfoldingError("forced")
+            return real(levels, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "spacing_sample_from_levels", fail_second)
+        out = tmp_path / "stats"
+        with caplog.at_level(logging.WARNING, logger="qcbound.cli"):
+            code = run_cli(["stats", "--source", "GOE", "--dim", "64", "--draws", "4",
+                            "--seed", "3", "--out", str(out)])
+        assert code == 0
+        assert [r.args[:2] for r in caplog.records] == [("GOE", 1)]
+        assert isinstance(caplog.records[0].args[-1], UnfoldingError)
+        assert capsys.readouterr().err == ""
+        assert json.loads((out / "stats.json").read_text())["draws_failed"] == 1
+
 
 class TestReportEnsembles:
     def test_prints_ratios(self, tmp_path, capsys, monkeypatch):
@@ -297,3 +386,13 @@ class TestEnvThreads:
         monkeypatch.setenv("QCBOUND_THREADS", "soup")
         assert run_cli(["check", "--model", "B", "--samples", "10",
                         "--out", str(tmp_path)]) == 2
+
+
+def test_module_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "qcbound.cli", "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.strip() == "qcbound 0.1.0"
