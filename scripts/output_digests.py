@@ -7,9 +7,11 @@ imported from the source tree given by ``--src`` (default: ``src/`` of this
 checkout), each into its own temporary directory, and prints
 ``{config: {file: sha256}}`` as JSON.  Every run's ``manifest.json`` is
 hashed without its ``created_utc`` line, the one part that changes between
-runs.  For ``records.csv`` it also prints the digest of the
-``sample_seed`` column alone (key ``records.csv:sample_seed``): a change may
-move the floats of a scatter record at roundoff level but not its seeds.
+runs.  The runs named in ``CONFIG_FILES`` also read that JSON object through
+``--config``, with one of its keys overridden by a flag.  For
+``records.csv`` it also prints the digest of the ``sample_seed`` column
+alone (key ``records.csv:sample_seed``): a change may move the floats of a
+scatter record at roundoff level but not its seeds.
 Compare two trees, from the repository root:
 
     python3 scripts/output_digests.py --src /path/to/parent/src > parent.json
@@ -53,6 +55,16 @@ CONFIGS = {
     **{f"stats-E-{sector}": (["stats", "--source", "E", "--draws", "10", "--qubits", "8",
                               "--seed", "4", "--sector", sector], ("stats.json",))
        for sector in ("restricted", "full")},
+    "sweep-theta-config": (["sweep-theta", "--points", "3"], ("theta_sweep.csv",)),
+    "stats-E-config": (["stats", "--source", "E", "--qubits", "7"], ("stats.json",)),
+}
+
+# JSON config files of the runs above that take one; the flags in CONFIGS win
+CONFIG_FILES = {
+    "sweep-theta-config": {"points": 4, "realizations": 12, "dim": 64, "seed": 9,
+                           "unfold-trim": 0.1, "outlier_k": 2, "gamma_mode": "pooled"},
+    "stats-E-config": {"qubits": 8, "draws": 10, "d_value": 0.4, "h": 0.9, "coupling": 1.1,
+                       "sector": "full", "seed": 4},
 }
 
 
@@ -77,6 +89,10 @@ def digests(main) -> dict:
     with tempfile.TemporaryDirectory(prefix="output_digests_") as tmp:
         for name, (argv, files) in CONFIGS.items():
             out = Path(tmp) / name
+            if name in CONFIG_FILES:
+                config = Path(tmp) / f"{name}.json"
+                config.write_text(json.dumps(CONFIG_FILES[name]))
+                argv = [*argv, "--config", str(config)]
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main([*argv, "--out", str(out)])
             if code != 0:

@@ -22,7 +22,6 @@ import hashlib
 import json
 import logging
 import math
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -106,18 +105,6 @@ def _write_manifest(out_dir: Path, master_seed: int, config: dict, outputs: list
     _write_json(out_dir / "manifest.json", asdict(manifest))
 
 
-def _check_threads(args) -> None:
-    """Reject a QCBOUND_THREADS that is not an integer when --threads is not
-    given.  Both are accepted for compatibility and change nothing: every draw
-    runs serially."""
-    env = os.environ.get("QCBOUND_THREADS")
-    if args.threads is None and env:
-        try:
-            int(env)
-        except ValueError:
-            raise CliError(f"QCBOUND_THREADS={env!r} is not an integer") from None
-
-
 # JSON types a config value may have for a flag of the given argparse type;
 # every other flag takes a string.
 _CONFIG_TYPES = {int: (int,), float: (int, float)}
@@ -138,30 +125,23 @@ def _config_value(action: argparse.Action, key: str, value):
     return action.type(value) if action.type in _CONFIG_TYPES else value
 
 
-def _load_config_file(args) -> None:
-    """Fill argparse namespace from a JSON config; explicit flags win."""
-    if not getattr(args, "config", None):
-        return
+def _load_config_file(args) -> dict:
+    """The ``{dest: value}`` pairs of the JSON config file ``args.config``,
+    each checked against the subcommand's flag of that name."""
     try:
         payload = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read config file {args.config}: {exc}") from exc
     if not isinstance(payload, dict):
         raise CliError("config file must hold a JSON object")
+    flags = {a.dest: a for a in args.parser._actions if a.dest not in ("help", "config")}
+    values = {}
     for key, value in payload.items():
-        dest = key.replace("-", "_")
-        action = args.flags.get(dest) if dest not in ("help", "config") else None
+        action = flags.get(key.replace("-", "_"))
         if action is None:
             raise CliError(f"unknown config key {key!r}")
-        value = _config_value(action, key, value)
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
-
-
-def _apply_defaults(args, defaults: dict) -> None:
-    for dest, value in defaults.items():
-        if getattr(args, dest, None) is None:
-            setattr(args, dest, value)
+        values[action.dest] = _config_value(action, key, value)
+    return values
 
 
 def _out_dir(args) -> Path:
@@ -174,21 +154,8 @@ def _out_dir(args) -> Path:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-CHECK_DEFAULTS = {
-    "qubits": None,  # family-dependent, resolved below
-    "ensemble": "GUE",
-    "samples": 3000,
-    "seed": 0,
-    "out": ".",
-    "a_choice": "1/2^N",
-    "a_coeffs": "0.1,0.2,0.3",
-    "lam": 0.5,
-}
-
-
 def _cmd_check(args) -> int:
-    _apply_defaults(args, CHECK_DEFAULTS)
-    if args.samples is None or args.samples < 1:
+    if args.samples < 1:
         raise CliError("--samples must be a positive integer")
     if isinstance(args.a_coeffs, (list, tuple)):
         coeffs = tuple(float(v) for v in args.a_coeffs)
@@ -251,32 +218,12 @@ def _cmd_check(args) -> int:
     return 0
 
 
-_SWEEP_DEFAULTS = {
-    "realizations": 100,
-    "seed": 0,
-    "out": ".",
-    "unfold_degree": 6,
-    "unfold_trim": 0.05,
-    "outlier_k": 1.5,
-    "gamma_mode": "pooled",
-}
-
-SWEEP_THETA_DEFAULTS = {
-    **_SWEEP_DEFAULTS,
-    "points": 16,
-    "dim": MODEL_D_DEFAULT_DIM,
-    "chaotic_scale": MODEL_D_CHAOTIC_SCALE,
-}
-
-SWEEP_DEFECT_DEFAULTS = {
-    **_SWEEP_DEFAULTS,
-    "points": 26,
-    "d_max": 2.5,
-    "qubits": 9,
-    "h": MODEL_E_DEFAULT_FIELD,
-    "coupling": 1.0,
-    "sector": "restricted",
-}
+def _check_unfolding(args) -> None:
+    """Reject unfolding settings that would fail every draw, before any draw."""
+    if args.unfold_degree < 1:
+        raise CliError("--unfold-degree must be at least 1")
+    if not 0.0 <= args.unfold_trim < 0.5:
+        raise CliError("--unfold-trim must lie in [0, 0.5)")
 
 
 def _check_sweep_size(args) -> None:
@@ -284,6 +231,9 @@ def _check_sweep_size(args) -> None:
         raise CliError("--points must be at least 2")
     if args.realizations < 4:
         raise CliError("--realizations must be at least 4 (outlier trimming)")
+    if not args.outlier_k >= 0.0:  # a negative k can trim every draw
+        raise CliError("--outlier-k must be non-negative")
+    _check_unfolding(args)
 
 
 def _write_sweep(args, rows: list, kind: str, param_column: str, config: dict) -> None:
@@ -314,7 +264,6 @@ def _write_sweep(args, rows: list, kind: str, param_column: str, config: dict) -
 
 
 def _cmd_sweep_theta(args) -> int:
-    _apply_defaults(args, SWEEP_THETA_DEFAULTS)
     _check_sweep_size(args)
     rows = sweep_theta(
         np.linspace(0.0, math.pi / 2.0, args.points),
@@ -333,7 +282,6 @@ def _cmd_sweep_theta(args) -> int:
 
 
 def _cmd_sweep_defect(args) -> int:
-    _apply_defaults(args, SWEEP_DEFECT_DEFAULTS)
     _check_sweep_size(args)
     if args.d_max <= 0:
         raise CliError("--d-max must be positive")
@@ -360,28 +308,13 @@ def _cmd_sweep_defect(args) -> int:
     return 0
 
 
-STATS_DEFAULTS = {
-    "dim": MODEL_D_DEFAULT_DIM,
-    "draws": 100,
-    "theta": math.pi / 2.0,
-    "d_value": 0.25,
-    "qubits": 9,
-    "h": MODEL_E_DEFAULT_FIELD,
-    "coupling": 1.0,
-    "seed": 0,
-    "out": ".",
-    "unfold_degree": 6,
-    "unfold_trim": 0.05,
-    "sector": "restricted",
-}
-
 STATS_SOURCES = ("GOE", "GUE", "PoissonDiagonal", "D", "E")
 
 
 def _cmd_stats(args) -> int:
-    _apply_defaults(args, STATS_DEFAULTS)
     if args.draws < 1:
         raise CliError("--draws must be positive")
+    _check_unfolding(args)
     samples = []
     n_failed = 0
     for i in range(args.draws):
@@ -449,11 +382,7 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-REPORT_DEFAULTS = {"seed": 0, "out": "."}
-
-
 def _cmd_report_ensembles(args) -> int:
-    _apply_defaults(args, REPORT_DEFAULTS)
     report = ensemble_deltaQ_ratios()
     print(f"<sqrt|K|> GOE = {report.mean_sqrtK_goe:.6f}")
     print(f"<sqrt|K|> GUE = {report.mean_sqrtK_gue:.6f}")
@@ -471,27 +400,39 @@ def _cmd_report_ensembles(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    """Add the flags every subcommand takes.  Call it after the subcommand's
-    own flags: it records the flag table that config files are checked
-    against."""
-    p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    p.add_argument("--out", type=str, default=None, help="output directory (default .)")
+    """Add the flags every subcommand takes."""
+    p.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
+    p.add_argument("--out", type=str, default=".",
+                   help="output directory (default %(default)s)")
     p.add_argument("--threads", type=int, default=None,
-                   help="accepted for compatibility, as is QCBOUND_THREADS; "
-                        "draws always run serially")
+                   help="accepted for compatibility; draws always run serially")
     p.add_argument("--config", type=str, default=None,
-                   help="JSON config file mirroring the flags; flags win on conflict")
-    p.set_defaults(flags={action.dest: action for action in p._actions})
+                   help="JSON config file whose values become this subcommand's "
+                        "defaults; flags win on conflict")
+    p.set_defaults(parser=p)
 
 
-def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--realizations", type=int, default=None)
-    p.add_argument("--unfold-degree", dest="unfold_degree", type=int, default=None)
-    p.add_argument("--unfold-trim", dest="unfold_trim", type=float, default=None)
-    p.add_argument("--outlier-k", dest="outlier_k", type=float, default=None)
+def _add_unfolding_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--unfold-degree", dest="unfold_degree", type=int, default=6)
+    p.add_argument("--unfold-trim", dest="unfold_trim", type=float, default=0.05)
+
+
+def _add_sweep_flags(p: argparse.ArgumentParser, points: int) -> None:
+    p.add_argument("--points", type=int, default=points)
+    p.add_argument("--realizations", type=int, default=100)
+    _add_unfolding_flags(p)
+    p.add_argument("--outlier-k", dest="outlier_k", type=float, default=1.5)
     p.add_argument("--gamma-mode", dest="gamma_mode",
-                   choices=["pooled", "per-realization"], default=None)
+                   choices=["pooled", "per-realization"], default="pooled")
+
+
+def _add_chain_flags(p: argparse.ArgumentParser) -> None:
+    """The defect chain's flags, shared by sweep-defect and stats --source E."""
+    p.add_argument("--qubits", type=int, default=9)
+    p.add_argument("--h", type=float, default=MODEL_E_DEFAULT_FIELD, help="homogeneous field")
+    p.add_argument("--J", dest="coupling", type=float, default=1.0, help="bond coupling")
+    p.add_argument("--sector", choices=["restricted", "full"], default="restricted",
+                   help="spacing statistics within the largest sigma_z sector or the full spectrum")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -504,55 +445,50 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="scatter test of the bound over perturbation draws")
     p.add_argument("--model", required=True, choices=["A", "B", "C"])
-    p.add_argument("--qubits", type=int, default=None)
-    p.add_argument("--ensemble", choices=["GOE", "GUE"], default=None,
+    p.add_argument("--qubits", type=int, default=None,
+                   help="qubit count (default: the model family's own)")
+    p.add_argument("--ensemble", choices=["GOE", "GUE"], default="GUE",
                    help="perturbation ensemble for model C")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--a-choice", dest="a_choice", choices=list(A_CHOICES), default=None)
-    p.add_argument("--a-coeffs", dest="a_coeffs", type=str, default=None,
+    p.add_argument("--samples", type=int, default=3000)
+    p.add_argument("--a-choice", dest="a_choice", choices=list(A_CHOICES), default="1/2^N")
+    p.add_argument("--a-coeffs", dest="a_coeffs", type=str, default="0.1,0.2,0.3",
                    help="model A field coefficients, comma separated")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
+    p.add_argument("--lambda", dest="lam", type=float, default=0.5,
                    help="model A coupling strength")
     _add_common(p)
-    p.set_defaults(func=_cmd_check, defaults=CHECK_DEFAULTS)
+    p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("sweep-theta", help="chaos/bound sweep of the Poisson-GOE rotation")
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--chaotic-scale", dest="chaotic_scale", type=float, default=None)
-    _add_sweep_flags(p)
+    p.add_argument("--dim", type=int, default=MODEL_D_DEFAULT_DIM)
+    p.add_argument("--chaotic-scale", dest="chaotic_scale", type=float,
+                   default=MODEL_D_CHAOTIC_SCALE)
+    _add_sweep_flags(p, points=16)
     _add_common(p)
-    p.set_defaults(func=_cmd_sweep_theta, defaults=SWEEP_THETA_DEFAULTS)
+    p.set_defaults(func=_cmd_sweep_theta)
 
     p = sub.add_parser("sweep-defect", help="chaos/bound/entanglement sweep of the defect chain")
-    p.add_argument("--d-max", dest="d_max", type=float, default=None)
-    p.add_argument("--qubits", type=int, default=None)
-    p.add_argument("--h", type=float, default=None, help="homogeneous field")
-    p.add_argument("--J", dest="coupling", type=float, default=None, help="bond coupling")
-    p.add_argument("--sector", choices=["restricted", "full"], default=None,
-                   help="spacing statistics within the largest sigma_z sector or the full spectrum")
-    _add_sweep_flags(p)
+    p.add_argument("--d-max", dest="d_max", type=float, default=2.5)
+    _add_chain_flags(p)
+    _add_sweep_flags(p, points=26)
     _add_common(p)
-    p.set_defaults(func=_cmd_sweep_defect, defaults=SWEEP_DEFECT_DEFAULTS)
+    p.set_defaults(func=_cmd_sweep_defect)
 
     p = sub.add_parser("stats", help="spacing-distribution fit and chaos parameter")
     p.add_argument("--source", required=True, choices=list(STATS_SOURCES))
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--draws", type=int, default=None)
-    p.add_argument("--theta", type=float, default=None, help="rotation angle for source D")
-    p.add_argument("--d-value", dest="d_value", type=float, default=None,
+    p.add_argument("--dim", type=int, default=MODEL_D_DEFAULT_DIM)
+    p.add_argument("--draws", type=int, default=100)
+    p.add_argument("--theta", type=float, default=math.pi / 2.0,
+                   help="rotation angle for source D")
+    p.add_argument("--d-value", dest="d_value", type=float, default=0.25,
                    help="defect strength for source E")
-    p.add_argument("--qubits", type=int, default=None)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--J", dest="coupling", type=float, default=None)
-    p.add_argument("--sector", choices=["restricted", "full"], default=None)
-    p.add_argument("--unfold-degree", dest="unfold_degree", type=int, default=None)
-    p.add_argument("--unfold-trim", dest="unfold_trim", type=float, default=None)
+    _add_chain_flags(p)
+    _add_unfolding_flags(p)
     _add_common(p)
-    p.set_defaults(func=_cmd_stats, defaults=STATS_DEFAULTS)
+    p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("report-ensembles", help="mean sqrt-curvature ratios across ensembles")
     _add_common(p)
-    p.set_defaults(func=_cmd_report_ensembles, defaults=REPORT_DEFAULTS)
+    p.set_defaults(func=_cmd_report_ensembles)
 
     return parser
 
@@ -561,13 +497,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _load_config_file(args)
-        _check_threads(args)
+        if args.config:
+            # config values become the subcommand's defaults, so flags still win
+            args.parser.set_defaults(**_load_config_file(args))
+            args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ExperimentError) as exc:
+    except (CliError, ValueError, ExperimentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

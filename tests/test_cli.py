@@ -134,6 +134,28 @@ class TestManifestReproduction:
           "gamma_mode": "pooled"}),
     ]
 
+    # every defaulted flag left unset: these pin the flags' default values
+    DEFAULT_CONFIGS = [
+        (["check", "--model", "A"], ["records.csv", "summary.json"],
+         {"subcommand": "check", "samples": 3000, "a_choice": "1/2^N",
+          "model": {"family": "A", "n_qubits": 3, "ensemble": "GUE",
+                    "a_coeffs": [0.1, 0.2, 0.3], "lam": 0.5}}),
+        (["stats", "--source", "GOE"], ["stats.json"],
+         {"subcommand": "stats", "source": "GOE", "draws": 100, "dim": 128,
+          "theta": 1.5707963267948966, "d_value": 0.25, "n_qubits": 9, "h": 0.98,
+          "J": 1.0, "sector": "restricted", "unfolding": {"degree": 6, "edge_trim": 0.05}}),
+    ]
+
+    @pytest.mark.parametrize("argv,outputs,config", DEFAULT_CONFIGS,
+                             ids=["check", "stats"])
+    def test_default_manifest_config(self, tmp_path, argv, outputs, config):
+        out = tmp_path / "m"
+        assert run_cli([*argv, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["master_seed"] == 0
+        assert manifest["config"] == config
+        assert list(manifest["outputs"]) == outputs
+
     @pytest.mark.parametrize("argv,config", SWEEP_CONFIGS, ids=["theta", "defect"])
     def test_sweep_manifest_config(self, tmp_path, argv, config):
         out = tmp_path / "m"
@@ -169,6 +191,18 @@ class TestConfigFile:
         assert summary["samples_requested"] == 20
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["master_seed"] == 5
+
+    def test_stats_precedence_flag_config_default(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"draws": 6, "dim": 48, "seed": 3}))
+        out = tmp_path / "out"
+        assert run_cli(["stats", "--source", "GOE", "--dim", "64", "--config", str(cfg),
+                        "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["master_seed"] == 3  # config beats default
+        assert manifest["config"]["draws"] == 6  # config beats default
+        assert manifest["config"]["dim"] == 64  # flag beats config
+        assert manifest["config"]["unfolding"]["degree"] == 6  # default
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -265,6 +299,42 @@ class TestSweepCommands:
 
     def test_invalid_points(self, tmp_path):
         assert run_cli(["sweep-theta", "--points", "1", "--out", str(tmp_path)]) == 2
+
+    SMALL_RUNS = {
+        "sweep-theta": ["sweep-theta", "--points", "2", "--realizations", "8",
+                        "--dim", "64", "--seed", "9"],
+        "sweep-defect": ["sweep-defect", "--points", "2", "--realizations", "4",
+                         "--qubits", "6", "--seed", "9"],
+        "stats": ["stats", "--source", "GOE", "--dim", "64", "--draws", "4"],
+    }
+    BAD_VALUES = [("sweep-theta", "outlier-k", -1), ("sweep-defect", "outlier-k", -0.5),
+                  ("sweep-theta", "unfold-trim", 0.6), ("sweep-defect", "unfold-trim", 0.5),
+                  ("stats", "unfold-trim", -0.1), ("sweep-theta", "unfold-degree", 0),
+                  ("stats", "unfold-degree", 0)]
+
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    @pytest.mark.parametrize("command,flag,value", BAD_VALUES,
+                             ids=[f"{c}-{f}" for c, f, _ in BAD_VALUES])
+    def test_bad_unfolding_value_exits_2_before_any_draw(self, tmp_path, capsys, monkeypatch,
+                                                         command, flag, value, via_config):
+        import qcbound.cli as cli_mod
+        import qcbound.experiments as experiments
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a draw was made")
+
+        monkeypatch.setattr(experiments, "_sweep", no_draw)
+        monkeypatch.setattr(cli_mod, "spawn_seed", no_draw)
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag.replace("-", "_"): value}))
+            extra = ["--config", str(cfg)]
+        else:
+            extra = [f"--{flag}", str(value)]
+        out = tmp_path / "o"
+        assert run_cli([*self.SMALL_RUNS[command], *extra, "--out", str(out)]) == 2
+        assert f"--{flag}" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_per_realization_fit_failures_are_counted(self, tmp_path, capsys):
         code = run_cli(["sweep-theta", "--points", "2", "--realizations", "4",
@@ -382,10 +452,13 @@ class TestEnvThreads:
         assert run_cli(["check", "--model", "B", "--samples", "10",
                         "--seed", "1", "--out", str(out)]) == 0
 
-    def test_env_invalid(self, tmp_path, monkeypatch):
+    def test_env_ignored(self, tmp_path, monkeypatch):
+        argv = ["check", "--model", "B", "--samples", "10", "--seed", "1"]
+        assert run_cli([*argv, "--out", str(tmp_path / "plain")]) == 0
         monkeypatch.setenv("QCBOUND_THREADS", "soup")
-        assert run_cli(["check", "--model", "B", "--samples", "10",
-                        "--out", str(tmp_path)]) == 2
+        assert run_cli([*argv, "--out", str(tmp_path / "soup")]) == 0
+        assert ((tmp_path / "soup" / "records.csv").read_bytes()
+                == (tmp_path / "plain" / "records.csv").read_bytes())
 
 
 def test_module_runs_the_cli():
