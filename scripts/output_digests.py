@@ -41,6 +41,8 @@ CONFIGS = {
                      "--seed", "6"], _CHECK),
     "sweep-theta-d64": (["sweep-theta", "--points", "4", "--realizations", "12",
                          "--dim", "64", "--seed", "9"], ("theta_sweep.csv",)),
+    "sweep-theta-ends": (["sweep-theta", "--points", "2", "--realizations", "10",
+                          "--dim", "128", "--seed", "3"], ("theta_sweep.csv",)),
     "sweep-theta-d128-per-realization": (
         ["sweep-theta", "--points", "3", "--realizations", "6", "--dim", "128",
          "--seed", "2", "--gamma-mode", "per-realization"], ("theta_sweep.csv",)),
@@ -52,6 +54,8 @@ CONFIGS = {
     **{f"stats-{source}": (["stats", "--source", source, "--draws", "20", "--dim", "96",
                             "--seed", "4"], ("stats.json",))
        for source in ("GOE", "GUE", "PoissonDiagonal", "D")},
+    "stats-D-theta0": (["stats", "--source", "D", "--theta", "0", "--draws", "20",
+                        "--dim", "96", "--seed", "4"], ("stats.json",)),
     **{f"stats-E-{sector}": (["stats", "--source", "E", "--draws", "10", "--qubits", "8",
                               "--seed", "4", "--sector", sector], ("stats.json",))
        for sector in ("restricted", "full")},

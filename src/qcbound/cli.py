@@ -30,15 +30,19 @@ import numpy as np
 
 from . import __version__
 from .curvature import ensemble_deltaQ_ratios
-from .ensembles import RNG_ALGORITHM, EnsembleKind, EnsembleSpec, _sample_matrix, spawn_seed
+from .ensembles import (
+    RNG_ALGORITHM, EnsembleKind, EnsembleSpec, _matrix_sampler, _seeded_generators, spawn_seeds,
+)
 from .experiments import (
     ExperimentError,
     RunManifest,
+    _model_d_spectrum,
     scatter_bound_test,
     sweep_defect,
     sweep_theta,
 )
 from .level_stats import (
+    MIN_UNFOLD_LEVELS,
     UnfoldingError,
     gamma_chaos,
     pool_spacing_samples,
@@ -50,7 +54,7 @@ from .models import (
     MODEL_D_DEFAULT_DIM,
     MODEL_E_DEFAULT_FIELD,
     ModelConfig,
-    _model_d_matrix,
+    _ModelDSampler,
     model_e_blocks,
 )
 from .quantum import block_spectrum
@@ -226,6 +230,21 @@ def _check_unfolding(args) -> None:
         raise CliError("--unfold-trim must lie in [0, 0.5)")
 
 
+def _check_spectrum_size(args, chain: bool) -> None:
+    """Reject a spectrum too small to unfold, before any draw: ``--dim``
+    levels, or for the defect chain C(N, N // 2) levels in the restricted
+    sector and 2^N with ``--sector full``."""
+    if chain:
+        n = max(args.qubits, 0)
+        levels = 2**n if args.sector == "full" else math.comb(n, n // 2)
+        flag = f"--qubits {args.qubits} (--sector {args.sector})"
+    else:
+        levels, flag = args.dim, f"--dim {args.dim}"
+    if levels < MIN_UNFOLD_LEVELS:
+        raise CliError(f"{flag} gives {levels} levels to unfold; "
+                       f"unfolding needs at least {MIN_UNFOLD_LEVELS}")
+
+
 def _check_sweep_size(args) -> None:
     if args.points < 2:
         raise CliError("--points must be at least 2")
@@ -265,6 +284,7 @@ def _write_sweep(args, rows: list, kind: str, param_column: str, config: dict) -
 
 def _cmd_sweep_theta(args) -> int:
     _check_sweep_size(args)
+    _check_spectrum_size(args, chain=False)
     rows = sweep_theta(
         np.linspace(0.0, math.pi / 2.0, args.points),
         realizations=args.realizations,
@@ -285,6 +305,7 @@ def _cmd_sweep_defect(args) -> int:
     _check_sweep_size(args)
     if args.d_max <= 0:
         raise CliError("--d-max must be positive")
+    _check_spectrum_size(args, chain=True)
     rows = sweep_defect(
         np.linspace(0.0, args.d_max, args.points),
         realizations=args.realizations,
@@ -315,24 +336,33 @@ def _cmd_stats(args) -> int:
     if args.draws < 1:
         raise CliError("--draws must be positive")
     _check_unfolding(args)
+    _check_spectrum_size(args, chain=args.source == "E")
     samples = []
     n_failed = 0
-    for i in range(args.draws):
-        seed = spawn_seed(args.seed, i)
-        if args.source in ("GOE", "GUE", "PoissonDiagonal"):
-            spec = EnsembleSpec(EnsembleKind(args.source), args.dim)
-            eigs = np.linalg.eigvalsh(_sample_matrix(spec, seed))
-        elif args.source == "D":
-            eigs = np.linalg.eigvalsh(
-                _model_d_matrix(args.theta, seed, args.dim, MODEL_D_CHAOTIC_SCALE)
-            )
-        else:  # E, solved in its total-sigma_z sectors as in sweep-defect
+    # draw i is seeded with spawn_seed(seed, i), all derived in one pass
+    seeds = spawn_seeds(args.seed, np.arange(args.draws))
+    if args.source in ("GOE", "GUE", "PoissonDiagonal"):
+        sampler = _matrix_sampler(EnsembleSpec(EnsembleKind(args.source), args.dim))
+        rng = _seeded_generators(seeds)
+
+        def spectrum(i: int) -> np.ndarray:
+            return np.linalg.eigvalsh(sampler(rng(i)))
+    elif args.source == "D":
+        draws = _ModelDSampler(seeds, args.dim, MODEL_D_CHAOTIC_SCALE)
+
+        def spectrum(i: int) -> np.ndarray:
+            return _model_d_spectrum(draws, args.theta, i)
+    else:  # E, solved in its total-sigma_z sectors as in sweep-defect
+
+        def spectrum(i: int) -> np.ndarray:
             blocks = model_e_blocks(n_qubits=args.qubits, d=args.d_value, h=args.h,
-                                    J=args.coupling, seed=seed)
+                                    J=args.coupling, seed=int(seeds[i]))
             if args.sector == "restricted":
-                eigs = np.linalg.eigvalsh(blocks[args.qubits // 2][1])
-            else:
-                eigs = block_spectrum(blocks).eigenvalues
+                return np.linalg.eigvalsh(blocks[args.qubits // 2][1])
+            return block_spectrum(blocks).eigenvalues
+
+    for i in range(args.draws):
+        eigs = spectrum(i)
         try:
             samples.append(
                 spacing_sample_from_levels(

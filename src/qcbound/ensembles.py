@@ -7,11 +7,14 @@ each task is derived as the first 64-bit word of
 re-derived in isolation from the run manifest.
 
 Many draws at once: ``spawn_seeds`` derives a whole array of child seeds in
-one vectorized pass, and ``_seeded_generators`` hands out generators whose
-streams equal ``default_rng(seed)``, both bit for bit.  They run numpy's
-documented ``SeedSequence`` hash (O'Neill's seed_seq_fe, pool of four 32-bit
-words) column-wise on ``uint32`` arrays, and PCG64's ``set_seed`` on 128-bit
-Python ints, so a draw costs no ``SeedSequence`` object of its own.
+one vectorized pass (``spawn_seeds(master, range(R), prefix=(t,))`` is every
+realization of a sweep's grid point t), ``_child_seeds`` the children
+``spawn_seed(seed, k)`` of a whole array of seeds, and ``_seeded_generators``
+hands out generators whose streams equal ``default_rng(seed)``, all bit for
+bit.  They run numpy's documented ``SeedSequence`` hash (O'Neill's
+seed_seq_fe, pool of four 32-bit words) column-wise on ``uint32`` arrays, and
+PCG64's ``set_seed`` on 128-bit Python ints, so a draw costs no
+``SeedSequence`` object of its own while the contract above holds exactly.
 """
 
 from __future__ import annotations
@@ -76,12 +79,20 @@ def spawn_seed(master_seed: int, *indices: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def spawn_seeds(master_seed: int, indices) -> np.ndarray:
-    """``[spawn_seed(master_seed, i) for i in indices]`` as a ``uint64`` array,
-    bit for bit, computed in one vectorized pass (indices in [0, 2^64))."""
+def spawn_seeds(master_seed: int, indices, prefix: tuple = ()) -> np.ndarray:
+    """``[spawn_seed(master_seed, *prefix, i) for i in indices]`` as a
+    ``uint64`` array, bit for bit, computed in one vectorized pass (indices in
+    [0, 2^64))."""
     indices = np.asarray(indices, dtype=np.uint64).ravel()
-    master_words = _int_words(int(master_seed))
-    return _as_uint64(_seed_sequence_words(indices, master_words, 2))[:, 0]
+    words = sum((_int_words(int(v)) for v in (master_seed, *prefix)), ())
+    return _as_uint64(_seed_sequence_words(indices, words, 2))[:, 0]
+
+
+def _child_seeds(seeds, index: int) -> np.ndarray:
+    """``[spawn_seed(s, index) for s in seeds]`` as a ``uint64`` array, bit for
+    bit, in one vectorized pass (seeds in [0, 2^64))."""
+    seeds = np.asarray(seeds, dtype=np.uint64).ravel()
+    return _as_uint64(_seed_sequence_words(seeds, (), 2, _int_words(int(index))))[:, 0]
 
 
 def _seeded_generators(seeds) -> Callable[[int], np.random.Generator]:
@@ -130,9 +141,12 @@ def _int_words(value: int) -> tuple:
     return tuple(words)
 
 
-def _seed_sequence_words(values: np.ndarray, prefix: tuple, n_words: int) -> np.ndarray:
-    """``SeedSequence([*prefix, v]).generate_state(n_words, np.uint32)`` for
-    every ``uint64`` value v, as one (len(values), n_words) ``uint32`` array.
+def _seed_sequence_words(
+    values: np.ndarray, prefix: tuple, n_words: int, suffix: tuple = ()
+) -> np.ndarray:
+    """``SeedSequence([*prefix, v, *suffix]).generate_state(n_words, np.uint32)``
+    for every ``uint64`` value v, as one (len(values), n_words) ``uint32``
+    array; ``prefix`` and ``suffix`` are entropy words (``_int_words``).
 
     A value's entropy is one word, or two when it is 2^32 or more, so the
     rows are hashed in those two groups; within a group the hash constants
@@ -149,6 +163,7 @@ def _seed_sequence_words(values: np.ndarray, prefix: tuple, n_words: int) -> np.
         entropy.append(low[rows])
         if two_words:
             entropy.append(high[rows])
+        entropy += [np.full(rows.size, w, dtype=np.uint32) for w in suffix]
         pool = _mix_entropy(entropy)
         hash_const = _INIT_B
         for k in range(n_words):  # SeedSequence.generate_state
@@ -204,22 +219,39 @@ def _sample_matrix(spec: EnsembleSpec, seed: int) -> np.ndarray:
     paths.  Every kind is exactly Hermitian by construction (m == m^dag
     bitwise), so the ``HermitianOperator`` symmetrization would not change it.
     """
-    z = _normals(spec, np.random.default_rng(int(seed)))
+    return _matrix_sampler(spec)(np.random.default_rng(int(seed)))
+
+
+def _matrix_sampler(spec: EnsembleSpec) -> Callable[[np.random.Generator], np.ndarray]:
+    """``draw(rng)``: the matrix of ``_sample_matrix`` drawn from ``rng``,
+    written into the same buffers on every call (the normals and the matrix),
+    so a caller must be done with one matrix before it draws the next.
+
+    GOE: (A + A^T) scale / sqrt 2.  GUE: (B + B^dag) scale / 2 for B = X + iY,
+    written part by part (real X + X^T, imaginary Y - Y^T, the same floats).
+    PoissonDiagonal: the normals on the diagonal of a zero matrix.
+    """
     d = spec.dim
-    if spec.kind is EnsembleKind.GOE:
-        matrix = z + z.T
-        matrix *= spec.scale / math.sqrt(2.0)
-    elif spec.kind is EnsembleKind.POISSON_DIAGONAL:
-        matrix = np.diag(z)
-    else:
-        # (B + B^dag) * scale/2 for B = X + iY, written part by part into one
-        # buffer: real X + X^T, imaginary Y - Y^T (the same floats).
-        x, y = z
-        matrix = np.empty((d, d), dtype=complex)
-        np.add(x, x.T, out=matrix.real)
-        np.subtract(y, y.T, out=matrix.imag)
-        matrix *= spec.scale / 2.0
-    return matrix
+    complex_kind = spec.kind in (EnsembleKind.GUE, EnsembleKind.GENERIC_HERMITIAN)
+    matrix = np.zeros((d, d), dtype=complex if complex_kind else float)
+    z = None
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        nonlocal z, matrix
+        z = _normals(spec, rng, z)
+        if spec.kind is EnsembleKind.GOE:
+            np.add(z, z.T, out=matrix)
+            matrix *= spec.scale / math.sqrt(2.0)
+        elif spec.kind is EnsembleKind.POISSON_DIAGONAL:
+            np.fill_diagonal(matrix, z)
+        else:
+            x, y = z
+            np.add(x, x.T, out=matrix.real)
+            np.subtract(y, y.T, out=matrix.imag)
+            matrix *= spec.scale / 2.0
+        return matrix
+
+    return draw
 
 
 def _sample_row(spec: EnsembleSpec, rng: np.random.Generator, c: np.ndarray) -> np.ndarray:
@@ -251,19 +283,22 @@ def _sample_row(spec: EnsembleSpec, rng: np.random.Generator, c: np.ndarray) -> 
     return row
 
 
-def _normals(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
+def _normals(spec: EnsembleSpec, rng: np.random.Generator, out: np.ndarray | None = None
+             ) -> np.ndarray:
     """The random numbers of one draw, in stream order; ``_sample_matrix``
     and ``_sample_row`` both read them, so they see the same V.
 
     GOE: A, (d, d).  GUE / GenericHermitian: X then Y, drawn as one (2, d, d)
     array (the same normals as two (d, d) draws).  PoissonDiagonal: the
-    diagonal, N(0, sigma^2) with sigma = scale sqrt(d + 1).
+    diagonal, N(0, sigma^2) with sigma = scale sqrt(d + 1), always a new
+    array.  ``out``, when given, is the array of an earlier draw of the same
+    spec to write the (d, d) normals into.
     """
     d = spec.dim
     if spec.kind is EnsembleKind.GOE:
-        return rng.standard_normal((d, d))
+        return rng.standard_normal((d, d), out=out)
     if spec.kind in (EnsembleKind.GUE, EnsembleKind.GENERIC_HERMITIAN):
-        return rng.standard_normal((2, d, d))
+        return rng.standard_normal((2, d, d), out=out)
     if spec.kind is EnsembleKind.POISSON_DIAGONAL:
         return rng.normal(0.0, spec.scale * math.sqrt(d + 1.0), size=d)
     raise ValueError(f"unknown ensemble kind {spec.kind!r}")  # pragma: no cover

@@ -4,8 +4,15 @@ Seeding layout (see ensembles.RNG_ALGORITHM): a scatter run derives the base
 Hamiltonian seed as spawn_seed(master, 0) and the i-th perturbation seed as
 spawn_seed(master, i + 1), all of the latter in one ``spawn_seeds`` pass; a
 sweep derives the seed of realization r at grid index t as
-spawn_seed(master, t, r).  Draws run one after another in task-index order, in
-the calling thread.
+spawn_seed(master, t, r), and a model-D draw takes its H_P and H_W streams
+from the children spawn_seed(seed, 0) and spawn_seed(seed, 1).  Those seeds
+are derived once per grid point, for all r in one ``spawn_seeds`` pass and
+their model-D children in one more (``models._ModelDSampler``), bit for bit
+the contract above: no draw builds a ``SeedSequence`` of its own.  At
+theta = 0, H(theta) is diagonal and its spectrum is the sorted diagonal, bit
+for bit what ``eigvalsh`` returns.  The CLI rejects a spectrum too small to
+unfold (``level_stats.MIN_UNFOLD_LEVELS``) before any draw.  Draws run one
+after another in task-index order, in the calling thread.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from .models import (
     MODEL_D_CHAOTIC_SCALE,
     MODEL_E_DEFAULT_FIELD,
     ModelConfig,
-    _model_d_matrix,
+    _ModelDSampler,
     build_scatter_model,
     model_e_blocks,
 )
@@ -276,15 +283,25 @@ def _aggregate_row(
     )
 
 
+def _model_d_spectrum(draws: _ModelDSampler, theta: float, i: int) -> np.ndarray:
+    """Ascending eigenvalues of model-D draw i at theta.  When sin(theta) = 0,
+    H(theta) is its diagonal: the spectrum is the sorted diagonal, with no GOE
+    draw and no eigensolve (``eigvalsh`` returns the same floats for it)."""
+    if math.sin(theta) == 0.0:
+        return np.sort(draws.diagonal(theta, i))
+    return np.linalg.eigvalsh(draws.matrix(theta, i))
+
+
 def _sweep(
-    grid, label: str, draw, realizations: int, master_seed: int, poly_degree: int,
+    grid, label: str, draws, realizations: int, master_seed: int, poly_degree: int,
     edge_trim: float, outlier_k: float, per_realization_gamma: bool,
     n_qubits: int | None = None,
 ) -> list:
     """One aggregated row per grid value of a sweep's critical parameter.
 
-    Realization r at grid index t is ``draw(param, spawn_seed(master_seed, t,
-    r))``, which returns (eigenvalues, levels, ground_vector): b comes from the
+    At grid index t, ``draws(param, seeds)`` gets the seeds spawn_seed(master,
+    t, r) of every realization r, derived in one pass, and returns
+    ``draw(r) -> (eigenvalues, levels, ground_vector)``: b comes from the
     full sorted spectrum, the spacing sample from ``levels``, gamma from this
     draw's own Weibull fit in per-realization mode (from the pooled fit
     otherwise), and the ground-state Q only when ``n_qubits`` is given.  A
@@ -294,11 +311,10 @@ def _sweep(
     rows = []
     for t_index, param in enumerate(float(p) for p in grid):
         source = f"{label}={param:g}"
+        draw = draws(param, spawn_seeds(master_seed, np.arange(realizations), (t_index,)))
 
         def one_draw(r: int):
-            eigenvalues, levels, ground_vector = draw(
-                param, spawn_seed(master_seed, t_index, r)
-            )
+            eigenvalues, levels, ground_vector = draw(r)
             try:
                 b = bound_b(eigenvalues)
                 sample = spacing_sample_from_levels(
@@ -347,11 +363,16 @@ def sweep_theta(
     parameter comes from a pooled Weibull fit by default.
     """
 
-    def draw(theta: float, seed: int) -> tuple:
-        eigs = np.linalg.eigvalsh(_model_d_matrix(theta, seed, dim, chaotic_scale))
-        return eigs, eigs, None
+    def draws(theta: float, seeds: np.ndarray):
+        sampler = _ModelDSampler(seeds, dim, chaotic_scale)
 
-    return _sweep(theta_grid, "model-D theta", draw, realizations, master_seed,
+        def draw(r: int) -> tuple:
+            eigs = _model_d_spectrum(sampler, theta, r)
+            return eigs, eigs, None
+
+        return draw
+
+    return _sweep(theta_grid, "model-D theta", draws, realizations, master_seed,
                   poly_degree, edge_trim, outlier_k, per_realization_gamma)
 
 
@@ -376,14 +397,19 @@ def sweep_defect(
     ground-state Q come from the merged spectrum of all sectors.
     """
 
-    def draw(d: float, seed: int) -> tuple:
-        spectrum = block_spectrum(model_e_blocks(n_qubits=n_qubits, d=d, h=h, J=J, seed=seed))
-        levels = (
-            spectrum.block_eigenvalues[n_qubits // 2]
-            if sector_restricted
-            else spectrum.eigenvalues
-        )
-        return spectrum.eigenvalues, levels, spectrum.ground_vector
+    def draws(d: float, seeds: np.ndarray):
+        def draw(r: int) -> tuple:
+            spectrum = block_spectrum(
+                model_e_blocks(n_qubits=n_qubits, d=d, h=h, J=J, seed=int(seeds[r]))
+            )
+            levels = (
+                spectrum.block_eigenvalues[n_qubits // 2]
+                if sector_restricted
+                else spectrum.eigenvalues
+            )
+            return spectrum.eigenvalues, levels, spectrum.ground_vector
 
-    return _sweep(d_grid, "model-E d", draw, realizations, master_seed, poly_degree,
+        return draw
+
+    return _sweep(d_grid, "model-E d", draws, realizations, master_seed, poly_degree,
                   edge_trim, outlier_k, per_realization_gamma, n_qubits=n_qubits)

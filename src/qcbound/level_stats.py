@@ -21,6 +21,7 @@ import numpy as np
 
 __all__ = [
     "S0_CROSSING",
+    "MIN_UNFOLD_LEVELS",
     "UnfoldingError",
     "FitConvergenceError",
     "TooFewSpacingsError",
@@ -38,6 +39,9 @@ __all__ = [
 ]
 
 S0_CROSSING = 0.472
+
+# Fewest levels ``unfold`` accepts; the CLI rejects smaller spectra up front.
+MIN_UNFOLD_LEVELS = 20
 
 
 class UnfoldingError(RuntimeError):
@@ -118,17 +122,27 @@ class SpacingSample:
 def _fit_counting_function(levels: np.ndarray, degree: int):
     """Least-squares polynomial fit of the staircase, evaluated at the levels.
 
-    The same floats as ``Polynomial.fit(levels, y, degree)(levels)``: levels
-    mapped once from [min, max] to [-1, 1], then ``polyfit``/``polyval`` on
-    the mapped levels, without building the ``Polynomial`` object.
+    The same floats as ``Polynomial.fit(levels, y, degree)(levels)``, by the
+    steps numpy's ``polyfit``/``polyval`` take, without their wrappers:
+    levels mapped once from [min, max] to [-1, 1], the Vandermonde rows
+    x^0..x^degree by repeated products, each scaled by its norm (summed along
+    the contiguous axis), ``lstsq`` with rcond n eps, then Horner's rule.
     """
-    # Through the np.polynomial attribute: numpy loads that package lazily, and
-    # a process that never unfolds (a scatter run) does not pay for it.
-    poly, utils = np.polynomial.polynomial, np.polynomial.polyutils
     y = np.arange(levels.size) + 0.5
-    off, scl = utils.mapparms(utils.getdomain(levels), (-1.0, 1.0))
-    x = off + scl * levels
-    return poly.polyval(x, poly.polyfit(x, y, degree))
+    lo, hi = levels.min(), levels.max()
+    x = (-hi - lo) / (hi - lo) + (2.0 / (hi - lo)) * levels
+    vander = np.empty((degree + 1, x.size))
+    vander[0] = x * 0 + 1
+    for k in range(1, degree + 1):
+        np.multiply(vander[k - 1], x, out=vander[k])
+    norms = np.sqrt(np.square(vander).sum(1))
+    norms[norms == 0] = 1
+    coef = np.linalg.lstsq(vander.T / norms, y, x.size * np.finfo(float).eps)[0] / norms
+    result = coef[-1] + x * 0
+    for c in coef[-2::-1]:
+        result *= x
+        result += c
+    return result
 
 
 def unfold(
@@ -143,8 +157,8 @@ def unfold(
     """
     levels = np.sort(np.asarray(eigenvalues, dtype=float))
     n = levels.size
-    if n < 20:
-        raise UnfoldingError(f"need at least 20 levels to unfold, got {n}")
+    if n < MIN_UNFOLD_LEVELS:
+        raise UnfoldingError(f"need at least {MIN_UNFOLD_LEVELS} levels to unfold, got {n}")
     k = int(math.floor(edge_trim * n))
     for degree in (poly_degree, poly_degree - 1):
         if degree < 1:

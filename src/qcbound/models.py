@@ -32,7 +32,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ensembles import EnsembleKind, EnsembleSpec, _sample_matrix, sample, spawn_seed
+from .ensembles import (
+    EnsembleKind, EnsembleSpec, _child_seeds, _matrix_sampler, _normals, _seeded_generators,
+    sample,
+)
 from .quantum import HermitianOperator, _embed, _PAULI, heisenberg_coupling
 
 __all__ = [
@@ -216,28 +219,57 @@ def model_d(
 
     H(theta) = cos(theta) H_P + sin(theta) H_W, with H_P normalized to unit
     spectral standard deviation and H_W to ``chaotic_scale`` times that, so the
-    mixing weights act on comparable (and documented) energy scales.
+    mixing weights act on comparable (and documented) energy scales.  H_P is
+    drawn from child seed spawn_seed(seed, 0) and H_W from spawn_seed(seed, 1).
 
     The normalization needs no eigensolve: the eigenvalue standard deviation
     of H_W is sqrt(||H_W||_F^2 / d - (tr H_W / d)^2) (``_spectral_std``).  H_P
     is diagonal, so H(theta) is the scaled H_W with cos(theta) p / std(p),
-    p = diag(H_P), added to its diagonal in place.
+    p = diag(H_P), added to its diagonal in place (``_ModelDSampler``).
     """
-    return HermitianOperator(_model_d_matrix(theta, seed, dim, chaotic_scale))
+    if not 0 <= seed < 2**64:
+        raise ValueError("model D seeds must lie in [0, 2^64)")
+    return HermitianOperator(_ModelDSampler([seed], dim, chaotic_scale).matrix(theta, 0))
 
 
-def _model_d_matrix(theta: float, seed: int, dim: int, chaotic_scale: float) -> np.ndarray:
-    """The matrix of ``model_d`` as a plain array, for the sweep's per-draw
-    path: a scaled GOE draw plus a diagonal is exactly symmetric, so the
-    ``HermitianOperator`` symmetrization would not change it."""
-    if not 0.0 <= theta <= math.pi / 2.0 + 1e-12:
-        raise ValueError("theta must lie in [0, pi/2]")
-    hp = _sample_matrix(EnsembleSpec(EnsembleKind.POISSON_DIAGONAL, dim), spawn_seed(seed, 0))
-    hw = _sample_matrix(EnsembleSpec(EnsembleKind.GOE, dim), spawn_seed(seed, 1))
-    p = np.diag(hp)
-    hw *= math.sin(theta) * chaotic_scale / _spectral_std(hw)
-    hw[np.diag_indices(dim)] += math.cos(theta) * (p / np.std(p))
-    return hw
+class _ModelDSampler:
+    """Model-D draws of an array of seeds, for the per-draw paths of the
+    sweep and ``stats``.
+
+    ``matrix(theta, i)`` is the matrix of ``model_d(theta, seeds[i], dim,
+    chaotic_scale)`` bit for bit, as a plain array written into one buffer
+    that every call reuses: a scaled GOE draw plus a diagonal is exactly
+    symmetric, so the ``HermitianOperator`` symmetrization would not change
+    it.  ``diagonal(theta, i)`` is cos(theta) p / std(p) alone, which is all
+    of H(theta) when sin(theta) = 0; it draws no GOE normals.
+
+    The generators of both child streams of every seed are derived up front
+    in one pass (``ensembles._child_seeds``, ``_seeded_generators``), so a
+    draw builds no ``SeedSequence``.
+    """
+
+    def __init__(self, seeds, dim: int, chaotic_scale: float):
+        seeds = np.asarray(seeds, dtype=np.uint64).ravel()
+        self._n = seeds.size
+        self._rng = _seeded_generators(
+            np.concatenate([_child_seeds(seeds, 0), _child_seeds(seeds, 1)])
+        )
+        self._poisson = EnsembleSpec(EnsembleKind.POISSON_DIAGONAL, dim)
+        self._goe = _matrix_sampler(EnsembleSpec(EnsembleKind.GOE, dim))
+        self._chaotic_scale = chaotic_scale
+
+    def diagonal(self, theta: float, i: int) -> np.ndarray:
+        if not 0.0 <= theta <= math.pi / 2.0 + 1e-12:
+            raise ValueError("theta must lie in [0, pi/2]")
+        p = _normals(self._poisson, self._rng(i))
+        return math.cos(theta) * (p / np.std(p))
+
+    def matrix(self, theta: float, i: int) -> np.ndarray:
+        diagonal = self.diagonal(theta, i)
+        hw = self._goe(self._rng(self._n + i))
+        hw *= math.sin(theta) * self._chaotic_scale / _spectral_std(hw)
+        hw.reshape(-1)[:: hw.shape[0] + 1] += diagonal
+        return hw
 
 
 def model_e_blocks(

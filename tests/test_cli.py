@@ -324,7 +324,7 @@ class TestSweepCommands:
             raise AssertionError("a draw was made")
 
         monkeypatch.setattr(experiments, "_sweep", no_draw)
-        monkeypatch.setattr(cli_mod, "spawn_seed", no_draw)
+        monkeypatch.setattr(cli_mod, "spawn_seeds", no_draw)
         if via_config:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({flag.replace("-", "_"): value}))
@@ -335,6 +335,45 @@ class TestSweepCommands:
         assert run_cli([*self.SMALL_RUNS[command], *extra, "--out", str(out)]) == 2
         assert f"--{flag}" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+    TOO_SMALL = [
+        (["sweep-theta", "--points", "2", "--realizations", "4", "--dim", "19"], "--dim"),
+        (["sweep-defect", "--qubits", "5", "--points", "2", "--realizations", "4"], "--qubits"),
+        (["sweep-defect", "--qubits", "4", "--sector", "full", "--points", "2",
+          "--realizations", "4"], "--qubits"),
+        (["stats", "--source", "GOE", "--dim", "10"], "--dim"),
+        (["stats", "--source", "D", "--dim", "19"], "--dim"),
+        (["stats", "--source", "E", "--qubits", "5"], "--qubits"),
+        (["stats", "--source", "E", "--qubits", "4", "--sector", "full"], "--qubits"),
+    ]
+
+    @pytest.mark.parametrize("argv,flag", TOO_SMALL,
+                             ids=[" ".join(a[:1] + a[-2:]) for a, _ in TOO_SMALL])
+    def test_spectrum_too_small_to_unfold_exits_2_before_any_draw(
+            self, tmp_path, capsys, monkeypatch, argv, flag):
+        # 20 levels is the unfold minimum: C(N, N // 2) levels in the
+        # restricted sector (10 at N = 5), 2^N with --sector full (16 at N = 4)
+        import qcbound.cli as cli_mod
+        import qcbound.experiments as experiments
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a draw was made")
+
+        monkeypatch.setattr(experiments, "_sweep", no_draw)
+        monkeypatch.setattr(cli_mod, "spawn_seeds", no_draw)
+        out = tmp_path / "o"
+        assert run_cli([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "at least 20" in err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-defect", "--qubits", "6", "--points", "2", "--realizations", "8", "--d-max", "0.5"],
+        ["stats", "--source", "E", "--qubits", "5", "--sector", "full", "--draws", "4"],
+        ["stats", "--source", "GOE", "--dim", "20", "--draws", "6"],
+    ], ids=["defect-N6", "stats-E-N5-full", "stats-GOE-d20"])
+    def test_smallest_unfoldable_spectrum_runs(self, tmp_path, argv):
+        assert run_cli([*argv, "--out", str(tmp_path)]) == 0
 
     def test_per_realization_fit_failures_are_counted(self, tmp_path, capsys):
         code = run_cli(["sweep-theta", "--points", "2", "--realizations", "4",

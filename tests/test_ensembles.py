@@ -3,8 +3,8 @@ import pytest
 from scipy import stats
 
 from qcbound.ensembles import (
-    EnsembleKind, EnsembleSpec, RNG_ALGORITHM, _sample_matrix, _sample_row,
-    _seeded_generators, sample, spawn_seed, spawn_seeds,
+    EnsembleKind, EnsembleSpec, RNG_ALGORITHM, _child_seeds, _matrix_sampler, _sample_matrix,
+    _sample_row, _seeded_generators, sample, spawn_seed, spawn_seeds,
 )
 from qcbound.level_stats import spacing_sample_from_levels, weibull_mle
 
@@ -84,6 +84,40 @@ class TestBatchSeeding:
             indices = np.arange(1, length + 1)
             expected = [spawn_seed(master, int(i)) for i in indices]
             assert spawn_seeds(master, indices).tolist() == expected
+
+    @pytest.mark.parametrize("master", [0, 2**32, 2**64 - 1])
+    def test_grid_point_seeds_equal_spawn_seed(self, master):
+        # a sweep's seed pass: every realization r of grid index t at once
+        realizations = [0, 1, 49, 2**32 - 1, 2**32, 2**32 + 7, 2**64 - 1]
+        for t in (0, 3, 2**32 - 1, 2**32, 2**40 + 3):
+            got = spawn_seeds(master, realizations, (t,))
+            assert got.tolist() == [spawn_seed(master, t, r) for r in realizations]
+            assert spawn_seeds(master, np.arange(50), (t,)).tolist() == [
+                spawn_seed(master, t, r) for r in range(50)
+            ]
+
+    def test_child_seeds_and_streams_equal_spawn_seed(self):
+        # model D's two children of each seed, mixed one- and two-word seeds
+        seeds = [0, 5, 2**32 - 1, 2**32, 2**33 + 1, 2**64 - 1,
+                 *spawn_seeds(9, np.arange(40)).tolist()]
+        for k in (0, 1):
+            children = _child_seeds(seeds, k)
+            assert children.tolist() == [spawn_seed(s, k) for s in seeds]
+            rng = _seeded_generators(children)
+            for i, s in enumerate(seeds):
+                expected = np.random.default_rng(spawn_seed(s, k)).standard_normal(9)
+                assert rng(i).standard_normal(9).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", list(EnsembleKind))
+    def test_matrix_sampler_reuses_buffers_and_equals_sample(self, kind):
+        spec = EnsembleSpec(kind, 24, scale=0.8)
+        draw = _matrix_sampler(spec)
+        seeds = [3, 2**40 + 1, 3]
+        first = draw(np.random.default_rng(seeds[0]))
+        for seed in seeds:
+            m = draw(np.random.default_rng(seed))
+            assert m is first
+            assert m.tobytes() == sample(spec, seed).matrix.tobytes()
 
     def test_generators_equal_default_rng(self):
         seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, *spawn_seeds(5, np.arange(1000)).tolist()]

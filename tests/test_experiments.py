@@ -182,6 +182,48 @@ class TestSweepTheta:
         rows = sweep_theta([0.0, np.pi / 2], realizations=12, master_seed=4, dim=64)
         assert rows[0].gamma_mean > rows[-1].gamma_mean
 
+    def test_draws_follow_the_seeding_contract(self, monkeypatch):
+        # realization r at grid index t is model D of spawn_seed(master, t, r),
+        # solved by eigvalsh (the sorted diagonal at theta = 0)
+        from qcbound.curvature import bound_b
+        from qcbound.ensembles import spawn_seed
+        from oracles import model_d_matrix
+
+        seen = []
+        aggregate = experiments._aggregate_row
+
+        def capture(**kwargs):
+            seen.append(kwargs["b_values"])
+            return aggregate(**kwargs)
+
+        monkeypatch.setattr(experiments, "_aggregate_row", capture)
+        master, grid = 2**32 + 1, [0.0, 0.4, np.pi / 2]
+        sweep_theta(grid, realizations=6, master_seed=master, dim=64)
+        for t, theta in enumerate(grid):
+            expected = [bound_b(np.linalg.eigvalsh(
+                model_d_matrix(theta, spawn_seed(master, t, r), 64, 0.3))) for r in range(6)]
+            assert seen[t] == expected
+
+    def test_no_seed_sequence_per_draw(self, monkeypatch, tmp_path):
+        # the seeds of a grid point and their generators are derived in one
+        # pass: a constant number of numpy seeding objects per grid point
+        from qcbound.cli import main
+
+        built = []
+
+        def counting(factory):
+            def make(*args, **kwargs):
+                built.append(factory)
+                return factory(*args, **kwargs)
+            return make
+
+        for name in ("SeedSequence", "default_rng", "PCG64"):
+            monkeypatch.setattr(np.random, name, counting(getattr(np.random, name)))
+        code = main(["sweep-theta", "--points", "3", "--realizations", "8", "--dim", "64",
+                     "--seed", "1", "--out", str(tmp_path)])
+        assert code == 0
+        assert len(built) <= 3  # one reused PCG64 per grid point
+
     def test_per_realization_gamma_mode(self):
         rows = sweep_theta([0.3], realizations=6, master_seed=5, dim=128,
                            per_realization_gamma=True)

@@ -24,8 +24,10 @@ from qcbound.level_stats import (
     WeibullParams,
     _fit_counting_function,
 )
-from qcbound.models import MODEL_D_CHAOTIC_SCALE, _model_d_matrix, model_e_blocks
+from qcbound.models import MODEL_D_CHAOTIC_SCALE, model_e_blocks
 from qcbound.quantum import block_spectrum
+
+from oracles import model_d_matrix
 
 
 def gamma_from_density(density) -> float:
@@ -98,7 +100,7 @@ def _model_spectra():
     and merged) across d, as unfold sees them."""
     for i, theta in enumerate(np.linspace(0.0, math.pi / 2.0, 8)):
         yield np.sort(np.linalg.eigvalsh(
-            _model_d_matrix(theta, spawn_seed(5, i), 128, MODEL_D_CHAOTIC_SCALE)
+            model_d_matrix(theta, spawn_seed(5, i), 128, MODEL_D_CHAOTIC_SCALE)
         ))
     for i, d in enumerate((0.0, 0.3, 1.5)):
         spectrum = block_spectrum(model_e_blocks(n_qubits=8, d=d, seed=spawn_seed(6, i)))

@@ -12,10 +12,15 @@ from qcbound import (
     mean_bipartite_Q,
     pauli,
 )
-from qcbound.ensembles import EnsembleKind, EnsembleSpec, _sample_matrix, sample, spawn_seed
+from qcbound.ensembles import (
+    EnsembleKind, EnsembleSpec, _sample_matrix, sample, spawn_seed, spawn_seeds,
+)
+from qcbound.experiments import _model_d_spectrum
 from qcbound.models import (
+    MODEL_D_CHAOTIC_SCALE,
     MODEL_E_DEFAULT_FIELD,
     ModelConfig,
+    _ModelDSampler,
     build_scatter_model,
     model_a,
     model_b,
@@ -27,6 +32,8 @@ from qcbound.models import (
     _spectral_std,
 )
 from qcbound.quantum import DegenerateSpectrumError, block_spectrum
+
+from oracles import model_d_matrix
 
 
 def total_z(n):
@@ -175,13 +182,44 @@ class TestModelD:
     def test_sweep_matrix_is_exactly_symmetric_model_d(self):
         # sweep_theta solves the plain array without HermitianOperator: it
         # must already be exactly symmetric and equal model_d bit for bit
-        from qcbound.models import _model_d_matrix
+        from qcbound.models import _ModelDSampler
 
+        sampler = _ModelDSampler(np.arange(20), 128, 0.3)
         for seed in range(20):
             for theta in (0.0, 0.3, 0.7, np.pi / 2):
-                m = _model_d_matrix(theta, seed, 128, 0.3)
+                m = sampler.matrix(theta, seed)
                 assert np.array_equal(m, m.T)
                 assert m.tobytes() == model_d(theta, seed, dim=128).matrix.tobytes()
+
+
+class TestModelDSampler:
+    THETAS = (0.0, 0.3, np.pi / 4, np.pi / 2)
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, *spawn_seeds(17, np.arange(15)).tolist()]
+
+    @pytest.mark.parametrize("dim", [20, 64, 128])
+    def test_equals_seed_taking_builder_bit_for_bit(self, dim):
+        # one sampler, so every draw reuses the buffers of the one before
+        sampler = _ModelDSampler(self.SEEDS, dim, MODEL_D_CHAOTIC_SCALE)
+        for theta in self.THETAS:
+            for i, seed in enumerate(self.SEEDS):
+                expected = model_d_matrix(theta, seed, dim, MODEL_D_CHAOTIC_SCALE)
+                assert sampler.matrix(theta, i).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dim", [20, 64, 128])
+    def test_theta_zero_sorted_diagonal_equals_eigvalsh(self, dim):
+        sampler = _ModelDSampler(self.SEEDS, dim, MODEL_D_CHAOTIC_SCALE)
+        for i, seed in enumerate(self.SEEDS):
+            expected = np.linalg.eigvalsh(model_d_matrix(0.0, seed, dim, MODEL_D_CHAOTIC_SCALE))
+            assert np.array_equal(np.sort(sampler.diagonal(0.0, i)), expected)
+            assert np.array_equal(_model_d_spectrum(sampler, 0.0, i), expected)
+
+    def test_rejects_theta_outside_range(self):
+        sampler = _ModelDSampler([1], 20, MODEL_D_CHAOTIC_SCALE)
+        for theta in (-0.1, 2.0, float("nan")):
+            with pytest.raises(ValueError):
+                sampler.diagonal(theta, 0)
+            with pytest.raises(ValueError):
+                sampler.matrix(theta, 0)
 
 
 class TestModelE:
