@@ -56,6 +56,8 @@ CONFIGS = {
        for source in ("GOE", "GUE", "PoissonDiagonal", "D")},
     "stats-D-theta0": (["stats", "--source", "D", "--theta", "0", "--draws", "20",
                         "--dim", "96", "--seed", "4"], ("stats.json",)),
+    "stats-D-failures": (["stats", "--source", "D", "--theta", "0", "--dim", "64",
+                          "--draws", "40", "--seed", "0"], ("stats.json",)),
     **{f"stats-E-{sector}": (["stats", "--source", "E", "--draws", "10", "--qubits", "8",
                               "--seed", "4", "--sector", sector], ("stats.json",))
        for sector in ("restricted", "full")},

@@ -18,7 +18,6 @@ from .quantum import (
     embed_site,
     heisenberg_coupling,
     eigensystem,
-    partial_trace,
     partial_trace_dyad,
 )
 from .entanglement import (
@@ -47,7 +46,6 @@ __all__ = [
     "embed_site",
     "heisenberg_coupling",
     "eigensystem",
-    "partial_trace",
     "partial_trace_dyad",
     "EntanglementInputs",
     "linear_entropy",

@@ -20,7 +20,6 @@ import argparse
 import datetime
 import hashlib
 import json
-import logging
 import math
 import sys
 from dataclasses import asdict
@@ -30,38 +29,25 @@ import numpy as np
 
 from . import __version__
 from .curvature import ensemble_deltaQ_ratios
-from .ensembles import (
-    RNG_ALGORITHM, EnsembleKind, EnsembleSpec, _matrix_sampler, _seeded_generators, spawn_seeds,
-)
+from .ensembles import RNG_ALGORITHM
 from .experiments import (
+    STATS_SOURCES,
     ExperimentError,
     RunManifest,
-    _model_d_spectrum,
     scatter_bound_test,
+    spacing_statistics,
     sweep_defect,
     sweep_theta,
 )
-from .level_stats import (
-    MIN_UNFOLD_LEVELS,
-    UnfoldingError,
-    gamma_chaos,
-    pool_spacing_samples,
-    spacing_sample_from_levels,
-    weibull_fit,
-)
+from .level_stats import MIN_UNFOLD_LEVELS, gamma_chaos
 from .models import (
     MODEL_D_CHAOTIC_SCALE,
     MODEL_D_DEFAULT_DIM,
     MODEL_E_DEFAULT_FIELD,
     ModelConfig,
-    _ModelDSampler,
-    model_e_blocks,
 )
-from .quantum import block_spectrum
 
 __all__ = ["main", "entry_point"]
-
-logger = logging.getLogger(__name__)
 
 A_CHOICES = ("1/2^N", "1/N")
 
@@ -329,54 +315,25 @@ def _cmd_sweep_defect(args) -> int:
     return 0
 
 
-STATS_SOURCES = ("GOE", "GUE", "PoissonDiagonal", "D", "E")
-
-
 def _cmd_stats(args) -> int:
     if args.draws < 1:
         raise CliError("--draws must be positive")
     _check_unfolding(args)
     _check_spectrum_size(args, chain=args.source == "E")
-    samples = []
-    n_failed = 0
-    # draw i is seeded with spawn_seed(seed, i), all derived in one pass
-    seeds = spawn_seeds(args.seed, np.arange(args.draws))
-    if args.source in ("GOE", "GUE", "PoissonDiagonal"):
-        sampler = _matrix_sampler(EnsembleSpec(EnsembleKind(args.source), args.dim))
-        rng = _seeded_generators(seeds)
-
-        def spectrum(i: int) -> np.ndarray:
-            return np.linalg.eigvalsh(sampler(rng(i)))
-    elif args.source == "D":
-        draws = _ModelDSampler(seeds, args.dim, MODEL_D_CHAOTIC_SCALE)
-
-        def spectrum(i: int) -> np.ndarray:
-            return _model_d_spectrum(draws, args.theta, i)
-    else:  # E, solved in its total-sigma_z sectors as in sweep-defect
-
-        def spectrum(i: int) -> np.ndarray:
-            blocks = model_e_blocks(n_qubits=args.qubits, d=args.d_value, h=args.h,
-                                    J=args.coupling, seed=int(seeds[i]))
-            if args.sector == "restricted":
-                return np.linalg.eigvalsh(blocks[args.qubits // 2][1])
-            return block_spectrum(blocks).eigenvalues
-
-    for i in range(args.draws):
-        eigs = spectrum(i)
-        try:
-            samples.append(
-                spacing_sample_from_levels(
-                    eigs, source=args.source,
-                    poly_degree=args.unfold_degree, edge_trim=args.unfold_trim,
-                )
-            )
-        except UnfoldingError as exc:
-            n_failed += 1
-            logger.warning("%s draw %d skipped: %s", args.source, i, exc)
-    if n_failed > args.draws // 2:
-        raise CliError(f"{n_failed}/{args.draws} draws failed to unfold")
-    pooled = pool_spacing_samples(samples, source=f"{args.source} pooled")
-    fit = weibull_fit(pooled)
+    fit, n_failed = spacing_statistics(
+        args.source,
+        args.draws,
+        master_seed=args.seed,
+        dim=args.dim,
+        theta=args.theta,
+        d=args.d_value,
+        n_qubits=args.qubits,
+        h=args.h,
+        J=args.coupling,
+        sector_restricted=(args.sector == "restricted"),
+        poly_degree=args.unfold_degree,
+        edge_trim=args.unfold_trim,
+    )
     gamma = gamma_chaos(fit)
     out = _out_dir(args)
     stats_path = out / "stats.json"

@@ -28,11 +28,9 @@ __all__ = [
     "EntanglementInputs",
     "linear_entropy",
     "mean_bipartite_Q",
-    "gamma_coeff",
     "overlap_coeff",
     "ground_state_site_overlaps",
     "dEL_dtau",
-    "dEL_dtau_from_gamma",
     "dQ0_dtau",
     "dQ0_dtau_from_row",
 ]
@@ -108,23 +106,6 @@ def mean_bipartite_Q(state, n_qubits: int, decomposition=None) -> float:
     return 2.0 - (2.0 / n_qubits) * purity_sum
 
 
-def gamma_coeff(n: int, k: int, l: int, inputs: EntanglementInputs) -> complex:
-    """Coefficient of |k><l| in the tau-derivative of the projector |n><n|.
-
-    gamma^n_kl = d_nl (1 - d_kn) V_kn/(eps_n - eps_k)
-               + d_kn (1 - d_nl) V_nl/(eps_n - eps_l)
-    """
-    inputs.decomposition.require_nondegenerate()
-    eps = inputs.decomposition.eigenvalues
-    v = inputs.v_eig
-    out = 0.0 + 0.0j
-    if l == n and k != n:
-        out += v[k, n] / (eps[n] - eps[k])
-    if k == n and l != n:
-        out += v[n, l] / (eps[n] - eps[l])
-    return out
-
-
 def overlap_coeff(
     n: int, k: int, l: int, decomposition: SpectralDecomposition, partition: QubitPartition
 ) -> complex:
@@ -182,25 +163,6 @@ def dEL_dtau(n: int, inputs: EntanglementInputs, partition: QubitPartition) -> f
         a_nk = overlap_coeff(n, n, k, inputs.decomposition, partition)
         total += (v[k, n] * a_kn + v[n, k] * a_nk) / (eps[n] - eps[k])
     return _real_with_residue_check(-2.0 * total, "dEL_dtau")
-
-
-def dEL_dtau_from_gamma(
-    n: int, inputs: EntanglementInputs, partition: QubitPartition
-) -> float:
-    """Same derivative via the full double sum -2 sum_kl gamma^n_kl A^n_kl.
-
-    Algebraically identical to :func:`dEL_dtau`; kept as an independent route
-    for consistency checks.
-    """
-    dim = inputs.decomposition.dim
-    total = 0.0 + 0.0j
-    for k in range(dim):
-        for l in range(dim):
-            g = gamma_coeff(n, k, l, inputs)
-            if g == 0.0:
-                continue
-            total += g * overlap_coeff(n, k, l, inputs.decomposition, partition)
-    return _real_with_residue_check(-2.0 * total, "dEL_dtau_from_gamma")
 
 
 def dQ0_dtau(inputs: EntanglementInputs, site_overlaps: np.ndarray | None = None) -> float:

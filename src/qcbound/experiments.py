@@ -1,22 +1,28 @@
-"""Experiment protocols: inequality scatter tests, theta sweeps, defect sweeps.
+"""Experiment protocols: inequality scatter tests, theta and defect sweeps, and
+the spacing statistics of one spectrum source.
 
 Seeding layout (see ensembles.RNG_ALGORITHM): a scatter run derives the base
 Hamiltonian seed as spawn_seed(master, 0) and the i-th perturbation seed as
 spawn_seed(master, i + 1), all of the latter in one ``spawn_seeds`` pass; a
 sweep derives the seed of realization r at grid index t as
-spawn_seed(master, t, r), and a model-D draw takes its H_P and H_W streams
-from the children spawn_seed(seed, 0) and spawn_seed(seed, 1).  Those seeds
-are derived once per grid point, for all r in one ``spawn_seeds`` pass and
-their model-D children in one more (``models._ModelDSampler``), bit for bit
-the contract above: no draw builds a ``SeedSequence`` of its own.  At
-theta = 0, H(theta) is diagonal and its spectrum is the sorted diagonal, bit
-for bit what ``eigvalsh`` returns.  The CLI rejects a spectrum too small to
+spawn_seed(master, t, r); a ``stats`` run (``spacing_statistics``) seeds
+draw i with spawn_seed(master, i), all in one ``spawn_seeds`` pass; and a
+model-D draw takes its H_P and H_W streams from the children
+spawn_seed(seed, 0) and spawn_seed(seed, 1).  A sweep derives its seeds once
+per grid point, for all r in one ``spawn_seeds`` pass, and the model-D
+children in one more (``models._ModelDSampler``), bit for bit the contract
+above: no draw builds a ``SeedSequence`` of its own.  At theta = 0, H(theta)
+is diagonal and its spectrum is the sorted diagonal, as is a PoissonDiagonal
+matrix's, bit for bit what ``eigvalsh`` returns.  The sweeps and ``stats``
+draw their spectra through the same draw factories and drop a failed draw
+the same way (``_run_draws``).  The CLI rejects a spectrum too small to
 unfold (``level_stats.MIN_UNFOLD_LEVELS``) before any draw.  Draws run one
 after another in task-index order, in the calling thread.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -27,7 +33,10 @@ from .curvature import (
     BoundRecord, _level_differences, bound_b, bound_b_prime, level_curvature_from_row,
     saturation_index,
 )
-from .ensembles import _sample_row, _seeded_generators, spawn_seed, spawn_seeds
+from .ensembles import (
+    EnsembleKind, EnsembleSpec, _matrix_sampler, _normals, _sample_row, _seeded_generators,
+    spawn_seed, spawn_seeds,
+)
 from .entanglement import (
     IMAG_RESIDUE_ATOL, dQ0_dtau_from_row, ground_state_site_overlaps, mean_bipartite_Q,
 )
@@ -61,6 +70,8 @@ __all__ = [
     "scatter_bound_test",
     "sweep_theta",
     "sweep_defect",
+    "STATS_SOURCES",
+    "spacing_statistics",
 ]
 
 logger = logging.getLogger(__name__)
@@ -221,12 +232,29 @@ def scatter_bound_test(
     )
 
 
-# Per-draw failures: logged, dropped from the row and counted in n_failed; a
-# grid point with more than 10% of its draws failed aborts the sweep.
-# TooFewSpacingsError and FitConvergenceError come from per-realization fits.
+# Per-draw failures: logged, dropped and counted by ``_run_draws``.  A grid
+# point of a sweep with more than 10% of its draws failed aborts the sweep, a
+# ``stats`` run with more than half of them.  TooFewSpacingsError and
+# FitConvergenceError come from per-realization fits.
 _DRAW_FAILURES = (
     UnfoldingError, DegenerateSpectrumError, TooFewSpacingsError, FitConvergenceError
 )
+
+
+def _run_draws(task, n_draws: int, label: str) -> list:
+    """The results of task(i) for i in range(n_draws), in order, without the
+    draws that failed: a draw failing with one of _DRAW_FAILURES logs one
+    warning, with the exception as its last argument, and is dropped, so
+    n_draws - len(result) draws failed."""
+
+    def draw_or_none(i: int):
+        try:
+            return task(i)
+        except _DRAW_FAILURES as exc:
+            logger.warning("%s draw %d failed: %s", label, i, exc)
+            return None
+
+    return [d for d in _run_indexed(draw_or_none, n_draws, 1) if d is not None]
 
 
 def _aggregate_row(
@@ -238,7 +266,6 @@ def _aggregate_row(
     n_failed: int,
     realizations: int,
     outlier_k: float,
-    source: str,
     per_realization_gamma: bool,
 ) -> SweepRow:
     if n_failed > 0.10 * realizations:
@@ -257,8 +284,7 @@ def _aggregate_row(
         gamma_mean = float(g.mean())
         gamma_stderr = float(np.std(g, ddof=1) / math.sqrt(g.size)) if g.size > 1 else 0.0
     else:
-        pooled = pool_spacing_samples(spacing_samples, source=source)
-        gamma_mean = gamma_chaos(weibull_fit(pooled))
+        gamma_mean = gamma_chaos(weibull_fit(pool_spacing_samples(spacing_samples)))
         gamma_stderr = 0.0  # single pooled fit; no realization scatter available
 
     q_mean = q_stderr = None
@@ -283,13 +309,62 @@ def _aggregate_row(
     )
 
 
-def _model_d_spectrum(draws: _ModelDSampler, theta: float, i: int) -> np.ndarray:
-    """Ascending eigenvalues of model-D draw i at theta.  When sin(theta) = 0,
-    H(theta) is its diagonal: the spectrum is the sorted diagonal, with no GOE
-    draw and no eigensolve (``eigvalsh`` returns the same floats for it)."""
-    if math.sin(theta) == 0.0:
-        return np.sort(draws.diagonal(theta, i))
-    return np.linalg.eigvalsh(draws.matrix(theta, i))
+# Draw factories: ``factory(param, seeds, ...)`` returns ``draw(i) ->
+# (eigenvalues, levels, ground_vector)`` of the draw seeded with seeds[i]: the
+# ascending spectrum, the levels to unfold, and the ground state (None where
+# no caller needs it).
+
+
+def _ensemble_draws(kind: EnsembleKind, seeds, dim: int):
+    """Draws of ``ensembles.sample(EnsembleSpec(kind, dim), seeds[i])``; a
+    PoissonDiagonal spectrum is the sorted normals, with no matrix or solve."""
+    spec = EnsembleSpec(kind, dim)
+    rng = _seeded_generators(seeds)
+    matrix = None if kind is EnsembleKind.POISSON_DIAGONAL else _matrix_sampler(spec)
+
+    def draw(i: int) -> tuple:
+        if matrix is None:
+            eigs = np.sort(_normals(spec, rng(i)))
+        else:
+            eigs = np.linalg.eigvalsh(matrix(rng(i)))
+        return eigs, eigs, None
+
+    return draw
+
+
+def _model_d_draws(theta: float, seeds, dim: int, chaotic_scale: float):
+    """Draws of model D at theta; when sin(theta) = 0 the spectrum is the
+    sorted diagonal, with no GOE draw and no solve."""
+    sampler = _ModelDSampler(seeds, dim, chaotic_scale)
+
+    def draw(i: int) -> tuple:
+        if math.sin(theta) == 0.0:
+            eigs = np.sort(sampler.diagonal(theta, i))
+        else:
+            eigs = np.linalg.eigvalsh(sampler.matrix(theta, i))
+        return eigs, eigs, None
+
+    return draw
+
+
+def _model_e_draws(d: float, seeds, n_qubits: int, h: float, J: float,
+                   sector_restricted: bool, levels_only: bool = False):
+    """Draws of model E at defect strength d, solved block by block in the
+    total-sigma_z sectors; the levels are the largest sector's (n_down =
+    N // 2) when ``sector_restricted``, else the merged spectrum.  With
+    ``levels_only`` a restricted draw solves that block alone and returns
+    (None, levels, None)."""
+
+    def draw(i: int) -> tuple:
+        blocks = model_e_blocks(n_qubits=n_qubits, d=d, h=h, J=J, seed=int(seeds[i]))
+        middle = n_qubits // 2
+        if levels_only and sector_restricted:
+            return None, np.linalg.eigvalsh(blocks[middle][1]), None
+        spectrum = block_spectrum(blocks)
+        levels = spectrum.block_eigenvalues[middle] if sector_restricted else spectrum.eigenvalues
+        return spectrum.eigenvalues, levels, spectrum.ground_vector
+
+    return draw
 
 
 def _sweep(
@@ -299,35 +374,28 @@ def _sweep(
 ) -> list:
     """One aggregated row per grid value of a sweep's critical parameter.
 
-    At grid index t, ``draws(param, seeds)`` gets the seeds spawn_seed(master,
-    t, r) of every realization r, derived in one pass, and returns
-    ``draw(r) -> (eigenvalues, levels, ground_vector)``: b comes from the
-    full sorted spectrum, the spacing sample from ``levels``, gamma from this
-    draw's own Weibull fit in per-realization mode (from the pooled fit
-    otherwise), and the ground-state Q only when ``n_qubits`` is given.  A
-    draw failing with one of _DRAW_FAILURES is logged with the exception as
-    the last argument and dropped.
+    At grid index t, ``draws(param, seeds)`` (a draw factory) gets the seeds
+    spawn_seed(master, t, r) of every realization r, derived in one pass: b
+    comes from the full sorted spectrum, the spacing sample from the levels,
+    gamma from this draw's own Weibull fit in per-realization mode (from the
+    pooled fit otherwise), and the ground-state Q only when ``n_qubits`` is
+    given.  Failed draws are dropped and counted by ``_run_draws``.
     """
     rows = []
     for t_index, param in enumerate(float(p) for p in grid):
-        source = f"{label}={param:g}"
         draw = draws(param, spawn_seeds(master_seed, np.arange(realizations), (t_index,)))
 
         def one_draw(r: int):
             eigenvalues, levels, ground_vector = draw(r)
-            try:
-                b = bound_b(eigenvalues)
-                sample = spacing_sample_from_levels(
-                    levels, source=source, poly_degree=poly_degree, edge_trim=edge_trim
-                )
-                gamma = gamma_chaos(weibull_fit(sample)) if per_realization_gamma else None
-            except _DRAW_FAILURES as exc:
-                logger.warning("%s draw %d failed: %s", source, r, exc)
-                return None
+            b = bound_b(eigenvalues)
+            sample = spacing_sample_from_levels(
+                levels, poly_degree=poly_degree, edge_trim=edge_trim
+            )
+            gamma = gamma_chaos(weibull_fit(sample)) if per_realization_gamma else None
             q = None if n_qubits is None else mean_bipartite_Q(ground_vector, n_qubits)
             return b, sample, gamma, q
 
-        ok = [d for d in _run_indexed(one_draw, realizations, 1) if d is not None]
+        ok = _run_draws(one_draw, realizations, f"{label}={param:g}")
         rows.append(
             _aggregate_row(
                 param=param,
@@ -338,7 +406,6 @@ def _sweep(
                 n_failed=realizations - len(ok),
                 realizations=realizations,
                 outlier_k=outlier_k,
-                source=f"{source} pooled",
                 per_realization_gamma=per_realization_gamma,
             )
         )
@@ -362,16 +429,7 @@ def sweep_theta(
     constant b of the ground state and the unfolded spacing sample.  The chaos
     parameter comes from a pooled Weibull fit by default.
     """
-
-    def draws(theta: float, seeds: np.ndarray):
-        sampler = _ModelDSampler(seeds, dim, chaotic_scale)
-
-        def draw(r: int) -> tuple:
-            eigs = _model_d_spectrum(sampler, theta, r)
-            return eigs, eigs, None
-
-        return draw
-
+    draws = functools.partial(_model_d_draws, dim=dim, chaotic_scale=chaotic_scale)
     return _sweep(theta_grid, "model-D theta", draws, realizations, master_seed,
                   poly_degree, edge_trim, outlier_k, per_realization_gamma)
 
@@ -396,20 +454,52 @@ def sweep_defect(
     N // 2 (mixing symmetry sectors fakes Poisson statistics); b and the
     ground-state Q come from the merged spectrum of all sectors.
     """
-
-    def draws(d: float, seeds: np.ndarray):
-        def draw(r: int) -> tuple:
-            spectrum = block_spectrum(
-                model_e_blocks(n_qubits=n_qubits, d=d, h=h, J=J, seed=int(seeds[r]))
-            )
-            levels = (
-                spectrum.block_eigenvalues[n_qubits // 2]
-                if sector_restricted
-                else spectrum.eigenvalues
-            )
-            return spectrum.eigenvalues, levels, spectrum.ground_vector
-
-        return draw
-
+    draws = functools.partial(_model_e_draws, n_qubits=n_qubits, h=h, J=J,
+                              sector_restricted=sector_restricted)
     return _sweep(d_grid, "model-E d", draws, realizations, master_seed, poly_degree,
                   edge_trim, outlier_k, per_realization_gamma, n_qubits=n_qubits)
+
+
+STATS_SOURCES = ("GOE", "GUE", "PoissonDiagonal", "D", "E")
+
+
+def spacing_statistics(
+    source: str,
+    draws: int,
+    master_seed: int = 0,
+    dim: int = 128,
+    theta: float = math.pi / 2.0,
+    d: float = 0.25,
+    n_qubits: int = 9,
+    h: float = MODEL_E_DEFAULT_FIELD,
+    J: float = 1.0,
+    sector_restricted: bool = True,
+    poly_degree: int = 6,
+    edge_trim: float = 0.05,
+) -> tuple:
+    """``(fit, n_failed)``: the Weibull fit of the pooled unfolded spacings of
+    ``draws`` spectra of one source, and the number of draws that failed.
+
+    The sources are the GOE, GUE and PoissonDiagonal ensembles and model D at
+    ``theta``, all at ``dim``, and model E at defect strength ``d``.  Failed
+    draws are dropped and counted as in the sweeps; more than half of them
+    failed raises ExperimentError.
+    """
+    if source not in STATS_SOURCES:
+        raise ValueError(f"unknown source {source!r}; expected one of {STATS_SOURCES}")
+    seeds = spawn_seeds(master_seed, np.arange(draws))
+    if source == "D":
+        draw = _model_d_draws(theta, seeds, dim, MODEL_D_CHAOTIC_SCALE)
+    elif source == "E":
+        draw = _model_e_draws(d, seeds, n_qubits, h, J, sector_restricted, levels_only=True)
+    else:
+        draw = _ensemble_draws(EnsembleKind(source), seeds, dim)
+
+    def one_draw(i: int):
+        return spacing_sample_from_levels(draw(i)[1], poly_degree=poly_degree, edge_trim=edge_trim)
+
+    samples = _run_draws(one_draw, draws, source)
+    n_failed = draws - len(samples)
+    if n_failed > draws // 2:
+        raise ExperimentError(f"{n_failed}/{draws} draws failed to unfold")
+    return weibull_fit(pool_spacing_samples(samples)), n_failed

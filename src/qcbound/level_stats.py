@@ -102,7 +102,6 @@ class SpacingSample:
     """Nearest-neighbor spacings normalized to unit mean."""
 
     spacings: np.ndarray
-    source: str
     n_levels_discarded: int = 0
 
     def __post_init__(self) -> None:
@@ -175,7 +174,6 @@ def unfold(
 
 def spacing_sample_from_levels(
     eigenvalues,
-    source: str,
     poly_degree: int = 6,
     edge_trim: float = 0.05,
 ) -> SpacingSample:
@@ -184,19 +182,17 @@ def spacing_sample_from_levels(
     kept = unfold(levels, poly_degree=poly_degree, edge_trim=edge_trim)
     return SpacingSample(
         spacings=np.diff(kept),
-        source=source,
         n_levels_discarded=levels.size - kept.size,
     )
 
 
-def pool_spacing_samples(samples, source: str) -> SpacingSample:
+def pool_spacing_samples(samples) -> SpacingSample:
     """Concatenate per-realization samples into one pooled, renormalized sample."""
     samples = list(samples)
     if not samples:
         raise ValueError("nothing to pool")
     return SpacingSample(
         spacings=np.concatenate([s.spacings for s in samples]),
-        source=source,
         n_levels_discarded=sum(s.n_levels_discarded for s in samples),
     )
 

@@ -32,7 +32,6 @@ __all__ = [
     "heisenberg_coupling",
     "eigensystem",
     "block_spectrum",
-    "partial_trace",
     "partial_trace_dyad",
 ]
 
@@ -290,15 +289,3 @@ def partial_trace_dyad(ket, bra, partition: QubitPartition, decomposition=None) 
     km = _as_site_matrix(k, partition)
     lm = _as_site_matrix(l, partition)
     return km @ lm.conj().T
-
-
-def partial_trace(rho: np.ndarray, partition: QubitPartition) -> np.ndarray:
-    """tr_B of a density matrix (independent matrix-contraction code path)."""
-    n = partition.n_qubits
-    _require_qubit_dim(rho.shape[0], partition)
-    tensor = rho.reshape((2,) * (2 * n))
-    # Contract row/column axes of every traced-out site pairwise.
-    for site in sorted((s for s in range(n) if s not in partition.kept), reverse=True):
-        tensor = np.trace(tensor, axis1=site, axis2=site + tensor.ndim // 2)
-    d = partition.dim_kept
-    return tensor.reshape(d, d)

@@ -1,5 +1,11 @@
 """Reference implementations that only the tests use.
 
+``partial_trace`` and ``dEL_dtau_from_gamma`` (with its ``gamma_coeff``) are
+independent routes to quantities the package computes another way: the
+reduced state by contracting the full density matrix instead of
+``partial_trace_dyad``, and dE_L/dtau by the full double sum over the
+projector derivative instead of ``entanglement.dEL_dtau``.
+
 ``model_d_matrix`` is the seed-taking model-D builder the package used before
 ``models._ModelDSampler``: one ``SeedSequence`` per child stream, H_P drawn
 as a full diagonal matrix and read back with ``np.diag``, and H_W as a fresh
@@ -11,7 +17,9 @@ import math
 import numpy as np
 
 from qcbound.ensembles import EnsembleKind, EnsembleSpec, _sample_matrix, spawn_seed
+from qcbound.entanglement import EntanglementInputs, _real_with_residue_check, overlap_coeff
 from qcbound.models import _spectral_std
+from qcbound.quantum import QubitPartition, _require_qubit_dim
 
 
 def model_d_matrix(theta: float, seed: int, dim: int, chaotic_scale: float) -> np.ndarray:
@@ -23,3 +31,50 @@ def model_d_matrix(theta: float, seed: int, dim: int, chaotic_scale: float) -> n
     hw *= math.sin(theta) * chaotic_scale / _spectral_std(hw)
     hw[np.diag_indices(dim)] += math.cos(theta) * (p / np.std(p))
     return hw
+
+
+def partial_trace(rho: np.ndarray, partition: QubitPartition) -> np.ndarray:
+    """tr_B of a density matrix (independent matrix-contraction code path)."""
+    n = partition.n_qubits
+    _require_qubit_dim(rho.shape[0], partition)
+    tensor = rho.reshape((2,) * (2 * n))
+    # Contract row/column axes of every traced-out site pairwise.
+    for site in sorted((s for s in range(n) if s not in partition.kept), reverse=True):
+        tensor = np.trace(tensor, axis1=site, axis2=site + tensor.ndim // 2)
+    d = partition.dim_kept
+    return tensor.reshape(d, d)
+
+
+def gamma_coeff(n: int, k: int, l: int, inputs: EntanglementInputs) -> complex:
+    """Coefficient of |k><l| in the tau-derivative of the projector |n><n|.
+
+    gamma^n_kl = d_nl (1 - d_kn) V_kn/(eps_n - eps_k)
+               + d_kn (1 - d_nl) V_nl/(eps_n - eps_l)
+    """
+    inputs.decomposition.require_nondegenerate()
+    eps = inputs.decomposition.eigenvalues
+    v = inputs.v_eig
+    out = 0.0 + 0.0j
+    if l == n and k != n:
+        out += v[k, n] / (eps[n] - eps[k])
+    if k == n and l != n:
+        out += v[n, l] / (eps[n] - eps[l])
+    return out
+
+
+def dEL_dtau_from_gamma(
+    n: int, inputs: EntanglementInputs, partition: QubitPartition
+) -> float:
+    """dE_L/dtau via the full double sum -2 sum_kl gamma^n_kl A^n_kl.
+
+    Algebraically identical to ``entanglement.dEL_dtau``.
+    """
+    dim = inputs.decomposition.dim
+    total = 0.0 + 0.0j
+    for k in range(dim):
+        for l in range(dim):
+            g = gamma_coeff(n, k, l, inputs)
+            if g == 0.0:
+                continue
+            total += g * overlap_coeff(n, k, l, inputs.decomposition, partition)
+    return _real_with_residue_check(-2.0 * total, "dEL_dtau_from_gamma")

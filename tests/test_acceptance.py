@@ -200,7 +200,7 @@ class TestAcceptance:
             eigs = np.linalg.eigvalsh(
                 sample(EnsembleSpec(EnsembleKind.GOE, 128), seed).matrix
             )
-            spacings.append(spacing_sample_from_levels(eigs, source="GOE").spacings)
+            spacings.append(spacing_sample_from_levels(eigs).spacings)
         pooled = np.concatenate(spacings)
         ks = stats.kstest(pooled, lambda s: 1.0 - np.exp(-np.pi * s * s / 4.0)).statistic
         ok = pooled.size >= 10_000 and ks < 0.02

@@ -1,3 +1,4 @@
+import ast
 import json
 import logging
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from qcbound import cli as cli_module
 from qcbound.cli import main
 from qcbound.level_stats import UnfoldingError
 
@@ -317,14 +319,13 @@ class TestSweepCommands:
                              ids=[f"{c}-{f}" for c, f, _ in BAD_VALUES])
     def test_bad_unfolding_value_exits_2_before_any_draw(self, tmp_path, capsys, monkeypatch,
                                                          command, flag, value, via_config):
-        import qcbound.cli as cli_mod
         import qcbound.experiments as experiments
 
         def no_draw(*args, **kwargs):
             raise AssertionError("a draw was made")
 
         monkeypatch.setattr(experiments, "_sweep", no_draw)
-        monkeypatch.setattr(cli_mod, "spawn_seeds", no_draw)
+        monkeypatch.setattr(experiments, "spawn_seeds", no_draw)
         if via_config:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({flag.replace("-", "_"): value}))
@@ -353,14 +354,13 @@ class TestSweepCommands:
             self, tmp_path, capsys, monkeypatch, argv, flag):
         # 20 levels is the unfold minimum: C(N, N // 2) levels in the
         # restricted sector (10 at N = 5), 2^N with --sector full (16 at N = 4)
-        import qcbound.cli as cli_mod
         import qcbound.experiments as experiments
 
         def no_draw(*args, **kwargs):
             raise AssertionError("a draw was made")
 
         monkeypatch.setattr(experiments, "_sweep", no_draw)
-        monkeypatch.setattr(cli_mod, "spawn_seeds", no_draw)
+        monkeypatch.setattr(experiments, "spawn_seeds", no_draw)
         out = tmp_path / "o"
         assert run_cli([*argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -424,9 +424,9 @@ class TestStatsCommand:
         assert gammas["full"] > gammas["restricted"]
 
     def test_skipped_draws_are_logged(self, tmp_path, monkeypatch, caplog, capsys):
-        import qcbound.cli as cli_mod
+        import qcbound.experiments as experiments
 
-        real = cli_mod.spacing_sample_from_levels
+        real = experiments.spacing_sample_from_levels
         calls = []
 
         def fail_second(levels, **kwargs):
@@ -435,9 +435,9 @@ class TestStatsCommand:
                 raise UnfoldingError("forced")
             return real(levels, **kwargs)
 
-        monkeypatch.setattr(cli_mod, "spacing_sample_from_levels", fail_second)
+        monkeypatch.setattr(experiments, "spacing_sample_from_levels", fail_second)
         out = tmp_path / "stats"
-        with caplog.at_level(logging.WARNING, logger="qcbound.cli"):
+        with caplog.at_level(logging.WARNING, logger="qcbound.experiments"):
             code = run_cli(["stats", "--source", "GOE", "--dim", "64", "--draws", "4",
                             "--seed", "3", "--out", str(out)])
         assert code == 0
@@ -445,6 +445,69 @@ class TestStatsCommand:
         assert isinstance(caplog.records[0].args[-1], UnfoldingError)
         assert capsys.readouterr().err == ""
         assert json.loads((out / "stats.json").read_text())["draws_failed"] == 1
+
+    @pytest.mark.parametrize("n_failed,code", [(2, 0), (3, 2)])
+    def test_more_than_half_failed_exits_2(self, tmp_path, monkeypatch, capsys,
+                                           n_failed, code):
+        import qcbound.experiments as experiments
+
+        real = experiments.spacing_sample_from_levels
+        calls = []
+
+        def fail_first(levels, **kwargs):
+            calls.append(None)
+            if len(calls) <= n_failed:
+                raise UnfoldingError("forced")
+            return real(levels, **kwargs)
+
+        monkeypatch.setattr(experiments, "spacing_sample_from_levels", fail_first)
+        out = tmp_path / "stats"
+        assert run_cli(["stats", "--source", "GOE", "--dim", "64", "--draws", "4",
+                        "--out", str(out)]) == code
+        assert (out / "stats.json").exists() == (code == 0)
+        if code == 2:
+            assert f"{n_failed}/4 draws failed to unfold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--source", "GOE"], ["--source", "GUE"], ["--source", "PoissonDiagonal"],
+        ["--source", "D"], ["--source", "E", "--qubits", "8"],
+        ["--source", "E", "--qubits", "5", "--sector", "full"],
+    ], ids=lambda a: "-".join(a[1::2]))
+    def test_one_draw_loop_per_run(self, tmp_path, monkeypatch, argv):
+        import qcbound.experiments as experiments
+
+        real, loops = experiments._run_indexed, []
+
+        def counting(task, n_tasks, workers):
+            loops.append((n_tasks, workers))
+            return real(task, n_tasks, workers)
+
+        monkeypatch.setattr(experiments, "_run_indexed", counting)
+        assert run_cli(["stats", *argv, "--dim", "32", "--draws", "5",
+                        "--out", str(tmp_path)]) == 0
+        assert loops == [(5, 1)]
+
+
+class TestCliModule:
+    TREE = ast.parse(Path(cli_module.__file__).read_text())
+
+    def test_imports_no_private_name(self):
+        # dunders such as __version__ are module metadata, not private names
+        private = [
+            (node.module, alias.name)
+            for node in ast.walk(self.TREE)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "qcbound")
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.endswith("__")
+        ]
+        assert private == []
+
+    def test_stats_command_draws_nothing_itself(self):
+        (cmd,) = [node for node in self.TREE.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_cmd_stats"]
+        kinds = {type(node) for stmt in cmd.body for node in ast.walk(stmt)}
+        assert not kinds & {ast.For, ast.While, ast.Try, ast.FunctionDef, ast.Lambda}
 
 
 class TestReportEnsembles:

@@ -212,7 +212,7 @@ class TestSpectralStatistics:
         spacings = []
         for seed in range(90):
             eigs = np.linalg.eigvalsh(sample(EnsembleSpec(EnsembleKind.GOE, 128), seed).matrix)
-            spacings.append(spacing_sample_from_levels(eigs, source="GOE").spacings)
+            spacings.append(spacing_sample_from_levels(eigs).spacings)
         pooled = np.concatenate(spacings)
         assert pooled.size >= 10_000
         wd_cdf = lambda s: 1.0 - np.exp(-np.pi * s * s / 4.0)
@@ -225,7 +225,7 @@ class TestSpectralStatistics:
             eigs = np.linalg.eigvalsh(
                 sample(EnsembleSpec(EnsembleKind.POISSON_DIAGONAL, 128), seed).matrix
             )
-            spacings.append(spacing_sample_from_levels(eigs, source="P").spacings)
+            spacings.append(spacing_sample_from_levels(eigs).spacings)
         pooled = np.concatenate(spacings)
         assert pooled.size >= 10_000
         fit = weibull_mle(pooled)

@@ -10,17 +10,16 @@ from qcbound import (
     eigensystem,
     linear_entropy,
     mean_bipartite_Q,
-    partial_trace,
 )
 from qcbound.ensembles import EnsembleKind, EnsembleSpec, sample
 from qcbound.entanglement import (
     dEL_dtau,
-    dEL_dtau_from_gamma,
-    gamma_coeff,
     ground_state_site_overlaps,
     overlap_coeff,
 )
 from qcbound.quantum import DegenerateSpectrumError
+
+from oracles import dEL_dtau_from_gamma, gamma_coeff, partial_trace
 
 
 def random_state(dim, seed):

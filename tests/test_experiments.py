@@ -5,15 +5,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcbound.ensembles import EnsembleKind, EnsembleSpec, _sample_matrix, spawn_seed, spawn_seeds
 from qcbound.experiments import (
     ExperimentError,
     scatter_bound_test,
+    spacing_statistics,
     sweep_defect,
     sweep_theta,
     trim_outliers,
 )
 from qcbound import experiments
-from qcbound.level_stats import FitConvergenceError, TooFewSpacingsError
+from qcbound.level_stats import (
+    FitConvergenceError,
+    TooFewSpacingsError,
+    pool_spacing_samples,
+    spacing_sample_from_levels,
+    weibull_fit,
+)
 from qcbound.models import ModelConfig
 from qcbound.quantum import DegenerateSpectrumError
 
@@ -298,3 +306,29 @@ class TestSweepDefect:
         failures = [r.args[-1] for r in caplog.records]
         assert len(failures) == 4
         assert all(isinstance(exc, DegenerateSpectrumError) for exc in failures)
+
+
+class TestSpacingStatistics:
+    @pytest.mark.parametrize("source", ["GOE", "GUE"])
+    def test_draw_i_is_the_ensemble_sample_of_spawn_seed(self, source):
+        master = 2**32 + 3
+        spec = EnsembleSpec(EnsembleKind(source), 48)
+        spectra = [np.linalg.eigvalsh(_sample_matrix(spec, spawn_seed(master, i)))
+                   for i in range(6)]
+        expected = weibull_fit(pool_spacing_samples(map(spacing_sample_from_levels, spectra)))
+        assert spacing_statistics(source, 6, master_seed=master, dim=48) == (expected, 0)
+
+    @pytest.mark.parametrize("dim", [20, 64, 96, 128])
+    def test_poisson_diagonal_spectrum_is_the_sorted_diagonal(self, dim):
+        # no eigensolve: the same floats as eigvalsh of the diagonal matrix
+        spec = EnsembleSpec(EnsembleKind.POISSON_DIAGONAL, dim)
+        seeds = spawn_seeds(dim, np.arange(20))
+        draw = experiments._ensemble_draws(spec.kind, seeds, dim)
+        for i, seed in enumerate(seeds.tolist()):
+            eigenvalues, levels, _ = draw(i)
+            assert np.array_equal(eigenvalues, np.linalg.eigvalsh(_sample_matrix(spec, seed)))
+            assert levels is eigenvalues
+
+    def test_unknown_source_raises(self):
+        with pytest.raises(ValueError, match="unknown source"):
+            spacing_statistics("GenericHermitian", 4)

@@ -84,7 +84,7 @@ class TestUnfold:
     def test_count_preserved(self):
         rng = np.random.default_rng(0)
         levels = np.sort(rng.normal(size=200))
-        sample = spacing_sample_from_levels(levels, source="test")
+        sample = spacing_sample_from_levels(levels)
         kept = 200 - sample.n_levels_discarded
         assert len(sample) == kept - 1
         assert sample.n_levels_discarded == 2 * int(0.05 * 200)
@@ -119,17 +119,17 @@ class TestCountingFunctionFit:
 
 class TestSpacingSample:
     def test_unit_mean(self):
-        s = SpacingSample(spacings=np.array([0.5, 1.5, 2.0, 4.0]), source="x")
+        s = SpacingSample(spacings=np.array([0.5, 1.5, 2.0, 4.0]))
         assert s.spacings.mean() == pytest.approx(1.0, abs=1e-6)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            SpacingSample(spacings=np.array([0.5, -0.1]), source="x")
+            SpacingSample(spacings=np.array([0.5, -0.1]))
 
     def test_pooling(self):
-        a = SpacingSample(np.array([1.0, 2.0]), source="a", n_levels_discarded=2)
-        b = SpacingSample(np.array([0.5, 0.5, 3.0]), source="b", n_levels_discarded=1)
-        pooled = pool_spacing_samples([a, b], source="pool")
+        a = SpacingSample(np.array([1.0, 2.0]), n_levels_discarded=2)
+        b = SpacingSample(np.array([0.5, 0.5, 3.0]), n_levels_discarded=1)
+        pooled = pool_spacing_samples([a, b])
         assert len(pooled) == 5
         assert pooled.n_levels_discarded == 3
         assert pooled.spacings.mean() == pytest.approx(1.0)
@@ -172,7 +172,7 @@ class TestWeibullFit:
         assert scaled.a == pytest.approx(base.a / lam**base.c, rel=1e-6)
 
     def test_requires_minimum_spacings(self):
-        s = SpacingSample(np.ones(50) + np.random.default_rng(7).uniform(size=50), source="x")
+        s = SpacingSample(np.ones(50) + np.random.default_rng(7).uniform(size=50))
         with pytest.raises(TooFewSpacingsError, match="got 50"):
             weibull_fit(s)
         assert issubclass(TooFewSpacingsError, ValueError)  # existing callers still catch it

@@ -15,7 +15,7 @@ from qcbound import (
 from qcbound.ensembles import (
     EnsembleKind, EnsembleSpec, _sample_matrix, sample, spawn_seed, spawn_seeds,
 )
-from qcbound.experiments import _model_d_spectrum
+from qcbound.experiments import _model_d_draws
 from qcbound.models import (
     MODEL_D_CHAOTIC_SCALE,
     MODEL_E_DEFAULT_FIELD,
@@ -208,10 +208,11 @@ class TestModelDSampler:
     @pytest.mark.parametrize("dim", [20, 64, 128])
     def test_theta_zero_sorted_diagonal_equals_eigvalsh(self, dim):
         sampler = _ModelDSampler(self.SEEDS, dim, MODEL_D_CHAOTIC_SCALE)
+        draw = _model_d_draws(0.0, self.SEEDS, dim, MODEL_D_CHAOTIC_SCALE)
         for i, seed in enumerate(self.SEEDS):
             expected = np.linalg.eigvalsh(model_d_matrix(0.0, seed, dim, MODEL_D_CHAOTIC_SCALE))
             assert np.array_equal(np.sort(sampler.diagonal(0.0, i)), expected)
-            assert np.array_equal(_model_d_spectrum(sampler, 0.0, i), expected)
+            assert np.array_equal(draw(i)[0], expected)
 
     def test_rejects_theta_outside_range(self):
         sampler = _ModelDSampler([1], 20, MODEL_D_CHAOTIC_SCALE)

@@ -8,12 +8,13 @@ from qcbound import (
     eigensystem,
     embed_site,
     heisenberg_coupling,
-    partial_trace,
     partial_trace_dyad,
     pauli,
 )
 from qcbound.ensembles import EnsembleKind, EnsembleSpec, sample
 from qcbound.quantum import DegenerateSpectrumError
+
+from oracles import partial_trace
 
 
 def random_state(dim, seed):
