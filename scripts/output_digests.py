@@ -37,6 +37,8 @@ CONFIGS = {
     "check-A": (["check", "--model", "A", "--samples", "200", "--seed", "7"], _CHECK),
     "check-B-N3": (["check", "--model", "B", "--qubits", "3", "--samples", "300",
                     "--seed", "5"], _CHECK),
+    "check-B-N5": (["check", "--model", "B", "--qubits", "5", "--samples", "200",
+                    "--seed", "5"], _CHECK),
     "check-C-GOE": (["check", "--model", "C", "--ensemble", "GOE", "--samples", "200",
                      "--seed", "6"], _CHECK),
     "sweep-theta-d64": (["sweep-theta", "--points", "4", "--realizations", "12",
@@ -51,6 +53,8 @@ CONFIGS = {
     "sweep-defect-n7-full": (["sweep-defect", "--qubits", "7", "--points", "3",
                               "--realizations", "8", "--seed", "9", "--sector", "full"],
                              ("defect_sweep.csv",)),
+    "sweep-defect-n9": (["sweep-defect", "--qubits", "9", "--points", "2",
+                         "--realizations", "4", "--seed", "9"], ("defect_sweep.csv",)),
     **{f"stats-{source}": (["stats", "--source", source, "--draws", "20", "--dim", "96",
                             "--seed", "4"], ("stats.json",))
        for source in ("GOE", "GUE", "PoissonDiagonal", "D")},

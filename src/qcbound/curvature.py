@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import EntanglementInputs, dEL_dtau, overlap_coeff
-from .quantum import DEGENERACY_RTOL, DegenerateSpectrumError, QubitPartition
+from .quantum import QubitPartition, require_isolated
 
 __all__ = [
     "BoundRecord",
@@ -93,8 +93,9 @@ class TwoLevelRates:
 
 def level_curvature(n: int, inputs: EntanglementInputs) -> float:
     """K_n = 2 sum_{m != n} |V_nm|^2 / (eps_n - eps_m)."""
-    inputs.decomposition.require_nondegenerate()
-    diffs = _level_differences(n, inputs.decomposition.eigenvalues)
+    eps = inputs.decomposition.eigenvalues
+    require_isolated(eps, n)
+    diffs = _level_differences(n, eps)
     return level_curvature_from_row(inputs.v_eig[n], diffs)
 
 
@@ -102,8 +103,8 @@ def level_curvature_from_row(v_row: np.ndarray, diffs: np.ndarray) -> float:
     """:func:`level_curvature` from row n of the perturbation in the
     eigenbasis, ``v_row[m]`` = <n|V|m>, and ``diffs = _level_differences(n,
     eps)``.  The differences depend on H0 alone, so a run of many draws on
-    one H0 computes them once; the caller has checked the spectrum with
-    ``require_nondegenerate``."""
+    one H0 computes them once; the caller has checked level n with
+    ``require_isolated``."""
     return 2.0 * float((np.abs(v_row) ** 2 / diffs).sum())
 
 
@@ -117,8 +118,8 @@ def _level_differences(n: int, eigenvalues: np.ndarray) -> np.ndarray:
 
 def curvature_spectrum(inputs: EntanglementInputs) -> np.ndarray:
     """All level curvatures K_n at once (antisymmetric double sum)."""
-    inputs.decomposition.require_nondegenerate()
     eps = inputs.decomposition.eigenvalues
+    require_isolated(eps, range(eps.size))
     diffs = eps[:, None] - eps[None, :]
     np.fill_diagonal(diffs, 1.0)
     terms = np.abs(inputs.v_eig) ** 2 / diffs
@@ -129,17 +130,12 @@ def curvature_spectrum(inputs: EntanglementInputs) -> np.ndarray:
 def bound_b(eigenvalues: np.ndarray) -> float:
     """Cauchy-Schwarz bound constant b = 8 sqrt( sum_{k>=1} 1/(eps_k - eps_0) ).
 
-    Takes the ascending eigenvalues of H0; a ground gap below
-    DEGENERACY_RTOL times the spectral width raises DegenerateSpectrumError.
+    Takes the ascending eigenvalues of H0; a degenerate ground level raises
+    DegenerateSpectrumError (``require_isolated(eps, 0)``).
     """
     eps = np.asarray(eigenvalues)
-    gaps = eps[1:] - eps[0]
-    width = float(eps[-1] - eps[0])
-    if width <= 0.0 or gaps[0] <= DEGENERACY_RTOL * width:
-        raise DegenerateSpectrumError(
-            f"ground-state gap {gaps[0]:.3e} below the degeneracy guard"
-        )
-    return 8.0 * math.sqrt(float(np.sum(1.0 / gaps)))
+    require_isolated(eps, 0)
+    return 8.0 * math.sqrt(float(np.sum(1.0 / (eps[1:] - eps[0]))))
 
 
 def bound_b_prime(
@@ -176,8 +172,8 @@ def two_level_rates(
     pair dominates the sums.
     """
     decomposition = inputs.decomposition
-    decomposition.require_nondegenerate()
     eps = decomposition.eigenvalues
+    require_isolated(eps, (0, 1))
     gap01 = float(eps[1] - eps[0])
     if decomposition.dim > 2:
         other = np.concatenate([eps[2:] - eps[0], eps[2:] - eps[1]])

@@ -4,8 +4,9 @@ The derivative formulas live in the eigenbasis of the decomposed Hamiltonian:
 given H = H0 + tau*V decomposed at some tau, the rate of change of the linear
 entropy of level n, and of the ground state's mean bi-partite entanglement, are
 exact sums over off-diagonal matrix elements V_nm = <n|V|m> weighted by inverse
-level gaps.  All derivative operations refuse (near-)degenerate spectra, where
-the 1/(eps_n - eps_k) poles make the level-following picture break down.
+level gaps.  Each derivative refuses (``quantum.require_isolated``) only the
+(near-)degenerate levels n it divides by, where the 1/(eps_n - eps_k) poles
+make the level-following picture break down.  The measures take state vectors.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from .quantum import (
     QubitPartition,
     SpectralDecomposition,
     partial_trace_dyad,
+    require_isolated,
     _as_site_matrix,
-    _resolve_state,
 )
 
 __all__ = [
@@ -84,21 +85,19 @@ def _real_with_residue_check(value: complex, context: str) -> float:
     return float(value.real)
 
 
-def linear_entropy(state, partition: QubitPartition, decomposition=None) -> float:
+def linear_entropy(state, partition: QubitPartition) -> float:
     """E_L = 1 - tr(rho_A^2) of a pure state under the given bipartition."""
-    rho = partial_trace_dyad(state, state, partition, decomposition)
+    rho = partial_trace_dyad(state, state, partition)
     purity = _real_with_residue_check(complex(np.trace(rho @ rho)), "linear_entropy purity")
     return 1.0 - purity
 
 
-def mean_bipartite_Q(state, n_qubits: int, decomposition=None) -> float:
+def mean_bipartite_Q(state, n_qubits: int) -> float:
     """Q = 2 - (2/N) sum_j tr(rho_j^2): mean over single-site reductions, in [0, 1]."""
-    vec = _resolve_state(state, decomposition)
-    if vec.shape[0] != 2**n_qubits:
-        raise ValueError(f"state dimension {vec.shape[0]} does not match 2^{n_qubits}")
+    column = np.asarray(state)[:, np.newaxis]
     purity_sum = 0.0
     for j in range(n_qubits):
-        m = _as_site_matrix(vec, QubitPartition.single_site(j, n_qubits))
+        (m,) = _as_site_matrix(column, QubitPartition.single_site(j, n_qubits))
         rho = m @ m.conj().T
         purity_sum += _real_with_residue_check(
             complex(np.trace(rho @ rho)), "mean_bipartite_Q purity"
@@ -110,34 +109,30 @@ def overlap_coeff(
     n: int, k: int, l: int, decomposition: SpectralDecomposition, partition: QubitPartition
 ) -> complex:
     """A^n_kl = tr[ tr_B(|n><n|) tr_B(|k><l|) ], bounded by the subsystem size."""
-    rho_n = partial_trace_dyad(n, n, partition, decomposition)
-    dyad_kl = partial_trace_dyad(k, l, partition, decomposition)
+    vec = decomposition.vector
+    rho_n = partial_trace_dyad(vec(n), vec(n), partition)
+    dyad_kl = partial_trace_dyad(vec(k), vec(l), partition)
     return complex(np.trace(rho_n @ dyad_kl))
 
 
-def ground_state_site_overlaps(
-    decomposition: SpectralDecomposition, n_qubits: int
-) -> np.ndarray:
-    """Site-summed ground-state overlaps A^0_0k for every level k.
+def ground_state_site_overlaps(vectors: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Site-summed ground-state overlaps A^0_0k for every column k of ``vectors``.
 
-    A^0_0k = sum_j tr[ tr_{all != j}(|0><0|) tr_{all != j}(|0><k|) ].  Depends
-    only on the eigenvectors, so it can be computed once per Hamiltonian and
-    reused across perturbation draws.  Every entry is bounded by N in modulus;
+    ``vectors`` is a (2^N, K) block of eigenvector columns, all of them or any
+    subset whose column 0 is the ground state.  A^0_0k = sum_j tr[
+    tr_{all != j}(|0><0|) tr_{all != j}(|0><k|) ].  Depends only on the
+    eigenvectors, so it can be computed once per Hamiltonian and reused
+    across perturbation draws.  Every entry is bounded by N in modulus;
     violating that bound aborts.
     """
-    dim = decomposition.dim
-    if dim != 2**n_qubits:
-        raise ValueError(f"dimension {dim} does not match 2^{n_qubits}")
-    totals = np.zeros(dim, dtype=complex)
+    totals = np.zeros(vectors.shape[1], dtype=complex)
     for j in range(n_qubits):
-        partition = QubitPartition.single_site(j, n_qubits)
-        g = _as_site_matrix(decomposition.vector(0), partition)  # (2, dim/2)
+        # (K, 2, dim/2) site matrices of every column; column 0 is the ground
+        stack = _as_site_matrix(vectors, QubitPartition.single_site(j, n_qubits))
+        g = stack[0]
         rho_j = g @ g.conj().T
-        # tr_{!=j}(|0><k|) for all k at once: (dim, 2, 2) stack.
-        others = np.stack(
-            [_as_site_matrix(decomposition.vector(k), partition) for k in range(dim)]
-        )
-        dyads = np.einsum("sB,ktB->kst", g, others.conj())
+        # tr_{!=j}(|0><k|) for all k at once: (K, 2, 2) stack.
+        dyads = np.einsum("sB,ktB->kst", g, stack.conj())
         totals += np.einsum("st,kts->k", rho_j, dyads)
     max_abs = float(np.max(np.abs(totals)))
     if max_abs > n_qubits + 1e-9:
@@ -152,8 +147,8 @@ def dEL_dtau(n: int, inputs: EntanglementInputs, partition: QubitPartition) -> f
 
     dE_L/dtau = -2 sum_{k != n} [V_kn A^n_kn + V_nk A^n_nk] / (eps_n - eps_k).
     """
-    inputs.decomposition.require_nondegenerate()
     eps = inputs.decomposition.eigenvalues
+    require_isolated(eps, n)
     v = inputs.v_eig
     total = 0.0 + 0.0j
     for k in range(inputs.decomposition.dim):
@@ -173,11 +168,11 @@ def dQ0_dtau(inputs: EntanglementInputs, site_overlaps: np.ndarray | None = None
     in to amortize over many perturbation draws).  Only row 0 of ``v_eig``
     enters; see :func:`dQ0_dtau_from_row`.
     """
-    decomposition = inputs.decomposition
-    decomposition.require_nondegenerate()
+    eps = inputs.decomposition.eigenvalues
+    require_isolated(eps, 0)
     if site_overlaps is None:
-        site_overlaps = ground_state_site_overlaps(decomposition, inputs.n_qubits)
-    eps = decomposition.eigenvalues
+        u = inputs.decomposition.eigenvectors
+        site_overlaps = ground_state_site_overlaps(u, inputs.n_qubits)
     return dQ0_dtau_from_row(inputs.v_eig[0], eps[1:] - eps[0], site_overlaps, inputs.n_qubits)
 
 
@@ -189,8 +184,8 @@ def dQ0_dtau_from_row(
     ``v_row[k]`` is <0|V|k>, i.e. (u_0^dag V) U, an O(d^2) product instead of
     the O(d^3) full transform.  ``gaps[k - 1]`` = eps_k - eps_0 and
     ``site_overlaps`` depend on H0 alone, so a run of many draws on one H0
-    computes them once; the caller has checked the spectrum with
-    ``require_nondegenerate``.
+    computes them once; the caller has checked the ground level with
+    ``require_isolated(eps, 0)``.
     """
     terms = (v_row[1:] * site_overlaps[1:]).real / gaps
     return (8.0 / n_qubits) * float(terms.sum())

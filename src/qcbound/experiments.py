@@ -100,8 +100,8 @@ class ScatterResult:
     records: list
     violations_b: int
     violations_b_prime: int
-    # Always 0: the degeneracy guard runs on H0 only.  Kept because
-    # summary.json reports it as "rejected".
+    # Always 0: the degeneracy guard runs once, on the ground level of H0,
+    # before any draw.  Kept because summary.json reports it as "rejected".
     n_rejected: int
     b: float
     b_prime: float
@@ -168,8 +168,9 @@ def scatter_bound_test(
 
     Per sample: draw V with a child seed, compute |dQ^0/dtau|, K_0, and the
     saturation index delta against the per-model constants b and b'.  The
-    degeneracy guard runs once, on H0: a degenerate H0 raises
-    DegenerateSpectrumError before any draw, and no draw can be rejected.
+    degeneracy guard runs once, in ``bound_b`` on the ground level of H0,
+    before the overlaps and any draw, so no draw can be rejected; the sums do
+    not depend on the basis ``eigh`` picks in a degenerate excited level.
 
     Both kernels read only row 0 of U^dag V U, so a draw computes just that
     row, w = (u_0^dag V) U, and takes u_0^dag V straight from the normals
@@ -184,15 +185,14 @@ def scatter_bound_test(
         raise ValueError("need at least one sample")
     h0, v_spec = build_scatter_model(config, h0_seed=spawn_seed(master_seed, 0))
     decomposition = eigensystem(h0)
-    decomposition.require_nondegenerate()
     n = config.n_qubits
     eps = decomposition.eigenvalues
-    overlaps = ground_state_site_overlaps(decomposition, n)
-    gaps = eps[1:] - eps[0]
-    diffs = _level_differences(0, eps)
     b = bound_b(eps)
     b_prime = bound_b_prime(eps, n, a_value)
     u = decomposition.eigenvectors
+    overlaps = ground_state_site_overlaps(u, n)
+    gaps = eps[1:] - eps[0]
+    diffs = _level_differences(0, eps)
     c = np.ascontiguousarray(u[:, 0].conj(), dtype=complex)
     seeds = spawn_seeds(master_seed, np.arange(1, samples + 1, dtype=np.uint64))
     rng = _seeded_generators(seeds)

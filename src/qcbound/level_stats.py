@@ -22,6 +22,7 @@ import numpy as np
 __all__ = [
     "S0_CROSSING",
     "MIN_UNFOLD_LEVELS",
+    "MIN_FIT_SPACINGS",
     "UnfoldingError",
     "FitConvergenceError",
     "TooFewSpacingsError",
@@ -40,8 +41,9 @@ __all__ = [
 
 S0_CROSSING = 0.472
 
-# Fewest levels ``unfold`` accepts; the CLI rejects smaller spectra up front.
+# Fewest levels ``unfold`` and spacings ``weibull_fit`` accept; the CLI checks both.
 MIN_UNFOLD_LEVELS = 20
+MIN_FIT_SPACINGS = 100
 
 
 class UnfoldingError(RuntimeError):
@@ -268,9 +270,9 @@ def weibull_mle(
 
 
 def weibull_fit(sample: SpacingSample) -> WeibullParams:
-    """Fit the Weibull density to a spacing sample (needs >= 100 spacings)."""
-    if len(sample) < 100:
-        raise TooFewSpacingsError(f"need at least 100 spacings to fit, got {len(sample)}")
+    """Fit the Weibull density to a spacing sample (needs >= MIN_FIT_SPACINGS)."""
+    if (n := len(sample)) < MIN_FIT_SPACINGS:
+        raise TooFewSpacingsError(f"need at least {MIN_FIT_SPACINGS} spacings to fit, got {n}")
     return weibull_mle(sample.spacings)
 
 

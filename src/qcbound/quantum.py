@@ -4,6 +4,9 @@ Operators that conserve a quantum number are block diagonal in its sectors;
 ``block_spectrum`` solves such an operator one (indices, block) pair at a time
 instead of as one dense matrix.
 
+``require_isolated`` is the one degeneracy guard, and ``_as_site_matrix`` the
+one site-reduction kernel of partial traces and site overlaps.
+
 Tensor-ordering convention (shared by every module in this package): site 0 maps
 to the MOST significant bit of the computational-basis index.  For two qubits the
 basis is ordered |00>, |01>, |10>, |11> with the left bit belonging to site 0, so
@@ -32,6 +35,7 @@ __all__ = [
     "heisenberg_coupling",
     "eigensystem",
     "block_spectrum",
+    "require_isolated",
     "partial_trace_dyad",
 ]
 
@@ -39,8 +43,8 @@ __all__ = [
 # to be Hermitian to machine precision already).
 HERMITICITY_WARN_ATOL = 1e-10
 
-# A spectrum counts as degenerate when min_gap < DEGENERACY_RTOL * spectral
-# width; derivative formulas with 1/(eps_n - eps_m) poles must refuse it.
+# A level n counts as degenerate when a gap to a neighbour is at most
+# DEGENERACY_RTOL * spectral width; formulas with 1/(eps_n - eps_m) refuse it.
 DEGENERACY_RTOL = 1e-10
 
 _PAULI = {
@@ -103,27 +107,13 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    min_gap: float
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    @property
-    def spectral_width(self) -> float:
-        return float(self.eigenvalues[-1] - self.eigenvalues[0])
-
     def vector(self, n: int) -> np.ndarray:
         return self.eigenvectors[:, n]
-
-    def require_nondegenerate(self) -> None:
-        """Refuse spectra whose smallest gap cannot support 1/gap sums."""
-        width = self.spectral_width
-        if width <= 0.0 or self.min_gap <= DEGENERACY_RTOL * width:
-            raise DegenerateSpectrumError(
-                f"min gap {self.min_gap:.3e} below degeneracy guard "
-                f"({DEGENERACY_RTOL:.0e} x width {width:.3e})"
-            )
 
 
 @dataclass(frozen=True)
@@ -208,11 +198,7 @@ def eigensystem(op: HermitianOperator) -> SpectralDecomposition:
     vectors = _fix_phases(vectors)
     eigenvalues.setflags(write=False)
     vectors.setflags(write=False)
-    return SpectralDecomposition(
-        eigenvalues=eigenvalues,
-        eigenvectors=vectors,
-        min_gap=float(np.min(np.diff(eigenvalues))),
-    )
+    return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors)
 
 
 @dataclass(frozen=True)
@@ -253,6 +239,24 @@ def block_spectrum(blocks) -> BlockSpectrum:
     )
 
 
+def require_isolated(eigenvalues, levels) -> None:
+    """Raise DegenerateSpectrumError unless each of ``levels`` (the index n, or
+    indices, of the levels whose gaps eps_m - eps_n a formula divides by) is
+    more than DEGENERACY_RTOL x width from its neighbours in the ascending
+    ``eigenvalues``, and the spectral width is > 0."""
+    eps = np.asarray(eigenvalues)
+    width = float(eps[-1] - eps[0])
+    top = eps.size - 1
+    for n in np.atleast_1d(levels).tolist():
+        gap = min(eps[n] - eps[n - 1] if n > 0 else np.inf,
+                  eps[n + 1] - eps[n] if n < top else np.inf)
+        if width <= 0.0 or gap <= DEGENERACY_RTOL * width:
+            raise DegenerateSpectrumError(
+                f"level {n}: gap {gap:.3e} below the degeneracy guard "
+                f"({DEGENERACY_RTOL:.0e} x width {width:.3e})"
+            )
+
+
 def _require_qubit_dim(dim: int, partition: QubitPartition) -> None:
     if dim != 2**partition.n_qubits:
         raise ValueError(
@@ -261,31 +265,22 @@ def _require_qubit_dim(dim: int, partition: QubitPartition) -> None:
         )
 
 
-def _as_site_matrix(vec: np.ndarray, partition: QubitPartition) -> np.ndarray:
-    """Reshape a state vector to (dim_A, dim_B) with kept-site axes leading."""
+def _as_site_matrix(vectors: np.ndarray, partition: QubitPartition) -> np.ndarray:
+    """The (k, dim_A, dim_B) stack of site matrices of a (dim, k) block of
+    state columns, kept-site axes leading; C-contiguous, so that contractions
+    downstream give each column the same bits for any k."""
+    _require_qubit_dim(vectors.shape[0], partition)
     n = partition.n_qubits
-    tensor = vec.reshape((2,) * n)
-    order = list(partition.kept) + [s for s in range(n) if s not in partition.kept]
-    return np.transpose(tensor, order).reshape(partition.dim_kept, -1)
+    k = vectors.shape[1]
+    order = [n, *partition.kept, *(s for s in range(n) if s not in partition.kept)]
+    tensor = np.transpose(vectors.reshape((2,) * n + (k,)), order)
+    return np.ascontiguousarray(tensor.reshape(k, partition.dim_kept, -1))
 
 
-def _resolve_state(state, decomposition) -> np.ndarray:
-    if isinstance(state, (int, np.integer)):
-        if decomposition is None:
-            raise ValueError("an eigenvector index needs a decomposition to resolve it")
-        return decomposition.eigenvectors[:, int(state)]
-    return np.asarray(state)
-
-
-def partial_trace_dyad(ket, bra, partition: QubitPartition, decomposition=None) -> np.ndarray:
+def partial_trace_dyad(ket, bra, partition: QubitPartition) -> np.ndarray:
     """tr_B(|ket><bra|) on subsystem A without forming the full dyad.
 
-    ``ket``/``bra`` are state vectors or eigenvector indices into
-    ``decomposition``.  For ket == bra the result is a density matrix.
+    For ket == bra the result is a density matrix.
     """
-    k = _resolve_state(ket, decomposition)
-    l = _resolve_state(bra, decomposition)
-    _require_qubit_dim(k.shape[0], partition)
-    km = _as_site_matrix(k, partition)
-    lm = _as_site_matrix(l, partition)
+    km, lm = _as_site_matrix(np.column_stack((ket, bra)), partition)
     return km @ lm.conj().T

@@ -19,7 +19,7 @@ import numpy as np
 from qcbound.ensembles import EnsembleKind, EnsembleSpec, _sample_matrix, spawn_seed
 from qcbound.entanglement import EntanglementInputs, _real_with_residue_check, overlap_coeff
 from qcbound.models import _spectral_std
-from qcbound.quantum import QubitPartition, _require_qubit_dim
+from qcbound.quantum import QubitPartition, _require_qubit_dim, require_isolated
 
 
 def model_d_matrix(theta: float, seed: int, dim: int, chaotic_scale: float) -> np.ndarray:
@@ -51,8 +51,8 @@ def gamma_coeff(n: int, k: int, l: int, inputs: EntanglementInputs) -> complex:
     gamma^n_kl = d_nl (1 - d_kn) V_kn/(eps_n - eps_k)
                + d_kn (1 - d_nl) V_nl/(eps_n - eps_l)
     """
-    inputs.decomposition.require_nondegenerate()
     eps = inputs.decomposition.eigenvalues
+    require_isolated(eps, n)
     v = inputs.v_eig
     out = 0.0 + 0.0j
     if l == n and k != n:

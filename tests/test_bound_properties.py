@@ -15,18 +15,18 @@ from qcbound.curvature import _level_differences, bound_b, level_curvature_from_
 from qcbound.ensembles import EnsembleKind, EnsembleSpec, _sample_matrix
 from qcbound.entanglement import dQ0_dtau_from_row, ground_state_site_overlaps
 from qcbound.experiments import BOUND_SLACK_RTOL
-from qcbound.quantum import DEGENERACY_RTOL, HermitianOperator, eigensystem
+from qcbound.quantum import DEGENERACY_RTOL, HermitianOperator, eigensystem, require_isolated
 
 
 def bound_terms(h0: np.ndarray, v: np.ndarray, n_qubits: int) -> tuple:
     """(b, K_0, |dQ^0/dtau|) of perturbation v on base h0, as a scatter draw
     computes them."""
     dec = eigensystem(HermitianOperator(h0))
-    dec.require_nondegenerate()
     eps = dec.eigenvalues
+    require_isolated(eps, 0)
     u = dec.eigenvectors
     row = (u[:, 0].conj() @ v) @ u
-    overlaps = ground_state_site_overlaps(dec, n_qubits)
+    overlaps = ground_state_site_overlaps(u, n_qubits)
     dq = abs(dQ0_dtau_from_row(row, eps[1:] - eps[0], overlaps, n_qubits))
     k0 = level_curvature_from_row(row, _level_differences(0, eps))
     return bound_b(eps), k0, dq

@@ -77,7 +77,7 @@ class TestCheckCommand:
         assert code == 3
 
     def test_degenerate_base_is_refused_before_any_draw(self, tmp_path, monkeypatch):
-        # model A with equal fields and no coupling has a degenerate H0
+        # model A with equal fields at lambda = 0.5 has a ground doublet at -1.6
         import qcbound.experiments as experiments
 
         def no_draw(*args):
@@ -86,9 +86,39 @@ class TestCheckCommand:
         monkeypatch.setattr(experiments, "_sample_row", no_draw)
         out = tmp_path / "d"
         code = run_cli(["check", "--model", "A", "--a-coeffs", "0.1,0.1,0.1",
-                        "--lambda", "0", "--samples", "5", "--out", str(out)])
+                        "--lambda", "0.5", "--samples", "5", "--out", str(out)])
         assert code == 2
         assert not (out / "records.csv").exists()
+
+    def test_degenerate_excited_levels_are_accepted(self, tmp_path):
+        # a = (0, 0.3, 0.3), lambda = 0.5: an isolated ground level at -1.92
+        # below an excited doublet at -1.5; the bound divides only by the
+        # ground gaps, so the run goes ahead
+        from qcbound import HermitianOperator, eigensystem, mean_bipartite_Q
+        from qcbound.ensembles import _sample_matrix, spawn_seed
+        from qcbound.models import ModelConfig, build_scatter_model
+
+        out = tmp_path / "x"
+        code = run_cli(["check", "--model", "A", "--a-coeffs", "0,0.3,0.3",
+                        "--lambda", "0.5", "--samples", "8", "--out", str(out)])
+        assert code == 0
+        assert json.loads((out / "summary.json").read_text())["violations_b"] == 0
+        config = ModelConfig(family="A", n_qubits=3, a_coeffs=(0.0, 0.3, 0.3), lam=0.5)
+        h0, v_spec = build_scatter_model(config, h0_seed=spawn_seed(0, 0))
+        eps = eigensystem(h0).eigenvalues
+        assert eps[2] - eps[1] < 1e-12 < eps[1] - eps[0]
+        for line in (out / "records.csv").read_text().splitlines()[1:]:
+            seed, dq_abs = int(line.split(",")[0]), float(line.split(",")[1])
+            v = _sample_matrix(v_spec, seed)
+
+            def q(tau):
+                dec = eigensystem(HermitianOperator(h0.matrix + tau * v))
+                return mean_bipartite_Q(dec.vector(0), 3)
+
+            h = 1e-5  # central differences with one Richardson step
+            d1 = (q(h) - q(-h)) / (2 * h)
+            d2 = (q(h / 2) - q(-h / 2)) / h
+            assert dq_abs == pytest.approx(abs((4 * d2 - d1) / 3), rel=1e-5, abs=1e-9)
 
     def test_a_choice_flag_changes_b_prime(self, tmp_path):
         outs = {}
@@ -366,6 +396,34 @@ class TestSweepCommands:
         err = capsys.readouterr().err
         assert flag in err and "at least 20" in err
         assert not (out / "manifest.json").exists()
+
+    TOO_FEW_SPACINGS = [
+        (["stats", "--source", "E", "--qubits", "6", "--draws", "5"], "--draws 5", 85),
+        (["stats", "--source", "GOE", "--dim", "20", "--draws", "3"], "--draws 3", 51),
+        (["sweep-theta", "--dim", "20", "--points", "2", "--realizations", "4"],
+         "--realizations 4", 68),
+        (["sweep-defect", "--qubits", "6", "--points", "2", "--realizations", "4"],
+         "--realizations 4", 68),
+    ]
+
+    @pytest.mark.parametrize("argv,flag,spacings", TOO_FEW_SPACINGS,
+                             ids=["stats-E-N6", "stats-GOE-d20", "theta-d20", "defect-N6"])
+    def test_pooled_fit_too_small_exits_2_before_any_draw(
+            self, tmp_path, capsys, monkeypatch, argv, flag, spacings):
+        # draws x (L - 2 floor(trim L) - 1) spacings: 5 x 17, 3 x 17, 4 x 17
+        import qcbound.experiments as experiments
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a draw was made")
+
+        monkeypatch.setattr(experiments, "_sweep", no_draw)
+        monkeypatch.setattr(experiments, "spawn_seeds", no_draw)
+        out = tmp_path / "o"
+        assert run_cli([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "--unfold-trim" in err
+        assert f"gives {spacings} spacings" in err and "at least 100" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["sweep-defect", "--qubits", "6", "--points", "2", "--realizations", "8", "--d-max", "0.5"],

@@ -20,6 +20,7 @@ from qcbound.curvature import (
     two_level_rates,
 )
 from qcbound.ensembles import EnsembleKind, EnsembleSpec, sample
+from qcbound.entanglement import dEL_dtau, dQ0_dtau
 from qcbound.quantum import DegenerateSpectrumError, pauli
 
 
@@ -96,6 +97,32 @@ class TestBoundB:
         dec = eigensystem(HermitianOperator(np.diag([0.0, 0.0, 1.0])))
         with pytest.raises(DegenerateSpectrumError):
             bound_b(dec.eigenvalues)
+
+
+class TestDegeneracyGuard:
+    # diag(0, 1, 1, 2): an isolated ground level below a doublet at 1.  Each
+    # formula refuses only the levels it divides by.
+    FORMULAS = [
+        ("bound_b", lambda inputs: bound_b(inputs.decomposition.eigenvalues), True),
+        ("dQ0_dtau", dQ0_dtau, True),
+        ("level_curvature(0)", lambda inputs: level_curvature(0, inputs), True),
+        ("level_curvature(1)", lambda inputs: level_curvature(1, inputs), False),
+        ("dEL_dtau(1)",
+         lambda inputs: dEL_dtau(1, inputs, QubitPartition.single_site(0, 2)), False),
+        ("curvature_spectrum", curvature_spectrum, False),
+    ]
+
+    @pytest.mark.parametrize("formula,accepts", [f[1:] for f in FORMULAS],
+                             ids=[f[0] for f in FORMULAS])
+    def test_excited_doublet(self, formula, accepts):
+        h0 = HermitianOperator(np.diag([0.0, 1.0, 1.0, 2.0]))
+        v = sample(EnsembleSpec(EnsembleKind.GENERIC_HERMITIAN, 4), 3)
+        inputs = inputs_from(h0, v, 2)
+        if accepts:
+            assert math.isfinite(formula(inputs))
+        else:
+            with pytest.raises(DegenerateSpectrumError, match="level 1: gap 0.000e"):
+                formula(inputs)
 
 
 class TestBoundBPrime:

@@ -164,19 +164,32 @@ class TestOverlapCoeff:
 
     def test_site_summed_bound(self):
         _, _, inputs = random_inputs(3, seed=7)
-        overlaps = ground_state_site_overlaps(inputs.decomposition, 3)
+        overlaps = ground_state_site_overlaps(inputs.decomposition.eigenvectors, 3)
         assert np.all(np.abs(overlaps) <= 3 + 1e-9)
 
-    def test_site_summed_matches_loop(self):
-        _, _, inputs = random_inputs(2, seed=8)
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_site_summed_matches_loop(self, n):
+        _, _, inputs = random_inputs(n, seed=8)
         dec = inputs.decomposition
-        overlaps = ground_state_site_overlaps(dec, 2)
-        for k in range(4):
+        overlaps = ground_state_site_overlaps(dec.eigenvectors, n)
+        for k in range(2**n):
             manual = sum(
-                overlap_coeff(0, 0, k, dec, QubitPartition.single_site(j, 2))
-                for j in range(2)
+                overlap_coeff(0, 0, k, dec, QubitPartition.single_site(j, n))
+                for j in range(n)
             )
             assert overlaps[k] == pytest.approx(manual, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_column_subset_matches_full_result(self, n):
+        # a block of eigenvector columns that starts with the ground state,
+        # such as the columns of the ground state's symmetry block
+        _, _, inputs = random_inputs(n, seed=9)
+        u = inputs.decomposition.eigenvectors
+        full = ground_state_site_overlaps(u, n)
+        cols = np.r_[0, np.random.default_rng(n).choice(np.arange(1, 2**n), 2**n // 2,
+                                                         replace=False)]
+        assert np.array_equal(ground_state_site_overlaps(u[:, cols], n), full[cols])
+        assert np.array_equal(ground_state_site_overlaps(u[:, :1], n), full[:1])
 
 
 class TestDELdtau:
@@ -249,7 +262,7 @@ class TestDQ0dtau:
 
     def test_precomputed_overlaps_equivalent(self):
         _, _, inputs = random_inputs(2, seed=15)
-        overlaps = ground_state_site_overlaps(inputs.decomposition, 2)
+        overlaps = ground_state_site_overlaps(inputs.decomposition.eigenvectors, 2)
         assert dQ0_dtau(inputs, site_overlaps=overlaps) == dQ0_dtau(inputs)
 
 

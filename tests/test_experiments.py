@@ -154,7 +154,7 @@ class TestScatterBoundTest:
         assert len(res.records) == 20
         h0, v_spec = build_scatter_model(cfg, h0_seed=spawn_seed(13, 0))
         dec = eigensystem(h0)
-        overlaps = ground_state_site_overlaps(dec, n)
+        overlaps = ground_state_site_overlaps(dec.eigenvectors, n)
         for record in res.records:
             inputs = EntanglementInputs.from_perturbation(
                 dec, HermitianOperator(_sample_matrix(v_spec, record.seed)), n

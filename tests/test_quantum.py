@@ -12,7 +12,7 @@ from qcbound import (
     pauli,
 )
 from qcbound.ensembles import EnsembleKind, EnsembleSpec, sample
-from qcbound.quantum import DegenerateSpectrumError
+from qcbound.quantum import DegenerateSpectrumError, require_isolated
 
 from oracles import partial_trace
 
@@ -128,7 +128,8 @@ class TestEigensystem:
     def test_diagonal_input_sorted(self):
         dec = eigensystem(HermitianOperator(np.diag([3.0, 1.0, 2.0])))
         assert np.allclose(dec.eigenvalues, [1, 2, 3])
-        assert dec.min_gap == 1.0
+        assert np.min(np.diff(dec.eigenvalues)) == 1.0
+        require_isolated(dec.eigenvalues, range(3))
 
     def test_pauli_x(self):
         dec = eigensystem(pauli("x"))
@@ -171,7 +172,7 @@ class TestEigensystem:
     def test_degeneracy_guard(self):
         dec = eigensystem(HermitianOperator(np.diag([0.0, 0.0, 1.0])))
         with pytest.raises(DegenerateSpectrumError):
-            dec.require_nondegenerate()
+            require_isolated(dec.eigenvalues, range(3))
 
 
 class TestQubitPartition:
@@ -209,7 +210,7 @@ class TestPartialTrace:
         p = QubitPartition.single_site(1, 3)
         for k in range(3):
             for l in range(3):
-                tr = np.trace(partial_trace_dyad(k, l, p, dec))
+                tr = np.trace(partial_trace_dyad(dec.vector(k), dec.vector(l), p))
                 assert abs(tr - (1.0 if k == l else 0.0)) < 1e-12
 
     def test_matches_matrix_code_path(self):
