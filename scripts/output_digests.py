@@ -11,7 +11,10 @@ runs.  The runs named in ``CONFIG_FILES`` also read that JSON object through
 ``--config``, with one of its keys overridden by a flag.  For
 ``records.csv`` it also prints the digest of the ``sample_seed`` column
 alone (key ``records.csv:sample_seed``): a change may move the floats of a
-scatter record at roundoff level but not its seeds.
+scatter record at roundoff level but not its seeds.  For
+``defect_sweep.csv`` it also prints the digest of the CSV without its
+``q_mean`` and ``q_stderr`` columns (key ``defect_sweep.csv:without_q``):
+a change may move the ground-state Q at roundoff level but no other column.
 Compare two trees, from the repository root:
 
     python3 scripts/output_digests.py --src /path/to/parent/src > parent.json
@@ -88,6 +91,12 @@ def _seed_column(records_csv: bytes) -> bytes:
     return "\n".join(line.split(",")[column] for line in lines).encode()
 
 
+def _without_q(sweep_csv: bytes) -> bytes:
+    rows = [line.split(",") for line in sweep_csv.decode().splitlines()]
+    keep = [i for i, name in enumerate(rows[0]) if name not in ("q_mean", "q_stderr")]
+    return "\n".join(",".join(row[i] for i in keep) for row in rows).encode()
+
+
 def _without_timestamp(manifest_json: bytes) -> bytes:
     return b"\n".join(line for line in manifest_json.split(b"\n")
                       if not line.lstrip().startswith(b'"created_utc"'))
@@ -114,6 +123,8 @@ def digests(main) -> dict:
                 entry[file] = _sha256(data)
                 if file == "records.csv":
                     entry["records.csv:sample_seed"] = _sha256(_seed_column(data))
+                if file == "defect_sweep.csv":
+                    entry["defect_sweep.csv:without_q"] = _sha256(_without_q(data))
             result[name] = entry
     return result
 

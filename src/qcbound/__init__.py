@@ -18,7 +18,6 @@ from .quantum import (
     embed_site,
     heisenberg_coupling,
     eigensystem,
-    partial_trace_dyad,
 )
 from .entanglement import (
     EntanglementInputs,
@@ -46,7 +45,6 @@ __all__ = [
     "embed_site",
     "heisenberg_coupling",
     "eigensystem",
-    "partial_trace_dyad",
     "EntanglementInputs",
     "linear_entropy",
     "mean_bipartite_Q",

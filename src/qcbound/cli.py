@@ -95,24 +95,45 @@ def _write_manifest(out_dir: Path, master_seed: int, config: dict, outputs: list
     _write_json(out_dir / "manifest.json", asdict(manifest))
 
 
+def _finite_float(value) -> float:
+    """A finite number: the type of every float flag and --a-coeffs entry, also
+    applied to config values (json.loads accepts NaN and Infinity)."""
+    try:
+        number = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {value!r}")
+    return number
+
+
+def _coefficients(value) -> tuple:
+    """--a-coeffs: comma-separated numbers, or a config file's list of them."""
+    items = value.split(",") if isinstance(value, str) else value
+    return tuple(_finite_float(v) for v in items)
+
+
 # JSON types a config value may have for a flag of the given argparse type;
 # every other flag takes a string.
-_CONFIG_TYPES = {int: (int,), float: (int, float)}
+_CONFIG_TYPES = {int: (int,), _finite_float: (int, float)}
 
 
 def _config_value(action: argparse.Action, key: str, value):
-    """``value`` checked as argparse checks the flag: of the flag's type and
-    among its choices.  --a-coeffs also takes a list of numbers."""
-    if action.dest == "a_coeffs" and isinstance(value, list):
+    """``value`` checked and converted as argparse does for the flag: of the
+    flag's type and among its choices.  --a-coeffs also takes a list of numbers."""
+    if action.type is _coefficients and isinstance(value, list):
         items, kinds = value, (int, float)
     else:
         items, kinds = [value], _CONFIG_TYPES.get(action.type, (str,))
     valid = all(isinstance(v, kinds) and not isinstance(v, bool) for v in items)
     if not valid or (action.choices is not None and value not in action.choices):
         expected = (f"one of {list(action.choices)}" if action.choices is not None
-                    else getattr(action.type, "__name__", "str"))
+                    else " or ".join(kind.__name__ for kind in kinds))
         raise CliError(f"config key {key!r}: expected {expected}, got {value!r}")
-    return action.type(value) if action.type in _CONFIG_TYPES else value
+    try:
+        return value if action.type is None else action.type(value)
+    except argparse.ArgumentTypeError as exc:
+        raise CliError(f"config key {key!r} ({action.option_strings[0]}): {exc}") from None
 
 
 def _load_config_file(args) -> dict:
@@ -147,16 +168,12 @@ def _out_dir(args) -> Path:
 def _cmd_check(args) -> int:
     if args.samples < 1:
         raise CliError("--samples must be a positive integer")
-    if isinstance(args.a_coeffs, (list, tuple)):
-        coeffs = tuple(float(v) for v in args.a_coeffs)
-    else:
-        coeffs = tuple(float(v) for v in str(args.a_coeffs).split(","))
     config = ModelConfig(
         family=args.model,
         n_qubits=args.qubits or 0,
         ensemble=args.ensemble,
-        a_coeffs=coeffs,
-        lam=float(args.lam),
+        a_coeffs=args.a_coeffs,
+        lam=args.lam,
     )
     a_value = _resolve_a_value(args.a_choice, config.n_qubits)
     result = scatter_bound_test(
@@ -412,14 +429,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_unfolding_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--unfold-degree", dest="unfold_degree", type=int, default=6)
-    p.add_argument("--unfold-trim", dest="unfold_trim", type=float, default=0.05)
+    p.add_argument("--unfold-trim", dest="unfold_trim", type=_finite_float, default=0.05)
 
 
 def _add_sweep_flags(p: argparse.ArgumentParser, points: int) -> None:
     p.add_argument("--points", type=int, default=points)
     p.add_argument("--realizations", type=int, default=100)
     _add_unfolding_flags(p)
-    p.add_argument("--outlier-k", dest="outlier_k", type=float, default=1.5)
+    p.add_argument("--outlier-k", dest="outlier_k", type=_finite_float, default=1.5)
     p.add_argument("--gamma-mode", dest="gamma_mode",
                    choices=["pooled", "per-realization"], default="pooled")
 
@@ -427,8 +444,9 @@ def _add_sweep_flags(p: argparse.ArgumentParser, points: int) -> None:
 def _add_chain_flags(p: argparse.ArgumentParser) -> None:
     """The defect chain's flags, shared by sweep-defect and stats --source E."""
     p.add_argument("--qubits", type=int, default=9)
-    p.add_argument("--h", type=float, default=MODEL_E_DEFAULT_FIELD, help="homogeneous field")
-    p.add_argument("--J", dest="coupling", type=float, default=1.0, help="bond coupling")
+    p.add_argument("--h", type=_finite_float, default=MODEL_E_DEFAULT_FIELD,
+                   help="homogeneous field")
+    p.add_argument("--J", dest="coupling", type=_finite_float, default=1.0, help="bond coupling")
     p.add_argument("--sector", choices=["restricted", "full"], default="restricted",
                    help="spacing statistics within the largest sigma_z sector or the full spectrum")
 
@@ -449,23 +467,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="perturbation ensemble for model C")
     p.add_argument("--samples", type=int, default=3000)
     p.add_argument("--a-choice", dest="a_choice", choices=list(A_CHOICES), default="1/2^N")
-    p.add_argument("--a-coeffs", dest="a_coeffs", type=str, default="0.1,0.2,0.3",
+    p.add_argument("--a-coeffs", dest="a_coeffs", type=_coefficients, default="0.1,0.2,0.3",
                    help="model A field coefficients, comma separated")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5,
+    p.add_argument("--lambda", dest="lam", type=_finite_float, default=0.5,
                    help="model A coupling strength")
     _add_common(p)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("sweep-theta", help="chaos/bound sweep of the Poisson-GOE rotation")
     p.add_argument("--dim", type=int, default=MODEL_D_DEFAULT_DIM)
-    p.add_argument("--chaotic-scale", dest="chaotic_scale", type=float,
+    p.add_argument("--chaotic-scale", dest="chaotic_scale", type=_finite_float,
                    default=MODEL_D_CHAOTIC_SCALE)
     _add_sweep_flags(p, points=16)
     _add_common(p)
     p.set_defaults(func=_cmd_sweep_theta)
 
     p = sub.add_parser("sweep-defect", help="chaos/bound/entanglement sweep of the defect chain")
-    p.add_argument("--d-max", dest="d_max", type=float, default=2.5)
+    p.add_argument("--d-max", dest="d_max", type=_finite_float, default=2.5)
     _add_chain_flags(p)
     _add_sweep_flags(p, points=26)
     _add_common(p)
@@ -475,9 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True, choices=list(STATS_SOURCES))
     p.add_argument("--dim", type=int, default=MODEL_D_DEFAULT_DIM)
     p.add_argument("--draws", type=int, default=100)
-    p.add_argument("--theta", type=float, default=math.pi / 2.0,
+    p.add_argument("--theta", type=_finite_float, default=math.pi / 2.0,
                    help="rotation angle for source D")
-    p.add_argument("--d-value", dest="d_value", type=float, default=0.25,
+    p.add_argument("--d-value", dest="d_value", type=_finite_float, default=0.25,
                    help="defect strength for source E")
     _add_chain_flags(p)
     _add_unfolding_flags(p)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import EntanglementInputs, dEL_dtau, overlap_coeff
+from .entanglement import EntanglementInputs, _level_overlaps, dEL_dtau
 from .quantum import QubitPartition, require_isolated
 
 __all__ = [
@@ -187,10 +187,10 @@ def two_level_rates(
     v10 = complex(inputs.v_eig[1, 0])
     if v01 == 0:
         raise ValueError("vanishing coupling V_01: the pair does not interact")
-    a0_10 = overlap_coeff(0, 1, 0, decomposition, partition)
-    a0_01 = overlap_coeff(0, 0, 1, decomposition, partition)
-    a1_01 = overlap_coeff(1, 0, 1, decomposition, partition)
-    a1_10 = overlap_coeff(1, 1, 0, decomposition, partition)
+    pair = decomposition.eigenvectors[:, :2]  # A^n_nk of n = 0, 1; A^n_kn = conj(A^n_nk)
+    a0_01 = complex(_level_overlaps(pair, 0, partition)[1])
+    a1_10 = complex(_level_overlaps(pair, 1, partition)[0])
+    a0_10, a1_01 = a0_01.conjugate(), a1_10.conjugate()
 
     k0 = 2.0 * abs(v01) ** 2 / (eps[0] - eps[1])
     k1 = -k0

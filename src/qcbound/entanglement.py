@@ -7,6 +7,13 @@ exact sums over off-diagonal matrix elements V_nm = <n|V|m> weighted by inverse
 level gaps.  Each derivative refuses (``quantum.require_isolated``) only the
 (near-)degenerate levels n it divides by, where the 1/(eps_n - eps_k) poles
 make the level-following picture break down.  The measures take state vectors.
+
+Every term is one reduction, A^n_nk = tr[ tr_B(|n><n|) tr_B(|n><k|) ] of a
+level n against a block of columns k, from one kernel (``_level_overlaps``):
+E_L and Q read A^n_nn, dE_L/dtau and the two-level rates (``curvature``) row
+n, and dQ0/dtau its site sum (``ground_state_site_overlaps``).  A state in one
+total-sigma_z sector needs no reduction: ``sector_mean_bipartite_Q`` takes Q
+from the site magnetizations, in the sector's own basis.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ from .quantum import (
     HermitianOperator,
     QubitPartition,
     SpectralDecomposition,
-    partial_trace_dyad,
     require_isolated,
     _as_site_matrix,
 )
@@ -29,7 +35,7 @@ __all__ = [
     "EntanglementInputs",
     "linear_entropy",
     "mean_bipartite_Q",
-    "overlap_coeff",
+    "sector_mean_bipartite_Q",
     "ground_state_site_overlaps",
     "dEL_dtau",
     "dQ0_dtau",
@@ -85,34 +91,46 @@ def _real_with_residue_check(value: complex, context: str) -> float:
     return float(value.real)
 
 
+def _level_overlaps(vectors: np.ndarray, n: int, partition: QubitPartition) -> np.ndarray:
+    """A^n_nk = tr[ tr_B(|n><n|) tr_B(|n><k|) ] for every column k of the
+    (2^N, K) block ``vectors``, whose column n is level n: the one overlap
+    kernel of every entanglement term.  A^n_kn = conj(A^n_nk)."""
+    # (K, dim_A, dim_B) site matrices of every column
+    stack = _as_site_matrix(vectors, partition)
+    g = stack[n]
+    rho_n = g @ g.conj().T
+    # tr_B(|n><k|) for all k at once: (K, dim_A, dim_A) stack.
+    dyads = np.einsum("sB,ktB->kst", g, stack.conj())
+    return np.einsum("st,kts->k", rho_n, dyads)
+
+
 def linear_entropy(state, partition: QubitPartition) -> float:
     """E_L = 1 - tr(rho_A^2) of a pure state under the given bipartition."""
-    rho = partial_trace_dyad(state, state, partition)
-    purity = _real_with_residue_check(complex(np.trace(rho @ rho)), "linear_entropy purity")
-    return 1.0 - purity
+    (purity,) = _level_overlaps(np.asarray(state)[:, np.newaxis], 0, partition)
+    return 1.0 - _real_with_residue_check(complex(purity), "linear_entropy purity")
 
 
 def mean_bipartite_Q(state, n_qubits: int) -> float:
     """Q = 2 - (2/N) sum_j tr(rho_j^2): mean over single-site reductions, in [0, 1]."""
-    column = np.asarray(state)[:, np.newaxis]
-    purity_sum = 0.0
-    for j in range(n_qubits):
-        (m,) = _as_site_matrix(column, QubitPartition.single_site(j, n_qubits))
-        rho = m @ m.conj().T
-        purity_sum += _real_with_residue_check(
-            complex(np.trace(rho @ rho)), "mean_bipartite_Q purity"
-        )
+    (purity_sum,) = ground_state_site_overlaps(np.asarray(state)[:, np.newaxis], n_qubits)
+    purity_sum = _real_with_residue_check(complex(purity_sum), "mean_bipartite_Q purity")
     return 2.0 - (2.0 / n_qubits) * purity_sum
 
 
-def overlap_coeff(
-    n: int, k: int, l: int, decomposition: SpectralDecomposition, partition: QubitPartition
-) -> complex:
-    """A^n_kl = tr[ tr_B(|n><n|) tr_B(|k><l|) ], bounded by the subsystem size."""
-    vec = decomposition.vector
-    rho_n = partial_trace_dyad(vec(n), vec(n), partition)
-    dyad_kl = partial_trace_dyad(vec(k), vec(l), partition)
-    return complex(np.trace(rho_n @ dyad_kl))
+def sector_mean_bipartite_Q(state, indices, n_qubits: int) -> float:
+    """:func:`mean_bipartite_Q` of a state confined to one total-sigma_z sector.
+
+    ``state[i]`` is the amplitude of basis index ``indices[i]``; all indices
+    must have the same number of set bits (one sector), or ValueError.  In one
+    sector every rho_j is diagonal, so Q = 1 - (1/N) sum_j <sigma_zj>^2 with
+    <sigma_zj> = sum_i |state_i|^2 s_ij, s_ij = +1 (-1) where bit j of
+    indices[i] is 0 (1), site 0 the most significant bit.
+    """
+    bits = (np.asarray(indices)[:, np.newaxis] >> np.arange(n_qubits - 1, -1, -1)) & 1
+    if np.ptp(bits.sum(axis=1)) != 0:
+        raise ValueError("the basis indices span more than one total-sigma_z sector")
+    sz = np.abs(state) ** 2 @ (1.0 - 2.0 * bits)
+    return 1.0 - float(sz @ sz) / n_qubits
 
 
 def ground_state_site_overlaps(vectors: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -127,13 +145,7 @@ def ground_state_site_overlaps(vectors: np.ndarray, n_qubits: int) -> np.ndarray
     """
     totals = np.zeros(vectors.shape[1], dtype=complex)
     for j in range(n_qubits):
-        # (K, 2, dim/2) site matrices of every column; column 0 is the ground
-        stack = _as_site_matrix(vectors, QubitPartition.single_site(j, n_qubits))
-        g = stack[0]
-        rho_j = g @ g.conj().T
-        # tr_{!=j}(|0><k|) for all k at once: (K, 2, 2) stack.
-        dyads = np.einsum("sB,ktB->kst", g, stack.conj())
-        totals += np.einsum("st,kts->k", rho_j, dyads)
+        totals += _level_overlaps(vectors, 0, QubitPartition.single_site(j, n_qubits))
     max_abs = float(np.max(np.abs(totals)))
     if max_abs > n_qubits + 1e-9:
         raise ArithmeticError(
@@ -145,19 +157,15 @@ def ground_state_site_overlaps(vectors: np.ndarray, n_qubits: int) -> np.ndarray
 def dEL_dtau(n: int, inputs: EntanglementInputs, partition: QubitPartition) -> float:
     """Rate of change of the level-n linear entropy along the perturbation.
 
-    dE_L/dtau = -2 sum_{k != n} [V_kn A^n_kn + V_nk A^n_nk] / (eps_n - eps_k).
+    dE_L/dtau = -2 sum_{k != n} [V_kn A^n_kn + V_nk A^n_nk] / (eps_n - eps_k)
+              = -4 sum_{k != n} Re[V_nk A^n_nk] / (eps_n - eps_k).
     """
     eps = inputs.decomposition.eigenvalues
     require_isolated(eps, n)
-    v = inputs.v_eig
-    total = 0.0 + 0.0j
-    for k in range(inputs.decomposition.dim):
-        if k == n:
-            continue
-        a_kn = overlap_coeff(n, k, n, inputs.decomposition, partition)
-        a_nk = overlap_coeff(n, n, k, inputs.decomposition, partition)
-        total += (v[k, n] * a_kn + v[n, k] * a_nk) / (eps[n] - eps[k])
-    return _real_with_residue_check(-2.0 * total, "dEL_dtau")
+    overlaps = _level_overlaps(inputs.decomposition.eigenvectors, n, partition)
+    others = np.arange(eps.size) != n
+    terms = (inputs.v_eig[n, others] * overlaps[others]).real / (eps[n] - eps[others])
+    return -4.0 * float(terms.sum())
 
 
 def dQ0_dtau(inputs: EntanglementInputs, site_overlaps: np.ndarray | None = None) -> float:

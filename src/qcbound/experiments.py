@@ -15,9 +15,14 @@ above: no draw builds a ``SeedSequence`` of its own.  At theta = 0, H(theta)
 is diagonal and its spectrum is the sorted diagonal, as is a PoissonDiagonal
 matrix's, bit for bit what ``eigvalsh`` returns.  The sweeps and ``stats``
 draw their spectra through the same draw factories and drop a failed draw
-the same way (``_run_draws``).  The CLI rejects a spectrum too small to
-unfold (``level_stats.MIN_UNFOLD_LEVELS``) before any draw.  Draws run one
-after another in task-index order, in the calling thread.
+the same way (``_run_draws``).  A draw factory ``factory(param, seeds, ...)``
+returns ``draw(i) -> (eigenvalues, levels, q)`` of the draw seeded with
+seeds[i]: the ascending spectrum, the levels to unfold, and the ground
+state's Q, which only model E gives (from its ground block, in its sector;
+None for model D and the ensembles), so that no draw forms a 2^N vector.
+The CLI rejects a spectrum too small to unfold
+(``level_stats.MIN_UNFOLD_LEVELS``) before any draw.  Draws run one after
+another in task-index order, in the calling thread.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .ensembles import (
     spawn_seed, spawn_seeds,
 )
 from .entanglement import (
-    IMAG_RESIDUE_ATOL, dQ0_dtau_from_row, ground_state_site_overlaps, mean_bipartite_Q,
+    IMAG_RESIDUE_ATOL, dQ0_dtau_from_row, ground_state_site_overlaps, sector_mean_bipartite_Q,
 )
 from .level_stats import (
     FitConvergenceError,
@@ -257,6 +262,11 @@ def _run_draws(task, n_draws: int, label: str) -> list:
     return [d for d in _run_indexed(draw_or_none, n_draws, 1) if d is not None]
 
 
+def _stderr(x: np.ndarray) -> float:
+    """Standard error of the mean of ``x``; 0 for a single value."""
+    return float(np.std(x, ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
+
+
 def _aggregate_row(
     param: float,
     b_values: list,
@@ -272,17 +282,12 @@ def _aggregate_row(
         raise ExperimentError(
             f"{n_failed}/{realizations} draws failed at parameter {param:g}"
         )
-    b_arr = np.asarray(b_values, dtype=float)
-    trim = trim_outliers(b_arr, k=outlier_k)
+    trim = trim_outliers(np.asarray(b_values, dtype=float), k=outlier_k)
     n_kept = int(trim.kept.size)
-    b_stderr = (
-        float(np.std(trim.kept, ddof=1) / math.sqrt(n_kept)) if n_kept > 1 else 0.0
-    )
 
     if per_realization_gamma:
         g = np.asarray(gammas_per_draw, dtype=float)
-        gamma_mean = float(g.mean())
-        gamma_stderr = float(np.std(g, ddof=1) / math.sqrt(g.size)) if g.size > 1 else 0.0
+        gamma_mean, gamma_stderr = float(g.mean()), _stderr(g)
     else:
         gamma_mean = gamma_chaos(weibull_fit(pool_spacing_samples(spacing_samples)))
         gamma_stderr = 0.0  # single pooled fit; no realization scatter available
@@ -290,29 +295,20 @@ def _aggregate_row(
     q_mean = q_stderr = None
     if q_values is not None:
         q_arr = np.asarray(q_values, dtype=float)[trim.mask]
-        q_mean = float(q_arr.mean())
-        q_stderr = (
-            float(np.std(q_arr, ddof=1) / math.sqrt(q_arr.size)) if q_arr.size > 1 else 0.0
-        )
+        q_mean, q_stderr = float(q_arr.mean()), _stderr(q_arr)
 
     return SweepRow(
         param=param,
         gamma_mean=gamma_mean,
         gamma_stderr=gamma_stderr,
         b_mean=float(trim.kept.mean()),
-        b_stderr=b_stderr,
+        b_stderr=_stderr(trim.kept),
         n_kept=n_kept,
         n_trimmed=realizations - n_kept,
         q_mean=q_mean,
         q_stderr=q_stderr,
         n_failed=n_failed,
     )
-
-
-# Draw factories: ``factory(param, seeds, ...)`` returns ``draw(i) ->
-# (eigenvalues, levels, ground_vector)`` of the draw seeded with seeds[i]: the
-# ascending spectrum, the levels to unfold, and the ground state (None where
-# no caller needs it).
 
 
 def _ensemble_draws(kind: EnsembleKind, seeds, dim: int):
@@ -351,9 +347,10 @@ def _model_e_draws(d: float, seeds, n_qubits: int, h: float, J: float,
                    sector_restricted: bool, levels_only: bool = False):
     """Draws of model E at defect strength d, solved block by block in the
     total-sigma_z sectors; the levels are the largest sector's (n_down =
-    N // 2) when ``sector_restricted``, else the merged spectrum.  With
-    ``levels_only`` a restricted draw solves that block alone and returns
-    (None, levels, None)."""
+    N // 2) when ``sector_restricted``, else the merged spectrum, and Q that
+    of the ground block's lowest eigenvector, in its sector
+    (``sector_mean_bipartite_Q``).  With ``levels_only`` a restricted draw
+    solves that block alone and returns (None, levels, None)."""
 
     def draw(i: int) -> tuple:
         blocks = model_e_blocks(n_qubits=n_qubits, d=d, h=h, J=J, seed=int(seeds[i]))
@@ -362,7 +359,9 @@ def _model_e_draws(d: float, seeds, n_qubits: int, h: float, J: float,
             return None, np.linalg.eigvalsh(blocks[middle][1]), None
         spectrum = block_spectrum(blocks)
         levels = spectrum.block_eigenvalues[middle] if sector_restricted else spectrum.eigenvalues
-        return spectrum.eigenvalues, levels, spectrum.ground_vector
+        indices = blocks[spectrum.ground_block][0]
+        q = sector_mean_bipartite_Q(spectrum.ground_state, indices, n_qubits)
+        return spectrum.eigenvalues, levels, q
 
     return draw
 
@@ -370,7 +369,6 @@ def _model_e_draws(d: float, seeds, n_qubits: int, h: float, J: float,
 def _sweep(
     grid, label: str, draws, realizations: int, master_seed: int, poly_degree: int,
     edge_trim: float, outlier_k: float, per_realization_gamma: bool,
-    n_qubits: int | None = None,
 ) -> list:
     """One aggregated row per grid value of a sweep's critical parameter.
 
@@ -378,31 +376,31 @@ def _sweep(
     spawn_seed(master, t, r) of every realization r, derived in one pass: b
     comes from the full sorted spectrum, the spacing sample from the levels,
     gamma from this draw's own Weibull fit in per-realization mode (from the
-    pooled fit otherwise), and the ground-state Q only when ``n_qubits`` is
-    given.  Failed draws are dropped and counted by ``_run_draws``.
+    pooled fit otherwise), and the ground-state Q where the factory gives
+    one.  Failed draws are dropped and counted by ``_run_draws``.
     """
     rows = []
     for t_index, param in enumerate(float(p) for p in grid):
         draw = draws(param, spawn_seeds(master_seed, np.arange(realizations), (t_index,)))
 
         def one_draw(r: int):
-            eigenvalues, levels, ground_vector = draw(r)
+            eigenvalues, levels, q = draw(r)
             b = bound_b(eigenvalues)
             sample = spacing_sample_from_levels(
                 levels, poly_degree=poly_degree, edge_trim=edge_trim
             )
             gamma = gamma_chaos(weibull_fit(sample)) if per_realization_gamma else None
-            q = None if n_qubits is None else mean_bipartite_Q(ground_vector, n_qubits)
             return b, sample, gamma, q
 
         ok = _run_draws(one_draw, realizations, f"{label}={param:g}")
+        q_values = [d[3] for d in ok]
         rows.append(
             _aggregate_row(
                 param=param,
                 b_values=[d[0] for d in ok],
                 spacing_samples=[d[1] for d in ok],
                 gammas_per_draw=[d[2] for d in ok],
-                q_values=None if n_qubits is None else [d[3] for d in ok],
+                q_values=None if None in q_values else q_values,
                 n_failed=realizations - len(ok),
                 realizations=realizations,
                 outlier_k=outlier_k,
@@ -457,7 +455,7 @@ def sweep_defect(
     draws = functools.partial(_model_e_draws, n_qubits=n_qubits, h=h, J=J,
                               sector_restricted=sector_restricted)
     return _sweep(d_grid, "model-E d", draws, realizations, master_seed, poly_degree,
-                  edge_trim, outlier_k, per_realization_gamma, n_qubits=n_qubits)
+                  edge_trim, outlier_k, per_realization_gamma)
 
 
 STATS_SOURCES = ("GOE", "GUE", "PoissonDiagonal", "D", "E")

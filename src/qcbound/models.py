@@ -111,26 +111,6 @@ class ModelConfig:
 
 
 @lru_cache(maxsize=16)
-def _site_z(n_qubits: int) -> tuple:
-    ops = []
-    for j in range(n_qubits):
-        m = _embed(_PAULI["z"], j, n_qubits).real
-        m.setflags(write=False)
-        ops.append(m)
-    return tuple(ops)
-
-
-@lru_cache(maxsize=16)
-def _all_pairs_coupling(n_qubits: int) -> np.ndarray:
-    total = np.zeros((2**n_qubits, 2**n_qubits))
-    for i in range(n_qubits):
-        for j in range(i + 1, n_qubits):
-            total += heisenberg_coupling(i, j, n_qubits).matrix
-    total.setflags(write=False)
-    return total
-
-
-@lru_cache(maxsize=16)
 def _sector_chain(n_qubits: int) -> tuple:
     """Per sector n_down = 0..N: its basis indices, the block of
     sum_j sigma_j . sigma_{j+1}, and the site-z signs (column j = site j)."""
@@ -173,9 +153,10 @@ def model_a(
     if len(a_coeffs) != 3:
         raise ValueError("model A takes exactly three field coefficients")
     n = 3
-    matrix = lam * _all_pairs_coupling(n)
+    matrix = lam * sum(heisenberg_coupling(i, j, n).matrix
+                       for i in range(n) for j in range(i + 1, n))
     for j, aj in enumerate(a_coeffs):
-        matrix = matrix + aj * _site_z(n)[j]
+        matrix = matrix + aj * _embed(_PAULI["z"], j, n).real
     return HermitianOperator(matrix), EnsembleSpec(EnsembleKind.GENERIC_HERMITIAN, 2**n)
 
 

@@ -1,11 +1,13 @@
-"""N-qubit operator algebra, dense Hermitian eigendecomposition, and partial traces.
+"""N-qubit operator algebra, dense Hermitian eigendecomposition, and the site
+reduction of state vectors.
 
 Operators that conserve a quantum number are block diagonal in its sectors;
 ``block_spectrum`` solves such an operator one (indices, block) pair at a time
-instead of as one dense matrix.
+instead of as one dense matrix, and returns its ground state in the basis of
+its own block, never embedded in the full space.
 
 ``require_isolated`` is the one degeneracy guard, and ``_as_site_matrix`` the
-one site-reduction kernel of partial traces and site overlaps.
+one site reduction, under ``entanglement._level_overlaps``.
 
 Tensor-ordering convention (shared by every module in this package): site 0 maps
 to the MOST significant bit of the computational-basis index.  For two qubits the
@@ -36,7 +38,6 @@ __all__ = [
     "eigensystem",
     "block_spectrum",
     "require_isolated",
-    "partial_trace_dyad",
 ]
 
 # Symmetrization corrections above this trigger a warning (inputs are expected
@@ -206,14 +207,15 @@ class BlockSpectrum:
     """Spectrum of a block-diagonal Hermitian operator, solved block by block.
 
     ``block_eigenvalues[k]`` are the ascending eigenvalues of block k,
-    ``eigenvalues`` all of them merged in ascending order, and
-    ``ground_vector`` the eigenvector of the lowest one, embedded in the full
-    space with the phase gauge of ``eigensystem``.
+    ``eigenvalues`` all of them merged in ascending order, ``ground_block``
+    the index of the block holding the lowest one, and ``ground_state`` its
+    eigenvector in that block's own basis (no phase gauge is fixed).
     """
 
     block_eigenvalues: tuple
     eigenvalues: np.ndarray
-    ground_vector: np.ndarray
+    ground_block: int
+    ground_state: np.ndarray
 
 
 def block_spectrum(blocks) -> BlockSpectrum:
@@ -226,16 +228,15 @@ def block_spectrum(blocks) -> BlockSpectrum:
     """
     try:
         values = tuple(np.linalg.eigvalsh(block) for _, block in blocks)
-        indices, block = blocks[int(np.argmin([v[0] for v in values]))]
-        _, vectors = np.linalg.eigh(block)
+        ground_block = int(np.argmin([v[0] for v in values]))
+        _, vectors = np.linalg.eigh(blocks[ground_block][1])
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver failed on a symmetry block: {exc}") from exc
-    ground = np.zeros(sum(len(idx) for idx, _ in blocks), dtype=vectors.dtype)
-    ground[indices] = _fix_phases(vectors[:, :1])[:, 0]
     return BlockSpectrum(
         block_eigenvalues=values,
         eigenvalues=np.sort(np.concatenate(values)),
-        ground_vector=ground,
+        ground_block=ground_block,
+        ground_state=vectors[:, 0],
     )
 
 
@@ -243,17 +244,19 @@ def require_isolated(eigenvalues, levels) -> None:
     """Raise DegenerateSpectrumError unless each of ``levels`` (the index n, or
     indices, of the levels whose gaps eps_m - eps_n a formula divides by) is
     more than DEGENERACY_RTOL x width from its neighbours in the ascending
-    ``eigenvalues``, and the spectral width is > 0."""
+    ``eigenvalues``, and the spectral width is > 0.  A NaN fails each test,
+    and an infinite width gives an infinite guard: non-finite is refused."""
     eps = np.asarray(eigenvalues)
     width = float(eps[-1] - eps[0])
+    floor = DEGENERACY_RTOL * width
     top = eps.size - 1
     for n in np.atleast_1d(levels).tolist():
-        gap = min(eps[n] - eps[n - 1] if n > 0 else np.inf,
-                  eps[n + 1] - eps[n] if n < top else np.inf)
-        if width <= 0.0 or gap <= DEGENERACY_RTOL * width:
+        below = eps[n] - eps[n - 1] if n > 0 else np.inf
+        above = eps[n + 1] - eps[n] if n < top else np.inf
+        if not (width > 0.0 and below > floor and above > floor):
             raise DegenerateSpectrumError(
-                f"level {n}: gap {gap:.3e} below the degeneracy guard "
-                f"({DEGENERACY_RTOL:.0e} x width {width:.3e})"
+                f"level {n}: gap {float(np.minimum(below, above)):.3e} below the "
+                f"degeneracy guard ({DEGENERACY_RTOL:.0e} x width {width:.3e})"
             )
 
 
@@ -275,12 +278,3 @@ def _as_site_matrix(vectors: np.ndarray, partition: QubitPartition) -> np.ndarra
     order = [n, *partition.kept, *(s for s in range(n) if s not in partition.kept)]
     tensor = np.transpose(vectors.reshape((2,) * n + (k,)), order)
     return np.ascontiguousarray(tensor.reshape(k, partition.dim_kept, -1))
-
-
-def partial_trace_dyad(ket, bra, partition: QubitPartition) -> np.ndarray:
-    """tr_B(|ket><bra|) on subsystem A without forming the full dyad.
-
-    For ket == bra the result is a density matrix.
-    """
-    km, lm = _as_site_matrix(np.column_stack((ket, bra)), partition)
-    return km @ lm.conj().T

@@ -1,10 +1,13 @@
 """Reference implementations that only the tests use.
 
-``partial_trace`` and ``dEL_dtau_from_gamma`` (with its ``gamma_coeff``) are
-independent routes to quantities the package computes another way: the
-reduced state by contracting the full density matrix instead of
-``partial_trace_dyad``, and dE_L/dtau by the full double sum over the
-projector derivative instead of ``entanglement.dEL_dtau``.
+``partial_trace`` and ``dEL_dtau_from_gamma`` (with its ``gamma_coeff`` and
+``overlap_coeff``) are independent routes to quantities the package computes
+another way: the reduced state by contracting the full density matrix, and
+dE_L/dtau by the full double sum over the projector derivative, one overlap
+A^n_kl at a time, instead of ``entanglement.dEL_dtau`` on the one overlap
+kernel.  ``partial_trace_dyad`` reduces one dyad |ket><bra| with the
+package's site reduction ``quantum._as_site_matrix``; ``overlap_coeff`` and
+the partial-trace tests build on it.
 
 ``model_d_matrix`` is the seed-taking model-D builder the package used before
 ``models._ModelDSampler``: one ``SeedSequence`` per child stream, H_P drawn
@@ -17,9 +20,11 @@ import math
 import numpy as np
 
 from qcbound.ensembles import EnsembleKind, EnsembleSpec, _sample_matrix, spawn_seed
-from qcbound.entanglement import EntanglementInputs, _real_with_residue_check, overlap_coeff
+from qcbound.entanglement import EntanglementInputs, _real_with_residue_check
 from qcbound.models import _spectral_std
-from qcbound.quantum import QubitPartition, _require_qubit_dim, require_isolated
+from qcbound.quantum import (
+    QubitPartition, SpectralDecomposition, _as_site_matrix, _require_qubit_dim, require_isolated,
+)
 
 
 def model_d_matrix(theta: float, seed: int, dim: int, chaotic_scale: float) -> np.ndarray:
@@ -43,6 +48,23 @@ def partial_trace(rho: np.ndarray, partition: QubitPartition) -> np.ndarray:
         tensor = np.trace(tensor, axis1=site, axis2=site + tensor.ndim // 2)
     d = partition.dim_kept
     return tensor.reshape(d, d)
+
+
+def partial_trace_dyad(ket, bra, partition: QubitPartition) -> np.ndarray:
+    """tr_B(|ket><bra|) on subsystem A, on the package's site reduction, without
+    forming the full dyad.  For ket == bra the result is a density matrix."""
+    km, lm = _as_site_matrix(np.column_stack((ket, bra)), partition)
+    return km @ lm.conj().T
+
+
+def overlap_coeff(
+    n: int, k: int, l: int, decomposition: SpectralDecomposition, partition: QubitPartition
+) -> complex:
+    """A^n_kl = tr[ tr_B(|n><n|) tr_B(|k><l|) ], bounded by the subsystem size."""
+    vec = decomposition.vector
+    rho_n = partial_trace_dyad(vec(n), vec(n), partition)
+    dyad_kl = partial_trace_dyad(vec(k), vec(l), partition)
+    return complex(np.trace(rho_n @ dyad_kl))
 
 
 def gamma_coeff(n: int, k: int, l: int, inputs: EntanglementInputs) -> complex:

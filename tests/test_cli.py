@@ -1,6 +1,7 @@
 import ast
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -577,6 +578,66 @@ class TestReportEnsembles:
         assert "DQ_GOE/DQ_GUE = 0.84" in out
         assert "DQ_GOE/DQ_GSE = 0.70" in out
         assert (tmp_path / "manifest.json").exists()
+
+
+class TestNonFiniteFloats:
+    # every float flag of every subcommand, and the config key of each
+    FLOAT_FLAGS = [("check", "lambda"), ("check", "a-coeffs"),
+                   ("sweep-theta", "chaotic-scale"), ("sweep-theta", "unfold-trim"),
+                   ("sweep-theta", "outlier-k"), ("sweep-defect", "d-max"),
+                   ("sweep-defect", "h"), ("sweep-defect", "J"),
+                   ("sweep-defect", "unfold-trim"), ("sweep-defect", "outlier-k"),
+                   ("stats", "theta"), ("stats", "d-value"), ("stats", "h"), ("stats", "J"),
+                   ("stats", "unfold-trim")]
+    CONFIG_KEYS = {"lambda": "lam", "J": "coupling"}
+    RUNS = {
+        "check": ["check", "--model", "A", "--samples", "5"],
+        "sweep-theta": ["sweep-theta", "--points", "2", "--realizations", "4", "--dim", "32"],
+        "sweep-defect": ["sweep-defect", "--qubits", "7", "--points", "2",
+                         "--realizations", "4"],
+        "stats": ["stats", "--source", "E", "--qubits", "7", "--draws", "5"],
+    }
+
+    def test_every_float_flag_is_listed(self):
+        subparsers = cli_module.build_parser()._subparsers._group_actions[0].choices
+        checked = {(command, action.option_strings[0][2:])
+                   for command, parser in subparsers.items() for action in parser._actions
+                   if action.type in (cli_module._finite_float, cli_module._coefficients)}
+        assert checked == set(self.FLOAT_FLAGS)
+        assert not any(action.type is float for parser in subparsers.values()
+                       for action in parser._actions)
+
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command,flag", FLOAT_FLAGS,
+                             ids=[f"{c}-{f}" for c, f in FLOAT_FLAGS])
+    def test_exits_2_before_any_draw(self, tmp_path, capsys, monkeypatch, command, flag,
+                                     value, via_config):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a draw was made")
+
+        for name in ("scatter_bound_test", "sweep_theta", "sweep_defect",
+                     "spacing_statistics"):
+            monkeypatch.setattr(cli_module, name, no_draw)
+        setting = [0.1, value, 0.3] if flag == "a-coeffs" else value
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            key = self.CONFIG_KEYS.get(flag, flag.replace("-", "_"))
+            cfg.write_text(json.dumps({key: setting}))  # written as NaN / Infinity
+            extra = ["--config", str(cfg)]
+        else:
+            text = ",".join(map(str, setting)) if flag == "a-coeffs" else str(setting)
+            extra = [f"--{flag}={text}"]
+        out = tmp_path / "o"
+        try:
+            code = run_cli([*self.RUNS[command], *extra, "--out", str(out)])
+        except SystemExit as exc:  # argparse rejects a flag's value itself
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--{flag}" in err and "finite" in err
+        assert not (out / "manifest.json").exists()
 
 
 class TestSerialDraws:

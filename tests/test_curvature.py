@@ -21,7 +21,7 @@ from qcbound.curvature import (
 )
 from qcbound.ensembles import EnsembleKind, EnsembleSpec, sample
 from qcbound.entanglement import dEL_dtau, dQ0_dtau
-from qcbound.quantum import DegenerateSpectrumError, pauli
+from qcbound.quantum import DegenerateSpectrumError, pauli, require_isolated
 
 
 def inputs_from(h0, v, n_qubits):
@@ -123,6 +123,19 @@ class TestDegeneracyGuard:
         else:
             with pytest.raises(DegenerateSpectrumError, match="level 1: gap 0.000e"):
                 formula(inputs)
+
+    # sorted spectra, as np.sort puts a NaN last; each level of each is refused
+    NON_FINITE = [[0.0, np.nan, 2.0], [0.0, 1.0, np.nan], [np.nan, 1.0, 2.0],
+                  [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0], [-np.inf, 0.0, np.inf]]
+
+    @pytest.mark.parametrize("eps", NON_FINITE, ids=[str(e) for e in NON_FINITE])
+    def test_non_finite_spectrum_refused(self, eps):
+        eps = np.array(eps)
+        with pytest.raises(DegenerateSpectrumError):
+            bound_b(eps)
+        for n in range(eps.size):
+            with pytest.raises(DegenerateSpectrumError, match=f"level {n}: gap"):
+                require_isolated(eps, n)
 
 
 class TestBoundBPrime:

@@ -13,13 +13,12 @@ from qcbound import (
 )
 from qcbound.ensembles import EnsembleKind, EnsembleSpec, sample
 from qcbound.entanglement import (
-    dEL_dtau,
-    ground_state_site_overlaps,
-    overlap_coeff,
+    dEL_dtau, ground_state_site_overlaps, sector_mean_bipartite_Q,
 )
+from qcbound.models import sz_sector_indices
 from qcbound.quantum import DegenerateSpectrumError
 
-from oracles import dEL_dtau_from_gamma, gamma_coeff, partial_trace
+from oracles import dEL_dtau_from_gamma, gamma_coeff, overlap_coeff, partial_trace
 
 
 def random_state(dim, seed):
@@ -112,6 +111,30 @@ class TestMeanBipartiteQ:
         assert mean_bipartite_Q(psi, 3) == pytest.approx(
             mean_bipartite_Q(rotated, 3), abs=1e-14
         )
+
+
+class TestSectorQ:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_dense_on_every_sector(self, n):
+        for n_down in range(n + 1):
+            indices = sz_sector_indices(n, n_down)
+            amplitudes = random_state(indices.size, seed=10 * n + n_down)
+            embedded = np.zeros(2**n, dtype=complex)
+            embedded[indices] = amplitudes
+            assert sector_mean_bipartite_Q(amplitudes, indices, n) == pytest.approx(
+                mean_bipartite_Q(embedded, n), abs=1e-12
+            )
+
+    def test_w_state(self):
+        w = np.ones(3) / np.sqrt(3)  # |001>, |010>, |100>
+        assert sector_mean_bipartite_Q(w, [1, 2, 4], 3) == pytest.approx(
+            2.0 - 2.0 * (5.0 / 9.0), abs=1e-15
+        )
+
+    def test_two_sectors_refused(self):
+        # |001> has one down spin, |011> two
+        with pytest.raises(ValueError, match="more than one"):
+            sector_mean_bipartite_Q(np.ones(2) / np.sqrt(2), [1, 3], 3)
 
 
 class TestGammaCoeff:
@@ -223,11 +246,12 @@ class TestDELdtau:
         )
         assert dEL_dtau(1, flipped, p) == pytest.approx(-dEL_dtau(1, inputs, p), rel=1e-12)
 
-    def test_double_sum_identity(self):
+    @pytest.mark.parametrize("n_qubits", [2, 3, 5])
+    def test_double_sum_identity(self, n_qubits):
         for seed in range(4):
-            _, _, inputs = random_inputs(2, seed=20 + seed)
-            p = QubitPartition.single_site(0, 2)
-            for n in range(4):
+            _, _, inputs = random_inputs(n_qubits, seed=20 + seed)
+            p = QubitPartition.single_site(seed % n_qubits, n_qubits)
+            for n in range(2**n_qubits):
                 direct = dEL_dtau(n, inputs, p)
                 double = dEL_dtau_from_gamma(n, inputs, p)
                 assert abs(direct - double) < 1e-10

@@ -12,6 +12,7 @@ from qcbound import (
     mean_bipartite_Q,
     pauli,
 )
+from qcbound.entanglement import sector_mean_bipartite_Q
 from qcbound.ensembles import (
     EnsembleKind, EnsembleSpec, _sample_matrix, sample, spawn_seed, spawn_seeds,
 )
@@ -313,15 +314,17 @@ class TestModelEBlocks:
         oracle = dense_model_e(n, d, seed=seed)
         assert np.max(np.abs(model_e(n, d, seed=seed).matrix - oracle)) <= 1e-14
 
-        spectrum = block_spectrum(model_e_blocks(n, d, seed=seed))
+        blocks = model_e_blocks(n, d, seed=seed)
+        spectrum = block_spectrum(blocks)
         dense = eigensystem(HermitianOperator(oracle))
         eps = dense.eigenvalues
         width = eps[-1] - eps[0]
         assert np.max(np.abs(spectrum.eigenvalues - eps)) <= 1e-12 * width
-        assert abs(spectrum.ground_vector @ dense.vector(0)) >= 1.0 - 1e-12
+        indices = blocks[spectrum.ground_block][0]
+        assert abs(spectrum.ground_state @ dense.vector(0)[indices]) >= 1.0 - 1e-12
         assert bound_b(spectrum.eigenvalues) == pytest.approx(bound_b(eps), rel=1e-12)
         # Q = 2 - (2/N) sum of purities near 1: its rounding error is absolute
-        assert mean_bipartite_Q(spectrum.ground_vector, n) == pytest.approx(
+        assert sector_mean_bipartite_Q(spectrum.ground_state, indices, n) == pytest.approx(
             mean_bipartite_Q(dense.vector(0), n), rel=1e-12, abs=1e-12
         )
 
@@ -345,8 +348,10 @@ class TestModelEBlocks:
     def test_ground_state_in_one_dimensional_block(self):
         # clean chain above saturation: all spins down, the lone n_down = N state
         n = 6
-        spectrum = block_spectrum(model_e_blocks(n, d=0.0))
-        expected = np.zeros(2**n)
-        expected[-1] = 1.0
-        assert np.array_equal(spectrum.ground_vector, expected)
-        assert mean_bipartite_Q(spectrum.ground_vector, n) == 0.0
+        blocks = model_e_blocks(n, d=0.0)
+        spectrum = block_spectrum(blocks)
+        assert spectrum.ground_block == n
+        indices = blocks[n][0]
+        assert np.array_equal(indices, [2**n - 1])
+        assert np.array_equal(np.abs(spectrum.ground_state), [1.0])
+        assert sector_mean_bipartite_Q(spectrum.ground_state, indices, n) == 0.0

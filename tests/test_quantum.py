@@ -8,13 +8,12 @@ from qcbound import (
     eigensystem,
     embed_site,
     heisenberg_coupling,
-    partial_trace_dyad,
     pauli,
 )
 from qcbound.ensembles import EnsembleKind, EnsembleSpec, sample
 from qcbound.quantum import DegenerateSpectrumError, require_isolated
 
-from oracles import partial_trace
+from oracles import partial_trace, partial_trace_dyad
 
 
 def random_state(dim, seed):
