@@ -26,7 +26,6 @@ from .entanglement import (
     dQ0_dtau,
 )
 from .curvature import (
-    BoundRecord,
     bound_b,
     bound_b_prime,
     level_curvature,
@@ -49,7 +48,6 @@ __all__ = [
     "linear_entropy",
     "mean_bipartite_Q",
     "dQ0_dtau",
-    "BoundRecord",
     "bound_b",
     "bound_b_prime",
     "level_curvature",

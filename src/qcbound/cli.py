@@ -10,8 +10,8 @@ Output schemas (column order fixed, floats written with 17 significant digits):
     stats.json        Weibull fit parameters and the chaos parameter
     manifest.json     resolved configuration, seeds, RNG id, output digests
 
-Exit codes: 0 success, 2 configuration/validation error, 3 bound-violation
-detected by `check`.
+Exit codes: 0 success, 2 configuration/validation error or an eigensolver
+that did not converge, 3 bound-violation detected by `check`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .ensembles import RNG_ALGORITHM
 from .experiments import (
     STATS_SOURCES,
     ExperimentError,
-    RunManifest,
     scatter_bound_test,
     spacing_statistics,
     sweep_defect,
@@ -49,7 +48,8 @@ from .models import (
 
 __all__ = ["main", "entry_point"]
 
-A_CHOICES = ("1/2^N", "1/N")
+# --a-choice: the overlap half-width a of b' as a function of the qubit count
+A_VALUES = {"1/2^N": lambda n: 2.0**-n, "1/N": lambda n: 1.0 / n}
 
 
 class CliError(Exception):
@@ -75,24 +75,17 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _resolve_a_value(a_choice: str, n_qubits: int) -> float:
-    if a_choice == "1/2^N":
-        return 2.0**-n_qubits
-    if a_choice == "1/N":
-        return 1.0 / n_qubits
-    raise CliError(f"unknown a-choice {a_choice!r}; expected one of {A_CHOICES}")
-
-
 def _write_manifest(out_dir: Path, master_seed: int, config: dict, outputs: list) -> None:
-    manifest = RunManifest(
-        tool_version=__version__,
-        created_utc=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        master_seed=master_seed,
-        rng_algorithm=RNG_ALGORITHM,
-        config=config,
-        outputs={p.name: _sha256(p) for p in outputs},
-    )
-    _write_json(out_dir / "manifest.json", asdict(manifest))
+    """manifest.json: everything needed to bit-reproduce a run, and the
+    SHA-256 digests of its outputs."""
+    _write_json(out_dir / "manifest.json", {
+        "tool_version": __version__,
+        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "master_seed": master_seed,
+        "rng_algorithm": RNG_ALGORITHM,
+        "config": config,
+        "outputs": {p.name: _sha256(p) for p in outputs},
+    })
 
 
 def _finite_float(value) -> float:
@@ -175,12 +168,11 @@ def _cmd_check(args) -> int:
         a_coeffs=args.a_coeffs,
         lam=args.lam,
     )
-    a_value = _resolve_a_value(args.a_choice, config.n_qubits)
     result = scatter_bound_test(
         config,
         samples=args.samples,
         master_seed=args.seed,
-        a_value=a_value,
+        a_value=A_VALUES[args.a_choice](config.n_qubits),
     )
     out = _out_dir(args)
     records_path = out / "records.csv"
@@ -188,17 +180,17 @@ def _cmd_check(args) -> int:
         records_path,
         ["sample_seed", "dq_abs", "k0", "b", "b_prime", "delta"],
         [
-            [str(r.seed), _fmt(r.dq_abs), _fmt(r.k0), _fmt(r.b), _fmt(r.b_prime), _fmt(r.delta)]
-            for r in result.records
+            [str(seed), _fmt(dq_abs), _fmt(k0), _fmt(result.b), _fmt(result.b_prime), _fmt(delta)]
+            for seed, dq_abs, k0, delta in zip(result.seeds, result.dq_abs, result.k0, result.delta)
         ],
     )
     summary_path = out / "summary.json"
     _write_json(
         summary_path,
         {
-            "model": result.model_tag,
+            "model": config.tag,
             "samples_requested": args.samples,
-            "samples_recorded": len(result.records),
+            "samples_recorded": len(result.seeds),
             "rejected": result.n_rejected,
             "violations_b": result.violations_b,
             "violations_b_prime": result.violations_b_prime,
@@ -209,13 +201,13 @@ def _cmd_check(args) -> int:
     )
     config_dict = {
         "subcommand": "check",
-        "model": config.to_dict(),
+        "model": asdict(config),
         "samples": args.samples,
         "a_choice": args.a_choice,
     }
     _write_manifest(out, args.seed, config_dict, [records_path, summary_path])
     print(
-        f"{result.model_tag}: {len(result.records)} samples, "
+        f"{config.tag}: {len(result.seeds)} samples, "
         f"violations_b={result.violations_b}, "
         f"violations_b_prime={result.violations_b_prime}"
     )
@@ -466,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", choices=["GOE", "GUE"], default="GUE",
                    help="perturbation ensemble for model C")
     p.add_argument("--samples", type=int, default=3000)
-    p.add_argument("--a-choice", dest="a_choice", choices=list(A_CHOICES), default="1/2^N")
+    p.add_argument("--a-choice", dest="a_choice", choices=list(A_VALUES), default="1/2^N")
     p.add_argument("--a-coeffs", dest="a_coeffs", type=_coefficients, default="0.1,0.2,0.3",
                    help="model A field coefficients, comma separated")
     p.add_argument("--lambda", dest="lam", type=_finite_float, default=0.5,
@@ -518,7 +510,7 @@ def main(argv=None) -> int:
             args.parser.set_defaults(**_load_config_file(args))
             args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, ValueError, ExperimentError) as exc:
+    except (CliError, ValueError, ExperimentError) as exc:  # LinAlgError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

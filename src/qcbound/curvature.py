@@ -20,7 +20,6 @@ from .entanglement import EntanglementInputs, _level_overlaps, dEL_dtau
 from .quantum import QubitPartition, require_isolated
 
 __all__ = [
-    "BoundRecord",
     "EnsembleRatioReport",
     "TwoLevelRates",
     "TwoLevelDominanceError",
@@ -43,18 +42,6 @@ GSE_SQRTK_COEFF = 0.6
 
 class TwoLevelDominanceError(ValueError):
     """The lowest gap does not dominate: two-level truncation not applicable."""
-
-
-@dataclass(frozen=True)
-class BoundRecord:
-    """One Monte-Carlo sample of the inequality for a fixed (H0, V) pair."""
-
-    seed: int
-    dq_abs: float
-    k0: float
-    b: float
-    b_prime: float
-    delta: float
 
 
 @dataclass(frozen=True)
@@ -155,9 +142,12 @@ def bound_b_prime(
     return bound_b(eigenvalues) * (a / math.sqrt(3.0 * n_qubits))
 
 
-def saturation_index(dq_abs: float, k0: float, b: float) -> float:
-    """delta = |dQ^0/dtau| - b sqrt(|K_0|); non-positive when the bound holds."""
-    return dq_abs - b * math.sqrt(abs(k0))
+def saturation_index(dq_abs, k0, b: float) -> np.ndarray:
+    """delta = |dQ^0/dtau| - b sqrt(|K_0|), elementwise over the arrays (or
+    scalars) ``dq_abs`` and ``k0``; non-positive where the bound holds.  The
+    one comparison of the inequality: delta > 0 exactly when |dQ^0/dtau| >
+    b sqrt(|K_0|) in floating point."""
+    return dq_abs - b * np.sqrt(np.abs(k0))
 
 
 def two_level_rates(

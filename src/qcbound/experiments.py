@@ -30,12 +30,12 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .curvature import (
-    BoundRecord, _level_differences, bound_b, bound_b_prime, level_curvature_from_row,
+    _level_differences, bound_b, bound_b_prime, level_curvature_from_row,
     saturation_index,
 )
 from .ensembles import (
@@ -70,7 +70,6 @@ __all__ = [
     "TrimResult",
     "ScatterResult",
     "SweepRow",
-    "RunManifest",
     "trim_outliers",
     "scatter_bound_test",
     "sweep_theta",
@@ -98,11 +97,18 @@ class TrimResult:
 
 @dataclass(frozen=True)
 class ScatterResult:
-    """All records of one inequality scatter run over perturbation draws."""
+    """One inequality scatter run over perturbation draws, as columns.
 
-    model_tag: str
-    master_seed: int
-    records: list
+    Entry i of ``seeds`` (uint64), ``dq_abs``, ``k0`` and ``delta`` belongs to
+    draw i: its perturbation seed, |dQ^0/dtau|, K_0 and the saturation index
+    delta = |dQ^0/dtau| - b sqrt(|K_0|).  ``b`` and ``b_prime`` are the run's
+    constants, which depend on H0 alone.
+    """
+
+    seeds: np.ndarray
+    dq_abs: np.ndarray
+    k0: np.ndarray
+    delta: np.ndarray
     violations_b: int
     violations_b_prime: int
     # Always 0: the degeneracy guard runs once, on the ground level of H0,
@@ -126,18 +132,6 @@ class SweepRow:
     q_mean: float | None = None
     q_stderr: float | None = None
     n_failed: int = 0
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to bit-reproduce a run plus digests of its outputs."""
-
-    tool_version: str
-    created_utc: str
-    master_seed: int
-    rng_algorithm: str
-    config: dict
-    outputs: dict = field(default_factory=dict)
 
 
 def trim_outliers(values, k: float = 1.5) -> TrimResult:
@@ -171,8 +165,10 @@ def scatter_bound_test(
 ) -> ScatterResult:
     """Sample the inequality over perturbation draws on a fixed base Hamiltonian.
 
-    Per sample: draw V with a child seed, compute |dQ^0/dtau|, K_0, and the
-    saturation index delta against the per-model constants b and b'.  The
+    Per sample: draw V with a child seed and compute |dQ^0/dtau| and K_0.
+    Once per run, on those columns, ``saturation_index`` gives delta against
+    the per-model constant b and the b' comparison: the two violation counts
+    are delta > BOUND_SLACK_RTOL b and |dQ^0/dtau| - b' sqrt(|K_0|) > 0.  The
     degeneracy guard runs once, in ``bound_b`` on the ground level of H0,
     before the overlaps and any draw, so no draw can be rejected; the sums do
     not depend on the basis ``eigh`` picks in a degenerate excited level.
@@ -202,35 +198,25 @@ def scatter_bound_test(
     seeds = spawn_seeds(master_seed, np.arange(1, samples + 1, dtype=np.uint64))
     rng = _seeded_generators(seeds)
 
-    def one_sample(i: int) -> BoundRecord:
-        seed = int(seeds[i])
+    def one_sample(i: int) -> tuple:
         row = _sample_row(v_spec, rng(i), c) @ u
         if abs(row[0].imag) > IMAG_RESIDUE_ATOL:
             raise ValueError(
-                f"sample {i} (seed {seed}): <0|V|0> has imaginary part "
+                f"sample {i} (seed {int(seeds[i])}): <0|V|0> has imaginary part "
                 f"{row[0].imag:.3e}; the perturbation is not Hermitian"
             )
         dq_abs = abs(dQ0_dtau_from_row(row, gaps, overlaps, n))
-        k0 = level_curvature_from_row(row, diffs)
-        return BoundRecord(
-            seed=seed, dq_abs=dq_abs, k0=k0, b=b, b_prime=b_prime,
-            delta=saturation_index(dq_abs, k0, b),
-        )
+        return dq_abs, level_curvature_from_row(row, diffs)
 
-    records = _run_indexed(one_sample, samples, 1)
-    slack = BOUND_SLACK_RTOL * b
-    violations_b = sum(
-        1 for r in records if r.dq_abs > r.b * math.sqrt(abs(r.k0)) + slack
-    )
-    violations_b_prime = sum(
-        1 for r in records if r.dq_abs > r.b_prime * math.sqrt(abs(r.k0))
-    )
+    dq_abs, k0 = np.array(_run_indexed(one_sample, samples, 1)).T
+    delta = saturation_index(dq_abs, k0, b)
     return ScatterResult(
-        model_tag=config.tag,
-        master_seed=master_seed,
-        records=records,
-        violations_b=violations_b,
-        violations_b_prime=violations_b_prime,
+        seeds=seeds,
+        dq_abs=dq_abs,
+        k0=k0,
+        delta=delta,
+        violations_b=int(np.count_nonzero(delta > BOUND_SLACK_RTOL * b)),
+        violations_b_prime=int(np.count_nonzero(saturation_index(dq_abs, k0, b_prime) > 0)),
         n_rejected=0,
         b=b,
         b_prime=b_prime,

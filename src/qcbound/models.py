@@ -100,15 +100,6 @@ class ModelConfig:
             return f"C-{self.ensemble}-N{self.n_qubits}"
         return f"{self.family}-N{self.n_qubits}"
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n_qubits": self.n_qubits,
-            "ensemble": self.ensemble,
-            "a_coeffs": list(self.a_coeffs),
-            "lam": self.lam,
-        }
-
 
 @lru_cache(maxsize=16)
 def _sector_chain(n_qubits: int) -> tuple:

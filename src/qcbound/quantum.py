@@ -7,7 +7,9 @@ instead of as one dense matrix, and returns its ground state in the basis of
 its own block, never embedded in the full space.
 
 ``require_isolated`` is the one degeneracy guard, and ``_as_site_matrix`` the
-one site reduction, under ``entanglement._level_overlaps``.
+one site reduction, under ``entanglement._level_overlaps``.  An eigensolve that
+does not converge raises numpy's ``LinAlgError`` as it is, from every solve in
+the package, so that one exception type stands for that failure.
 
 Tensor-ordering convention (shared by every module in this package): site 0 maps
 to the MOST significant bit of the computational-basis index.  For two qubits the
@@ -26,7 +28,6 @@ import numpy as np
 __all__ = [
     "HERMITICITY_WARN_ATOL",
     "DEGENERACY_RTOL",
-    "EigensolverError",
     "DegenerateSpectrumError",
     "HermitianOperator",
     "SpectralDecomposition",
@@ -53,10 +54,6 @@ _PAULI = {
     "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
-
-
-class EigensolverError(RuntimeError):
-    """The underlying LAPACK eigensolver failed to converge."""
 
 
 class DegenerateSpectrumError(ValueError):
@@ -188,14 +185,8 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 
 
 def eigensystem(op: HermitianOperator) -> SpectralDecomposition:
-    """Full dense eigendecomposition with fixed eigenvector phases.
-
-    Raises EigensolverError if LAPACK does not converge (never silently).
-    """
-    try:
-        eigenvalues, vectors = np.linalg.eigh(op.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigensolver failed on dim-{op.dim} operator: {exc}") from exc
+    """Full dense eigendecomposition with fixed eigenvector phases."""
+    eigenvalues, vectors = np.linalg.eigh(op.matrix)
     vectors = _fix_phases(vectors)
     eigenvalues.setflags(write=False)
     vectors.setflags(write=False)
@@ -226,12 +217,9 @@ def block_spectrum(blocks) -> BlockSpectrum:
     by two blocks is not resolved here: the merged eigenvalues carry the
     degeneracy to the guards downstream.
     """
-    try:
-        values = tuple(np.linalg.eigvalsh(block) for _, block in blocks)
-        ground_block = int(np.argmin([v[0] for v in values]))
-        _, vectors = np.linalg.eigh(blocks[ground_block][1])
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigensolver failed on a symmetry block: {exc}") from exc
+    values = tuple(np.linalg.eigvalsh(block) for _, block in blocks)
+    ground_block = int(np.argmin([v[0] for v in values]))
+    _, vectors = np.linalg.eigh(blocks[ground_block][1])
     return BlockSpectrum(
         block_eigenvalues=values,
         eigenvalues=np.sort(np.concatenate(values)),

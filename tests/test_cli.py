@@ -8,6 +8,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qcbound import cli as cli_module
@@ -64,12 +65,10 @@ class TestCheckCommand:
         # the proved inequality cannot be violated by real runs, so fake one
         import qcbound.cli as cli_mod
         from qcbound.experiments import ScatterResult
-        from qcbound.curvature import BoundRecord
 
         fake = ScatterResult(
-            model_tag="B-N2", master_seed=0,
-            records=[BoundRecord(seed=1, dq_abs=9.0, k0=-1.0, b=2.0,
-                                 b_prime=0.2, delta=7.0)],
+            seeds=np.array([1], dtype=np.uint64), dq_abs=np.array([9.0]),
+            k0=np.array([-1.0]), delta=np.array([7.0]),
             violations_b=1, violations_b_prime=1, n_rejected=0, b=2.0, b_prime=0.2,
         )
         monkeypatch.setattr(cli_mod, "scatter_bound_test", lambda *a, **k: fake)
@@ -545,6 +544,26 @@ class TestStatsCommand:
         assert run_cli(["stats", *argv, "--dim", "32", "--draws", "5",
                         "--out", str(tmp_path)]) == 0
         assert loops == [(5, 1)]
+
+
+class TestEigensolverFailure:
+    # finite inputs whose Hamiltonian overflows: LAPACK does not converge
+    @pytest.mark.parametrize("argv", [
+        ["check", "--model", "A", "--lambda", "1e308", "--samples", "5"],
+        ["sweep-defect", "--qubits", "7", "--points", "2", "--realizations", "4",
+         "--d-max", "1e308"],
+        ["stats", "--source", "E", "--qubits", "7", "--draws", "5", "--h", "1e308"],
+    ], ids=["check", "sweep-defect", "stats"])
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            code = main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: Eigenvalues did not converge"]
+        assert "Traceback" not in err
+        assert not (out / "manifest.json").exists()
 
 
 class TestCliModule:

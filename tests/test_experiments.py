@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qcbound.ensembles import EnsembleKind, EnsembleSpec, _sample_matrix, spawn_seed, spawn_seeds
 from qcbound.experiments import (
+    BOUND_SLACK_RTOL,
     ExperimentError,
     scatter_bound_test,
     spacing_statistics,
@@ -77,7 +78,8 @@ class TestScatterBoundTest:
         cfg = ModelConfig(family="B", n_qubits=2)
         r1 = scatter_bound_test(cfg, samples=1, master_seed=5)
         r2 = scatter_bound_test(cfg, samples=1, master_seed=5)
-        assert r1.records[0] == r2.records[0]
+        for column in ("seeds", "dq_abs", "k0", "delta"):
+            assert np.array_equal(getattr(r1, column), getattr(r2, column))
 
     def test_no_bound_violations_small_run(self):
         for family, n, ens in (("A", 3, "GUE"), ("B", 2, "GUE"), ("C", 2, "GOE")):
@@ -85,21 +87,36 @@ class TestScatterBoundTest:
             res = scatter_bound_test(cfg, samples=200, master_seed=11)
             assert res.violations_b == 0
             assert res.n_rejected == 0
-            assert len(res.records) == 200
+            assert len(res.seeds) == len(res.dq_abs) == len(res.k0) == len(res.delta) == 200
 
     def test_records_satisfy_delta_definition(self):
         cfg = ModelConfig(family="B", n_qubits=2)
         res = scatter_bound_test(cfg, samples=50, master_seed=3)
-        for r in res.records:
-            assert r.delta == pytest.approx(r.dq_abs - r.b * math.sqrt(abs(r.k0)))
-            assert r.delta <= 0
-            assert r.b > 0 and r.b_prime > 0
+        for dq, k0, delta in zip(res.dq_abs, res.k0, res.delta):
+            assert delta == pytest.approx(dq - res.b * math.sqrt(abs(k0)))
+            assert delta <= 0
+        assert res.b > 0 and res.b_prime > 0
 
     def test_reruns_give_the_same_records(self):
         cfg = ModelConfig(family="B", n_qubits=3)
         r1 = scatter_bound_test(cfg, samples=40, master_seed=7)
         r2 = scatter_bound_test(cfg, samples=40, master_seed=7)
-        assert r1.records == r2.records
+        for column in ("seeds", "dq_abs", "k0", "delta"):
+            assert np.array_equal(getattr(r1, column), getattr(r2, column))
+
+    def test_delta_and_counts_match_the_scalar_comparisons(self):
+        # B-N3, seed 3: 46 of 1000 draws exceed b' sqrt|K0|, so both counts
+        # are exercised; the columns give the per-draw scalar results exactly
+        res = scatter_bound_test(ModelConfig(family="B", n_qubits=3), samples=1000,
+                                 master_seed=3)
+        pairs = list(zip(res.dq_abs.tolist(), res.k0.tolist()))
+        scalar = [dq - res.b * math.sqrt(abs(k0)) for dq, k0 in pairs]
+        assert np.array_equal(res.delta, np.array(scalar))
+        slack = BOUND_SLACK_RTOL * res.b
+        assert res.violations_b == sum(
+            dq > res.b * math.sqrt(abs(k0)) + slack for dq, k0 in pairs)
+        assert res.violations_b_prime == sum(
+            dq > res.b_prime * math.sqrt(abs(k0)) for dq, k0 in pairs) == 46
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
@@ -111,7 +128,7 @@ class TestScatterBoundTest:
             ModelConfig(family="B", n_qubits=6), samples=3000, master_seed=42
         )
         assert res.violations_b == 0
-        assert res.violations_b_prime / len(res.records) <= 0.05
+        assert res.violations_b_prime / len(res.seeds) <= 0.05
 
     def test_record_rederivable_from_child_seed(self):
         from qcbound.curvature import level_curvature
@@ -122,14 +139,14 @@ class TestScatterBoundTest:
 
         cfg = ModelConfig(family="B", n_qubits=2)
         res = scatter_bound_test(cfg, samples=3, master_seed=21)
-        record = res.records[2]
-        assert record.seed == spawn_seed(21, 3)
+        seed = int(res.seeds[2])
+        assert seed == spawn_seed(21, 3)
         h0, v_spec = build_scatter_model(cfg, h0_seed=spawn_seed(21, 0))
         inputs = EntanglementInputs.from_perturbation(
-            eigensystem(h0), HermitianOperator(_sample_matrix(v_spec, record.seed)), 2
+            eigensystem(h0), HermitianOperator(_sample_matrix(v_spec, seed)), 2
         )
-        assert abs(dQ0_dtau(inputs)) == pytest.approx(record.dq_abs, rel=1e-14)
-        assert level_curvature(0, inputs) == pytest.approx(record.k0, rel=1e-14)
+        assert abs(dQ0_dtau(inputs)) == pytest.approx(res.dq_abs[2], rel=1e-14)
+        assert level_curvature(0, inputs) == pytest.approx(res.k0[2], rel=1e-14)
 
     @pytest.mark.parametrize("family,n,ensemble", [
         ("A", 3, "GUE"),
@@ -151,17 +168,17 @@ class TestScatterBoundTest:
 
         cfg = ModelConfig(family=family, n_qubits=n, ensemble=ensemble)
         res = scatter_bound_test(cfg, samples=20, master_seed=13)
-        assert len(res.records) == 20
+        assert len(res.seeds) == 20
         h0, v_spec = build_scatter_model(cfg, h0_seed=spawn_seed(13, 0))
         dec = eigensystem(h0)
         overlaps = ground_state_site_overlaps(dec.eigenvectors, n)
-        for record in res.records:
+        for seed, dq_abs, k0 in zip(res.seeds, res.dq_abs, res.k0):
             inputs = EntanglementInputs.from_perturbation(
-                dec, HermitianOperator(_sample_matrix(v_spec, record.seed)), n
+                dec, HermitianOperator(_sample_matrix(v_spec, int(seed))), n
             )
             dq = abs(dQ0_dtau(inputs, site_overlaps=overlaps))
-            assert record.dq_abs == pytest.approx(dq, rel=1e-11, abs=1e-12)
-            assert record.k0 == pytest.approx(level_curvature(0, inputs), rel=1e-13)
+            assert dq_abs == pytest.approx(dq, rel=1e-11, abs=1e-12)
+            assert k0 == pytest.approx(level_curvature(0, inputs), rel=1e-13)
 
     def test_non_hermitian_perturbation_raises(self, monkeypatch):
         sample_row = experiments._sample_row
