@@ -5,12 +5,15 @@ For each workload and reference seed, runs N pairs of
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0 --ref-seed R
 
-once in a checkout of the parent revision and once in the working tree, with
-one workload seed S per pair (3, 4, ... across all workloads), T the
-``run_seconds`` of BENCHMARK.json, and the order inside a pair alternating
-(parent first, then change first), so that slow drift of the machine hits
-both sides alike.  The parent is exported with ``git archive`` into a
-temporary directory, which is removed on exit.  Each perfbench run has its own
+once in a checkout of the parent revision and once in a copy of the working
+tree, with one workload seed S per pair (3, 4, ... across all workloads), T
+the ``run_seconds`` of BENCHMARK.json, and the order inside a pair
+alternating (parent first, then change first), so that slow drift of the
+machine hits both sides alike.  The parent is exported with ``git archive``
+and the change copied (the tracked files as they are in the working tree,
+plus the untracked files git does not ignore), both into one temporary
+directory, which is removed on exit: neither side runs where earlier runs
+left ``.perfbench_work`` or caches.  Each perfbench run has its own
 process group, killed whole on a timeout, SIGTERM or Ctrl-C, so that no
 worker outlives the script.  The run refuses to start when ``perfbench/`` or
 ``BENCHMARK.json`` differ between the two trees: the benchmark must be the
@@ -58,6 +61,20 @@ def export_revision(rev: str, dest: Path) -> Path:
     archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return dest
+
+
+def copy_working_tree(dest: Path) -> Path:
+    """Copy the working tree's tracked files, as they are on disk, and its
+    untracked files that git does not ignore into ``dest``."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], cwd=ROOT, check=True,
+                            capture_output=True).stdout.decode()
+    for name in sorted(set(filter(None, listed.split("\0")))):
+        source = ROOT / name
+        if source.is_file():  # a tracked file deleted in the working tree is not copied
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
     return dest
 
 
@@ -151,7 +168,8 @@ def main() -> int:
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
         parent_tree = export_revision(args.parent, scratch / "parent")
-        if benchmark_digest(parent_tree) != benchmark_digest(ROOT):
+        change_tree = copy_working_tree(scratch / "change")
+        if benchmark_digest(parent_tree) != benchmark_digest(change_tree):
             print("error: perfbench/ or BENCHMARK.json differ between parent and change; "
                   "the pairs would not measure the same benchmark", file=sys.stderr)
             return 2
@@ -160,7 +178,7 @@ def main() -> int:
                             f"change, {args.pairs} alternating pairs per workload and reference "
                             "seed, one workload seed per pair, identical benchmark code"),
             "parent_commit": _git("rev-parse", args.parent),
-            "change": f"working tree at {_git('rev-parse', 'HEAD')}",
+            "change": f"copy of the working tree at {_git('rev-parse', 'HEAD')}",
             "environment": None,
             "workloads": [],
         }
@@ -180,7 +198,7 @@ def main() -> int:
                 for i, pair_seed in enumerate(seeds):
                     order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                     for side in order:
-                        tree = parent_tree if side == "parent" else ROOT
+                        tree = parent_tree if side == "parent" else change_tree
                         runs[side].append(run_once(tree, workload, pair_seed, seconds, ref_seed))
                     print(f"{workload} ref {ref_seed} pair {i + 1}/{args.pairs}: " + ", ".join(
                         f"{side} wall_s {runs[side][-1]['metrics']['wall_s']['value']:.3f}"

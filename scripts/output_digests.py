@@ -45,6 +45,9 @@ CONFIGS = {
     # the one check run with b' violations (46 of 1000 draws)
     "check-B-N3-bprime": (["check", "--model", "B", "--qubits", "3", "--samples", "1000",
                            "--seed", "3"], _CHECK),
+    # the scatter model the benchmark times at full size (dim 128)
+    "check-B-N7": (["check", "--model", "B", "--qubits", "7", "--samples", "1000",
+                    "--seed", "3"], _CHECK),
     "check-C-GOE": (["check", "--model", "C", "--ensemble", "GOE", "--samples", "200",
                      "--seed", "6"], _CHECK),
     "sweep-theta-d64": (["sweep-theta", "--points", "4", "--realizations", "12",

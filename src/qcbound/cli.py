@@ -10,7 +10,8 @@ Output schemas (column order fixed, floats written with 17 significant digits):
     stats.json        Weibull fit parameters and the chaos parameter
     manifest.json     resolved configuration, seeds, RNG id, output digests
 
-Exit codes: 0 success, 2 configuration/validation error or an eigensolver
+Exit codes: 0 success, 2 configuration/validation error, a Hamiltonian that
+overflows (the error names the flags that set its scale) or an eigensolver
 that did not converge, 3 bound-violation detected by `check`.
 """
 
@@ -44,9 +45,17 @@ from .models import (
     MODEL_D_DEFAULT_DIM,
     MODEL_E_DEFAULT_FIELD,
     ModelConfig,
+    NonFiniteHamiltonianError,
 )
 
 __all__ = ["main", "entry_point"]
+
+# The flags that set the scale of the Hamiltonian a subcommand can overflow
+SCALE_FLAGS = {
+    "check": "--lambda or --a-coeffs",
+    "sweep-defect": "--d-max, --h or --J",
+    "stats": "--d-value, --h or --J",
+}
 
 # --a-choice: the overlap half-width a of b' as a function of the qubit count
 A_VALUES = {"1/2^N": lambda n: 2.0**-n, "1/N": lambda n: 1.0 / n}
@@ -412,7 +421,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=str, default=".",
                    help="output directory (default %(default)s)")
     p.add_argument("--threads", type=int, default=None,
-                   help="accepted for compatibility; draws always run serially")
+                   help="accepted for compatibility and ignored: no option sets a "
+                        "thread count, and no output depends on one")
     p.add_argument("--config", type=str, default=None,
                    help="JSON config file whose values become this subcommand's "
                         "defaults; flags win on conflict")
@@ -510,6 +520,9 @@ def main(argv=None) -> int:
             args.parser.set_defaults(**_load_config_file(args))
             args = parser.parse_args(argv)
         return args.func(args)
+    except NonFiniteHamiltonianError as exc:
+        print(f"error: {exc}; lower {SCALE_FLAGS[args.subcommand]}", file=sys.stderr)
+        return 2
     except (CliError, ValueError, ExperimentError) as exc:  # LinAlgError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -83,16 +83,16 @@ def level_curvature(n: int, inputs: EntanglementInputs) -> float:
     eps = inputs.decomposition.eigenvalues
     require_isolated(eps, n)
     diffs = _level_differences(n, eps)
-    return level_curvature_from_row(inputs.v_eig[n], diffs)
+    return float(level_curvature_from_row(inputs.v_eig[n], diffs))
 
 
-def level_curvature_from_row(v_row: np.ndarray, diffs: np.ndarray) -> float:
+def level_curvature_from_row(v_row: np.ndarray, diffs: np.ndarray) -> np.ndarray:
     """:func:`level_curvature` from row n of the perturbation in the
-    eigenbasis, ``v_row[m]`` = <n|V|m>, and ``diffs = _level_differences(n,
-    eps)``.  The differences depend on H0 alone, so a run of many draws on
-    one H0 computes them once; the caller has checked level n with
-    ``require_isolated``."""
-    return 2.0 * float((np.abs(v_row) ** 2 / diffs).sum())
+    eigenbasis, ``v_row[..., m]`` = <n|V|m> (a stack of rows gives one value
+    per row), and ``diffs = _level_differences(n, eps)``.  The differences
+    depend on H0 alone, so a run of many draws on one H0 computes them once;
+    the caller has checked level n with ``require_isolated``."""
+    return 2.0 * (np.abs(v_row) ** 2 / diffs).sum(axis=-1)
 
 
 def _level_differences(n: int, eigenvalues: np.ndarray) -> np.ndarray:

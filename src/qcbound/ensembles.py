@@ -10,17 +10,19 @@ Many draws at once: ``spawn_seeds`` derives a whole array of child seeds in
 one vectorized pass (``spawn_seeds(master, range(R), prefix=(t,))`` is every
 realization of a sweep's grid point t), ``_child_seeds`` the children
 ``spawn_seed(seed, k)`` of a whole array of seeds, and ``_seeded_generators``
-hands out generators whose streams equal ``default_rng(seed)``, all bit for
-bit.  They run numpy's documented ``SeedSequence`` hash (O'Neill's
-seed_seq_fe, pool of four 32-bit words) column-wise on ``uint32`` arrays, and
-PCG64's ``set_seed`` on 128-bit Python ints, so a draw costs no
-``SeedSequence`` object of its own while the contract above holds exactly.
+hands out generators whose streams equal ``default_rng(seed)`` (one reused
+generator per thread), all bit for bit.  They run numpy's documented
+``SeedSequence`` hash (O'Neill's seed_seq_fe, pool of four 32-bit words)
+column-wise on ``uint32`` arrays, and PCG64's ``set_seed`` on 128-bit Python
+ints, so a draw costs no ``SeedSequence`` object of its own while the
+contract above holds exactly.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -99,22 +101,26 @@ def _seeded_generators(seeds) -> Callable[[int], np.random.Generator]:
     """``rng(i)``: a generator whose stream equals ``default_rng(seeds[i])``.
 
     Every call re-seeds and returns the same ``Generator`` on one reused
-    PCG64, so a draw must be finished with it before the next call.  The
+    PCG64 per thread, so a draw must be finished with it before the next
+    call in its thread, and draws in other threads never touch it.  The
     seeds are hashed up front, 32 bytes per seed; each call runs PCG64's
     ``set_seed`` on that seed alone.
     """
     # generate_state(4, np.uint64) per seed: seed hi, seed lo, inc hi, inc lo.
     seeds = np.asarray(seeds, dtype=np.uint64).ravel()
     state_words = _as_uint64(_seed_sequence_words(seeds, (), 8))
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
+    local = threading.local()
 
     def rng(i: int) -> np.random.Generator:
         seed_hi, seed_lo, inc_hi, inc_lo = state_words[i].tolist()
         # pcg64_set_seed: state = 0, inc = 2 initseq + 1; step; state += s; step.
         inc = (((inc_hi << 64) | inc_lo) << 1 | 1) & _MASK128
         state = ((inc + ((seed_hi << 64) | seed_lo)) * _PCG64_MULTIPLIER + inc) & _MASK128
-        bit_generator.state = {
+        try:
+            generator = local.generator
+        except AttributeError:
+            generator = local.generator = np.random.Generator(np.random.PCG64(0))
+        generator.bit_generator.state = {
             "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
             "has_uint32": 0, "uinteger": 0,
         }

@@ -181,19 +181,22 @@ def dQ0_dtau(inputs: EntanglementInputs, site_overlaps: np.ndarray | None = None
     if site_overlaps is None:
         u = inputs.decomposition.eigenvectors
         site_overlaps = ground_state_site_overlaps(u, inputs.n_qubits)
-    return dQ0_dtau_from_row(inputs.v_eig[0], eps[1:] - eps[0], site_overlaps, inputs.n_qubits)
+    return float(dQ0_dtau_from_row(
+        inputs.v_eig[0], eps[1:] - eps[0], site_overlaps, inputs.n_qubits))
 
 
 def dQ0_dtau_from_row(
     v_row: np.ndarray, gaps: np.ndarray, site_overlaps: np.ndarray, n_qubits: int
-) -> float:
+) -> np.ndarray:
     """:func:`dQ0_dtau` from row 0 of the perturbation in the eigenbasis.
 
-    ``v_row[k]`` is <0|V|k>, i.e. (u_0^dag V) U, an O(d^2) product instead of
-    the O(d^3) full transform.  ``gaps[k - 1]`` = eps_k - eps_0 and
+    ``v_row[..., k]`` is <0|V|k>, i.e. (u_0^dag V) U, an O(d^2) product
+    instead of the O(d^3) full transform; a stack of rows, one per draw,
+    gives one value per row (the sum runs over the last axis, the same
+    floats as row by row).  ``gaps[k - 1]`` = eps_k - eps_0 and
     ``site_overlaps`` depend on H0 alone, so a run of many draws on one H0
     computes them once; the caller has checked the ground level with
     ``require_isolated(eps, 0)``.
     """
-    terms = (v_row[1:] * site_overlaps[1:]).real / gaps
-    return (8.0 / n_qubits) * float(terms.sum())
+    terms = (v_row[..., 1:] * site_overlaps[1:]).real / gaps
+    return (8.0 / n_qubits) * terms.sum(axis=-1)

@@ -21,8 +21,13 @@ seeds[i]: the ascending spectrum, the levels to unfold, and the ground
 state's Q, which only model E gives (from its ground block, in its sector;
 None for model D and the ensembles), so that no draw forms a 2^N vector.
 The CLI rejects a spectrum too small to unfold
-(``level_stats.MIN_UNFOLD_LEVELS``) before any draw.  Draws run one after
-another in task-index order, in the calling thread.
+(``level_stats.MIN_UNFOLD_LEVELS``) before any draw.  The sweeps' and
+``stats``' draws run one after another in task-index order, in the calling
+thread: they are eigensolves, which do not scale across threads.  A scatter
+run draws its rows on one thread per CPU, each thread on a contiguous chunk
+of the draw indices with its own generator, and then computes the products
+and kernels in the calling thread (``scatter_bound_test``); its output does
+not depend on the number of threads.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,15 +153,53 @@ def trim_outliers(values, k: float = 1.5) -> TrimResult:
 
 
 def _run_indexed(task, n_tasks: int, workers: int) -> list:
-    """Evaluate task(i) for i in range(n_tasks), in order, in the calling thread.
+    """[task(i) for i in range(n_tasks)], in index order, on ``workers`` threads.
 
-    Every caller passes ``workers`` = 1, the number of workers used; perfbench's
-    tracer wraps this draw loop by its three positional arguments and records
-    the third.  There is no thread pool: on 2 cores, LAPACK at these sizes
-    (dim <= 512) did not scale across threads, and a defect-sweep draw on a
-    2-thread pool took twice as long as a serial one.
+    With ``workers`` <= 1 or fewer than 2 tasks every task runs in the
+    calling thread and no thread is started.  Otherwise the indices are cut
+    into min(workers, n_tasks) contiguous chunks, each run in order on a
+    plain thread started here and joined before this returns; the exception
+    of the first chunk that failed is raised in the caller.  A task must be
+    safe to run concurrently with the others, as the scatter's row fills are
+    (each writes its own row, from its own thread's generator).  perfbench's
+    tracer wraps this draw loop by its three positional arguments and
+    records the third.
     """
-    return [task(i) for i in range(n_tasks)]
+    workers = min(workers, n_tasks)
+    if workers <= 1:
+        return [task(i) for i in range(n_tasks)]
+    results = [None] * n_tasks
+    errors = [None] * workers
+    bounds = [k * n_tasks // workers for k in range(workers + 1)]
+
+    def run_chunk(k: int) -> None:
+        try:
+            for i in range(bounds[k], bounds[k + 1]):
+                results[i] = task(i)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors[k] = exc
+
+    threads = [threading.Thread(target=run_chunk, args=(k,), daemon=True)
+               for k in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
+def _worker_count(n_tasks: int) -> int:
+    """Threads for a scatter run's row fills: the CPUs this process may run
+    on, at most one per task."""
+    return min(len(os.sched_getaffinity(0)), n_tasks)
+
+
+# Rows per U-product block in a scatter run: bounds the temporaries of the
+# block's product and kernels to a few (128, d) arrays.
+_ROW_BLOCK = 128
 
 
 def scatter_bound_test(
@@ -173,14 +218,23 @@ def scatter_bound_test(
     before the overlaps and any draw, so no draw can be rejected; the sums do
     not depend on the basis ``eigh`` picks in a degenerate excited level.
 
-    Both kernels read only row 0 of U^dag V U, so a draw computes just that
-    row, w = (u_0^dag V) U, and takes u_0^dag V straight from the normals
+    Both kernels read only row 0 of U^dag V U, so a draw needs just that row,
+    w = (u_0^dag V) U, and takes u_0^dag V straight from the normals
     (``ensembles._sample_row``): O(d^2) after the sample instead of O(d^3),
     and no d x d matrix besides the normals.  The child seeds and their
     generators are derived for all draws in one pass, bit-identical to
-    ``spawn_seed`` and ``default_rng``.  The entry w_0 = <0|V|0> must be real;
-    an imaginary part above IMAG_RESIDUE_ATOL means V is not Hermitian and
-    raises ValueError.
+    ``spawn_seed`` and ``default_rng``.
+
+    Two phases.  First every row c^T V_i is written into one (samples, 1, d)
+    buffer by ``_run_indexed`` on ``_worker_count(samples)`` threads, each
+    with its own generator: the normals, most of a draw's time, are drawn
+    with the GIL released, so the threads draw concurrently, and the fills
+    make no BLAS call that starts BLAS threads of its own.  Then, in the
+    calling thread, blocks of at most ``_ROW_BLOCK`` rows go through
+    w = rows @ U (one vector-matrix product per row, the same floats as a
+    serial run) and both kernels at once.  The entry w_0 = <0|V|0> must be
+    real; an imaginary part above IMAG_RESIDUE_ATOL means V is not Hermitian
+    and raises ValueError naming the first such sample.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -197,18 +251,27 @@ def scatter_bound_test(
     c = np.ascontiguousarray(u[:, 0].conj(), dtype=complex)
     seeds = spawn_seeds(master_seed, np.arange(1, samples + 1, dtype=np.uint64))
     rng = _seeded_generators(seeds)
+    rows = np.empty((samples, 1, c.size), dtype=complex)
 
-    def one_sample(i: int) -> tuple:
-        row = _sample_row(v_spec, rng(i), c) @ u
-        if abs(row[0].imag) > IMAG_RESIDUE_ATOL:
+    def fill(i: int) -> np.ndarray:
+        # returns the row it wrote: a None result would read as a dropped draw
+        rows[i, 0] = _sample_row(v_spec, rng(i), c)
+        return rows[i, 0]
+
+    _run_indexed(fill, samples, _worker_count(samples))
+    dq_abs, k0 = np.empty(samples), np.empty(samples)
+    for start in range(0, samples, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, samples)
+        w = np.matmul(rows[start:stop], u)[:, 0]
+        bad = np.flatnonzero(np.abs(w[:, 0].imag) > IMAG_RESIDUE_ATOL)
+        if bad.size:
+            i = start + int(bad[0])
             raise ValueError(
                 f"sample {i} (seed {int(seeds[i])}): <0|V|0> has imaginary part "
-                f"{row[0].imag:.3e}; the perturbation is not Hermitian"
+                f"{w[bad[0], 0].imag:.3e}; the perturbation is not Hermitian"
             )
-        dq_abs = abs(dQ0_dtau_from_row(row, gaps, overlaps, n))
-        return dq_abs, level_curvature_from_row(row, diffs)
-
-    dq_abs, k0 = np.array(_run_indexed(one_sample, samples, 1)).T
+        dq_abs[start:stop] = np.abs(dQ0_dtau_from_row(w, gaps, overlaps, n))
+        k0[start:stop] = level_curvature_from_row(w, diffs)
     delta = saturation_index(dq_abs, k0, b)
     return ScatterResult(
         seeds=seeds,

@@ -26,6 +26,7 @@ written into a 2^N matrix.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,6 +41,7 @@ from .quantum import HermitianOperator, _embed, _PAULI, heisenberg_coupling
 
 __all__ = [
     "ModelConfig",
+    "NonFiniteHamiltonianError",
     "MODEL_A_DEFAULT_COEFFS",
     "MODEL_A_DEFAULT_LAMBDA",
     "MODEL_D_DEFAULT_DIM",
@@ -66,6 +68,24 @@ MODEL_D_DEFAULT_DIM = 128
 # several grid points so the sweep actually resolves it.
 MODEL_D_CHAOTIC_SCALE = 0.3
 MODEL_E_DEFAULT_FIELD = 0.98
+
+
+class NonFiniteHamiltonianError(ValueError):
+    """Finite model parameters whose Hamiltonian overflows."""
+
+
+@contextlib.contextmanager
+def _finite_hamiltonian(model: str):
+    """Build a Hamiltonian from finite parameters, raising
+    NonFiniteHamiltonianError, in place of numpy's warnings, where an
+    operation overflows: from finite inputs, an entry can only become inf or
+    NaN through an overflow, so the finished matrix is finite exactly when
+    none is raised."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise NonFiniteHamiltonianError(f"the model-{model} Hamiltonian is not finite") from None
 
 
 @dataclass(frozen=True)
@@ -138,17 +158,20 @@ def model_a(
     """Three qubits with split fields and all-pairs isotropic coupling.
 
     H0 = sum_j a_j sigma_zj + lambda sum_{i<j} sigma_i . sigma_j, perturbed by
-    generic random Hermitian matrices.
+    generic random Hermitian matrices.  Parameters whose H0 overflows raise
+    NonFiniteHamiltonianError.
     """
     a_coeffs = tuple(float(a) for a in a_coeffs)
     if len(a_coeffs) != 3:
         raise ValueError("model A takes exactly three field coefficients")
     n = 3
-    matrix = lam * sum(heisenberg_coupling(i, j, n).matrix
-                       for i in range(n) for j in range(i + 1, n))
-    for j, aj in enumerate(a_coeffs):
-        matrix = matrix + aj * _embed(_PAULI["z"], j, n).real
-    return HermitianOperator(matrix), EnsembleSpec(EnsembleKind.GENERIC_HERMITIAN, 2**n)
+    with _finite_hamiltonian("A"):
+        matrix = lam * sum(heisenberg_coupling(i, j, n).matrix
+                           for i in range(n) for j in range(i + 1, n))
+        for j, aj in enumerate(a_coeffs):
+            matrix = matrix + aj * _embed(_PAULI["z"], j, n).real
+        h0 = HermitianOperator(matrix)
+    return h0, EnsembleSpec(EnsembleKind.GENERIC_HERMITIAN, 2**n)
 
 
 def model_b(n_qubits: int, seed: int) -> tuple[HermitianOperator, EnsembleSpec]:
@@ -256,7 +279,8 @@ def model_e_blocks(
 
     ``indices`` are the sector's basis indices (``sz_sector_indices``) and
     ``block`` the real symmetric restriction of H to them; the defects h_j are
-    drawn as in ``model_e``.
+    drawn as in ``model_e``.  Parameters whose H overflows raise
+    NonFiniteHamiltonianError.
     """
     if n_qubits < 2:
         raise ValueError("need at least 2 qubits")
@@ -265,15 +289,17 @@ def model_e_blocks(
     if J == 0:
         raise ValueError("coupling J must be nonzero")
     rng = np.random.default_rng(int(seed))
-    defects = rng.normal(0.0, d, size=n_qubits) if d > 0 else np.zeros(n_qubits)
     blocks = []
-    for indices, coupling, signs in _sector_chain(n_qubits):
-        block = (J / 4.0) * coupling
-        diagonal = block.diagonal()
-        for j in range(n_qubits):
-            diagonal = diagonal + (h + defects[j]) * signs[:, j]
-        np.fill_diagonal(block, diagonal)
-        blocks.append((indices, block))
+    with _finite_hamiltonian("E"):
+        # d times the standard normals: rng.normal(0, d, N), bit for bit
+        defects = d * rng.standard_normal(n_qubits) if d > 0 else np.zeros(n_qubits)
+        for indices, coupling, signs in _sector_chain(n_qubits):
+            block = (J / 4.0) * coupling
+            diagonal = block.diagonal()
+            for j in range(n_qubits):
+                diagonal = diagonal + (h + defects[j]) * signs[:, j]
+            np.fill_diagonal(block, diagonal)
+            blocks.append((indices, block))
     return tuple(blocks)
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -546,23 +547,26 @@ class TestStatsCommand:
         assert loops == [(5, 1)]
 
 
-class TestEigensolverFailure:
-    # finite inputs whose Hamiltonian overflows: LAPACK does not converge
-    @pytest.mark.parametrize("argv", [
-        ["check", "--model", "A", "--lambda", "1e308", "--samples", "5"],
-        ["sweep-defect", "--qubits", "7", "--points", "2", "--realizations", "4",
-         "--d-max", "1e308"],
-        ["stats", "--source", "E", "--qubits", "7", "--draws", "5", "--h", "1e308"],
+class TestOverflowingHamiltonian:
+    # finite flags whose Hamiltonian overflows: one error line naming the
+    # flags that set its scale, and no numpy warning
+    @pytest.mark.parametrize("argv,message", [
+        (["check", "--model", "A", "--lambda", "1e308", "--samples", "5"],
+         "the model-A Hamiltonian is not finite; lower --lambda or --a-coeffs"),
+        (["sweep-defect", "--qubits", "7", "--points", "2", "--realizations", "4",
+          "--d-max", "1e308"],
+         "the model-E Hamiltonian is not finite; lower --d-max, --h or --J"),
+        (["stats", "--source", "E", "--qubits", "7", "--draws", "5", "--h", "1e308"],
+         "the model-E Hamiltonian is not finite; lower --d-value, --h or --J"),
     ], ids=["check", "sweep-defect", "stats"])
-    def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv):
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main([*argv, "--out", str(out)])
-        err = capsys.readouterr().err
         assert code == 2
-        assert [line for line in err.splitlines() if line.startswith("error:")] == [
-            "error: Eigenvalues did not converge"]
-        assert "Traceback" not in err
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not (out / "manifest.json").exists()
 
 
@@ -660,15 +664,16 @@ class TestNonFiniteFloats:
 
 
 class TestSerialDraws:
+    CHECK = ["check", "--model", "B", "--qubits", "3", "--samples", "300", "--seed", "5"]
     RUNS = [
-        (["check", "--model", "B", "--qubits", "3", "--samples", "40", "--seed", "5"],
-         ["records.csv", "summary.json"]),
         (["sweep-theta", "--points", "2", "--realizations", "8", "--dim", "64",
           "--seed", "9"],
          ["theta_sweep.csv"]),
         (["sweep-defect", "--points", "2", "--realizations", "4", "--qubits", "7",
           "--seed", "5"],
          ["defect_sweep.csv"]),
+        (["stats", "--source", "GUE", "--draws", "6", "--dim", "64", "--seed", "2"],
+         ["stats.json"]),
     ]
 
     @pytest.mark.parametrize("argv,outputs", RUNS, ids=[r[0][0] for r in RUNS])
@@ -683,6 +688,32 @@ class TestSerialDraws:
         assert run_cli([*argv, "--threads", "4", "--out", str(asked)]) == 0
         for name in outputs:
             assert (asked / name).read_bytes() == (serial / name).read_bytes()
+
+    def test_check_bytes_do_not_depend_on_its_threads(self, tmp_path, monkeypatch):
+        # 300 samples: three U-product blocks, and chunks that end inside them
+        import qcbound.experiments as experiments
+
+        start, started = threading.Thread.start, []
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        outputs = {}
+        for workers in (None, 1, 2, 3):
+            if workers is not None:
+                monkeypatch.setattr(experiments, "_worker_count",
+                                    lambda n_tasks, w=workers: min(w, n_tasks))
+            started.clear()
+            out = tmp_path / str(workers)
+            assert run_cli([*self.CHECK, "--threads", "1", "--out", str(out)]) == 0
+            count = workers or len(os.sched_getaffinity(0))  # the default: the CPUs
+            assert len(started) == (count if count > 1 else 0)
+            assert not any(thread.is_alive() for thread in started)
+            outputs[workers] = [(out / name).read_bytes()
+                                for name in ("records.csv", "summary.json")]
+        assert outputs[1] == outputs[2] == outputs[3] == outputs[None]
 
 
 class TestEnvThreads:

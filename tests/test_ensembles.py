@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -125,6 +127,33 @@ class TestBatchSeeding:
         for i in [*range(len(seeds)), 3, 0]:  # any order, any number of times
             got = rng(i).standard_normal(7).tobytes()
             assert got == np.random.default_rng(seeds[i]).standard_normal(7).tobytes()
+
+    def test_generators_in_interleaving_threads_equal_default_rng(self):
+        # two threads take turns, each seeding and drawing its own streams
+        # from one shared rng(i): each thread has its own generator
+        seeds = spawn_seeds(11, np.arange(40)).tolist()
+        rng = _seeded_generators(seeds)
+        turns = [threading.Semaphore(1), threading.Semaphore(0)]
+        got = {}
+
+        def draw(k):
+            for i in range(k, len(seeds), 2):
+                turns[k].acquire()
+                generator = rng(i)
+                first = generator.standard_normal(5)
+                turns[1 - k].release()  # the other thread re-seeds its generator
+                turns[k].acquire()
+                got[i] = np.concatenate([first, generator.standard_normal(5)]).tobytes()
+                turns[1 - k].release()
+
+        threads = [threading.Thread(target=draw, args=(k,)) for k in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert sorted(got) == list(range(len(seeds)))
+        for i, seed in enumerate(seeds):
+            assert got[i] == np.random.default_rng(seed).standard_normal(10).tobytes()
 
     @pytest.mark.parametrize("kind", list(EnsembleKind))
     @pytest.mark.parametrize("dim", [4, 8, 32, 128, 512])

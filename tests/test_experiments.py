@@ -1,5 +1,6 @@
 import logging
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -180,6 +181,28 @@ class TestScatterBoundTest:
             assert dq_abs == pytest.approx(dq, rel=1e-11, abs=1e-12)
             assert k0 == pytest.approx(level_curvature(0, inputs), rel=1e-13)
 
+    def test_non_hermitian_error_names_the_first_bad_sample_of_the_second_chunk(
+            self, monkeypatch):
+        # two row fills, chunks 0..4 and 5..9; samples 6 and 9 are bad, so a
+        # fill finishing out of order must not change the sample named
+        seeds = spawn_seeds(0, np.arange(1, 11, dtype=np.uint64))
+        index_of_state = {
+            np.random.default_rng(int(s)).bit_generator.state["state"]["state"]: i
+            for i, s in enumerate(seeds)
+        }
+        sample_row = experiments._sample_row
+
+        def bad_row(spec, rng, c):
+            i = index_of_state[rng.bit_generator.state["state"]["state"]]
+            row = sample_row(spec, rng, c)
+            return row + 1e-3j * c if i in (6, 9) else row
+
+        monkeypatch.setattr(experiments, "_sample_row", bad_row)
+        monkeypatch.setattr(experiments, "_worker_count", lambda n_tasks: 2)
+        first_bad = rf"^sample 6 \(seed {seeds[6]}\): .* not Hermitian"
+        with pytest.raises(ValueError, match=first_bad):
+            scatter_bound_test(ModelConfig(family="B", n_qubits=3), samples=10)
+
     def test_non_hermitian_perturbation_raises(self, monkeypatch):
         sample_row = experiments._sample_row
 
@@ -190,6 +213,38 @@ class TestScatterBoundTest:
         monkeypatch.setattr(experiments, "_sample_row", bad_row)
         with pytest.raises(ValueError, match="not Hermitian"):
             scatter_bound_test(ModelConfig(family="B", n_qubits=3), samples=5)
+
+
+class TestRunIndexed:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n_tasks", [0, 1, 2, 7])
+    def test_results_in_index_order(self, n_tasks, workers):
+        assert experiments._run_indexed(lambda i: i * i, n_tasks, workers) == [
+            i * i for i in range(n_tasks)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_worker_exception_reaches_the_caller(self, workers):
+        def task(i):
+            if i == 5:
+                raise KeyError(f"task {i}")
+            return i
+
+        with pytest.raises(KeyError, match="task 5"):
+            experiments._run_indexed(task, 7, workers)
+
+    def test_one_thread_per_chunk_all_joined(self, monkeypatch):
+        start, started = threading.Thread.start, []
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        for n_tasks, workers, threads in [(7, 3, 3), (2, 3, 2), (1, 3, 0), (7, 1, 0)]:
+            started.clear()
+            experiments._run_indexed(lambda i: i, n_tasks, workers)
+            assert len(started) == threads
+            assert not any(thread.is_alive() for thread in started)
 
 
 class TestSweepTheta:

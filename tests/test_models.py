@@ -1,3 +1,4 @@
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -21,6 +22,7 @@ from qcbound.models import (
     MODEL_D_CHAOTIC_SCALE,
     MODEL_E_DEFAULT_FIELD,
     ModelConfig,
+    NonFiniteHamiltonianError,
     _ModelDSampler,
     build_scatter_model,
     model_a,
@@ -65,6 +67,32 @@ class TestModelA:
     def test_rejects_wrong_coefficient_count(self):
         with pytest.raises(ValueError):
             model_a(a_coeffs=(0.1, 0.2))
+
+
+class TestNonFiniteHamiltonian:
+    # finite parameters whose Hamiltonian overflows: refused, with no warning
+    @pytest.mark.parametrize("build,model", [
+        (lambda: model_a(lam=1e308), "A"),
+        (lambda: model_a(a_coeffs=(1e308, 1e308, 1e308)), "A"),
+        (lambda: model_e_blocks(n_qubits=5, d=1e308, seed=1), "E"),
+        # seed 68: one standard normal of 1.87, so one defect alone overflows
+        (lambda: model_e_blocks(n_qubits=2, d=1e308, seed=68), "E"),
+        (lambda: model_e_blocks(n_qubits=5, h=1e308), "E"),
+        (lambda: model_e(n_qubits=4, h=-1e308), "E"),
+    ], ids=["A-lambda", "A-fields", "E-d", "E-one-defect", "E-h", "E-dense"])
+    def test_overflow_raises(self, build, model):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteHamiltonianError,
+                               match=f"the model-{model} Hamiltonian is not finite"):
+                build()
+
+    def test_largest_finite_scales_still_build(self):
+        # just below overflow: every entry finite, as built before the guard
+        h0, _ = model_a(a_coeffs=(1e307, 0.0, 0.0), lam=1e307)
+        assert np.isfinite(h0.matrix).all()
+        blocks = model_e_blocks(n_qubits=3, d=1e306, h=1e306, seed=4)
+        assert all(np.isfinite(block).all() for _, block in blocks)
 
 
 class TestModelB:
