@@ -67,6 +67,10 @@ CONFIGS = {
     **{f"stats-{source}": (["stats", "--source", source, "--draws", "20", "--dim", "96",
                             "--seed", "4"], ("stats.json",))
        for source in ("GOE", "GUE", "PoissonDiagonal", "D")},
+    # dim-128 stacks, real (model D) and complex (GUE), the last one short
+    **{f"stats-{source}-d128": (["stats", "--source", source, "--draws", "21", "--dim", "128",
+                                 "--seed", "4"], ("stats.json",))
+       for source in ("GUE", "D")},
     "stats-D-theta0": (["stats", "--source", "D", "--theta", "0", "--draws", "20",
                         "--dim", "96", "--seed", "4"], ("stats.json",)),
     "stats-D-failures": (["stats", "--source", "D", "--theta", "0", "--dim", "64",

@@ -53,6 +53,7 @@ __all__ = ["main", "entry_point"]
 # The flags that set the scale of the Hamiltonian a subcommand can overflow
 SCALE_FLAGS = {
     "check": "--lambda or --a-coeffs",
+    "sweep-theta": "--chaotic-scale",
     "sweep-defect": "--d-max, --h or --J",
     "stats": "--d-value, --h or --J",
 }
@@ -421,8 +422,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=str, default=".",
                    help="output directory (default %(default)s)")
     p.add_argument("--threads", type=int, default=None,
-                   help="accepted for compatibility and ignored: no option sets a "
-                        "thread count, and no output depends on one")
+                   help="accepted for compatibility and ignored: draws run on one "
+                        "thread per CPU with OpenBLAS held to one thread, and no "
+                        "output depends on either count")
     p.add_argument("--config", type=str, default=None,
                    help="JSON config file whose values become this subcommand's "
                         "defaults; flags win on conflict")

@@ -225,37 +225,41 @@ def _sample_matrix(spec: EnsembleSpec, seed: int) -> np.ndarray:
     paths.  Every kind is exactly Hermitian by construction (m == m^dag
     bitwise), so the ``HermitianOperator`` symmetrization would not change it.
     """
-    return _matrix_sampler(spec)(np.random.default_rng(int(seed)))
+    out = np.empty((spec.dim, spec.dim), dtype=_matrix_dtype(spec))
+    return _matrix_sampler(spec)(np.random.default_rng(int(seed)), out)
 
 
-def _matrix_sampler(spec: EnsembleSpec) -> Callable[[np.random.Generator], np.ndarray]:
-    """``draw(rng)``: the matrix of ``_sample_matrix`` drawn from ``rng``,
-    written into the same buffers on every call (the normals and the matrix),
-    so a caller must be done with one matrix before it draws the next.
+def _matrix_dtype(spec: EnsembleSpec) -> type:
+    """``complex`` for the GUE and GenericHermitian kinds, else ``float``."""
+    return complex if spec.kind in (EnsembleKind.GUE, EnsembleKind.GENERIC_HERMITIAN) else float
+
+
+def _matrix_sampler(spec: EnsembleSpec) -> Callable[[np.random.Generator, np.ndarray], np.ndarray]:
+    """``draw(rng, out)``: the matrix of ``_sample_matrix`` drawn from ``rng``,
+    written into ``out``, a (d, d) array of ``_matrix_dtype(spec)``, and
+    returned.  The normals go into one buffer per thread, reused from draw to
+    draw, so threads may draw into their own ``out`` at the same time.
 
     GOE: (A + A^T) scale / sqrt 2.  GUE: (B + B^dag) scale / 2 for B = X + iY,
     written part by part (real X + X^T, imaginary Y - Y^T, the same floats).
-    PoissonDiagonal: the normals on the diagonal of a zero matrix.
+    PoissonDiagonal: the normals on the diagonal of zeros.
     """
-    d = spec.dim
-    complex_kind = spec.kind in (EnsembleKind.GUE, EnsembleKind.GENERIC_HERMITIAN)
-    matrix = np.zeros((d, d), dtype=complex if complex_kind else float)
-    z = None
+    local = threading.local()
 
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        nonlocal z, matrix
-        z = _normals(spec, rng, z)
+    def draw(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        z = local.z = _normals(spec, rng, getattr(local, "z", None))
         if spec.kind is EnsembleKind.GOE:
-            np.add(z, z.T, out=matrix)
-            matrix *= spec.scale / math.sqrt(2.0)
+            np.add(z, z.T, out=out)
+            out *= spec.scale / math.sqrt(2.0)
         elif spec.kind is EnsembleKind.POISSON_DIAGONAL:
-            np.fill_diagonal(matrix, z)
+            out[...] = 0.0
+            np.fill_diagonal(out, z)
         else:
             x, y = z
-            np.add(x, x.T, out=matrix.real)
-            np.subtract(y, y.T, out=matrix.imag)
-            matrix *= spec.scale / 2.0
-        return matrix
+            np.add(x, x.T, out=out.real)
+            np.subtract(y, y.T, out=out.imag)
+            out *= spec.scale / 2.0
+        return out
 
     return draw
 

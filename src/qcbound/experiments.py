@@ -21,23 +21,33 @@ seeds[i]: the ascending spectrum, the levels to unfold, and the ground
 state's Q, which only model E gives (from its ground block, in its sector;
 None for model D and the ensembles), so that no draw forms a 2^N vector.
 The CLI rejects a spectrum too small to unfold
-(``level_stats.MIN_UNFOLD_LEVELS``) before any draw.  The sweeps' and
-``stats``' draws run one after another in task-index order, in the calling
-thread: they are eigensolves, which do not scale across threads.  A scatter
-run draws its rows on one thread per CPU, each thread on a contiguous chunk
-of the draw indices with its own generator, and then computes the products
-and kernels in the calling thread (``scatter_bound_test``); its output does
-not depend on the number of threads.
+(``level_stats.MIN_UNFOLD_LEVELS``) before any draw.
+
+Threads.  The model-D and GOE/GUE factories build and solve every draw of a
+grid point or ``stats`` run up front, in stacks, on one thread per CPU
+(``_stacked_spectra``): a stack of eigenvalue problems is solved with the
+GIL released, one matrix alone is not.  A scatter run draws its rows on one
+thread per CPU and then computes the products and kernels in the calling
+thread (``scatter_bound_test``).  The unfolding, the fits and model E's
+block solves run one draw after another in the calling thread.  Draws on
+matrices smaller than ``_THREAD_MIN_DIM`` stay on the calling thread.  Each
+public experiment holds OpenBLAS at one thread for its whole call
+(``_one_blas_thread``).  Each thread works on a contiguous chunk of the draw
+indices with its own generator and buffers, so the output does not depend on
+the number of threads, of the run or of BLAS.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import logging
 import math
 import os
 import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -46,8 +56,8 @@ from .curvature import (
     saturation_index,
 )
 from .ensembles import (
-    EnsembleKind, EnsembleSpec, _matrix_sampler, _normals, _sample_row, _seeded_generators,
-    spawn_seed, spawn_seeds,
+    EnsembleKind, EnsembleSpec, _matrix_dtype, _matrix_sampler, _normals, _sample_row,
+    _seeded_generators, spawn_seed, spawn_seeds,
 )
 from .entanglement import (
     IMAG_RESIDUE_ATOL, dQ0_dtau_from_row, ground_state_site_overlaps, sector_mean_bipartite_Q,
@@ -66,6 +76,7 @@ from .models import (
     MODEL_E_DEFAULT_FIELD,
     ModelConfig,
     _ModelDSampler,
+    _require_finite_spectrum,
     build_scatter_model,
     model_e_blocks,
 )
@@ -160,10 +171,11 @@ def _run_indexed(task, n_tasks: int, workers: int) -> list:
     into min(workers, n_tasks) contiguous chunks, each run in order on a
     plain thread started here and joined before this returns; the exception
     of the first chunk that failed is raised in the caller.  A task must be
-    safe to run concurrently with the others, as the scatter's row fills are
-    (each writes its own row, from its own thread's generator).  perfbench's
-    tracer wraps this draw loop by its three positional arguments and
-    records the third.
+    safe to run concurrently with the others, as the scatter's row fills and
+    the stacked solves are (each writes its own rows, from its own thread's
+    generator and normals).  perfbench's tracer wraps this loop by its three
+    positional arguments, records the third, and reads a None result as a
+    dropped draw.
     """
     workers = min(workers, n_tasks)
     if workers <= 1:
@@ -191,10 +203,94 @@ def _run_indexed(task, n_tasks: int, workers: int) -> list:
     return results
 
 
-def _worker_count(n_tasks: int) -> int:
-    """Threads for a scatter run's row fills: the CPUs this process may run
-    on, at most one per task."""
+# Smallest matrix dimension whose draws run on threads.  Below it a draw is
+# a few numpy calls on tiny arrays, held up by the GIL, so threads contend:
+# 1000 scatter draws took 27 ms on one thread and 59 ms on two at dim 16,
+# 56 and 65 ms at dim 32, 177 and 112 ms at dim 64 (2 vCPU, OpenBLAS at one
+# thread, in-process medians of 15).
+_THREAD_MIN_DIM = 64
+
+
+def _worker_count(n_tasks: int, dim: int) -> int:
+    """Threads for ``n_tasks`` tasks on dim x dim matrices: the CPUs this
+    process may run on, at most one per task, or 1 below _THREAD_MIN_DIM."""
+    if dim < _THREAD_MIN_DIM:
+        return 1
     return min(len(os.sched_getaffinity(0)), n_tasks)
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas():
+    """``(get, set)`` of the thread count of the OpenBLAS that numpy loaded
+    (the ``scipy_openblas`` build under ``numpy.libs/``), or None where there
+    is none; looked up on first use."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, set_ = (lib.scipy_openblas_get_num_threads64_,
+                         lib.scipy_openblas_set_num_threads64_)
+        except (OSError, AttributeError):
+            continue
+        get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread, restoring the caller's count on exit.
+
+    The threads of a run are its own: ``_run_indexed``'s.  A BLAS call
+    split over threads sums in another order, so its last bits would depend
+    on the thread count (``models._spectral_std``'s ``vdot`` at dim 128),
+    and OpenBLAS's helper thread keeps spinning after each two-thread call,
+    taking a core from the draws.  Where no OpenBLAS is found this does
+    nothing.
+    """
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+# numpy solves a (k, d, d) stack of eigenvalue problems with the GIL
+# released only when k d > 500, so a stack holds the fewest matrices above.
+_STACK_LEVELS = 500
+
+
+def _stacked_spectra(build, n_draws: int, dim: int, dtype) -> np.ndarray:
+    """The (n_draws, dim) ascending eigenvalues of the matrices that
+    ``build(i, out)`` writes into ``out``, a (dim, dim) array of ``dtype``.
+
+    The draws are cut into stacks of k = _STACK_LEVELS // dim + 1 (the last
+    one shorter), and ``_run_indexed`` runs the stacks on
+    ``_worker_count(n_stacks, dim)`` threads, each on a contiguous chunk.  A
+    stack is built in place and solved by one ``eigvalsh`` call, which gives
+    the same floats as one call per matrix; builds that draw their normals
+    release the GIL too, so they overlap as well.
+    """
+    k = _STACK_LEVELS // dim + 1
+    n_stacks = -(-n_draws // k)
+    spectra = np.empty((n_draws, dim))
+
+    def solve(s: int) -> np.ndarray:
+        # returns its rows: a None result would read as a dropped draw
+        start, stop = s * k, min(s * k + k, n_draws)
+        stack = np.empty((stop - start, dim, dim), dtype)
+        for j in range(stop - start):
+            build(start + j, stack[j])
+        spectra[start:stop] = np.linalg.eigvalsh(stack)
+        return spectra[start:stop]
+
+    _run_indexed(solve, n_stacks, _worker_count(n_stacks, dim))
+    return spectra
 
 
 # Rows per U-product block in a scatter run: bounds the temporaries of the
@@ -202,6 +298,7 @@ def _worker_count(n_tasks: int) -> int:
 _ROW_BLOCK = 128
 
 
+@_one_blas_thread()
 def scatter_bound_test(
     config: ModelConfig,
     samples: int = 3000,
@@ -226,10 +323,9 @@ def scatter_bound_test(
     ``spawn_seed`` and ``default_rng``.
 
     Two phases.  First every row c^T V_i is written into one (samples, 1, d)
-    buffer by ``_run_indexed`` on ``_worker_count(samples)`` threads, each
-    with its own generator: the normals, most of a draw's time, are drawn
-    with the GIL released, so the threads draw concurrently, and the fills
-    make no BLAS call that starts BLAS threads of its own.  Then, in the
+    buffer by ``_run_indexed`` on ``_worker_count(samples, d)`` threads,
+    each with its own generator: the normals, most of a draw's time, are
+    drawn with the GIL released, so the threads draw concurrently.  Then, in the
     calling thread, blocks of at most ``_ROW_BLOCK`` rows go through
     w = rows @ U (one vector-matrix product per row, the same floats as a
     serial run) and both kernels at once.  The entry w_0 = <0|V|0> must be
@@ -258,7 +354,7 @@ def scatter_bound_test(
         rows[i, 0] = _sample_row(v_spec, rng(i), c)
         return rows[i, 0]
 
-    _run_indexed(fill, samples, _worker_count(samples))
+    _run_indexed(fill, samples, _worker_count(samples, c.size))
     dq_abs, k0 = np.empty(samples), np.empty(samples)
     for start in range(0, samples, _ROW_BLOCK):
         stop = min(start + _ROW_BLOCK, samples)
@@ -361,35 +457,33 @@ def _aggregate_row(
 
 
 def _ensemble_draws(kind: EnsembleKind, seeds, dim: int):
-    """Draws of ``ensembles.sample(EnsembleSpec(kind, dim), seeds[i])``; a
-    PoissonDiagonal spectrum is the sorted normals, with no matrix or solve."""
+    """Draws of ``ensembles.sample(EnsembleSpec(kind, dim), seeds[i])``, all
+    solved up front (``_stacked_spectra``); a PoissonDiagonal spectrum is the
+    sorted normals, with no matrix or solve."""
     spec = EnsembleSpec(kind, dim)
     rng = _seeded_generators(seeds)
-    matrix = None if kind is EnsembleKind.POISSON_DIAGONAL else _matrix_sampler(spec)
-
-    def draw(i: int) -> tuple:
-        if matrix is None:
-            eigs = np.sort(_normals(spec, rng(i)))
-        else:
-            eigs = np.linalg.eigvalsh(matrix(rng(i)))
-        return eigs, eigs, None
-
-    return draw
+    if kind is EnsembleKind.POISSON_DIAGONAL:
+        spectra = [np.sort(_normals(spec, rng(i))) for i in range(len(seeds))]
+    else:
+        matrix = _matrix_sampler(spec)
+        spectra = _stacked_spectra(lambda i, out: matrix(rng(i), out), len(seeds), dim,
+                                   _matrix_dtype(spec))
+    return lambda i: (spectra[i], spectra[i], None)
 
 
 def _model_d_draws(theta: float, seeds, dim: int, chaotic_scale: float):
-    """Draws of model D at theta; when sin(theta) = 0 the spectrum is the
-    sorted diagonal, with no GOE draw and no solve."""
+    """Draws of model D at theta, all solved up front (``_stacked_spectra``);
+    when sin(theta) = 0 the spectrum is the sorted diagonal, with no GOE draw
+    and no solve.  A spectrum too wide for a float raises
+    NonFiniteHamiltonianError."""
     sampler = _ModelDSampler(seeds, dim, chaotic_scale)
-
-    def draw(i: int) -> tuple:
-        if math.sin(theta) == 0.0:
-            eigs = np.sort(sampler.diagonal(theta, i))
-        else:
-            eigs = np.linalg.eigvalsh(sampler.matrix(theta, i))
-        return eigs, eigs, None
-
-    return draw
+    if math.sin(theta) == 0.0:
+        spectra = [np.sort(sampler.diagonal(theta, i)) for i in range(len(seeds))]
+    else:
+        spectra = _stacked_spectra(functools.partial(sampler.matrix, theta), len(seeds), dim,
+                                   float)
+        _require_finite_spectrum("D", spectra)
+    return lambda i: (spectra[i], spectra[i], None)
 
 
 def _model_e_draws(d: float, seeds, n_qubits: int, h: float, J: float,
@@ -399,14 +493,18 @@ def _model_e_draws(d: float, seeds, n_qubits: int, h: float, J: float,
     N // 2) when ``sector_restricted``, else the merged spectrum, and Q that
     of the ground block's lowest eigenvector, in its sector
     (``sector_mean_bipartite_Q``).  With ``levels_only`` a restricted draw
-    solves that block alone and returns (None, levels, None)."""
+    solves that block alone and returns (None, levels, None).  A spectrum
+    too wide for a float raises NonFiniteHamiltonianError."""
 
     def draw(i: int) -> tuple:
         blocks = model_e_blocks(n_qubits=n_qubits, d=d, h=h, J=J, seed=int(seeds[i]))
         middle = n_qubits // 2
         if levels_only and sector_restricted:
-            return None, np.linalg.eigvalsh(blocks[middle][1]), None
+            levels = np.linalg.eigvalsh(blocks[middle][1])
+            _require_finite_spectrum("E", levels)
+            return None, levels, None
         spectrum = block_spectrum(blocks)
+        _require_finite_spectrum("E", spectrum.eigenvalues)
         levels = spectrum.block_eigenvalues[middle] if sector_restricted else spectrum.eigenvalues
         indices = blocks[spectrum.ground_block][0]
         q = sector_mean_bipartite_Q(spectrum.ground_state, indices, n_qubits)
@@ -459,6 +557,7 @@ def _sweep(
     return rows
 
 
+@_one_blas_thread()
 def sweep_theta(
     theta_grid,
     realizations: int = 100,
@@ -481,6 +580,7 @@ def sweep_theta(
                   poly_degree, edge_trim, outlier_k, per_realization_gamma)
 
 
+@_one_blas_thread()
 def sweep_defect(
     d_grid,
     realizations: int = 100,
@@ -510,6 +610,7 @@ def sweep_defect(
 STATS_SOURCES = ("GOE", "GUE", "PoissonDiagonal", "D", "E")
 
 
+@_one_blas_thread()
 def spacing_statistics(
     source: str,
     draws: int,

@@ -88,6 +88,19 @@ def _finite_hamiltonian(model: str):
         raise NonFiniteHamiltonianError(f"the model-{model} Hamiltonian is not finite") from None
 
 
+def _require_finite_spectrum(model: str, eigenvalues: np.ndarray) -> None:
+    """Raise NonFiniteHamiltonianError unless every ascending spectrum along
+    the last axis of ``eigenvalues`` has a finite width hi - lo and a finite
+    sum hi + lo.  A Hamiltonian built from finite parameters can have finite
+    entries and still a spectrum wider than a float: ``level_stats.unfold``
+    maps the levels by both quantities, and the bound's gaps are no wider."""
+    lo, hi = eigenvalues[..., 0], eigenvalues[..., -1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(hi - lo) & np.isfinite(hi + lo)
+    if not finite.all():
+        raise NonFiniteHamiltonianError(f"the model-{model} spectrum overflows")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Scatter-model description (families A, B, C), JSON-serializable."""
@@ -231,12 +244,13 @@ class _ModelDSampler:
     """Model-D draws of an array of seeds, for the per-draw paths of the
     sweep and ``stats``.
 
-    ``matrix(theta, i)`` is the matrix of ``model_d(theta, seeds[i], dim,
-    chaotic_scale)`` bit for bit, as a plain array written into one buffer
-    that every call reuses: a scaled GOE draw plus a diagonal is exactly
+    ``matrix(theta, i, out)`` is the matrix of ``model_d(theta, seeds[i],
+    dim, chaotic_scale)`` bit for bit, as a plain array written into ``out``
+    (a new one when None): a scaled GOE draw plus a diagonal is exactly
     symmetric, so the ``HermitianOperator`` symmetrization would not change
-    it.  ``diagonal(theta, i)`` is cos(theta) p / std(p) alone, which is all
-    of H(theta) when sin(theta) = 0; it draws no GOE normals.
+    it.  Threads may draw into their own ``out`` at the same time.
+    ``diagonal(theta, i)`` is cos(theta) p / std(p) alone, which is all of
+    H(theta) when sin(theta) = 0; it draws no GOE normals.
 
     The generators of both child streams of every seed are derived up front
     in one pass (``ensembles._child_seeds``, ``_seeded_generators``), so a
@@ -259,11 +273,12 @@ class _ModelDSampler:
         p = _normals(self._poisson, self._rng(i))
         return math.cos(theta) * (p / np.std(p))
 
-    def matrix(self, theta: float, i: int) -> np.ndarray:
+    def matrix(self, theta: float, i: int, out: np.ndarray | None = None) -> np.ndarray:
         diagonal = self.diagonal(theta, i)
-        hw = self._goe(self._rng(self._n + i))
+        d = self._poisson.dim
+        hw = self._goe(self._rng(self._n + i), np.empty((d, d)) if out is None else out)
         hw *= math.sin(theta) * self._chaotic_scale / _spectral_std(hw)
-        hw.reshape(-1)[:: hw.shape[0] + 1] += diagonal
+        hw.reshape(-1)[:: d + 1] += diagonal
         return hw
 
 

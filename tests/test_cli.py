@@ -544,7 +544,9 @@ class TestStatsCommand:
         monkeypatch.setattr(experiments, "_run_indexed", counting)
         assert run_cli(["stats", *argv, "--dim", "32", "--draws", "5",
                         "--out", str(tmp_path)]) == 0
-        assert loops == [(5, 1)]
+        # a solved source first solves its five draws in one stack of 16
+        solved = argv[1] in ("GOE", "GUE", "D")
+        assert loops == [(1, 1), (5, 1)] if solved else [(5, 1)]
 
 
 class TestOverflowingHamiltonian:
@@ -558,7 +560,12 @@ class TestOverflowingHamiltonian:
          "the model-E Hamiltonian is not finite; lower --d-max, --h or --J"),
         (["stats", "--source", "E", "--qubits", "7", "--draws", "5", "--h", "1e308"],
          "the model-E Hamiltonian is not finite; lower --d-value, --h or --J"),
-    ], ids=["check", "sweep-defect", "stats"])
+        # finite matrices whose spectra are wider than a float
+        (["sweep-theta", "--points", "2", "--realizations", "10", "--chaotic-scale", "1e308"],
+         "the model-D spectrum overflows; lower --chaotic-scale"),
+        (["stats", "--source", "E", "--qubits", "7", "--draws", "5", "--J", "1e308"],
+         "the model-E spectrum overflows; lower --d-value, --h or --J"),
+    ], ids=["check", "sweep-defect", "stats", "sweep-theta-spectrum", "stats-spectrum"])
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
         with warnings.catch_warnings(record=True) as caught:
@@ -665,19 +672,32 @@ class TestNonFiniteFloats:
 
 class TestSerialDraws:
     CHECK = ["check", "--model", "B", "--qubits", "3", "--samples", "300", "--seed", "5"]
-    RUNS = [
-        (["sweep-theta", "--points", "2", "--realizations", "8", "--dim", "64",
+    # the spectra are solved in stacks of 4 at dim 128: 14 draws are four
+    # stacks, the last one short, so 3 workers get chunks of 1, 1 and 2
+    STACKED = [
+        (["sweep-theta", "--points", "3", "--realizations", "14", "--dim", "128",
           "--seed", "9"],
          ["theta_sweep.csv"]),
-        (["sweep-defect", "--points", "2", "--realizations", "4", "--qubits", "7",
-          "--seed", "5"],
-         ["defect_sweep.csv"]),
-        (["stats", "--source", "GUE", "--draws", "6", "--dim", "64", "--seed", "2"],
+        (["stats", "--source", "GUE", "--draws", "14", "--dim", "128", "--seed", "2"],
          ["stats.json"]),
     ]
 
-    @pytest.mark.parametrize("argv,outputs", RUNS, ids=[r[0][0] for r in RUNS])
-    def test_no_thread_is_started(self, tmp_path, monkeypatch, argv, outputs):
+    @staticmethod
+    def _count_threads(monkeypatch) -> list:
+        start, started = threading.Thread.start, []
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        return started
+
+    # the defect sweep solves its sector blocks one draw at a time
+    @pytest.mark.parametrize("argv", [
+        ["sweep-defect", "--points", "2", "--realizations", "4", "--qubits", "7", "--seed", "5"],
+    ], ids=["sweep-defect"])
+    def test_no_thread_is_started(self, tmp_path, monkeypatch, argv):
         def refuse(thread):
             raise AssertionError(f"thread {thread.name} started")
 
@@ -686,34 +706,91 @@ class TestSerialDraws:
         monkeypatch.setattr(threading.Thread, "start", refuse)
         asked = tmp_path / "asked"
         assert run_cli([*argv, "--threads", "4", "--out", str(asked)]) == 0
-        for name in outputs:
-            assert (asked / name).read_bytes() == (serial / name).read_bytes()
+        assert ((asked / "defect_sweep.csv").read_bytes()
+                == (serial / "defect_sweep.csv").read_bytes())
+
+    @pytest.mark.parametrize("argv,outputs", STACKED, ids=[r[0][0] for r in STACKED])
+    def test_bytes_do_not_depend_on_workers(self, tmp_path, monkeypatch, argv, outputs):
+        import qcbound.experiments as experiments
+
+        started = self._count_threads(monkeypatch)
+        real = experiments._worker_count
+        outputs_of = {}
+        for workers in (None, 1, 2, 3):
+            if workers is not None:
+                monkeypatch.setattr(experiments, "_worker_count",
+                                    lambda n_tasks, dim, w=workers: min(w, n_tasks))
+            started.clear()
+            out = tmp_path / str(workers)
+            assert run_cli([*argv, "--threads", "1", "--out", str(out)]) == 0
+            # four stacks per solved grid point (theta = 0 needs no solve)
+            # or per stats run
+            count = workers or real(4, 128)
+            points = 2 if argv[0] == "sweep-theta" else 1
+            assert len(started) == (points * count if count > 1 else 0)
+            assert not any(thread.is_alive() for thread in started)
+            outputs_of[workers] = [(out / name).read_bytes() for name in outputs]
+        assert outputs_of[1] == outputs_of[2] == outputs_of[3] == outputs_of[None]
 
     def test_check_bytes_do_not_depend_on_its_threads(self, tmp_path, monkeypatch):
         # 300 samples: three U-product blocks, and chunks that end inside them
         import qcbound.experiments as experiments
 
-        start, started = threading.Thread.start, []
-
-        def counted(thread):
-            started.append(thread)
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", counted)
+        started = self._count_threads(monkeypatch)
         outputs = {}
         for workers in (None, 1, 2, 3):
             if workers is not None:
                 monkeypatch.setattr(experiments, "_worker_count",
-                                    lambda n_tasks, w=workers: min(w, n_tasks))
+                                    lambda n_tasks, dim, w=workers: min(w, n_tasks))
             started.clear()
             out = tmp_path / str(workers)
             assert run_cli([*self.CHECK, "--threads", "1", "--out", str(out)]) == 0
-            count = workers or len(os.sched_getaffinity(0))  # the default: the CPUs
+            # the default: no thread for dim-8 draws (below _THREAD_MIN_DIM)
+            count = workers or 1
             assert len(started) == (count if count > 1 else 0)
             assert not any(thread.is_alive() for thread in started)
             outputs[workers] = [(out / name).read_bytes()
                                 for name in ("records.csv", "summary.json")]
         assert outputs[1] == outputs[2] == outputs[3] == outputs[None]
+
+    def test_no_openblas_found_gives_the_same_bytes(self, tmp_path, monkeypatch):
+        # dim 64: OpenBLAS at its own thread count gives the same floats
+        import qcbound.experiments as experiments
+
+        argv = ["sweep-theta", "--points", "2", "--realizations", "20", "--dim", "64",
+                "--seed", "9"]
+        assert run_cli([*argv, "--out", str(tmp_path / "pinned")]) == 0
+        blas = experiments._openblas()
+        before = blas[0]() if blas else None
+        monkeypatch.setattr(experiments, "_openblas", lambda: None)
+        assert run_cli([*argv, "--out", str(tmp_path / "none")]) == 0
+        assert ((tmp_path / "none" / "theta_sweep.csv").read_bytes()
+                == (tmp_path / "pinned" / "theta_sweep.csv").read_bytes())
+        assert (blas[0]() if blas else None) == before
+
+
+class TestBlasThreadCount:
+    # in subprocesses, since OpenBLAS reads the variable once, when loaded
+    RUNS = [
+        (["sweep-theta", "--points", "2", "--realizations", "10", "--dim", "128",
+          "--seed", "3"], ["theta_sweep.csv"]),
+        (["check", "--model", "B", "--qubits", "7", "--samples", "20", "--seed", "3"],
+         ["records.csv", "summary.json"]),
+    ]
+
+    @pytest.mark.parametrize("argv,outputs", RUNS, ids=[r[0][0] for r in RUNS])
+    def test_bytes_do_not_depend_on_openblas_threads(self, tmp_path, argv, outputs):
+        src = Path(__file__).resolve().parents[1] / "src"
+        written = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+            out = tmp_path / threads
+            done = subprocess.run([sys.executable, "-m", "qcbound.cli", *argv, "--out", str(out)],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert done.returncode == 0, done.stderr
+            written.append([(out / name).read_bytes() for name in outputs])
+        assert written[0] == written[1]
 
 
 class TestEnvThreads:

@@ -5,7 +5,8 @@ import pytest
 from scipy import stats
 
 from qcbound.ensembles import (
-    EnsembleKind, EnsembleSpec, RNG_ALGORITHM, _child_seeds, _matrix_sampler, _sample_matrix,
+    EnsembleKind, EnsembleSpec, RNG_ALGORITHM, _child_seeds, _matrix_dtype, _matrix_sampler,
+    _sample_matrix,
     _sample_row, _seeded_generators, sample, spawn_seed, spawn_seeds,
 )
 from qcbound.level_stats import spacing_sample_from_levels, weibull_mle
@@ -111,15 +112,41 @@ class TestBatchSeeding:
                 assert rng(i).standard_normal(9).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("kind", list(EnsembleKind))
-    def test_matrix_sampler_reuses_buffers_and_equals_sample(self, kind):
+    def test_matrix_sampler_writes_into_out_and_equals_sample(self, kind):
+        # the rows of one stack, filled with a nonzero value first, so the
+        # PoissonDiagonal kind must clear its off-diagonal entries itself
         spec = EnsembleSpec(kind, 24, scale=0.8)
         draw = _matrix_sampler(spec)
         seeds = [3, 2**40 + 1, 3]
-        first = draw(np.random.default_rng(seeds[0]))
-        for seed in seeds:
-            m = draw(np.random.default_rng(seed))
-            assert m is first
+        stack = np.full((len(seeds), 24, 24), 7.0, dtype=_matrix_dtype(spec))
+        for j, seed in enumerate(seeds):
+            m = draw(np.random.default_rng(seed), stack[j])
+            assert m is stack[j] or m.base is stack
             assert m.tobytes() == sample(spec, seed).matrix.tobytes()
+        assert np.array_equal(stack[0], stack[2])
+
+    @pytest.mark.parametrize("kind", [EnsembleKind.GOE, EnsembleKind.GUE])
+    def test_matrix_sampler_threads_draw_into_their_own_out(self, kind):
+        # one sampler, two threads drawing at once: the normals, drawn with
+        # the GIL released, go into a buffer of each thread's own
+        spec = EnsembleSpec(kind, 128)
+        draw = _matrix_sampler(spec)
+        seeds = spawn_seeds(11, np.arange(40)).tolist()
+        out = np.empty((len(seeds), 128, 128), dtype=_matrix_dtype(spec))
+        barrier = threading.Barrier(2)
+
+        def run(k):
+            barrier.wait()
+            for j in range(k, len(seeds), 2):
+                draw(np.random.default_rng(seeds[j]), out[j])
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for j, seed in enumerate(seeds):
+            assert out[j].tobytes() == sample(spec, seed).matrix.tobytes()
 
     def test_generators_equal_default_rng(self):
         seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, *spawn_seeds(5, np.arange(1000)).tolist()]

@@ -1,5 +1,6 @@
 import logging
 import math
+import os
 import threading
 
 import numpy as np
@@ -198,7 +199,7 @@ class TestScatterBoundTest:
             return row + 1e-3j * c if i in (6, 9) else row
 
         monkeypatch.setattr(experiments, "_sample_row", bad_row)
-        monkeypatch.setattr(experiments, "_worker_count", lambda n_tasks: 2)
+        monkeypatch.setattr(experiments, "_worker_count", lambda n_tasks, dim: 2)
         first_bad = rf"^sample 6 \(seed {seeds[6]}\): .* not Hermitian"
         with pytest.raises(ValueError, match=first_bad):
             scatter_bound_test(ModelConfig(family="B", n_qubits=3), samples=10)
@@ -245,6 +246,113 @@ class TestRunIndexed:
             experiments._run_indexed(lambda i: i, n_tasks, workers)
             assert len(started) == threads
             assert not any(thread.is_alive() for thread in started)
+
+
+class TestWorkerCount:
+    def test_small_matrices_stay_on_the_calling_thread(self):
+        cpus = len(os.sched_getaffinity(0))
+        for dim in (2, 8, 32, experiments._THREAD_MIN_DIM - 1):
+            assert experiments._worker_count(1000, dim) == 1
+        for dim in (experiments._THREAD_MIN_DIM, 128, 512):
+            assert experiments._worker_count(1000, dim) == cpus
+            assert experiments._worker_count(1, dim) == 1
+
+    def test_small_scatter_model_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        scatter_bound_test(ModelConfig(family="B", n_qubits=3), samples=50)
+
+
+def _stacked_draws(source: str, seeds, dim: int):
+    if source == "D":
+        return experiments._model_d_draws(0.7, seeds, dim, 0.3)
+    return experiments._ensemble_draws(EnsembleKind(source), seeds, dim)
+
+
+class TestStackedSpectra:
+    # stacks of k = 500 // dim + 1 matrices: 8 at dim 64, 6 at 96, 4 at 128;
+    # the draw counts end the last chunk partway through a stack
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("dim,n_draws", [(64, 19), (96, 15), (128, 11)])
+    @pytest.mark.parametrize("source", ["GOE", "GUE", "D"])
+    def test_equal_to_one_call_per_matrix(self, monkeypatch, source, dim, n_draws, workers):
+        from oracles import model_d_matrix
+
+        monkeypatch.setattr(experiments, "_worker_count",
+                            lambda n_tasks, dim: min(workers, n_tasks))
+        seeds = spawn_seeds(dim + workers, np.arange(n_draws))
+        with experiments._one_blas_thread():
+            draw = _stacked_draws(source, seeds, dim)
+            for i, seed in enumerate(seeds.tolist()):
+                if source == "D":
+                    matrix = model_d_matrix(0.7, seed, dim, 0.3)
+                else:
+                    matrix = _sample_matrix(EnsembleSpec(EnsembleKind(source), dim), seed)
+                eigenvalues, levels, q = draw(i)
+                assert np.array_equal(eigenvalues, np.linalg.eigvalsh(matrix))
+                assert np.array_equal(levels, eigenvalues)
+                assert q is None
+
+    @pytest.mark.parametrize("source", ["GOE", "GUE", "D"])
+    def test_one_task_per_stack_each_returning_its_rows(self, monkeypatch, source):
+        # a None task result would read as a dropped draw in a traced run
+        real, loops = experiments._run_indexed, []
+
+        def capture(task, n_tasks, workers):
+            results = real(task, n_tasks, workers)
+            loops.append((n_tasks, workers, results))
+            return results
+
+        monkeypatch.setattr(experiments, "_run_indexed", capture)
+        draw = _stacked_draws(source, spawn_seeds(4, np.arange(10)), 128)
+        [(n_tasks, workers, results)] = loops
+        assert (n_tasks, workers) == (3, experiments._worker_count(3, 128))
+        assert [r.shape for r in results] == [(4, 128), (4, 128), (2, 128)]
+        assert np.array_equal(np.concatenate(results), [draw(i)[0] for i in range(10)])
+
+
+@pytest.mark.skipif(experiments._openblas() is None, reason="numpy loaded no OpenBLAS")
+class TestOneBlasThread:
+    RUNS = [
+        lambda: scatter_bound_test(ModelConfig(family="B", n_qubits=6), samples=20),
+        lambda: sweep_theta([0.0, 0.8], realizations=12, dim=64),
+        lambda: sweep_defect([0.0, 0.5], realizations=4, n_qubits=7),
+        lambda: spacing_statistics("GUE", 10, dim=64),
+    ]
+
+    @pytest.mark.parametrize("run", RUNS, ids=["check", "sweep-theta", "sweep-defect", "stats"])
+    def test_one_thread_inside_and_the_callers_count_after(self, monkeypatch, run):
+        get, set_ = experiments._openblas()
+        counts, caller = [], get()
+        for name in ("bound_b", "spacing_sample_from_levels"):
+            real = getattr(experiments, name)
+
+            def recording(*args, real=real, **kwargs):
+                counts.append(get())
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(experiments, name, recording)
+        try:
+            for before in (3, 2):
+                set_(before)
+                run()
+                assert get() == before
+        finally:
+            set_(caller)
+        assert counts and set(counts) == {1}
+
+    def test_count_restored_when_the_run_fails(self):
+        get, set_ = experiments._openblas()
+        caller = get()
+        try:
+            set_(2)
+            with pytest.raises(ValueError, match="theta"):
+                sweep_theta([2.0, 3.0], realizations=12, dim=64)
+            assert get() == 2
+        finally:
+            set_(caller)
 
 
 class TestSweepTheta:
