@@ -64,6 +64,9 @@ CONFIGS = {
                              ("defect_sweep.csv",)),
     "sweep-defect-n9": (["sweep-defect", "--qubits", "9", "--points", "2",
                          "--realizations", "4", "--seed", "9"], ("defect_sweep.csv",)),
+    # the benchmark's defect grid: ground blocks in sectors of dims 1 through 126
+    "sweep-defect-n9-grid": (["sweep-defect", "--qubits", "9", "--points", "8",
+                              "--realizations", "8", "--seed", "3"], ("defect_sweep.csv",)),
     **{f"stats-{source}": (["stats", "--source", source, "--draws", "20", "--dim", "96",
                             "--seed", "4"], ("stats.json",))
        for source in ("GOE", "GUE", "PoissonDiagonal", "D")},

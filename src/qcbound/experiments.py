@@ -23,31 +23,29 @@ None for model D and the ensembles), so that no draw forms a 2^N vector.
 The CLI rejects a spectrum too small to unfold
 (``level_stats.MIN_UNFOLD_LEVELS``) before any draw.
 
-Threads.  The model-D and GOE/GUE factories build and solve every draw of a
-grid point or ``stats`` run up front, in stacks, on one thread per CPU
-(``_stacked_spectra``): a stack of eigenvalue problems is solved with the
-GIL released, one matrix alone is not.  A scatter run draws its rows on one
-thread per CPU and then computes the products and kernels in the calling
-thread (``scatter_bound_test``).  The unfolding, the fits and model E's
-block solves run one draw after another in the calling thread.  Draws on
-matrices smaller than ``_THREAD_MIN_DIM`` stay on the calling thread.  Each
-public experiment holds OpenBLAS at one thread for its whole call
-(``_one_blas_thread``).  Each thread works on a contiguous chunk of the draw
-indices with its own generator and buffers, so the output does not depend on
-the number of threads, of the run or of BLAS.
+Threads.  The model-D, GOE/GUE and model-E factories build and solve every
+draw of a grid point or ``stats`` run up front, in stacks, on one thread per
+CPU (``_stacked_spectra``): a stack of eigenvalue problems is solved with
+the GIL released, one matrix alone is not.  Model E stacks each sector's
+blocks across the draws, then the ground blocks, grouped by sector.  A
+scatter run draws its rows on one thread per CPU and then computes the
+products and kernels in the calling thread (``scatter_bound_test``).  The
+unfolding and the fits run one draw after another in the calling thread.
+Draws on matrices smaller than ``_THREAD_MIN_DIM`` stay on the calling
+thread.  Each public experiment holds OpenBLAS at one thread for its whole
+call (``quantum._one_blas_thread``).  Each thread works on a contiguous chunk
+of the draw indices with its own generator and buffers, so the output does
+not depend on the number of threads, of the run or of BLAS.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import functools
 import logging
 import math
 import os
 import threading
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -76,11 +74,11 @@ from .models import (
     MODEL_E_DEFAULT_FIELD,
     ModelConfig,
     _ModelDSampler,
+    _ModelESampler,
     _require_finite_spectrum,
     build_scatter_model,
-    model_e_blocks,
 )
-from .quantum import DegenerateSpectrumError, block_spectrum, eigensystem
+from .quantum import DegenerateSpectrumError, _one_blas_thread, eigensystem
 
 __all__ = [
     "ExperimentError",
@@ -219,77 +217,49 @@ def _worker_count(n_tasks: int, dim: int) -> int:
     return min(len(os.sched_getaffinity(0)), n_tasks)
 
 
-@functools.lru_cache(maxsize=None)
-def _openblas():
-    """``(get, set)`` of the thread count of the OpenBLAS that numpy loaded
-    (the ``scipy_openblas`` build under ``numpy.libs/``), or None where there
-    is none; looked up on first use."""
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-            get, set_ = (lib.scipy_openblas_get_num_threads64_,
-                         lib.scipy_openblas_set_num_threads64_)
-        except (OSError, AttributeError):
-            continue
-        get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
-        return get, set_
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold OpenBLAS at one thread, restoring the caller's count on exit.
-
-    The threads of a run are its own: ``_run_indexed``'s.  A BLAS call
-    split over threads sums in another order, so its last bits would depend
-    on the thread count (``models._spectral_std``'s ``vdot`` at dim 128),
-    and OpenBLAS's helper thread keeps spinning after each two-thread call,
-    taking a core from the draws.  Where no OpenBLAS is found this does
-    nothing.
-    """
-    blas = _openblas()
-    if blas is None:
-        yield
-        return
-    get, set_ = blas
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
-
-
 # numpy solves a (k, d, d) stack of eigenvalue problems with the GIL
 # released only when k d > 500, so a stack holds the fewest matrices above.
 _STACK_LEVELS = 500
 
 
-def _stacked_spectra(build, n_draws: int, dim: int, dtype) -> np.ndarray:
-    """The (n_draws, dim) ascending eigenvalues of the matrices that
-    ``build(i, out)`` writes into ``out``, a (dim, dim) array of ``dtype``.
+def _stacked_spectra(shapes, dtype, vectors=None) -> list:
+    """For each (build, n, dim) of ``shapes``, the (n, dim) ascending
+    eigenvalues of the n matrices that ``build(i, out)`` writes into ``out``,
+    a (dim, dim) array of ``dtype``.
 
-    The draws are cut into stacks of k = _STACK_LEVELS // dim + 1 (the last
-    one shorter), and ``_run_indexed`` runs the stacks on
-    ``_worker_count(n_stacks, dim)`` threads, each on a contiguous chunk.  A
-    stack is built in place and solved by one ``eigvalsh`` call, which gives
-    the same floats as one call per matrix; builds that draw their normals
-    release the GIL too, so they overlap as well.
+    Each shape's matrices are cut into stacks of k = _STACK_LEVELS // dim + 1
+    (the last one shorter), and one ``_run_indexed`` call runs the stacks of
+    every shape, in that order, on ``_worker_count(n_stacks, largest dim)``
+    threads, each on a contiguous chunk.  A stack is built in place and
+    solved by one ``eigvalsh`` call, which gives the same floats as one call
+    per matrix; builds that draw their normals release the GIL too, so they
+    overlap as well.  With ``vectors`` a stack is solved by ``eigh`` instead,
+    and ``vectors(s, i, u)`` gets the eigenvector columns ``u`` of matrix i
+    of shape s, in the stack's task.
     """
-    k = _STACK_LEVELS // dim + 1
-    n_stacks = -(-n_draws // k)
-    spectra = np.empty((n_draws, dim))
+    tasks = [(s, start, min(start + _STACK_LEVELS // dim + 1, n))
+             for s, (_, n, dim) in enumerate(shapes)
+             for start in range(0, n, _STACK_LEVELS // dim + 1)]
+    spectra = [np.empty((n, dim)) for _, n, dim in shapes]
 
-    def solve(s: int) -> np.ndarray:
+    def solve(t: int) -> np.ndarray:
         # returns its rows: a None result would read as a dropped draw
-        start, stop = s * k, min(s * k + k, n_draws)
+        s, start, stop = tasks[t]
+        build, _, dim = shapes[s]
         stack = np.empty((stop - start, dim, dim), dtype)
         for j in range(stop - start):
             build(start + j, stack[j])
-        spectra[start:stop] = np.linalg.eigvalsh(stack)
-        return spectra[start:stop]
+        rows = spectra[s][start:stop]
+        if vectors is None:
+            rows[...] = np.linalg.eigvalsh(stack)
+        else:
+            rows[...], u = np.linalg.eigh(stack)
+            for j in range(stop - start):
+                vectors(s, start + j, u[j])
+        return rows
 
-    _run_indexed(solve, n_stacks, _worker_count(n_stacks, dim))
+    largest = max((dim for _, n, dim in shapes if n), default=0)
+    _run_indexed(solve, len(tasks), _worker_count(len(tasks), largest))
     return spectra
 
 
@@ -466,8 +436,8 @@ def _ensemble_draws(kind: EnsembleKind, seeds, dim: int):
         spectra = [np.sort(_normals(spec, rng(i))) for i in range(len(seeds))]
     else:
         matrix = _matrix_sampler(spec)
-        spectra = _stacked_spectra(lambda i, out: matrix(rng(i), out), len(seeds), dim,
-                                   _matrix_dtype(spec))
+        [spectra] = _stacked_spectra([(lambda i, out: matrix(rng(i), out), len(seeds), dim)],
+                                     _matrix_dtype(spec))
     return lambda i: (spectra[i], spectra[i], None)
 
 
@@ -480,37 +450,61 @@ def _model_d_draws(theta: float, seeds, dim: int, chaotic_scale: float):
     if math.sin(theta) == 0.0:
         spectra = [np.sort(sampler.diagonal(theta, i)) for i in range(len(seeds))]
     else:
-        spectra = _stacked_spectra(functools.partial(sampler.matrix, theta), len(seeds), dim,
-                                   float)
+        [spectra] = _stacked_spectra([(functools.partial(sampler.matrix, theta), len(seeds), dim)],
+                                     float)
         _require_finite_spectrum("D", spectra)
     return lambda i: (spectra[i], spectra[i], None)
 
 
 def _model_e_draws(d: float, seeds, n_qubits: int, h: float, J: float,
                    sector_restricted: bool, levels_only: bool = False):
-    """Draws of model E at defect strength d, solved block by block in the
-    total-sigma_z sectors; the levels are the largest sector's (n_down =
+    """Draws of model E at defect strength d, all solved up front, block by
+    block in the total-sigma_z sectors (``_stacked_spectra``: the stacks of
+    every sector in one pass); the levels are the largest sector's (n_down =
     N // 2) when ``sector_restricted``, else the merged spectrum, and Q that
     of the ground block's lowest eigenvector, in its sector
-    (``sector_mean_bipartite_Q``).  With ``levels_only`` a restricted draw
-    solves that block alone and returns (None, levels, None).  A spectrum
-    too wide for a float raises NonFiniteHamiltonianError."""
+    (``_ground_state_q``).  With ``levels_only`` a draw is (None, levels,
+    None): a restricted run solves the largest sector alone, and neither
+    solves a ground block.  A spectrum too wide for a float raises
+    NonFiniteHamiltonianError."""
+    sampler = _ModelESampler(seeds, n_qubits, d, h, J)
+    middle = n_qubits // 2
 
-    def draw(i: int) -> tuple:
-        blocks = model_e_blocks(n_qubits=n_qubits, d=d, h=h, J=J, seed=int(seeds[i]))
-        middle = n_qubits // 2
-        if levels_only and sector_restricted:
-            levels = np.linalg.eigvalsh(blocks[middle][1])
-            _require_finite_spectrum("E", levels)
-            return None, levels, None
-        spectrum = block_spectrum(blocks)
-        _require_finite_spectrum("E", spectrum.eigenvalues)
-        levels = spectrum.block_eigenvalues[middle] if sector_restricted else spectrum.eigenvalues
-        indices = blocks[spectrum.ground_block][0]
-        q = sector_mean_bipartite_Q(spectrum.ground_state, indices, n_qubits)
-        return spectrum.eigenvalues, levels, q
+    def sector(s: int) -> tuple:
+        return functools.partial(sampler.block, s), len(seeds), sampler.sectors[s][0].size
 
-    return draw
+    if levels_only and sector_restricted:
+        [levels] = _stacked_spectra([sector(middle)], float)
+        _require_finite_spectrum("E", levels)
+        return lambda i: (None, levels[i], None)
+    spectra = _stacked_spectra([sector(s) for s in range(n_qubits + 1)], float)
+    eigenvalues = np.sort(np.concatenate(spectra, axis=1), axis=1)
+    _require_finite_spectrum("E", eigenvalues)
+    levels = spectra[middle] if sector_restricted else eigenvalues
+    if levels_only:
+        return lambda i: (None, levels[i], None)
+    q = _ground_state_q(sampler, spectra)
+    return lambda i: (eigenvalues[i], levels[i], q[i])
+
+
+def _ground_state_q(sampler: _ModelESampler, spectra: list) -> list:
+    """Q of every draw's ground state, from the lowest eigenvector of its
+    ground block: the sector whose lowest level is the lowest (the first
+    such sector on a tie).  The draws are grouped by ground sector and each
+    group's blocks solved by ``eigh`` in stacks (``_stacked_spectra``), with
+    Q computed in the stack's task (``sector_mean_bipartite_Q``)."""
+    ground = np.argmin([s[:, 0] for s in spectra], axis=0)
+    groups = [(s, np.flatnonzero(ground == s)) for s in np.unique(ground).tolist()]
+    q = [None] * ground.size
+
+    def keep(g: int, j: int, u: np.ndarray) -> None:
+        s, draws = groups[g]
+        q[draws[j]] = sector_mean_bipartite_Q(u[:, 0], sampler.sectors[s][0], sampler.n_qubits)
+
+    _stacked_spectra(
+        [(lambda j, out, s=s, draws=draws: sampler.block(s, draws[j], out), draws.size,
+          sampler.sectors[s][0].size) for s, draws in groups], float, vectors=keep)
+    return q
 
 
 def _sweep(

@@ -19,9 +19,10 @@ Sandvik, arXiv:1101.3281): a bond whose two bits are equal adds +1 to the
 diagonal of sigma_j . sigma_{j+1}; a bond whose two bits differ adds -1 to
 the diagonal and 2 to the state with that pair flipped.  The coupling blocks
 and site-z signs depend on N only and are cached; a draw adds its field
-diagonal sum_j (h + h_j) sigma_zj.  The largest block (dim 126 at N = 9)
-replaces a dense dim-512 solve, and the dense ``model_e`` is the blocks
-written into a 2^N matrix.
+diagonal sum_j (h + h_j) sigma_zj.  ``_ModelESampler.block`` is the one
+writer of a block, for the sweep, ``stats`` and ``model_e_blocks``.  The
+largest block (dim 126 at N = 9) replaces a dense dim-512 solve, and the
+dense ``model_e`` is the blocks written into a 2^N matrix.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .ensembles import (
     EnsembleKind, EnsembleSpec, _child_seeds, _matrix_sampler, _normals, _seeded_generators,
     sample,
 )
-from .quantum import HermitianOperator, _embed, _PAULI, heisenberg_coupling
+from .quantum import HermitianOperator, _embed, _one_blas_thread, _PAULI, heisenberg_coupling
 
 __all__ = [
     "ModelConfig",
@@ -217,6 +218,7 @@ def build_scatter_model(
     return model_c(config.ensemble, h0_seed, config.n_qubits)
 
 
+@_one_blas_thread()
 def model_d(
     theta: float,
     seed: int,
@@ -233,7 +235,9 @@ def model_d(
     The normalization needs no eigensolve: the eigenvalue standard deviation
     of H_W is sqrt(||H_W||_F^2 / d - (tr H_W / d)^2) (``_spectral_std``).  H_P
     is diagonal, so H(theta) is the scaled H_W with cos(theta) p / std(p),
-    p = diag(H_P), added to its diagonal in place (``_ModelDSampler``).
+    p = diag(H_P), added to its diagonal in place (``_ModelDSampler``).  The
+    ``vdot`` in that sum runs with OpenBLAS held at one thread, so the bits do
+    not depend on the caller's BLAS thread count.
     """
     if not 0 <= seed < 2**64:
         raise ValueError("model D seeds must lie in [0, 2^64)")
@@ -282,6 +286,51 @@ class _ModelDSampler:
         return hw
 
 
+class _ModelESampler:
+    """Model-E sector blocks of an array of seeds, for the per-draw paths of
+    the sweep and ``stats``, and for ``model_e_blocks``.
+
+    The defects of every seed are drawn up front, d times the standard
+    normals of ``default_rng(seed)`` (``rng.normal(0, d, N)`` bit for bit;
+    none at d = 0), and with them every sector's field diagonal of every
+    draw, added site by site in the order of a single draw.  So
+    ``block(n_down, i, out)``, which writes the block of sector n_down of
+    draw i into ``out`` (C(N, n_down) square) and returns it, only copies:
+    threads may write into their own ``out`` at the same time, and an
+    overflow raises NonFiniteHamiltonianError here, in the caller's thread.
+    ``sectors`` are the (indices, coupling, signs) of ``_sector_chain``.
+    """
+
+    def __init__(self, seeds, n_qubits: int, d: float, h: float, J: float):
+        if n_qubits < 2:
+            raise ValueError("need at least 2 qubits")
+        if d < 0:
+            raise ValueError("defect strength d must be nonnegative")
+        if J == 0:
+            raise ValueError("coupling J must be nonzero")
+        self.n_qubits = n_qubits
+        self.sectors = _sector_chain(n_qubits)
+        defects = np.zeros((len(seeds), n_qubits))
+        self._couplings, self._diagonals = [], []
+        with _finite_hamiltonian("E"):
+            if d > 0:
+                for i, seed in enumerate(seeds):
+                    defects[i] = d * np.random.default_rng(int(seed)).standard_normal(n_qubits)
+            fields = h + defects
+            for _, coupling, signs in self.sectors:
+                scaled = (J / 4.0) * coupling
+                diagonal = scaled.diagonal()
+                for j in range(n_qubits):
+                    diagonal = diagonal + fields[:, j, np.newaxis] * signs[:, j]
+                self._couplings.append(scaled)
+                self._diagonals.append(diagonal)
+
+    def block(self, n_down: int, i: int, out: np.ndarray) -> np.ndarray:
+        np.copyto(out, self._couplings[n_down])
+        np.fill_diagonal(out, self._diagonals[n_down][i])
+        return out
+
+
 def model_e_blocks(
     n_qubits: int = 9,
     d: float = 0.0,
@@ -293,29 +342,13 @@ def model_e_blocks(
     n_down = 0..N, in that order (see the module notes).
 
     ``indices`` are the sector's basis indices (``sz_sector_indices``) and
-    ``block`` the real symmetric restriction of H to them; the defects h_j are
-    drawn as in ``model_e``.  Parameters whose H overflows raise
-    NonFiniteHamiltonianError.
+    ``block`` the real symmetric restriction of H to them, written by
+    ``_ModelESampler.block``; the defects h_j are drawn as in ``model_e``.
+    Parameters whose H overflows raise NonFiniteHamiltonianError.
     """
-    if n_qubits < 2:
-        raise ValueError("need at least 2 qubits")
-    if d < 0:
-        raise ValueError("defect strength d must be nonnegative")
-    if J == 0:
-        raise ValueError("coupling J must be nonzero")
-    rng = np.random.default_rng(int(seed))
-    blocks = []
-    with _finite_hamiltonian("E"):
-        # d times the standard normals: rng.normal(0, d, N), bit for bit
-        defects = d * rng.standard_normal(n_qubits) if d > 0 else np.zeros(n_qubits)
-        for indices, coupling, signs in _sector_chain(n_qubits):
-            block = (J / 4.0) * coupling
-            diagonal = block.diagonal()
-            for j in range(n_qubits):
-                diagonal = diagonal + (h + defects[j]) * signs[:, j]
-            np.fill_diagonal(block, diagonal)
-            blocks.append((indices, block))
-    return tuple(blocks)
+    sampler = _ModelESampler([seed], n_qubits, d, h, J)
+    return tuple((indices, sampler.block(n_down, 0, np.empty((indices.size, indices.size))))
+                 for n_down, (indices, _, _) in enumerate(sampler.sectors))
 
 
 def model_e(

@@ -1,10 +1,8 @@
 """N-qubit operator algebra, dense Hermitian eigendecomposition, and the site
 reduction of state vectors.
 
-Operators that conserve a quantum number are block diagonal in its sectors;
-``block_spectrum`` solves such an operator one (indices, block) pair at a time
-instead of as one dense matrix, and returns its ground state in the basis of
-its own block, never embedded in the full space.
+``_one_blas_thread`` holds numpy's OpenBLAS at one thread for the public
+calls whose bits a BLAS reduction sets: the experiments and ``models.model_d``.
 
 ``require_isolated`` is the one degeneracy guard, and ``_as_site_matrix`` the
 one site reduction, under ``entanglement._level_overlaps``.  An eigensolve that
@@ -19,9 +17,12 @@ basis is ordered |00>, |01>, |10>, |11> with the left bit belonging to site 0, s
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import warnings
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
+from pathlib import Path
 
 import numpy as np
 
@@ -31,13 +32,11 @@ __all__ = [
     "DegenerateSpectrumError",
     "HermitianOperator",
     "SpectralDecomposition",
-    "BlockSpectrum",
     "QubitPartition",
     "pauli",
     "embed_site",
     "heisenberg_coupling",
     "eigensystem",
-    "block_spectrum",
     "require_isolated",
 ]
 
@@ -176,6 +175,47 @@ def heisenberg_coupling(i: int, j: int, n_qubits: int) -> HermitianOperator:
     return HermitianOperator(total.real if np.allclose(total.imag, 0.0) else total)
 
 
+@lru_cache(maxsize=None)
+def _openblas():
+    """``(get, set)`` of the thread count of the OpenBLAS that numpy loaded
+    (the ``scipy_openblas`` build under ``numpy.libs/``), or None where there
+    is none; looked up on first use."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, set_ = (lib.scipy_openblas_get_num_threads64_,
+                         lib.scipy_openblas_set_num_threads64_)
+        except (OSError, AttributeError):
+            continue
+        get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread, restoring the caller's count on exit.
+
+    The threads of a run are its own: ``experiments._run_indexed``'s.  A
+    BLAS call split over threads sums in another order, so its last bits
+    would depend on the thread count (``models._spectral_std``'s ``vdot`` at
+    dim 128), and OpenBLAS's helper thread keeps spinning after each
+    two-thread call, taking a core from the draws.  Where no OpenBLAS is
+    found this does nothing.
+    """
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-|.| component is real and positive."""
     pivots = np.argmax(np.abs(vectors), axis=0)
@@ -191,41 +231,6 @@ def eigensystem(op: HermitianOperator) -> SpectralDecomposition:
     eigenvalues.setflags(write=False)
     vectors.setflags(write=False)
     return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors)
-
-
-@dataclass(frozen=True)
-class BlockSpectrum:
-    """Spectrum of a block-diagonal Hermitian operator, solved block by block.
-
-    ``block_eigenvalues[k]`` are the ascending eigenvalues of block k,
-    ``eigenvalues`` all of them merged in ascending order, ``ground_block``
-    the index of the block holding the lowest one, and ``ground_state`` its
-    eigenvector in that block's own basis (no phase gauge is fixed).
-    """
-
-    block_eigenvalues: tuple
-    eigenvalues: np.ndarray
-    ground_block: int
-    ground_state: np.ndarray
-
-
-def block_spectrum(blocks) -> BlockSpectrum:
-    """Solve an operator given as (indices, block) pairs that partition its basis.
-
-    Every block gets an eigenvalue-only solve; only the block holding the
-    lowest eigenvalue is solved for its eigenvectors.  A ground level shared
-    by two blocks is not resolved here: the merged eigenvalues carry the
-    degeneracy to the guards downstream.
-    """
-    values = tuple(np.linalg.eigvalsh(block) for _, block in blocks)
-    ground_block = int(np.argmin([v[0] for v in values]))
-    _, vectors = np.linalg.eigh(blocks[ground_block][1])
-    return BlockSpectrum(
-        block_eigenvalues=values,
-        eigenvalues=np.sort(np.concatenate(values)),
-        ground_block=ground_block,
-        ground_state=vectors[:, 0],
-    )
 
 
 def require_isolated(eigenvalues, levels) -> None:

@@ -13,9 +13,16 @@ the partial-trace tests build on it.
 ``models._ModelDSampler``: one ``SeedSequence`` per child stream, H_P drawn
 as a full diagonal matrix and read back with ``np.diag``, and H_W as a fresh
 GOE matrix.  The sampler must reproduce its bytes.
+
+``block_spectrum`` solves a block-diagonal operator one (indices, block)
+pair at a time, with one ``eigvalsh`` call per block and one ``eigh`` of the
+ground block: the per-draw model-E path the package used before it solved
+the blocks of all draws in stacks (``experiments._model_e_draws``), which
+must give the same floats.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,3 +107,38 @@ def dEL_dtau_from_gamma(
                 continue
             total += g * overlap_coeff(n, k, l, inputs.decomposition, partition)
     return _real_with_residue_check(-2.0 * total, "dEL_dtau_from_gamma")
+
+
+@dataclass(frozen=True)
+class BlockSpectrum:
+    """Spectrum of a block-diagonal Hermitian operator, solved block by block.
+
+    ``block_eigenvalues[k]`` are the ascending eigenvalues of block k,
+    ``eigenvalues`` all of them merged in ascending order, ``ground_block``
+    the index of the block holding the lowest one, and ``ground_state`` its
+    eigenvector in that block's own basis (no phase gauge is fixed).
+    """
+
+    block_eigenvalues: tuple
+    eigenvalues: np.ndarray
+    ground_block: int
+    ground_state: np.ndarray
+
+
+def block_spectrum(blocks) -> BlockSpectrum:
+    """Solve an operator given as (indices, block) pairs that partition its basis.
+
+    Every block gets an eigenvalue-only solve; only the block holding the
+    lowest eigenvalue is solved for its eigenvectors.  A ground level shared
+    by two blocks is not resolved here: the merged eigenvalues carry the
+    degeneracy to the guards downstream.
+    """
+    values = tuple(np.linalg.eigvalsh(block) for _, block in blocks)
+    ground_block = int(np.argmin([v[0] for v in values]))
+    _, vectors = np.linalg.eigh(blocks[ground_block][1])
+    return BlockSpectrum(
+        block_eigenvalues=values,
+        eigenvalues=np.sort(np.concatenate(values)),
+        ground_block=ground_block,
+        ground_state=vectors[:, 0],
+    )

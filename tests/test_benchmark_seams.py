@@ -44,7 +44,7 @@ CALLS = [
      {"experiments.eigvalsh", "level_stats.weibull_fit", "experiments.aggregate"}),
     ("sweep-defect", ["sweep-defect", "--qubits", "7", "--points", "2",
                       "--realizations", "4", "--threads", "2"],
-     {"quantum.block_spectrum", "level_stats.weibull_fit", "experiments.aggregate"}),
+     {"experiments.eigvalsh", "level_stats.weibull_fit", "experiments.aggregate"}),
 ]
 
 

@@ -544,9 +544,12 @@ class TestStatsCommand:
         monkeypatch.setattr(experiments, "_run_indexed", counting)
         assert run_cli(["stats", *argv, "--dim", "32", "--draws", "5",
                         "--out", str(tmp_path)]) == 0
-        # a solved source first solves its five draws in one stack of 16
-        solved = argv[1] in ("GOE", "GUE", "D")
-        assert loops == [(1, 1), (5, 1)] if solved else [(5, 1)]
+        # a solved source first solves its five draws in one stack of 16;
+        # model E in stacks per sector: one of its dim-70 middle sector at
+        # N = 8, one for each of the six sectors (dims 1 to 10) at N = 5
+        stacks = {"GOE": [(1, 1)], "GUE": [(1, 1)], "D": [(1, 1)], "PoissonDiagonal": [],
+                  "E": [(1, 1)] if "full" not in argv else [(6, 1)]}[argv[1]]
+        assert loops == [*stacks, (5, 1)]
 
 
 class TestOverflowingHamiltonian:
@@ -575,6 +578,36 @@ class TestOverflowingHamiltonian:
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not (out / "manifest.json").exists()
+
+    # at N = 9 the sector blocks are solved on threads, here forced to two;
+    # the last run raises in the worker that writes draw 5's n_down = 4 block
+    @pytest.mark.parametrize("argv,message,fail_at", [
+        (["sweep-defect", "--qubits", "9", "--points", "2", "--realizations", "6",
+          "--d-max", "1e308"],
+         "the model-E Hamiltonian is not finite; lower --d-max, --h or --J", None),
+        (["stats", "--source", "E", "--qubits", "9", "--draws", "9", "--J", "8e307"],
+         "the model-E spectrum overflows; lower --d-value, --h or --J", None),
+        (["sweep-defect", "--qubits", "9", "--points", "2", "--realizations", "6"],
+         "the model-E Hamiltonian is not finite; lower --d-max, --h or --J", (4, 5)),
+    ], ids=["sweep-defect", "stats-spectrum", "raised-in-a-worker"])
+    def test_on_threads_exits_2_with_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                                    argv, message, fail_at):
+        import qcbound.experiments as experiments
+        from qcbound.models import NonFiniteHamiltonianError, _ModelESampler
+
+        block, raised_in = _ModelESampler.block, []
+
+        def failing_block(sampler, n_down, i, out):
+            if (n_down, i) == fail_at:
+                raised_in.append(threading.current_thread())
+                raise NonFiniteHamiltonianError("the model-E Hamiltonian is not finite")
+            return block(sampler, n_down, i, out)
+
+        monkeypatch.setattr(_ModelESampler, "block", failing_block)
+        monkeypatch.setattr(experiments, "_worker_count", lambda n_tasks, dim: min(2, n_tasks))
+        self.test_exits_2_with_one_error_line(tmp_path, capsys, argv, message)
+        assert [t is threading.main_thread() for t in raised_in] == (
+            [] if fail_at is None else [False])
 
 
 class TestCliModule:
@@ -672,14 +705,25 @@ class TestNonFiniteFloats:
 
 class TestSerialDraws:
     CHECK = ["check", "--model", "B", "--qubits", "3", "--samples", "300", "--seed", "5"]
-    # the spectra are solved in stacks of 4 at dim 128: 14 draws are four
-    # stacks, the last one short, so 3 workers get chunks of 1, 1 and 2
+    # the spectra are solved in stacks of 4 at dims 126 and 128: 14 draws are
+    # four stacks, the last one short, so 3 workers get chunks of 1, 1 and 2.
+    # Each run lists the (stacks, largest dim) of its stacked solves: theta =
+    # 0 needs none; a model-E grid point has one pass over its ten sectors
+    # (stacks of 4, 6, 14, 56 and 501 at dims 126, 84, 36, 9 and 1: 20
+    # stacks for 14 draws), then one over the ground blocks, grouped by
+    # sector (at d = 0 the lone n_down = 9 state; at d = 2.5 one stack in
+    # each of n_down = 4 to 8)
     STACKED = [
         (["sweep-theta", "--points", "3", "--realizations", "14", "--dim", "128",
           "--seed", "9"],
-         ["theta_sweep.csv"]),
+         ["theta_sweep.csv"], [(4, 128), (4, 128)]),
         (["stats", "--source", "GUE", "--draws", "14", "--dim", "128", "--seed", "2"],
-         ["stats.json"]),
+         ["stats.json"], [(4, 128)]),
+        (["sweep-defect", "--qubits", "9", "--points", "2", "--realizations", "14",
+          "--seed", "5"],
+         ["defect_sweep.csv"], [(20, 126), (1, 1), (20, 126), (5, 126)]),
+        (["stats", "--source", "E", "--qubits", "9", "--draws", "14", "--seed", "2"],
+         ["stats.json"], [(4, 126)]),
     ]
 
     @staticmethod
@@ -693,7 +737,7 @@ class TestSerialDraws:
         monkeypatch.setattr(threading.Thread, "start", counted)
         return started
 
-    # the defect sweep solves its sector blocks one draw at a time
+    # at N = 7 every sector block is below _THREAD_MIN_DIM (the largest is 35)
     @pytest.mark.parametrize("argv", [
         ["sweep-defect", "--points", "2", "--realizations", "4", "--qubits", "7", "--seed", "5"],
     ], ids=["sweep-defect"])
@@ -709,8 +753,10 @@ class TestSerialDraws:
         assert ((asked / "defect_sweep.csv").read_bytes()
                 == (serial / "defect_sweep.csv").read_bytes())
 
-    @pytest.mark.parametrize("argv,outputs", STACKED, ids=[r[0][0] for r in STACKED])
-    def test_bytes_do_not_depend_on_workers(self, tmp_path, monkeypatch, argv, outputs):
+    @pytest.mark.parametrize("argv,outputs,stacks", STACKED,
+                             ids=["sweep-theta", "stats", "sweep-defect", "stats-E"])
+    def test_bytes_do_not_depend_on_workers(self, tmp_path, monkeypatch, argv, outputs,
+                                            stacks):
         import qcbound.experiments as experiments
 
         started = self._count_threads(monkeypatch)
@@ -723,11 +769,8 @@ class TestSerialDraws:
             started.clear()
             out = tmp_path / str(workers)
             assert run_cli([*argv, "--threads", "1", "--out", str(out)]) == 0
-            # four stacks per solved grid point (theta = 0 needs no solve)
-            # or per stats run
-            count = workers or real(4, 128)
-            points = 2 if argv[0] == "sweep-theta" else 1
-            assert len(started) == (points * count if count > 1 else 0)
+            counts = [min(workers, n) if workers else real(n, dim) for n, dim in stacks]
+            assert len(started) == sum(count for count in counts if count > 1)
             assert not any(thread.is_alive() for thread in started)
             outputs_of[workers] = [(out / name).read_bytes() for name in outputs]
         assert outputs_of[1] == outputs_of[2] == outputs_of[3] == outputs_of[None]
@@ -755,14 +798,14 @@ class TestSerialDraws:
 
     def test_no_openblas_found_gives_the_same_bytes(self, tmp_path, monkeypatch):
         # dim 64: OpenBLAS at its own thread count gives the same floats
-        import qcbound.experiments as experiments
+        import qcbound.quantum as quantum
 
         argv = ["sweep-theta", "--points", "2", "--realizations", "20", "--dim", "64",
                 "--seed", "9"]
         assert run_cli([*argv, "--out", str(tmp_path / "pinned")]) == 0
-        blas = experiments._openblas()
+        blas = quantum._openblas()
         before = blas[0]() if blas else None
-        monkeypatch.setattr(experiments, "_openblas", lambda: None)
+        monkeypatch.setattr(quantum, "_openblas", lambda: None)
         assert run_cli([*argv, "--out", str(tmp_path / "none")]) == 0
         assert ((tmp_path / "none" / "theta_sweep.csv").read_bytes()
                 == (tmp_path / "pinned" / "theta_sweep.csv").read_bytes())

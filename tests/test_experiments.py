@@ -17,7 +17,8 @@ from qcbound.experiments import (
     sweep_theta,
     trim_outliers,
 )
-from qcbound import experiments
+from qcbound import experiments, quantum
+from qcbound.entanglement import sector_mean_bipartite_Q
 from qcbound.level_stats import (
     FitConvergenceError,
     TooFewSpacingsError,
@@ -25,7 +26,7 @@ from qcbound.level_stats import (
     spacing_sample_from_levels,
     weibull_fit,
 )
-from qcbound.models import ModelConfig
+from qcbound.models import MODEL_E_DEFAULT_FIELD, ModelConfig, model_e_blocks
 from qcbound.quantum import DegenerateSpectrumError
 
 
@@ -283,7 +284,7 @@ class TestStackedSpectra:
         monkeypatch.setattr(experiments, "_worker_count",
                             lambda n_tasks, dim: min(workers, n_tasks))
         seeds = spawn_seeds(dim + workers, np.arange(n_draws))
-        with experiments._one_blas_thread():
+        with quantum._one_blas_thread():
             draw = _stacked_draws(source, seeds, dim)
             for i, seed in enumerate(seeds.tolist()):
                 if source == "D":
@@ -313,7 +314,78 @@ class TestStackedSpectra:
         assert np.array_equal(np.concatenate(results), [draw(i)[0] for i in range(10)])
 
 
-@pytest.mark.skipif(experiments._openblas() is None, reason="numpy loaded no OpenBLAS")
+class TestModelEStacks:
+    # largest blocks of dims 10, 35 and 126; 11 draws end the stacks of a
+    # sector partway wherever k = 500 // dim + 1 < 11 (dims 84 and 126 at
+    # N = 9: stacks of 6 and 4).  At d = 0 every ground state is the lone
+    # n_down = N state, and at d = 2.5 the ground blocks spread over sectors.
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("d", [0.0, 0.3, 2.5])
+    @pytest.mark.parametrize("n", [5, 7, 9])
+    def test_equal_to_one_solve_per_block(self, monkeypatch, n, d, workers):
+        from oracles import block_spectrum
+
+        monkeypatch.setattr(experiments, "_worker_count",
+                            lambda n_tasks, dim: min(workers, n_tasks))
+        seeds = spawn_seeds(10 * n + workers, np.arange(11))
+        with quantum._one_blas_thread():
+            draws = {(restricted, levels_only): experiments._model_e_draws(
+                d, seeds, n, MODEL_E_DEFAULT_FIELD, 1.0, restricted, levels_only)
+                for restricted in (True, False) for levels_only in (False, True)}
+            for i, seed in enumerate(seeds.tolist()):
+                blocks = model_e_blocks(n, d, seed=seed)
+                oracle = block_spectrum(blocks)
+                q = sector_mean_bipartite_Q(oracle.ground_state, blocks[oracle.ground_block][0], n)
+                middle = oracle.block_eigenvalues[n // 2]
+                for (restricted, levels_only), draw in draws.items():
+                    eigenvalues, levels, q_i = draw(i)
+                    assert np.array_equal(levels, middle if restricted else oracle.eigenvalues)
+                    if levels_only:
+                        assert eigenvalues is None and q_i is None
+                    else:
+                        assert np.array_equal(eigenvalues, oracle.eigenvalues)
+                        assert q_i == q
+
+    def test_one_task_per_sector_stack_each_returning_its_rows(self, monkeypatch):
+        # N = 9, 11 draws at d = 2.5: the ten sectors (dims 1, 9, 36, 84,
+        # 126, ...) take 1, 1, 1, 2, 3, 3, 2, 1, 1, 1 stacks, in n_down order
+        real, loops = experiments._run_indexed, []
+
+        def capture(task, n_tasks, workers):
+            results = real(task, n_tasks, workers)
+            loops.append((n_tasks, workers, results))
+            return results
+
+        monkeypatch.setattr(experiments, "_run_indexed", capture)
+        draw = experiments._model_e_draws(2.5, spawn_seeds(4, np.arange(11)), 9,
+                                          MODEL_E_DEFAULT_FIELD, 1.0, True)
+        (n_tasks, workers, results), (n_ground, ground_workers, ground) = loops
+        assert (n_tasks, workers) == (16, experiments._worker_count(16, 126))
+        dims = [1, 9, 36, 84, 126, 126, 84, 36, 9, 1]
+        stacks = [[(min(k, 11 - start), dim) for start in range(0, 11, k)]
+                  for dim, k in ((dim, 500 // dim + 1) for dim in dims)]
+        assert [r.shape for r in results] == [shape for sector in stacks for shape in sector]
+        merged = np.sort(np.concatenate(
+            [np.concatenate(results[sum(map(len, stacks[:s])):sum(map(len, stacks[:s + 1]))])
+             for s in range(10)], axis=1), axis=1)
+        assert np.array_equal(merged, [draw(i)[0] for i in range(11)])
+        # the ground pass: the same rule, on the ground blocks' sectors
+        assert n_ground == len(ground) and all(r is not None for r in ground)
+        assert sum(len(r) for r in ground) == 11
+        assert ground_workers == experiments._worker_count(
+            n_ground, max(r.shape[1] for r in ground))
+
+    def test_stats_solves_no_ground_block(self, monkeypatch):
+        # restricted: the middle sector alone; full: all ten, and no eigh
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(experiments.np.linalg, "eigh", refuse)
+        for restricted in (True, False):
+            spacing_statistics("E", 4, n_qubits=9, d=0.5, sector_restricted=restricted)
+
+
+@pytest.mark.skipif(quantum._openblas() is None, reason="numpy loaded no OpenBLAS")
 class TestOneBlasThread:
     RUNS = [
         lambda: scatter_bound_test(ModelConfig(family="B", n_qubits=6), samples=20),
@@ -324,7 +396,7 @@ class TestOneBlasThread:
 
     @pytest.mark.parametrize("run", RUNS, ids=["check", "sweep-theta", "sweep-defect", "stats"])
     def test_one_thread_inside_and_the_callers_count_after(self, monkeypatch, run):
-        get, set_ = experiments._openblas()
+        get, set_ = quantum._openblas()
         counts, caller = [], get()
         for name in ("bound_b", "spacing_sample_from_levels"):
             real = getattr(experiments, name)
@@ -344,7 +416,7 @@ class TestOneBlasThread:
         assert counts and set(counts) == {1}
 
     def test_count_restored_when_the_run_fails(self):
-        get, set_ = experiments._openblas()
+        get, set_ = quantum._openblas()
         caller = get()
         try:
             set_(2)

@@ -25,9 +25,8 @@ from qcbound.level_stats import (
     _fit_counting_function,
 )
 from qcbound.models import MODEL_D_CHAOTIC_SCALE, model_e_blocks
-from qcbound.quantum import block_spectrum
 
-from oracles import model_d_matrix
+from oracles import block_spectrum, model_d_matrix
 
 
 def gamma_from_density(density) -> float:

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import warnings
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,9 +38,9 @@ from qcbound.models import (
     sz_sector_indices,
     _spectral_std,
 )
-from qcbound.quantum import DegenerateSpectrumError, block_spectrum
+from qcbound.quantum import DegenerateSpectrumError, _one_blas_thread
 
-from oracles import model_d_matrix
+from oracles import block_spectrum, model_d_matrix
 
 
 def total_z(n):
@@ -210,15 +214,33 @@ class TestModelD:
 
     def test_sweep_matrix_is_exactly_symmetric_model_d(self):
         # sweep_theta solves the plain array without HermitianOperator: it
-        # must already be exactly symmetric and equal model_d bit for bit
+        # must already be exactly symmetric and equal model_d bit for bit,
+        # both with OpenBLAS held at one thread, as in a sweep
         from qcbound.models import _ModelDSampler
 
         sampler = _ModelDSampler(np.arange(20), 128, 0.3)
         for seed in range(20):
             for theta in (0.0, 0.3, 0.7, np.pi / 2):
-                m = sampler.matrix(theta, seed)
+                with _one_blas_thread():
+                    m = sampler.matrix(theta, seed)
                 assert np.array_equal(m, m.T)
                 assert m.tobytes() == model_d(theta, seed, dim=128).matrix.tobytes()
+
+    def test_bytes_do_not_depend_on_openblas_threads(self):
+        # in subprocesses, since OpenBLAS reads the variable once, when loaded
+        script = ("import hashlib; from qcbound.models import model_d; h = hashlib.sha256()\n"
+                  "for s in range(20): h.update(model_d(0.7, s, 128).matrix.tobytes())\n"
+                  "print(h.hexdigest())")
+        src = Path(__file__).resolve().parents[1] / "src"
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+            done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, env=env, timeout=120)
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout)
+        assert digests[0] == digests[1]
 
 
 class TestModelDSampler:
