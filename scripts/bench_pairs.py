@@ -23,8 +23,10 @@ Per metric the output holds every run, median and quartiles of each side,
 the pairs the change won, the ratio of the medians, and whether the gap of
 the medians exceeds the parent's interquartile range; plus correctness,
 the largest relative error against the references, and the environment
-(``nproc``, library versions, BLAS thread variables).  Example, from the
-repository root:
+(``nproc``, library versions, BLAS thread variables).  A run that exits
+nonzero (a CLI call of the workload failed at that seed) is listed under
+``failed_runs`` with the end of its stderr, and its pair is left out of
+the comparison.  Example, from the repository root:
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --label N \\
         --workload theta-d128 --ref-seed 0 1 --pairs 10 --claim theta-d128:wall_s
@@ -193,22 +195,39 @@ def main() -> int:
         for workload in args.workload:
             for ref_seed in args.ref_seed:
                 runs = {"parent": [], "change": []}
+                failed_runs = []
                 seeds = list(range(seed, seed + args.pairs))
                 seed += args.pairs
                 for i, pair_seed in enumerate(seeds):
                     order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                    pair = {}
                     for side in order:
                         tree = parent_tree if side == "parent" else change_tree
-                        runs[side].append(run_once(tree, workload, pair_seed, seconds, ref_seed))
+                        try:
+                            pair[side] = run_once(tree, workload, pair_seed, seconds, ref_seed)
+                        except RuntimeError as exc:
+                            failed_runs.append({"seed": pair_seed, "side": side,
+                                                "error": str(exc)[-600:]})
+                    if len(pair) < 2:
+                        print(f"{workload} ref {ref_seed} pair {i + 1}/{args.pairs}: failed on "
+                              f"{' and '.join(s for s in order if s not in pair)}; left out",
+                              file=sys.stderr)
+                        continue
+                    for side in order:
+                        runs[side].append(pair[side])
                     print(f"{workload} ref {ref_seed} pair {i + 1}/{args.pairs}: " + ", ".join(
                         f"{side} wall_s {runs[side][-1]['metrics']['wall_s']['value']:.3f}"
                         for side in ("parent", "change")), file=sys.stderr)
+                if len(runs["parent"]) < 2:
+                    raise RuntimeError(f"{workload} ref {ref_seed}: fewer than two pairs ran; "
+                                       f"failed runs: {failed_runs}")
                 report["environment"] = environment(runs["change"][0]["details"])
                 report["workloads"].append({
                     "workload": workload,
                     "ref_seed": ref_seed,
-                    "pairs": args.pairs,
+                    "pairs": len(runs["parent"]),
                     "seeds": seeds,
+                    "failed_runs": failed_runs,
                     "correct": {side: all(r["correct"] for r in runs[side]) for side in runs},
                     "max_rel_err": {side: max(r["details"]["max_rel_err"] for r in runs[side])
                                     for side in runs},

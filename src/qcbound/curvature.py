@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import EntanglementInputs, _level_overlaps, dEL_dtau
-from .quantum import QubitPartition, require_isolated
+from .quantum import QubitPartition, _ground_isolated, require_isolated
 
 __all__ = [
     "EnsembleRatioReport",
@@ -122,7 +122,17 @@ def bound_b(eigenvalues: np.ndarray) -> float:
     """
     eps = np.asarray(eigenvalues)
     require_isolated(eps, 0)
-    return 8.0 * math.sqrt(float(np.sum(1.0 / (eps[1:] - eps[0]))))
+    return float(_bound_b_rows(eps[np.newaxis])[0])
+
+
+def _bound_b_rows(eigenvalues: np.ndarray) -> np.ndarray:
+    """b of each row of the (n, D) ascending ``eigenvalues``; NaN, with no gap
+    inverted, where the ground level fails the guard (``_ground_isolated``)."""
+    guarded = _ground_isolated(eigenvalues)
+    eps = eigenvalues[guarded]
+    b = np.full(guarded.size, np.nan)
+    b[guarded] = 8.0 * np.sqrt(np.sum(1.0 / (eps[:, 1:] - eps[:, :1]), axis=-1))
+    return b
 
 
 def bound_b_prime(

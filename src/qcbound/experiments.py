@@ -14,13 +14,13 @@ children in one more (``models._ModelDSampler``), bit for bit the contract
 above: no draw builds a ``SeedSequence`` of its own.  At theta = 0, H(theta)
 is diagonal and its spectrum is the sorted diagonal, as is a PoissonDiagonal
 matrix's, bit for bit what ``eigvalsh`` returns.  The sweeps and ``stats``
-draw their spectra through the same draw factories and drop a failed draw
-the same way (``_run_draws``).  A draw factory ``factory(param, seeds, ...)``
-returns ``draw(i) -> (eigenvalues, levels, q)`` of the draw seeded with
-seeds[i]: the ascending spectrum, the levels to unfold, and the ground
-state's Q, which only model E gives (from its ground block, in its sector;
-None for model D and the ensembles), so that no draw forms a 2^N vector.
-The CLI rejects a spectrum too small to unfold
+draw their spectra through the same draw factories and make one pass over
+them (``_run_draws``).  A draw factory ``factory(param, seeds, ...)``
+returns ``(eigenvalues, levels, q)``, row i of each from the draw seeded
+with seeds[i]: the (n, D) ascending spectra, the (n, L) levels to unfold,
+and the (n,) ground-state Q, which only model E gives (from its ground
+block, in its sector; None for model D and the ensembles), so that no draw
+forms a 2^N vector.  The CLI rejects a spectrum too small to unfold
 (``level_stats.MIN_UNFOLD_LEVELS``) before any draw.
 
 Threads.  The model-D, GOE/GUE and model-E factories build and solve every
@@ -30,7 +30,8 @@ the GIL released, one matrix alone is not.  Model E stacks each sector's
 blocks across the draws, then the ground blocks, grouped by sector.  A
 scatter run draws its rows on one thread per CPU and then computes the
 products and kernels in the calling thread (``scatter_bound_test``).  The
-unfolding and the fits run one draw after another in the calling thread.
+pass after the solves (``_run_draws``) takes all rows at once, in the calling
+thread.
 Draws on matrices smaller than ``_THREAD_MIN_DIM`` stay on the calling
 thread.  Each public experiment holds OpenBLAS at one thread for its whole
 call (``quantum._one_blas_thread``).  Each thread works on a contiguous chunk
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import (
-    _level_differences, bound_b, bound_b_prime, level_curvature_from_row,
+    _bound_b_rows, _level_differences, bound_b, bound_b_prime, level_curvature_from_row,
     saturation_index,
 )
 from .ensembles import (
@@ -62,11 +63,13 @@ from .entanglement import (
 )
 from .level_stats import (
     FitConvergenceError,
+    SpacingSample,
     TooFewSpacingsError,
     UnfoldingError,
     gamma_chaos,
-    pool_spacing_samples,
-    spacing_sample_from_levels,
+    pool_unfolded_rows,
+    unfold,
+    unfold_rows,
     weibull_fit,
 )
 from .models import (
@@ -78,7 +81,7 @@ from .models import (
     _require_finite_spectrum,
     build_scatter_model,
 )
-from .quantum import DegenerateSpectrumError, _one_blas_thread, eigensystem
+from .quantum import DegenerateSpectrumError, _one_blas_thread, eigensystem, require_isolated
 
 __all__ = [
     "ExperimentError",
@@ -361,20 +364,48 @@ _DRAW_FAILURES = (
 )
 
 
-def _run_draws(task, n_draws: int, label: str) -> list:
-    """The results of task(i) for i in range(n_draws), in order, without the
-    draws that failed: a draw failing with one of _DRAW_FAILURES logs one
-    warning, with the exception as its last argument, and is dropped, so
-    n_draws - len(result) draws failed."""
+def _run_draws(eigenvalues, levels: np.ndarray, label: str, poly_degree: int,
+               edge_trim: float, per_realization_gamma: bool = False) -> tuple:
+    """``(ok, b, kept, gammas)``: the per-draw columns of the n draws of a
+    grid point or ``stats`` run, from one pass over their rows: b of the (n,
+    D) ``eigenvalues`` (``curvature._bound_b_rows``, the degeneracy guard as a
+    mask; None skips both), then the kept unfolded (n, L) ``levels`` of the
+    draws the guard passed (``level_stats.unfold_rows``).  Each draw is then
+    a task of one ``_run_indexed`` call in the calling thread: it logs one
+    DEBUG line if its unfold fell back to ``poly_degree - 1``, and fits its
+    own gamma in per-realization mode.  A draw failing with one of
+    _DRAW_FAILURES (guard, then unfold, then fit) logs one warning, with the
+    exception as its last argument, and returns None, which perfbench's
+    tracer reads as a dropped draw; ``ok`` masks the others.
+    """
+    n = levels.shape[0]
+    b = np.full(n, np.nan) if eigenvalues is None else _bound_b_rows(eigenvalues)
+    guarded = np.ones(n, bool) if eigenvalues is None else ~np.isnan(b)
+    unfolded, degrees = unfold_rows(levels[guarded], poly_degree, edge_trim)
+    kept = np.full((n, unfolded.shape[1]), np.nan)
+    kept[guarded] = unfolded
+    degree = np.zeros(n, int)
+    degree[guarded] = degrees
+    gammas = np.full(n, np.nan) if per_realization_gamma else None
 
     def draw_or_none(i: int):
         try:
-            return task(i)
+            if not guarded[i]:
+                require_isolated(eigenvalues[i], 0)
+            if degree[i] == 0:  # unfolds at neither degree: the one-row path raises
+                unfold(levels[i], poly_degree, edge_trim)
+            if degree[i] == poly_degree - 1:
+                logger.debug("%s draw %d: counting-function fit non-monotone at degree %d, "
+                             "unfolded at degree %d", label, i, poly_degree, degree[i])
+            if per_realization_gamma:
+                gammas[i] = gamma_chaos(weibull_fit(SpacingSample(np.diff(kept[i]))))
+            return i
         except _DRAW_FAILURES as exc:
             logger.warning("%s draw %d failed: %s", label, i, exc)
             return None
 
-    return [d for d in _run_indexed(draw_or_none, n_draws, 1) if d is not None]
+    ok = np.array([r is not None for r in _run_indexed(draw_or_none, n, 1)], dtype=bool)
+    return ok, b, kept, gammas
 
 
 def _stderr(x: np.ndarray) -> float:
@@ -382,35 +413,28 @@ def _stderr(x: np.ndarray) -> float:
     return float(np.std(x, ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
 
 
-def _aggregate_row(
-    param: float,
-    b_values: list,
-    spacing_samples: list,
-    gammas_per_draw: list,
-    q_values,
-    n_failed: int,
-    realizations: int,
-    outlier_k: float,
-    per_realization_gamma: bool,
-) -> SweepRow:
+def _aggregate_row(param: float, ok: np.ndarray, b: np.ndarray, kept: np.ndarray,
+                   n_levels: int, gammas, q, outlier_k: float) -> SweepRow:
+    """The row of one grid point from the columns of ``_run_draws`` (each
+    spectrum of ``n_levels`` levels) and Q (None for model D), over ``ok``."""
+    realizations, n_failed = ok.size, int(ok.size - ok.sum())
     if n_failed > 0.10 * realizations:
         raise ExperimentError(
             f"{n_failed}/{realizations} draws failed at parameter {param:g}"
         )
-    trim = trim_outliers(np.asarray(b_values, dtype=float), k=outlier_k)
+    trim = trim_outliers(b[ok], k=outlier_k)
     n_kept = int(trim.kept.size)
 
-    if per_realization_gamma:
-        g = np.asarray(gammas_per_draw, dtype=float)
-        gamma_mean, gamma_stderr = float(g.mean()), _stderr(g)
+    if gammas is not None:
+        gamma_mean, gamma_stderr = float(gammas[ok].mean()), _stderr(gammas[ok])
     else:
-        gamma_mean = gamma_chaos(weibull_fit(pool_spacing_samples(spacing_samples)))
+        gamma_mean = gamma_chaos(weibull_fit(pool_unfolded_rows(kept[ok], n_levels)))
         gamma_stderr = 0.0  # single pooled fit; no realization scatter available
 
     q_mean = q_stderr = None
-    if q_values is not None:
-        q_arr = np.asarray(q_values, dtype=float)[trim.mask]
-        q_mean, q_stderr = float(q_arr.mean()), _stderr(q_arr)
+    if q is not None:
+        q_kept = q[ok][trim.mask]
+        q_mean, q_stderr = float(q_kept.mean()), _stderr(q_kept)
 
     return SweepRow(
         param=param,
@@ -433,12 +457,12 @@ def _ensemble_draws(kind: EnsembleKind, seeds, dim: int):
     spec = EnsembleSpec(kind, dim)
     rng = _seeded_generators(seeds)
     if kind is EnsembleKind.POISSON_DIAGONAL:
-        spectra = [np.sort(_normals(spec, rng(i))) for i in range(len(seeds))]
+        spectra = np.sort([_normals(spec, rng(i)) for i in range(len(seeds))])
     else:
         matrix = _matrix_sampler(spec)
         [spectra] = _stacked_spectra([(lambda i, out: matrix(rng(i), out), len(seeds), dim)],
                                      _matrix_dtype(spec))
-    return lambda i: (spectra[i], spectra[i], None)
+    return spectra, spectra, None
 
 
 def _model_d_draws(theta: float, seeds, dim: int, chaotic_scale: float):
@@ -448,12 +472,12 @@ def _model_d_draws(theta: float, seeds, dim: int, chaotic_scale: float):
     NonFiniteHamiltonianError."""
     sampler = _ModelDSampler(seeds, dim, chaotic_scale)
     if math.sin(theta) == 0.0:
-        spectra = [np.sort(sampler.diagonal(theta, i)) for i in range(len(seeds))]
+        spectra = np.sort([sampler.diagonal(theta, i) for i in range(len(seeds))])
     else:
         [spectra] = _stacked_spectra([(functools.partial(sampler.matrix, theta), len(seeds), dim)],
                                      float)
         _require_finite_spectrum("D", spectra)
-    return lambda i: (spectra[i], spectra[i], None)
+    return spectra, spectra, None
 
 
 def _model_e_draws(d: float, seeds, n_qubits: int, h: float, J: float,
@@ -476,18 +500,17 @@ def _model_e_draws(d: float, seeds, n_qubits: int, h: float, J: float,
     if levels_only and sector_restricted:
         [levels] = _stacked_spectra([sector(middle)], float)
         _require_finite_spectrum("E", levels)
-        return lambda i: (None, levels[i], None)
+        return None, levels, None
     spectra = _stacked_spectra([sector(s) for s in range(n_qubits + 1)], float)
     eigenvalues = np.sort(np.concatenate(spectra, axis=1), axis=1)
     _require_finite_spectrum("E", eigenvalues)
     levels = spectra[middle] if sector_restricted else eigenvalues
     if levels_only:
-        return lambda i: (None, levels[i], None)
-    q = _ground_state_q(sampler, spectra)
-    return lambda i: (eigenvalues[i], levels[i], q[i])
+        return None, levels, None
+    return eigenvalues, levels, _ground_state_q(sampler, spectra)
 
 
-def _ground_state_q(sampler: _ModelESampler, spectra: list) -> list:
+def _ground_state_q(sampler: _ModelESampler, spectra: list) -> np.ndarray:
     """Q of every draw's ground state, from the lowest eigenvector of its
     ground block: the sector whose lowest level is the lowest (the first
     such sector on a tie).  The draws are grouped by ground sector and each
@@ -495,7 +518,7 @@ def _ground_state_q(sampler: _ModelESampler, spectra: list) -> list:
     Q computed in the stack's task (``sector_mean_bipartite_Q``)."""
     ground = np.argmin([s[:, 0] for s in spectra], axis=0)
     groups = [(s, np.flatnonzero(ground == s)) for s in np.unique(ground).tolist()]
-    q = [None] * ground.size
+    q = np.empty(ground.size)
 
     def keep(g: int, j: int, u: np.ndarray) -> None:
         s, draws = groups[g]
@@ -514,40 +537,22 @@ def _sweep(
     """One aggregated row per grid value of a sweep's critical parameter.
 
     At grid index t, ``draws(param, seeds)`` (a draw factory) gets the seeds
-    spawn_seed(master, t, r) of every realization r, derived in one pass: b
-    comes from the full sorted spectrum, the spacing sample from the levels,
-    gamma from this draw's own Weibull fit in per-realization mode (from the
-    pooled fit otherwise), and the ground-state Q where the factory gives
-    one.  Failed draws are dropped and counted by ``_run_draws``.
+    spawn_seed(master, t, r) of every realization r, derived in one pass, and
+    returns the rows of their spectra.  One pass over those rows
+    (``_run_draws``) gives b from the full sorted spectrum, the unfolded
+    levels, gamma from each draw's own Weibull fit in per-realization mode
+    (from the pooled fit otherwise), and which draws failed; then
+    ``_aggregate_row`` reduces the columns of the rest, with the ground-state
+    Q where the factory gives one.
     """
     rows = []
     for t_index, param in enumerate(float(p) for p in grid):
-        draw = draws(param, spawn_seeds(master_seed, np.arange(realizations), (t_index,)))
-
-        def one_draw(r: int):
-            eigenvalues, levels, q = draw(r)
-            b = bound_b(eigenvalues)
-            sample = spacing_sample_from_levels(
-                levels, poly_degree=poly_degree, edge_trim=edge_trim
-            )
-            gamma = gamma_chaos(weibull_fit(sample)) if per_realization_gamma else None
-            return b, sample, gamma, q
-
-        ok = _run_draws(one_draw, realizations, f"{label}={param:g}")
-        q_values = [d[3] for d in ok]
-        rows.append(
-            _aggregate_row(
-                param=param,
-                b_values=[d[0] for d in ok],
-                spacing_samples=[d[1] for d in ok],
-                gammas_per_draw=[d[2] for d in ok],
-                q_values=None if None in q_values else q_values,
-                n_failed=realizations - len(ok),
-                realizations=realizations,
-                outlier_k=outlier_k,
-                per_realization_gamma=per_realization_gamma,
-            )
-        )
+        eigenvalues, levels, q = draws(
+            param, spawn_seeds(master_seed, np.arange(realizations), (t_index,)))
+        where = f"{label}={param:g}"
+        ok, b, kept, gammas = _run_draws(eigenvalues, levels, where, poly_degree, edge_trim,
+                                         per_realization_gamma)
+        rows.append(_aggregate_row(param, ok, b, kept, levels.shape[1], gammas, q, outlier_k))
     return rows
 
 
@@ -631,17 +636,14 @@ def spacing_statistics(
         raise ValueError(f"unknown source {source!r}; expected one of {STATS_SOURCES}")
     seeds = spawn_seeds(master_seed, np.arange(draws))
     if source == "D":
-        draw = _model_d_draws(theta, seeds, dim, MODEL_D_CHAOTIC_SCALE)
+        _, levels, _ = _model_d_draws(theta, seeds, dim, MODEL_D_CHAOTIC_SCALE)
     elif source == "E":
-        draw = _model_e_draws(d, seeds, n_qubits, h, J, sector_restricted, levels_only=True)
+        _, levels, _ = _model_e_draws(d, seeds, n_qubits, h, J, sector_restricted,
+                                      levels_only=True)
     else:
-        draw = _ensemble_draws(EnsembleKind(source), seeds, dim)
-
-    def one_draw(i: int):
-        return spacing_sample_from_levels(draw(i)[1], poly_degree=poly_degree, edge_trim=edge_trim)
-
-    samples = _run_draws(one_draw, draws, source)
-    n_failed = draws - len(samples)
+        _, levels, _ = _ensemble_draws(EnsembleKind(source), seeds, dim)
+    ok, _, kept, _ = _run_draws(None, levels, source, poly_degree, edge_trim)
+    n_failed = draws - int(ok.sum())
     if n_failed > draws // 2:
         raise ExperimentError(f"{n_failed}/{draws} draws failed to unfold")
-    return weibull_fit(pool_spacing_samples(samples)), n_failed
+    return weibull_fit(pool_unfolded_rows(kept[ok], levels.shape[1])), n_failed

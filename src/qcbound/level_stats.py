@@ -31,9 +31,10 @@ __all__ = [
     "poisson_density",
     "wigner_dyson_density",
     "weibull_density",
+    "unfold_rows",
     "unfold",
     "spacing_sample_from_levels",
-    "pool_spacing_samples",
+    "pool_unfolded_rows",
     "weibull_mle",
     "weibull_fit",
     "gamma_chaos",
@@ -120,58 +121,78 @@ class SpacingSample:
         return self.spacings.size
 
 
-def _fit_counting_function(levels: np.ndarray, degree: int):
-    """Least-squares polynomial fit of the staircase, evaluated at the levels.
+def _fit_counting_function(levels: np.ndarray, degree: int) -> np.ndarray:
+    """Least-squares polynomial fit of the staircase of each row of the (n, L)
+    ``levels``, evaluated at that row's levels.
 
-    The same floats as ``Polynomial.fit(levels, y, degree)(levels)``, by the
-    steps numpy's ``polyfit``/``polyval`` take, without their wrappers:
-    levels mapped once from [min, max] to [-1, 1], the Vandermonde rows
+    Row by row the same floats as ``Polynomial.fit(row, y, degree)(row)``, by
+    the steps numpy's ``polyfit``/``polyval`` take, without their wrappers:
+    each row mapped once from [min, max] to [-1, 1], the Vandermonde stack
     x^0..x^degree by repeated products, each scaled by its norm (summed along
-    the contiguous axis), ``lstsq`` with rcond n eps, then Horner's rule.
+    the contiguous last axis), one ``lstsq`` per row with rcond L eps, then
+    Horner's rule on all rows.
     """
-    y = np.arange(levels.size) + 0.5
-    lo, hi = levels.min(), levels.max()
+    n, size = levels.shape
+    y = np.arange(size) + 0.5
+    lo, hi = levels.min(axis=1, keepdims=True), levels.max(axis=1, keepdims=True)
     x = (-hi - lo) / (hi - lo) + (2.0 / (hi - lo)) * levels
-    vander = np.empty((degree + 1, x.size))
-    vander[0] = x * 0 + 1
+    vander = np.empty((n, degree + 1, size))
+    vander[:, 0] = x * 0 + 1
     for k in range(1, degree + 1):
-        np.multiply(vander[k - 1], x, out=vander[k])
-    norms = np.sqrt(np.square(vander).sum(1))
+        np.multiply(vander[:, k - 1], x, out=vander[:, k])
+    norms = np.sqrt(np.square(vander).sum(-1))
     norms[norms == 0] = 1
-    coef = np.linalg.lstsq(vander.T / norms, y, x.size * np.finfo(float).eps)[0] / norms
-    result = coef[-1] + x * 0
-    for c in coef[-2::-1]:
+    scaled = vander.transpose(0, 2, 1) / norms[:, np.newaxis]
+    coef = np.reshape([np.linalg.lstsq(a, y, size * np.finfo(float).eps)[0] for a in scaled],
+                      norms.shape) / norms
+    result = coef[:, -1:] + x * 0
+    for k in range(degree - 1, -1, -1):
         result *= x
-        result += c
+        result += coef[:, k : k + 1]
     return result
 
 
-def unfold(
-    eigenvalues, poly_degree: int = 6, edge_trim: float = 0.05
-) -> np.ndarray:
+def unfold_rows(levels, poly_degree: int = 6, edge_trim: float = 0.05) -> tuple:
+    """``(kept, degrees)``: ``unfold`` of each row of the (n, L) ``levels``,
+    the (n, L - 2k) kept unfolded levels and the degree of each row's fit:
+    ``poly_degree``, ``poly_degree - 1`` where that one was non-monotone
+    (only those rows are refitted), or 0 where ``unfold`` raises (the row's
+    kept levels are then meaningless)."""
+    levels = np.sort(np.asarray(levels, dtype=float), axis=-1)
+    n, size = levels.shape
+    k = int(math.floor(edge_trim * size))
+    kept = np.empty((n, size - 2 * k))
+    degrees = np.zeros(n, dtype=int)
+    todo = np.arange(n if size >= MIN_UNFOLD_LEVELS else 0)
+    for degree in (poly_degree, poly_degree - 1):
+        if degree < 1 or todo.size == 0:
+            break
+        mapped = _fit_counting_function(levels[todo], degree)[:, k : size - k]
+        kept[todo] = mapped
+        monotone = np.all(np.diff(mapped, axis=1) >= 0.0, axis=1)
+        degrees[todo[monotone]] = degree
+        todo = todo[~monotone]
+    return kept, degrees
+
+
+def unfold(eigenvalues, poly_degree: int = 6, edge_trim: float = 0.05) -> np.ndarray:
     """Map eigenvalues to unit-mean-spacing coordinates.
 
     Fits the cumulative level-counting staircase with a polynomial, evaluates
     the fit at each level, and discards the trimmed edge fraction on each side
-    (the fit is unreliable at spectrum edges).  Returns the kept unfolded
-    levels; consecutive differences are the unfolded spacings.
+    (the fit is unreliable at spectrum edges); a fit that is non-monotone on
+    the kept levels is redone once at ``poly_degree - 1``.  Returns the kept
+    unfolded levels; consecutive differences are the unfolded spacings.
     """
-    levels = np.sort(np.asarray(eigenvalues, dtype=float))
-    n = levels.size
-    if n < MIN_UNFOLD_LEVELS:
-        raise UnfoldingError(f"need at least {MIN_UNFOLD_LEVELS} levels to unfold, got {n}")
-    k = int(math.floor(edge_trim * n))
-    for degree in (poly_degree, poly_degree - 1):
-        if degree < 1:
-            break
-        mapped = _fit_counting_function(levels, degree)
-        kept = mapped[k : n - k] if k > 0 else mapped
-        if np.all(np.diff(kept) >= 0.0):
-            return kept
-    raise UnfoldingError(
-        f"counting-function fit non-monotone at degrees {poly_degree} and "
-        f"{poly_degree - 1}"
-    )
+    levels = np.asarray(eigenvalues, dtype=float).reshape(1, -1)
+    if levels.size < MIN_UNFOLD_LEVELS:
+        raise UnfoldingError(
+            f"need at least {MIN_UNFOLD_LEVELS} levels to unfold, got {levels.size}")
+    [kept], [degree] = unfold_rows(levels, poly_degree, edge_trim)
+    if degree == 0:
+        raise UnfoldingError(f"counting-function fit non-monotone at degrees {poly_degree} "
+                             f"and {poly_degree - 1}")
+    return kept
 
 
 def spacing_sample_from_levels(
@@ -188,15 +209,14 @@ def spacing_sample_from_levels(
     )
 
 
-def pool_spacing_samples(samples) -> SpacingSample:
-    """Concatenate per-realization samples into one pooled, renormalized sample."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError("nothing to pool")
-    return SpacingSample(
-        spacings=np.concatenate([s.spacings for s in samples]),
-        n_levels_discarded=sum(s.n_levels_discarded for s in samples),
-    )
+def pool_unfolded_rows(kept: np.ndarray, n_levels: int) -> SpacingSample:
+    """One pooled sample of the (n, m) kept unfolded levels of n spectra of
+    ``n_levels`` levels each: every row's spacings normalized to unit mean,
+    then all of them renormalized once, by ``SpacingSample``."""
+    spacings = np.diff(kept, axis=1)
+    spacings /= spacings.mean(axis=1, keepdims=True)
+    return SpacingSample(spacings=spacings.ravel(),
+                         n_levels_discarded=kept.shape[0] * (n_levels - kept.shape[1]))
 
 
 def weibull_mle(

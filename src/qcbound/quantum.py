@@ -253,6 +253,14 @@ def require_isolated(eigenvalues, levels) -> None:
             )
 
 
+def _ground_isolated(eigenvalues: np.ndarray) -> np.ndarray:
+    """Mask of the rows of the (n, D) ascending ``eigenvalues`` that pass
+    ``require_isolated(row, 0)``, by the same comparisons on every row."""
+    width = eigenvalues[:, -1] - eigenvalues[:, 0]
+    floor = DEGENERACY_RTOL * width
+    return (width > 0.0) & (eigenvalues[:, 1] - eigenvalues[:, 0] > floor)
+
+
 def _require_qubit_dim(dim: int, partition: QubitPartition) -> None:
     if dim != 2**partition.n_qubits:
         raise ValueError(

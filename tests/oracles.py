@@ -19,6 +19,10 @@ pair at a time, with one ``eigvalsh`` call per block and one ``eigh`` of the
 ground block: the per-draw model-E path the package used before it solved
 the blocks of all draws in stacks (``experiments._model_e_draws``), which
 must give the same floats.
+
+``pool_spacing_samples`` pools per-draw ``SpacingSample``s, each normalized
+on its own, the way the sweeps and ``stats`` pooled before they unfolded the
+draws of a grid point as rows (``level_stats.pool_unfolded_rows``).
 """
 
 import math
@@ -28,10 +32,22 @@ import numpy as np
 
 from qcbound.ensembles import EnsembleKind, EnsembleSpec, _sample_matrix, spawn_seed
 from qcbound.entanglement import EntanglementInputs, _real_with_residue_check
+from qcbound.level_stats import SpacingSample
 from qcbound.models import _spectral_std
 from qcbound.quantum import (
     QubitPartition, SpectralDecomposition, _as_site_matrix, _require_qubit_dim, require_isolated,
 )
+
+
+def pool_spacing_samples(samples) -> SpacingSample:
+    """Concatenate per-realization samples into one pooled, renormalized sample."""
+    samples = list(samples)
+    if not samples:
+        raise ValueError("nothing to pool")
+    return SpacingSample(
+        spacings=np.concatenate([s.spacings for s in samples]),
+        n_levels_discarded=sum(s.n_levels_discarded for s in samples),
+    )
 
 
 def model_d_matrix(theta: float, seed: int, dim: int, chaotic_scale: float) -> np.ndarray:

@@ -10,6 +10,7 @@ runs the tracer, unmodified, over tiny versions of the benchmark's calls.
 """
 
 import importlib.util
+import logging
 import sys
 from pathlib import Path
 
@@ -73,3 +74,22 @@ def test_tracer_runs_over_cli(tracer_module, tmp_path, capsys, name, argv, expec
         level_stats._fit_counting_function, cli.main,
     )
     assert experiments.np is np
+
+
+def test_traced_draw_failures_equal_the_logged_failures(tracer_module, tmp_path, caplog):
+    # the check perfbench/run.py makes in trace mode: the draw spans whose
+    # task returned None are the draws logged as failed.  This sweep drops
+    # one draw (and falls back to degree 5 on two others).
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        with caplog.at_level(logging.WARNING, logger="qcbound.experiments"):
+            code = cli.main(["sweep-theta", "--points", "4", "--realizations", "12",
+                             "--dim", "64", "--seed", "9", "--out", str(tmp_path)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    stats, _, _ = tracer_module.summarize(tracer.spans)
+    warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warnings) == 1
+    assert stats["experiments.draw"]["extra"] == len(warnings)

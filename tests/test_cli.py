@@ -441,6 +441,22 @@ class TestSweepCommands:
         assert code == 2
         assert "4/4 draws failed at parameter 0" in capsys.readouterr().err
 
+    def test_unfold_fallbacks_logged_at_debug(self, tmp_path, caplog):
+        # the sweep-theta-d64 digest config: draws 4 (theta = 0) and 7 (theta
+        # = pi/6) unfold only at degree 5, draw 8 (theta = 0) at neither; a
+        # fallback is DEBUG, since the benchmark counts warnings as failures
+        with caplog.at_level(logging.DEBUG, logger="qcbound.experiments"):
+            code = run_cli(["sweep-theta", "--points", "4", "--realizations", "12",
+                            "--dim", "64", "--seed", "9", "--out", str(tmp_path)])
+        assert code == 0
+        by_level = {level: [r.args[:2] for r in caplog.records if r.levelno == level]
+                    for level in (logging.DEBUG, logging.WARNING)}
+        assert by_level == {logging.DEBUG: [("model-D theta=0", 4),
+                                            ("model-D theta=0.523599", 7)],
+                            logging.WARNING: [("model-D theta=0", 8)]}
+        assert all(r.getMessage().endswith("unfolded at degree 5")
+                   for r in caplog.records if r.levelno == logging.DEBUG)
+
 
 class TestStatsCommand:
     def test_goe_stats(self, tmp_path):
@@ -485,16 +501,18 @@ class TestStatsCommand:
     def test_skipped_draws_are_logged(self, tmp_path, monkeypatch, caplog, capsys):
         import qcbound.experiments as experiments
 
-        real = experiments.spacing_sample_from_levels
-        calls = []
+        real = experiments.unfold_rows
 
-        def fail_second(levels, **kwargs):
-            calls.append(None)
-            if len(calls) == 2:
-                raise UnfoldingError("forced")
-            return real(levels, **kwargs)
+        def fail_second(levels, *args):
+            kept, degrees = real(levels, *args)
+            degrees[1] = 0  # draw 1 unfolds at neither degree
+            return kept, degrees
 
-        monkeypatch.setattr(experiments, "spacing_sample_from_levels", fail_second)
+        def unfold(*args):  # the one-row path gives the failed draw its error
+            raise UnfoldingError("forced")
+
+        monkeypatch.setattr(experiments, "unfold_rows", fail_second)
+        monkeypatch.setattr(experiments, "unfold", unfold)
         out = tmp_path / "stats"
         with caplog.at_level(logging.WARNING, logger="qcbound.experiments"):
             code = run_cli(["stats", "--source", "GOE", "--dim", "64", "--draws", "4",
@@ -510,16 +528,18 @@ class TestStatsCommand:
                                            n_failed, code):
         import qcbound.experiments as experiments
 
-        real = experiments.spacing_sample_from_levels
-        calls = []
+        real = experiments.unfold_rows
 
-        def fail_first(levels, **kwargs):
-            calls.append(None)
-            if len(calls) <= n_failed:
-                raise UnfoldingError("forced")
-            return real(levels, **kwargs)
+        def fail_first(levels, *args):
+            kept, degrees = real(levels, *args)
+            degrees[:n_failed] = 0
+            return kept, degrees
 
-        monkeypatch.setattr(experiments, "spacing_sample_from_levels", fail_first)
+        def unfold(*args):
+            raise UnfoldingError("forced")
+
+        monkeypatch.setattr(experiments, "unfold_rows", fail_first)
+        monkeypatch.setattr(experiments, "unfold", unfold)
         out = tmp_path / "stats"
         assert run_cli(["stats", "--source", "GOE", "--dim", "64", "--draws", "4",
                         "--out", str(out)]) == code

@@ -22,7 +22,7 @@ from qcbound.entanglement import sector_mean_bipartite_Q
 from qcbound.level_stats import (
     FitConvergenceError,
     TooFewSpacingsError,
-    pool_spacing_samples,
+    UnfoldingError,
     spacing_sample_from_levels,
     weibull_fit,
 )
@@ -285,16 +285,15 @@ class TestStackedSpectra:
                             lambda n_tasks, dim: min(workers, n_tasks))
         seeds = spawn_seeds(dim + workers, np.arange(n_draws))
         with quantum._one_blas_thread():
-            draw = _stacked_draws(source, seeds, dim)
+            eigenvalues, levels, q = _stacked_draws(source, seeds, dim)
+            assert levels is eigenvalues and q is None
+            assert eigenvalues.shape == (n_draws, dim)
             for i, seed in enumerate(seeds.tolist()):
                 if source == "D":
                     matrix = model_d_matrix(0.7, seed, dim, 0.3)
                 else:
                     matrix = _sample_matrix(EnsembleSpec(EnsembleKind(source), dim), seed)
-                eigenvalues, levels, q = draw(i)
-                assert np.array_equal(eigenvalues, np.linalg.eigvalsh(matrix))
-                assert np.array_equal(levels, eigenvalues)
-                assert q is None
+                assert np.array_equal(eigenvalues[i], np.linalg.eigvalsh(matrix))
 
     @pytest.mark.parametrize("source", ["GOE", "GUE", "D"])
     def test_one_task_per_stack_each_returning_its_rows(self, monkeypatch, source):
@@ -307,11 +306,11 @@ class TestStackedSpectra:
             return results
 
         monkeypatch.setattr(experiments, "_run_indexed", capture)
-        draw = _stacked_draws(source, spawn_seeds(4, np.arange(10)), 128)
+        eigenvalues, _, _ = _stacked_draws(source, spawn_seeds(4, np.arange(10)), 128)
         [(n_tasks, workers, results)] = loops
         assert (n_tasks, workers) == (3, experiments._worker_count(3, 128))
         assert [r.shape for r in results] == [(4, 128), (4, 128), (2, 128)]
-        assert np.array_equal(np.concatenate(results), [draw(i)[0] for i in range(10)])
+        assert np.array_equal(np.concatenate(results), eigenvalues)
 
 
 class TestModelEStacks:
@@ -337,14 +336,14 @@ class TestModelEStacks:
                 oracle = block_spectrum(blocks)
                 q = sector_mean_bipartite_Q(oracle.ground_state, blocks[oracle.ground_block][0], n)
                 middle = oracle.block_eigenvalues[n // 2]
-                for (restricted, levels_only), draw in draws.items():
-                    eigenvalues, levels, q_i = draw(i)
-                    assert np.array_equal(levels, middle if restricted else oracle.eigenvalues)
+                for (restricted, levels_only), (eigenvalues, levels, q_all) in draws.items():
+                    assert np.array_equal(levels[i],
+                                          middle if restricted else oracle.eigenvalues)
                     if levels_only:
-                        assert eigenvalues is None and q_i is None
+                        assert eigenvalues is None and q_all is None
                     else:
-                        assert np.array_equal(eigenvalues, oracle.eigenvalues)
-                        assert q_i == q
+                        assert np.array_equal(eigenvalues[i], oracle.eigenvalues)
+                        assert q_all[i] == q
 
     def test_one_task_per_sector_stack_each_returning_its_rows(self, monkeypatch):
         # N = 9, 11 draws at d = 2.5: the ten sectors (dims 1, 9, 36, 84,
@@ -357,8 +356,8 @@ class TestModelEStacks:
             return results
 
         monkeypatch.setattr(experiments, "_run_indexed", capture)
-        draw = experiments._model_e_draws(2.5, spawn_seeds(4, np.arange(11)), 9,
-                                          MODEL_E_DEFAULT_FIELD, 1.0, True)
+        eigenvalues, _, _ = experiments._model_e_draws(2.5, spawn_seeds(4, np.arange(11)), 9,
+                                                       MODEL_E_DEFAULT_FIELD, 1.0, True)
         (n_tasks, workers, results), (n_ground, ground_workers, ground) = loops
         assert (n_tasks, workers) == (16, experiments._worker_count(16, 126))
         dims = [1, 9, 36, 84, 126, 126, 84, 36, 9, 1]
@@ -368,7 +367,7 @@ class TestModelEStacks:
         merged = np.sort(np.concatenate(
             [np.concatenate(results[sum(map(len, stacks[:s])):sum(map(len, stacks[:s + 1]))])
              for s in range(10)], axis=1), axis=1)
-        assert np.array_equal(merged, [draw(i)[0] for i in range(11)])
+        assert np.array_equal(merged, eigenvalues)
         # the ground pass: the same rule, on the ground blocks' sectors
         assert n_ground == len(ground) and all(r is not None for r in ground)
         assert sum(len(r) for r in ground) == 11
@@ -385,6 +384,69 @@ class TestModelEStacks:
             spacing_statistics("E", 4, n_qubits=9, d=0.5, sector_restricted=restricted)
 
 
+class TestRunDraws:
+    # model D at theta = 0, dim 64: draws 4, 19 and 21 unfold only at degree
+    # 5, draws 8 and 43 at neither.  Draws 2 and 8 get a degenerate ground
+    # level, draw 5 a zero width; its levels too, which an unfold would
+    # divide by, so the pass runs with every floating-point error raised.
+    DEGENERATE = (2, 5, 8)
+
+    @staticmethod
+    def _rows() -> tuple:
+        eigenvalues, _, _ = experiments._model_d_draws(
+            0.0, spawn_seeds(9, np.arange(44), (0,)), 64, 0.3)
+        levels = eigenvalues.copy()
+        eigenvalues[[2, 8], 1] = eigenvalues[[2, 8], 0]
+        eigenvalues[5] = levels[5] = 1.0
+        return eigenvalues, levels
+
+    @pytest.mark.parametrize("per_realization", [False, True])
+    def test_guard_b_and_unfold_equal_the_one_row_path(self, caplog, per_realization):
+        from qcbound.curvature import bound_b
+        from qcbound.level_stats import unfold
+
+        eigenvalues, levels = self._rows()
+        with caplog.at_level(logging.DEBUG, logger="qcbound.experiments"):
+            with np.errstate(all="raise"):
+                ok, b, kept, gammas = experiments._run_draws(
+                    eigenvalues, levels, "x", 6, 0.05, per_realization)
+        logged = [(r.levelno, r.args[1], r.args[-1]) for r in caplog.records]
+        failures = {i: exc for level, i, exc in logged if level == logging.WARNING}
+        # each failure logged once, and the degree-5 unfolds at DEBUG
+        assert len(failures) == len(logged) - 3
+        assert [i for level, i, _ in logged if level == logging.DEBUG] == [4, 19, 21]
+        assert ok.tolist() == [i not in failures for i in range(44)]
+        assert (gammas is None) != per_realization
+        for i in range(44):
+            if i in self.DEGENERATE:  # reported before draw 8's unfold error
+                with pytest.raises(DegenerateSpectrumError) as raised:
+                    bound_b(eigenvalues[i])
+                assert type(failures[i]) is DegenerateSpectrumError
+                assert str(failures[i]) == str(raised.value)
+                assert np.isnan(b[i]) and np.isnan(kept[i]).all()
+                continue
+            assert b[i] == bound_b(eigenvalues[i])
+            if i == 43:
+                with pytest.raises(UnfoldingError) as raised:
+                    unfold(levels[i])
+                assert type(failures[i]) is UnfoldingError
+                assert str(failures[i]) == str(raised.value)
+                continue
+            assert np.array_equal(kept[i], unfold(levels[i]))
+            # 57 spacings: too few for a draw's own fit
+            assert (type(failures[i]) is TooFewSpacingsError if per_realization
+                    else i not in failures)
+
+    def test_stats_logs_its_fallbacks(self, caplog):
+        # stats draw i is spawn_seed(9, i): draw 20 unfolds only at degree 5,
+        # draws 19 and 21 at neither
+        with caplog.at_level(logging.DEBUG, logger="qcbound.experiments"):
+            _, n_failed = spacing_statistics("D", 24, master_seed=9, dim=64, theta=0.0)
+        assert n_failed == 2
+        assert [(r.levelno, r.args[1]) for r in caplog.records] == [
+            (logging.WARNING, 19), (logging.DEBUG, 20), (logging.WARNING, 21)]
+
+
 @pytest.mark.skipif(quantum._openblas() is None, reason="numpy loaded no OpenBLAS")
 class TestOneBlasThread:
     RUNS = [
@@ -398,7 +460,8 @@ class TestOneBlasThread:
     def test_one_thread_inside_and_the_callers_count_after(self, monkeypatch, run):
         get, set_ = quantum._openblas()
         counts, caller = [], get()
-        for name in ("bound_b", "spacing_sample_from_levels"):
+        # scatter calls bound_b, the sweeps' and stats' pooled fits weibull_fit
+        for name in ("bound_b", "weibull_fit"):
             real = getattr(experiments, name)
 
             def recording(*args, real=real, **kwargs):
@@ -452,9 +515,9 @@ class TestSweepTheta:
         seen = []
         aggregate = experiments._aggregate_row
 
-        def capture(**kwargs):
-            seen.append(kwargs["b_values"])
-            return aggregate(**kwargs)
+        def capture(param, ok, b, *rest):
+            seen.append(b[ok].tolist())
+            return aggregate(param, ok, b, *rest)
 
         monkeypatch.setattr(experiments, "_aggregate_row", capture)
         master, grid = 2**32 + 1, [0.0, 0.4, np.pi / 2]
@@ -567,6 +630,8 @@ class TestSpacingStatistics:
         spec = EnsembleSpec(EnsembleKind(source), 48)
         spectra = [np.linalg.eigvalsh(_sample_matrix(spec, spawn_seed(master, i)))
                    for i in range(6)]
+        from oracles import pool_spacing_samples
+
         expected = weibull_fit(pool_spacing_samples(map(spacing_sample_from_levels, spectra)))
         assert spacing_statistics(source, 6, master_seed=master, dim=48) == (expected, 0)
 
@@ -575,11 +640,11 @@ class TestSpacingStatistics:
         # no eigensolve: the same floats as eigvalsh of the diagonal matrix
         spec = EnsembleSpec(EnsembleKind.POISSON_DIAGONAL, dim)
         seeds = spawn_seeds(dim, np.arange(20))
-        draw = experiments._ensemble_draws(spec.kind, seeds, dim)
+        eigenvalues, levels, _ = experiments._ensemble_draws(spec.kind, seeds, dim)
+        assert levels is eigenvalues
         for i, seed in enumerate(seeds.tolist()):
-            eigenvalues, levels, _ = draw(i)
-            assert np.array_equal(eigenvalues, np.linalg.eigvalsh(_sample_matrix(spec, seed)))
-            assert levels is eigenvalues
+            assert np.array_equal(eigenvalues[i],
+                                  np.linalg.eigvalsh(_sample_matrix(spec, seed)))
 
     def test_unknown_source_raises(self):
         with pytest.raises(ValueError, match="unknown source"):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from qcbound.ensembles import spawn_seed
+from qcbound.ensembles import spawn_seed, spawn_seeds
+from qcbound.experiments import _model_d_draws
 from qcbound.level_stats import (
     GAMMA_DENOMINATOR,
     S0_CROSSING,
@@ -14,9 +15,10 @@ from qcbound.level_stats import (
     UnfoldingError,
     gamma_chaos,
     poisson_density,
-    pool_spacing_samples,
+    pool_unfolded_rows,
     spacing_sample_from_levels,
     unfold,
+    unfold_rows,
     weibull_density,
     weibull_fit,
     weibull_mle,
@@ -26,7 +28,7 @@ from qcbound.level_stats import (
 )
 from qcbound.models import MODEL_D_CHAOTIC_SCALE, model_e_blocks
 
-from oracles import block_spectrum, model_d_matrix
+from oracles import block_spectrum, model_d_matrix, pool_spacing_samples
 
 
 def gamma_from_density(density) -> float:
@@ -110,10 +112,59 @@ def _model_spectra():
 class TestCountingFunctionFit:
     @pytest.mark.parametrize("degree", [6, 5])
     def test_same_floats_as_polynomial_fit(self, degree):
+        # each row of a stack of the spectra of one size, and each alone
+        by_size = {}
         for levels in _model_spectra():
-            y = np.arange(levels.size) + 0.5
-            reference = np.polynomial.Polynomial.fit(levels, y, degree)(levels)
-            assert np.array_equal(_fit_counting_function(levels, degree), reference)
+            by_size.setdefault(levels.size, []).append(levels)
+        for rows in by_size.values():
+            stacked = _fit_counting_function(np.array(rows), degree)
+            for levels, fitted in zip(rows, stacked):
+                y = np.arange(levels.size) + 0.5
+                reference = np.polynomial.Polynomial.fit(levels, y, degree)(levels)
+                assert np.array_equal(fitted, reference)
+                assert np.array_equal(_fit_counting_function(levels[np.newaxis], degree)[0],
+                                      reference)
+
+
+def _model_d_rows(n: int = 24) -> np.ndarray:
+    # model D at theta = 0, dim 64: draws 4, 19 and 21 of these unfold only at
+    # degree 5, and draw 8 at neither 6 nor 5
+    _, levels, _ = _model_d_draws(0.0, spawn_seeds(9, np.arange(n), (0,)), 64,
+                                  MODEL_D_CHAOTIC_SCALE)
+    return levels
+
+
+class TestUnfoldRows:
+    def test_each_row_as_unfold_alone(self):
+        levels = _model_d_rows()
+        kept, degrees = unfold_rows(levels)
+        assert np.flatnonzero(degrees == 5).tolist() == [4, 19, 21]
+        assert np.flatnonzero(degrees == 0).tolist() == [8]
+        assert set(degrees.tolist()) == {6, 5, 0}
+        for row, kept_row, degree in zip(levels, kept, degrees):
+            if degree == 0:
+                with pytest.raises(UnfoldingError, match="non-monotone at degrees 6 and 5"):
+                    unfold(row)
+            else:
+                assert np.array_equal(kept_row, unfold(row))
+                assert np.array_equal(kept_row, _fit_counting_function(
+                    row[np.newaxis], degree)[0, 3:-3])
+
+    def test_too_few_levels_fail_every_row(self):
+        kept, degrees = unfold_rows(np.tile(np.arange(19.0), (3, 1)))
+        assert degrees.tolist() == [0, 0, 0]
+        with pytest.raises(UnfoldingError, match="at least 20 levels to unfold, got 19"):
+            unfold(np.arange(19.0))
+
+    def test_pooled_rows_equal_pooled_samples(self):
+        # each row normalized once by its own mean, then the pool once
+        levels = _model_d_rows()
+        kept, degrees = unfold_rows(levels)
+        ok = degrees > 0
+        pooled = pool_unfolded_rows(kept[ok], levels.shape[1])
+        expected = pool_spacing_samples(map(spacing_sample_from_levels, levels[ok]))
+        assert np.array_equal(pooled.spacings, expected.spacings)
+        assert pooled.n_levels_discarded == expected.n_levels_discarded == 23 * 6
 
 
 class TestSpacingSample:
