@@ -10,28 +10,34 @@ draw i with spawn_seed(master, i), all in one ``spawn_seeds`` pass; and a
 model-D draw takes its H_P and H_W streams from the children
 spawn_seed(seed, 0) and spawn_seed(seed, 1).  A sweep derives its seeds once
 per grid point, for all r in one ``spawn_seeds`` pass, and the model-D
-children in one more (``models._ModelDSampler``), bit for bit the contract
+children of all its draws in one more (``models._ModelDSampler``), bit for
+bit the contract
 above: no draw builds a ``SeedSequence`` of its own.  At theta = 0, H(theta)
 is diagonal and its spectrum is the sorted diagonal, as is a PoissonDiagonal
 matrix's, bit for bit what ``eigvalsh`` returns.  The sweeps and ``stats``
 draw their spectra through the same draw factories and make one pass over
-them (``_run_draws``).  A draw factory ``factory(param, seeds, ...)``
-returns ``(eigenvalues, levels, q)``, row i of each from the draw seeded
-with seeds[i]: the (n, D) ascending spectra, the (n, L) levels to unfold,
-and the (n,) ground-state Q, which only model E gives (from its ground
-block, in its sector; None for model D and the ensembles), so that no draw
-forms a 2^N vector.  The CLI rejects a spectrum too small to unfold
-(``level_stats.MIN_UNFOLD_LEVELS``) before any draw.
+them per grid point (``_run_draws``).  A sweep's draw factory
+``factory(params, seeds, ...)`` takes every grid point at once, with the
+(points, realizations) seeds, and yields one ``(eigenvalues, levels, q)``
+per point, in grid order; ``stats`` calls it on one point.  Row i of each is
+from the draw seeded with the point's seeds[i]: the (n, D) ascending
+spectra, the (n, L) levels to unfold, and the (n,) ground-state Q, which
+only model E gives (from its ground block, in its sector; None for model D
+and the ensembles), so that no draw forms a 2^N vector.  The CLI rejects a
+spectrum too small to unfold (``level_stats.MIN_UNFOLD_LEVELS``) before any
+draw.
 
 Threads.  The model-D, GOE/GUE and model-E factories build and solve every
-draw of a grid point or ``stats`` run up front, in stacks, on one thread per
-CPU (``_stacked_spectra``): a stack of eigenvalue problems is solved with
-the GIL released, one matrix alone is not.  Model E stacks each sector's
-blocks across the draws, then the ground blocks, grouped by sector.  A
-scatter run draws its rows on one thread per CPU and then computes the
-products and kernels in the calling thread (``scatter_bound_test``).  The
-pass after the solves (``_run_draws``) takes all rows at once, in the calling
-thread.
+draw of a sweep or ``stats`` run up front, in stacks, on one thread per CPU
+(``_stacked_spectra``): a stack of eigenvalue problems is solved with the
+GIL released, one matrix alone is not.  A sweep makes one such pass over all
+of its grid points, not one per point: model D one, model E two, first the
+blocks of every (point, sector), then every ground block, grouped by sector.
+So the solves hold every point's spectra at once (points x realizations x D
+floats; model E also holds as many field diagonals).  A scatter run draws its
+rows on one thread per CPU and then computes the products and kernels in the
+calling thread (``scatter_bound_test``).  The pass after the solves
+(``_run_draws``) takes all rows of a point at once, in the calling thread.
 Draws on matrices smaller than ``_THREAD_MIN_DIM`` stay on the calling
 thread.  Each public experiment holds OpenBLAS at one thread for its whole
 call (``quantum._one_blas_thread``).  Each thread works on a contiguous chunk
@@ -214,10 +220,13 @@ _THREAD_MIN_DIM = 64
 
 def _worker_count(n_tasks: int, dim: int) -> int:
     """Threads for ``n_tasks`` tasks on dim x dim matrices: the CPUs this
-    process may run on, at most one per task, or 1 below _THREAD_MIN_DIM."""
+    process may run on (all of the machine's where the OS does not say, as on
+    macOS and Windows), at most one per task, or 1 below _THREAD_MIN_DIM."""
     if dim < _THREAD_MIN_DIM:
         return 1
-    return min(len(os.sched_getaffinity(0)), n_tasks)
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return min(cpus, n_tasks)
 
 
 # numpy solves a (k, d, d) stack of eigenvalue problems with the GIL
@@ -238,7 +247,7 @@ def _stacked_spectra(shapes, dtype, vectors=None) -> list:
     per matrix; builds that draw their normals release the GIL too, so they
     overlap as well.  With ``vectors`` a stack is solved by ``eigh`` instead,
     and ``vectors(s, i, u)`` gets the eigenvector columns ``u`` of matrix i
-    of shape s, in the stack's task.
+    of shape s, in the stack's task.  With no matrix to solve no loop runs.
     """
     tasks = [(s, start, min(start + _STACK_LEVELS // dim + 1, n))
              for s, (_, n, dim) in enumerate(shapes)
@@ -261,8 +270,9 @@ def _stacked_spectra(shapes, dtype, vectors=None) -> list:
                 vectors(s, start + j, u[j])
         return rows
 
-    largest = max((dim for _, n, dim in shapes if n), default=0)
-    _run_indexed(solve, len(tasks), _worker_count(len(tasks), largest))
+    if tasks:
+        largest = max(dim for _, n, dim in shapes if n)
+        _run_indexed(solve, len(tasks), _worker_count(len(tasks), largest))
     return spectra
 
 
@@ -465,68 +475,95 @@ def _ensemble_draws(kind: EnsembleKind, seeds, dim: int):
     return spectra, spectra, None
 
 
-def _model_d_draws(theta: float, seeds, dim: int, chaotic_scale: float):
-    """Draws of model D at theta, all solved up front (``_stacked_spectra``);
-    when sin(theta) = 0 the spectrum is the sorted diagonal, with no GOE draw
-    and no solve.  A spectrum too wide for a float raises
-    NonFiniteHamiltonianError."""
+def _model_d_draws(thetas, seeds, dim: int, chaotic_scale: float):
+    """Draws of model D at each theta of a grid, yielded point by point, the
+    draws of point t seeded by row t of ``seeds``.  One sampler holds the
+    draws of every point, and every point with sin(theta) != 0 is solved up
+    front, in one stacked pass (``_stacked_spectra``); when sin(theta) = 0
+    the spectrum is the sorted diagonal, with no GOE draw and no solve, taken
+    with its point.  A spectrum too wide for a float raises
+    NonFiniteHamiltonianError when its point is taken."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    n = seeds.shape[1]
     sampler = _ModelDSampler(seeds, dim, chaotic_scale)
-    if math.sin(theta) == 0.0:
-        spectra = np.sort([sampler.diagonal(theta, i) for i in range(len(seeds))])
-    else:
-        [spectra] = _stacked_spectra([(functools.partial(sampler.matrix, theta), len(seeds), dim)],
-                                     float)
-        _require_finite_spectrum("D", spectra)
-    return spectra, spectra, None
+    solved = [t for t, theta in enumerate(thetas) if math.sin(theta) != 0.0]
+    spectra = dict(zip(solved, _stacked_spectra(
+        [(lambda i, out, t=t: sampler.matrix(thetas[t], t * n + i, out), n, dim)
+         for t in solved], float)))
+    for t, theta in enumerate(thetas):
+        if t in spectra:
+            rows = spectra.pop(t)
+            _require_finite_spectrum("D", rows)
+        else:
+            rows = np.sort([sampler.diagonal(theta, t * n + i) for i in range(n)])
+        yield rows, rows, None
 
 
-def _model_e_draws(d: float, seeds, n_qubits: int, h: float, J: float,
+def _model_e_draws(ds, seeds, n_qubits: int, h: float, J: float,
                    sector_restricted: bool, levels_only: bool = False):
-    """Draws of model E at defect strength d, all solved up front, block by
-    block in the total-sigma_z sectors (``_stacked_spectra``: the stacks of
-    every sector in one pass); the levels are the largest sector's (n_down =
-    N // 2) when ``sector_restricted``, else the merged spectrum, and Q that
-    of the ground block's lowest eigenvector, in its sector
-    (``_ground_state_q``).  With ``levels_only`` a draw is (None, levels,
-    None): a restricted run solves the largest sector alone, and neither
-    solves a ground block.  A spectrum too wide for a float raises
-    NonFiniteHamiltonianError."""
-    sampler = _ModelESampler(seeds, n_qubits, d, h, J)
+    """Draws of model E at each defect strength d of a grid, yielded point by
+    point, the draws of point t seeded by row t of ``seeds``.  Every point is
+    solved up front, block by block in the total-sigma_z sectors: one stacked
+    pass (``_stacked_spectra``) over the blocks of every (point, sector),
+    then one over the ground blocks of every point (``_ground_state_q``).
+    When a point is taken its spectrum is merged and checked: one too wide
+    for a float raises NonFiniteHamiltonianError.  The levels are the
+    largest sector's (n_down = N // 2) when ``sector_restricted``, else the
+    merged spectrum, and Q that of the ground block's lowest eigenvector, in
+    its sector.  With ``levels_only`` a point is (None, levels, None): a
+    restricted run solves the largest sector alone, and neither solves a
+    ground block.  A point whose Hamiltonian overflows, and the points after
+    it, are solved by neither pass: its error is raised when it is taken."""
+    samplers, error = [], None
+    for d, row in zip(ds, seeds):
+        try:
+            samplers.append(_ModelESampler(row, n_qubits, d, h, J))
+        except ValueError as exc:  # raised at its point, after the rows before it
+            error = exc
+            break
     middle = n_qubits // 2
+    sectors = [middle] if levels_only and sector_restricted else range(n_qubits + 1)
+    solved = _stacked_spectra(
+        [(functools.partial(sampler.block, s), len(row), sampler.sectors[s][0].size)
+         for sampler, row in zip(samplers, seeds) for s in sectors], float)
+    spectra = [solved[t * len(sectors):(t + 1) * len(sectors)] for t in range(len(samplers))]
+    q = None if levels_only else _ground_state_q(samplers, spectra)
+    for t, point in enumerate(spectra):
+        if len(sectors) == 1:  # the largest sector alone
+            [levels] = point
+            _require_finite_spectrum("E", levels)
+            yield None, levels, None
+            continue
+        eigenvalues = np.sort(np.concatenate(point, axis=1), axis=1)
+        _require_finite_spectrum("E", eigenvalues)
+        levels = point[middle] if sector_restricted else eigenvalues
+        yield (None, levels, None) if levels_only else (eigenvalues, levels, q[t])
+    if error is not None:
+        raise error
 
-    def sector(s: int) -> tuple:
-        return functools.partial(sampler.block, s), len(seeds), sampler.sectors[s][0].size
 
-    if levels_only and sector_restricted:
-        [levels] = _stacked_spectra([sector(middle)], float)
-        _require_finite_spectrum("E", levels)
-        return None, levels, None
-    spectra = _stacked_spectra([sector(s) for s in range(n_qubits + 1)], float)
-    eigenvalues = np.sort(np.concatenate(spectra, axis=1), axis=1)
-    _require_finite_spectrum("E", eigenvalues)
-    levels = spectra[middle] if sector_restricted else eigenvalues
-    if levels_only:
-        return None, levels, None
-    return eigenvalues, levels, _ground_state_q(sampler, spectra)
-
-
-def _ground_state_q(sampler: _ModelESampler, spectra: list) -> np.ndarray:
-    """Q of every draw's ground state, from the lowest eigenvector of its
-    ground block: the sector whose lowest level is the lowest (the first
-    such sector on a tie).  The draws are grouped by ground sector and each
-    group's blocks solved by ``eigh`` in stacks (``_stacked_spectra``), with
-    Q computed in the stack's task (``sector_mean_bipartite_Q``)."""
-    ground = np.argmin([s[:, 0] for s in spectra], axis=0)
-    groups = [(s, np.flatnonzero(ground == s)) for s in np.unique(ground).tolist()]
-    q = np.empty(ground.size)
+def _ground_state_q(samplers: list, spectra: list) -> np.ndarray:
+    """Q of every draw's ground state, (points, draws), from the lowest
+    eigenvector of its ground block: the sector whose lowest level is the
+    lowest (the first such sector on a tie).  The ground blocks of every
+    point are grouped by sector and solved by ``eigh`` in stacks, in one
+    pass (``_stacked_spectra``), with Q computed in the stack's task
+    (``sector_mean_bipartite_Q``)."""
+    ground = np.array([np.argmin([s[:, 0] for s in point], axis=0) for point in spectra])
+    groups = [(s, *np.nonzero(ground == s)) for s in np.unique(ground).tolist()]
+    q = np.empty(ground.shape)
 
     def keep(g: int, j: int, u: np.ndarray) -> None:
-        s, draws = groups[g]
-        q[draws[j]] = sector_mean_bipartite_Q(u[:, 0], sampler.sectors[s][0], sampler.n_qubits)
+        s, points, draws = groups[g]
+        sampler = samplers[points[j]]
+        q[points[j], draws[j]] = sector_mean_bipartite_Q(u[:, 0], sampler.sectors[s][0],
+                                                         sampler.n_qubits)
 
     _stacked_spectra(
-        [(lambda j, out, s=s, draws=draws: sampler.block(s, draws[j], out), draws.size,
-          sampler.sectors[s][0].size) for s, draws in groups], float, vectors=keep)
+        [(lambda j, out, s=s, points=points, draws=draws:
+          samplers[points[j]].block(s, draws[j], out),
+          points.size, samplers[0].sectors[s][0].size) for s, points, draws in groups],
+        float, vectors=keep)
     return q
 
 
@@ -536,19 +573,25 @@ def _sweep(
 ) -> list:
     """One aggregated row per grid value of a sweep's critical parameter.
 
-    At grid index t, ``draws(param, seeds)`` (a draw factory) gets the seeds
-    spawn_seed(master, t, r) of every realization r, derived in one pass, and
-    returns the rows of their spectra.  One pass over those rows
-    (``_run_draws``) gives b from the full sorted spectrum, the unfolded
-    levels, gamma from each draw's own Weibull fit in per-realization mode
-    (from the pooled fit otherwise), and which draws failed; then
-    ``_aggregate_row`` reduces the columns of the rest, with the ground-state
-    Q where the factory gives one.
+    ``draws(grid, seeds)`` (a draw factory) gets every grid value at once,
+    with the seeds spawn_seed(master, t, r) of every realization r at grid
+    index t in row t of ``seeds`` (one ``spawn_seeds`` pass per t), solves
+    them all in its stacked passes, and yields the rows of their spectra
+    point by point.  Then, per point, in grid order and in the calling
+    thread, one pass over those rows (``_run_draws``) gives b from the full
+    sorted spectrum, the unfolded levels, gamma from each draw's own Weibull
+    fit in per-realization mode (from the pooled fit otherwise), and which
+    draws failed; and ``_aggregate_row`` reduces the columns of the rest,
+    with the ground-state Q where the factory gives one.  So a point's
+    warnings and errors come after the rows of the points before it, as
+    with one solve per point.
     """
+    grid = [float(p) for p in grid]
+    seeds = np.array([spawn_seeds(master_seed, np.arange(realizations), (t_index,))
+                      for t_index in range(len(grid))],
+                     dtype=np.uint64).reshape(len(grid), realizations)
     rows = []
-    for t_index, param in enumerate(float(p) for p in grid):
-        eigenvalues, levels, q = draws(
-            param, spawn_seeds(master_seed, np.arange(realizations), (t_index,)))
+    for param, (eigenvalues, levels, q) in zip(grid, draws(grid, seeds)):
         where = f"{label}={param:g}"
         ok, b, kept, gammas = _run_draws(eigenvalues, levels, where, poly_degree, edge_trim,
                                          per_realization_gamma)
@@ -636,10 +679,11 @@ def spacing_statistics(
         raise ValueError(f"unknown source {source!r}; expected one of {STATS_SOURCES}")
     seeds = spawn_seeds(master_seed, np.arange(draws))
     if source == "D":
-        _, levels, _ = _model_d_draws(theta, seeds, dim, MODEL_D_CHAOTIC_SCALE)
+        [(_, levels, _)] = _model_d_draws([theta], seeds[np.newaxis], dim,
+                                          MODEL_D_CHAOTIC_SCALE)
     elif source == "E":
-        _, levels, _ = _model_e_draws(d, seeds, n_qubits, h, J, sector_restricted,
-                                      levels_only=True)
+        [(_, levels, _)] = _model_e_draws([d], seeds[np.newaxis], n_qubits, h, J,
+                                          sector_restricted, levels_only=True)
     else:
         _, levels, _ = _ensemble_draws(EnsembleKind(source), seeds, dim)
     ok, _, kept, _ = _run_draws(None, levels, source, poly_degree, edge_trim)

@@ -18,7 +18,8 @@ each block directly from bit patterns (the standard block method, e.g.
 Sandvik, arXiv:1101.3281): a bond whose two bits are equal adds +1 to the
 diagonal of sigma_j . sigma_{j+1}; a bond whose two bits differ adds -1 to
 the diagonal and 2 to the state with that pair flipped.  The coupling blocks
-and site-z signs depend on N only and are cached; a draw adds its field
+and site-z signs depend on N only and are cached, as are the coupling
+blocks scaled by J/4 per (N, J); a draw adds its field
 diagonal sum_j (h + h_j) sigma_zj.  ``_ModelESampler.block`` is the one
 writer of a block, for the sweep, ``stats`` and ``model_e_blocks``.  The
 largest block (dim 126 at N = 9) replaces a dense dim-512 solve, and the
@@ -156,6 +157,18 @@ def _sector_chain(n_qubits: int) -> tuple:
             a.setflags(write=False)
         sectors.append((indices, coupling, signs))
     return tuple(sectors)
+
+
+# A sweep's samplers, one per grid point, share these (389 KB at N = 9); the
+# cache holds few, since the blocks at N = 13 take 83 MB per J.
+@lru_cache(maxsize=4)
+def _scaled_couplings(n_qubits: int, J: float) -> tuple:
+    """Per sector n_down = 0..N, (J/4) times its coupling block, read-only.
+    An overflow raises FloatingPointError under the caller's errstate."""
+    blocks = tuple((J / 4.0) * coupling for _, coupling, _ in _sector_chain(n_qubits))
+    for block in blocks:
+        block.setflags(write=False)
+    return blocks
 
 
 def _spectral_std(h: np.ndarray) -> float:
@@ -298,7 +311,9 @@ class _ModelESampler:
     draw i into ``out`` (C(N, n_down) square) and returns it, only copies:
     threads may write into their own ``out`` at the same time, and an
     overflow raises NonFiniteHamiltonianError here, in the caller's thread.
-    ``sectors`` are the (indices, coupling, signs) of ``_sector_chain``.
+    ``sectors`` are the (indices, coupling, signs) of ``_sector_chain``, and
+    the J-scaled couplings are shared with every sampler of the same (N, J)
+    (``_scaled_couplings``).
     """
 
     def __init__(self, seeds, n_qubits: int, d: float, h: float, J: float):
@@ -311,18 +326,17 @@ class _ModelESampler:
         self.n_qubits = n_qubits
         self.sectors = _sector_chain(n_qubits)
         defects = np.zeros((len(seeds), n_qubits))
-        self._couplings, self._diagonals = [], []
+        self._diagonals = []
         with _finite_hamiltonian("E"):
             if d > 0:
                 for i, seed in enumerate(seeds):
                     defects[i] = d * np.random.default_rng(int(seed)).standard_normal(n_qubits)
             fields = h + defects
-            for _, coupling, signs in self.sectors:
-                scaled = (J / 4.0) * coupling
+            self._couplings = _scaled_couplings(n_qubits, J)
+            for scaled, (_, _, signs) in zip(self._couplings, self.sectors):
                 diagonal = scaled.diagonal()
                 for j in range(n_qubits):
                     diagonal = diagonal + fields[:, j, np.newaxis] * signs[:, j]
-                self._couplings.append(scaled)
                 self._diagonals.append(diagonal)
 
     def block(self, n_down: int, i: int, out: np.ndarray) -> np.ndarray:

@@ -441,6 +441,21 @@ class TestSweepCommands:
         assert code == 2
         assert "4/4 draws failed at parameter 0" in capsys.readouterr().err
 
+    def test_failed_point_aborts_the_sweep_naming_it(self, tmp_path, capsys, caplog):
+        # the benchmark's defect-n9 call at workload seed 39: draw 0 at grid
+        # index 6 unfolds at neither degree 6 nor 5, and 1 of 8 is over 10%
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING, logger="qcbound.experiments"):
+            code = run_cli(["sweep-defect", "--qubits", "9", "--points", "8",
+                            "--realizations", "8", "--seed", "39", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: 1/8 draws failed at parameter 2.14286"]
+        assert [r.getMessage() for r in caplog.records] == [
+            "model-E d=2.14286 draw 0 failed: counting-function fit non-monotone at degrees 6 "
+            "and 5"]
+        assert not (out / "defect_sweep.csv").exists()
+
     def test_unfold_fallbacks_logged_at_debug(self, tmp_path, caplog):
         # the sweep-theta-d64 digest config: draws 4 (theta = 0) and 7 (theta
         # = pi/6) unfold only at degree 5, draw 8 (theta = 0) at neither; a
@@ -600,7 +615,8 @@ class TestOverflowingHamiltonian:
         assert not (out / "manifest.json").exists()
 
     # at N = 9 the sector blocks are solved on threads, here forced to two;
-    # the last run raises in the worker that writes draw 5's n_down = 4 block
+    # the last run raises in the workers that write draw 5's n_down = 4 block:
+    # the one pass over both grid points gives each worker one point's blocks
     @pytest.mark.parametrize("argv,message,fail_at", [
         (["sweep-defect", "--qubits", "9", "--points", "2", "--realizations", "6",
           "--d-max", "1e308"],
@@ -627,7 +643,7 @@ class TestOverflowingHamiltonian:
         monkeypatch.setattr(experiments, "_worker_count", lambda n_tasks, dim: min(2, n_tasks))
         self.test_exits_2_with_one_error_line(tmp_path, capsys, argv, message)
         assert [t is threading.main_thread() for t in raised_in] == (
-            [] if fail_at is None else [False])
+            [] if fail_at is None else [False, False])
 
 
 class TestCliModule:
@@ -727,21 +743,26 @@ class TestSerialDraws:
     CHECK = ["check", "--model", "B", "--qubits", "3", "--samples", "300", "--seed", "5"]
     # the spectra are solved in stacks of 4 at dims 126 and 128: 14 draws are
     # four stacks, the last one short, so 3 workers get chunks of 1, 1 and 2.
-    # Each run lists the (stacks, largest dim) of its stacked solves: theta =
-    # 0 needs none; a model-E grid point has one pass over its ten sectors
-    # (stacks of 4, 6, 14, 56 and 501 at dims 126, 84, 36, 9 and 1: 20
-    # stacks for 14 draws), then one over the ground blocks, grouped by
-    # sector (at d = 0 the lone n_down = 9 state; at d = 2.5 one stack in
-    # each of n_down = 4 to 8)
+    # Each run lists the (stacks, largest dim) of its stacked solves, one pass
+    # per sweep: theta = 0 needs none, so the theta sweep's pass holds the
+    # stacks of its other two points; a model-E sweep has one pass over the
+    # ten sectors of every grid point (stacks of 4, 6, 14, 56 and 501 at dims
+    # 126, 84, 36, 9 and 1: 20 stacks per point for 14 draws, 12 for 6), then
+    # one over the ground blocks of every point, grouped by sector (at d = 0
+    # the lone n_down = 9 state; at d = 2.5 one stack in each of n_down = 4
+    # to 8, here across points)
     STACKED = [
         (["sweep-theta", "--points", "3", "--realizations", "14", "--dim", "128",
           "--seed", "9"],
-         ["theta_sweep.csv"], [(4, 128), (4, 128)]),
+         ["theta_sweep.csv"], [(8, 128)]),
         (["stats", "--source", "GUE", "--draws", "14", "--dim", "128", "--seed", "2"],
          ["stats.json"], [(4, 128)]),
         (["sweep-defect", "--qubits", "9", "--points", "2", "--realizations", "14",
           "--seed", "5"],
-         ["defect_sweep.csv"], [(20, 126), (1, 1), (20, 126), (5, 126)]),
+         ["defect_sweep.csv"], [(40, 126), (6, 126)]),
+        (["sweep-defect", "--qubits", "9", "--points", "5", "--realizations", "6",
+          "--seed", "5"],
+         ["defect_sweep.csv"], [(60, 126), (6, 126)]),
         (["stats", "--source", "E", "--qubits", "9", "--draws", "14", "--seed", "2"],
          ["stats.json"], [(4, 126)]),
     ]
@@ -774,7 +795,8 @@ class TestSerialDraws:
                 == (serial / "defect_sweep.csv").read_bytes())
 
     @pytest.mark.parametrize("argv,outputs,stacks", STACKED,
-                             ids=["sweep-theta", "stats", "sweep-defect", "stats-E"])
+                             ids=["sweep-theta", "stats", "sweep-defect", "sweep-defect-5x6",
+                                  "stats-E"])
     def test_bytes_do_not_depend_on_workers(self, tmp_path, monkeypatch, argv, outputs,
                                             stacks):
         import qcbound.experiments as experiments
@@ -794,6 +816,31 @@ class TestSerialDraws:
             assert not any(thread.is_alive() for thread in started)
             outputs_of[workers] = [(out / name).read_bytes() for name in outputs]
         assert outputs_of[1] == outputs_of[2] == outputs_of[3] == outputs_of[None]
+
+    # one pass per sweep, whatever its --points: the theta sweep's holds every
+    # grid point but theta = 0, the defect sweep's first the ten sectors of
+    # every point, then the ground blocks
+    @pytest.mark.parametrize("argv,passes,shapes", [
+        (["sweep-theta", "--dim", "64"], 1, lambda points: points - 1),
+        (["sweep-defect", "--qubits", "9"], 2, lambda points: 10 * points),
+    ], ids=["sweep-theta", "sweep-defect"])
+    def test_one_set_of_stacked_passes_per_sweep(self, tmp_path, monkeypatch, argv, passes,
+                                                 shapes):
+        import qcbound.experiments as experiments
+
+        real, calls = experiments._stacked_spectra, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_stacked_spectra", counted)
+        for points in (2, 5):
+            calls.clear()
+            assert run_cli([*argv, "--points", str(points), "--realizations", "6",
+                            "--seed", "4", "--out", str(tmp_path / str(points))]) == 0
+            assert len(calls) == passes
+            assert len(calls[0]) == shapes(points)
 
     def test_check_bytes_do_not_depend_on_its_threads(self, tmp_path, monkeypatch):
         # 300 samples: three U-product blocks, and chunks that end inside them

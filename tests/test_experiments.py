@@ -250,6 +250,15 @@ class TestRunIndexed:
 
 
 class TestWorkerCount:
+    def test_without_affinity_counts_every_cpu(self, monkeypatch):
+        # os.sched_getaffinity does not exist on macOS or Windows
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert experiments._worker_count(1000, 128) == 3
+        assert experiments._worker_count(2, 128) == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undetermined
+        assert experiments._worker_count(1000, 128) == 1
+
     def test_small_matrices_stay_on_the_calling_thread(self):
         cpus = len(os.sched_getaffinity(0))
         for dim in (2, 8, 32, experiments._THREAD_MIN_DIM - 1):
@@ -268,7 +277,8 @@ class TestWorkerCount:
 
 def _stacked_draws(source: str, seeds, dim: int):
     if source == "D":
-        return experiments._model_d_draws(0.7, seeds, dim, 0.3)
+        [draws] = experiments._model_d_draws([0.7], seeds[np.newaxis], dim, 0.3)
+        return draws
     return experiments._ensemble_draws(EnsembleKind(source), seeds, dim)
 
 
@@ -328,8 +338,8 @@ class TestModelEStacks:
                             lambda n_tasks, dim: min(workers, n_tasks))
         seeds = spawn_seeds(10 * n + workers, np.arange(11))
         with quantum._one_blas_thread():
-            draws = {(restricted, levels_only): experiments._model_e_draws(
-                d, seeds, n, MODEL_E_DEFAULT_FIELD, 1.0, restricted, levels_only)
+            draws = {(restricted, levels_only): next(experiments._model_e_draws(
+                [d], seeds[np.newaxis], n, MODEL_E_DEFAULT_FIELD, 1.0, restricted, levels_only))
                 for restricted in (True, False) for levels_only in (False, True)}
             for i, seed in enumerate(seeds.tolist()):
                 blocks = model_e_blocks(n, d, seed=seed)
@@ -356,8 +366,8 @@ class TestModelEStacks:
             return results
 
         monkeypatch.setattr(experiments, "_run_indexed", capture)
-        eigenvalues, _, _ = experiments._model_e_draws(2.5, spawn_seeds(4, np.arange(11)), 9,
-                                                       MODEL_E_DEFAULT_FIELD, 1.0, True)
+        [(eigenvalues, _, _)] = experiments._model_e_draws(
+            [2.5], spawn_seeds(4, np.arange(11))[np.newaxis], 9, MODEL_E_DEFAULT_FIELD, 1.0, True)
         (n_tasks, workers, results), (n_ground, ground_workers, ground) = loops
         assert (n_tasks, workers) == (16, experiments._worker_count(16, 126))
         dims = [1, 9, 36, 84, 126, 126, 84, 36, 9, 1]
@@ -384,6 +394,66 @@ class TestModelEStacks:
             spacing_statistics("E", 4, n_qubits=9, d=0.5, sector_restricted=restricted)
 
 
+class TestOnePassFactories:
+    # a factory called on a whole grid (one set of stacked passes) yields, bit
+    # for bit, the rows it gives when called on each grid point alone
+    @staticmethod
+    def _grid_and_alone(factory, params, realizations, *args, **kwargs) -> tuple:
+        seeds = np.array([spawn_seeds(5, np.arange(realizations), (t,))
+                          for t in range(len(params))])
+        with quantum._one_blas_thread():
+            together = list(factory(params, seeds, *args, **kwargs))
+            alone = [next(factory([param], row[np.newaxis], *args, **kwargs))
+                     for param, row in zip(params, seeds)]
+        assert len(together) == len(alone) == len(params)
+        return together, alone
+
+    @staticmethod
+    def _equal(a, b) -> bool:
+        return (a is None and b is None) or np.array_equal(a, b)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_model_d(self, monkeypatch, workers):
+        # theta = 0 is solved by no pass; 9 draws are two stacks at dim 64
+        monkeypatch.setattr(experiments, "_worker_count",
+                            lambda n_tasks, dim: min(workers, n_tasks))
+        together, alone = self._grid_and_alone(
+            experiments._model_d_draws, [0.0, 0.4, math.pi / 2], 9, 64, 0.3)
+        for point, one in zip(together, alone):
+            assert all(map(self._equal, point, one))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [7, 9])
+    def test_model_e(self, monkeypatch, n, workers):
+        # ground blocks in one sector at d = 0, spread over several at 2.5
+        monkeypatch.setattr(experiments, "_worker_count",
+                            lambda n_tasks, dim: min(workers, n_tasks))
+        for restricted in (True, False):
+            for levels_only in (False, True):
+                together, alone = self._grid_and_alone(
+                    experiments._model_e_draws, [0.0, 0.3, 2.5], 7, n, MODEL_E_DEFAULT_FIELD,
+                    1.0, restricted, levels_only)
+                for point, one in zip(together, alone):
+                    assert all(map(self._equal, point, one))
+                    assert (point[0] is None) == levels_only
+
+    def test_point_errors_come_after_the_rows_before_them(self, monkeypatch):
+        # the last Hamiltonian overflows: its error is raised at its point,
+        # after the points before it are aggregated, as with one pass each
+        from qcbound.models import NonFiniteHamiltonianError
+
+        real, aggregated = experiments._aggregate_row, []
+
+        def recorded(param, *args):
+            aggregated.append(param)
+            return real(param, *args)
+
+        monkeypatch.setattr(experiments, "_aggregate_row", recorded)
+        with pytest.raises(NonFiniteHamiltonianError, match="Hamiltonian is not finite"):
+            sweep_defect([0.0, 0.5, 1e308], realizations=6, n_qubits=7)
+        assert aggregated == [0.0, 0.5]
+
+
 class TestRunDraws:
     # model D at theta = 0, dim 64: draws 4, 19 and 21 unfold only at degree
     # 5, draws 8 and 43 at neither.  Draws 2 and 8 get a degenerate ground
@@ -393,8 +463,8 @@ class TestRunDraws:
 
     @staticmethod
     def _rows() -> tuple:
-        eigenvalues, _, _ = experiments._model_d_draws(
-            0.0, spawn_seeds(9, np.arange(44), (0,)), 64, 0.3)
+        [(eigenvalues, _, _)] = experiments._model_d_draws(
+            [0.0], spawn_seeds(9, np.arange(44), (0,))[np.newaxis], 64, 0.3)
         levels = eigenvalues.copy()
         eigenvalues[[2, 8], 1] = eigenvalues[[2, 8], 0]
         eigenvalues[5] = levels[5] = 1.0

@@ -129,8 +129,8 @@ class TestCountingFunctionFit:
 def _model_d_rows(n: int = 24) -> np.ndarray:
     # model D at theta = 0, dim 64: draws 4, 19 and 21 of these unfold only at
     # degree 5, and draw 8 at neither 6 nor 5
-    _, levels, _ = _model_d_draws(0.0, spawn_seeds(9, np.arange(n), (0,)), 64,
-                                  MODEL_D_CHAOTIC_SCALE)
+    [(_, levels, _)] = _model_d_draws([0.0], spawn_seeds(9, np.arange(n), (0,))[np.newaxis],
+                                      64, MODEL_D_CHAOTIC_SCALE)
     return levels
 
 

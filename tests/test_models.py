@@ -259,7 +259,7 @@ class TestModelDSampler:
     @pytest.mark.parametrize("dim", [20, 64, 128])
     def test_theta_zero_sorted_diagonal_equals_eigvalsh(self, dim):
         sampler = _ModelDSampler(self.SEEDS, dim, MODEL_D_CHAOTIC_SCALE)
-        eigenvalues, _, _ = _model_d_draws(0.0, self.SEEDS, dim, MODEL_D_CHAOTIC_SCALE)
+        [(eigenvalues, _, _)] = _model_d_draws([0.0], [self.SEEDS], dim, MODEL_D_CHAOTIC_SCALE)
         for i, seed in enumerate(self.SEEDS):
             expected = np.linalg.eigvalsh(model_d_matrix(0.0, seed, dim, MODEL_D_CHAOTIC_SCALE))
             assert np.array_equal(np.sort(sampler.diagonal(0.0, i)), expected)
@@ -354,6 +354,29 @@ def dense_model_e(n, d, h=MODEL_E_DEFAULT_FIELD, J=1.0, seed=0):
     for j in range(n):
         matrix = matrix + (h + defects[j]) * embed_site(pauli("z"), j, n).matrix.real
     return matrix
+
+
+class TestModelESampler:
+    def test_samplers_of_one_chain_share_the_scaled_couplings(self):
+        from qcbound.models import _ModelESampler, _sector_chain
+
+        first = _ModelESampler([1, 2], 9, 0.3, MODEL_E_DEFAULT_FIELD, 0.7)
+        second = _ModelESampler([3], 9, 2.5, 0.5, 0.7)
+        other_j = _ModelESampler([3], 9, 2.5, 0.5, 1.0)
+        assert all(a is b for a, b in zip(first._couplings, second._couplings, strict=True))
+        assert not any(a is b for a, b in zip(first._couplings, other_j._couplings))
+        for n_down, (_, coupling, signs) in enumerate(_sector_chain(9)):
+            shared = second._couplings[n_down]
+            assert not shared.flags.writeable
+            # the block a sampler of its own would write, bit for bit
+            expected = (0.7 / 4.0) * coupling
+            diagonal = expected.diagonal()
+            fields = 0.5 + 2.5 * np.random.default_rng(3).standard_normal(9)
+            for j in range(9):
+                diagonal = diagonal + fields[j] * signs[:, j]
+            np.fill_diagonal(expected, diagonal)
+            block = second.block(n_down, 0, np.empty_like(expected))
+            assert block.tobytes() == expected.tobytes()
 
 
 class TestModelEBlocks:
