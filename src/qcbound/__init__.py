@@ -14,8 +14,6 @@ from .quantum import (
     HermitianOperator,
     SpectralDecomposition,
     QubitPartition,
-    pauli,
-    embed_site,
     heisenberg_coupling,
     eigensystem,
 )
@@ -40,8 +38,6 @@ __all__ = [
     "HermitianOperator",
     "SpectralDecomposition",
     "QubitPartition",
-    "pauli",
-    "embed_site",
     "heisenberg_coupling",
     "eigensystem",
     "EntanglementInputs",

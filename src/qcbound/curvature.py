@@ -1,4 +1,4 @@
-"""Level curvature, the entanglement-rate bound constants, and related reports.
+"""Level curvature, the entanglement-rate bound constants, and ensemble ratios.
 
 Central inequality: |dQ^0/dtau| <= b sqrt(|K_0|), with K_0 the ground-level
 curvature and b a spectrum-only constant.  A statistical variant b' replaces
@@ -16,32 +16,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import EntanglementInputs, _level_overlaps, dEL_dtau
-from .quantum import QubitPartition, _ground_isolated, require_isolated
+from .entanglement import EntanglementInputs
+from .quantum import _ground_isolated, require_isolated
 
 __all__ = [
     "EnsembleRatioReport",
-    "TwoLevelRates",
-    "TwoLevelDominanceError",
     "level_curvature",
     "level_curvature_from_row",
     "curvature_spectrum",
     "bound_b",
     "bound_b_prime",
-    "two_level_rates",
     "saturation_index",
     "ensemble_deltaQ_ratios",
 ]
 
-# Mean sqrt-curvature prefactors per symmetry class, as printed in the source
-# literature (the exact RMT coefficients are 0.847, 1/sqrt(2), 0.589; the
-# rounded GOE/GSE values pin the reported two-decimal ratios).
+# Mean sqrt-curvature prefactors, rounded as printed in the source literature,
+# which pin the reported two-decimal ratios.  The exact values B(3/4, beta/2 +
+# 1/4) / B(1/2, (beta + 1)/2) = 0.847, 1/sqrt(2), 0.589 are checked against
+# sampled GOE and GUE curvatures by tests/test_curvature.py::TestCurvatureLaw.
 GOE_SQRTK_COEFF = 0.84
 GSE_SQRTK_COEFF = 0.6
-
-
-class TwoLevelDominanceError(ValueError):
-    """The lowest gap does not dominate: two-level truncation not applicable."""
 
 
 @dataclass(frozen=True)
@@ -53,29 +47,6 @@ class EnsembleRatioReport:
     mean_sqrtK_gse: float
     ratio_goe_gue: float
     ratio_goe_gse: float
-
-
-@dataclass(frozen=True)
-class TwoLevelRates:
-    """Two-level avoided-crossing approximation of the entropy rates.
-
-    ``rate0``/``rate1`` are the truncated sums; the curvature and phase forms
-    re-express rate0/rate1 through K_0 and the coupling phase phi = arg(V_01);
-    ``rate0_exact``/``rate1_exact`` are the full-sum references.
-    """
-
-    rate0: float
-    rate1: float
-    rate0_curvature_form: float
-    rate1_curvature_form: float
-    rate0_phase_form: float
-    rate1_phase_form: float
-    ratio: float
-    rate0_exact: float
-    rate1_exact: float
-    k0: float
-    k1: float
-    phi: float
 
 
 def level_curvature(n: int, inputs: EntanglementInputs) -> float:
@@ -158,76 +129,6 @@ def saturation_index(dq_abs, k0, b: float) -> np.ndarray:
     one comparison of the inequality: delta > 0 exactly when |dQ^0/dtau| >
     b sqrt(|K_0|) in floating point."""
     return dq_abs - b * np.sqrt(np.abs(k0))
-
-
-def two_level_rates(
-    inputs: EntanglementInputs,
-    partition: QubitPartition,
-    dominance_factor: float = 10.0,
-) -> TwoLevelRates:
-    """Entropy rates of levels 0 and 1 in the two-level truncation.
-
-    Requires the (0,1) gap to be at least ``dominance_factor`` times smaller
-    than every other gap involving either level, so that the avoided-crossing
-    pair dominates the sums.
-    """
-    decomposition = inputs.decomposition
-    eps = decomposition.eigenvalues
-    require_isolated(eps, (0, 1))
-    gap01 = float(eps[1] - eps[0])
-    if decomposition.dim > 2:
-        other = np.concatenate([eps[2:] - eps[0], eps[2:] - eps[1]])
-        if dominance_factor * gap01 > float(np.min(other)):
-            raise TwoLevelDominanceError(
-                f"gap (0,1) = {gap01:.3e} is not {dominance_factor:g}x smaller "
-                f"than the next relevant gap {float(np.min(other)):.3e}"
-            )
-
-    v01 = complex(inputs.v_eig[0, 1])
-    v10 = complex(inputs.v_eig[1, 0])
-    if v01 == 0:
-        raise ValueError("vanishing coupling V_01: the pair does not interact")
-    pair = decomposition.eigenvectors[:, :2]  # A^n_nk of n = 0, 1; A^n_kn = conj(A^n_nk)
-    a0_01 = complex(_level_overlaps(pair, 0, partition)[1])
-    a1_10 = complex(_level_overlaps(pair, 1, partition)[0])
-    a0_10, a1_01 = a0_01.conjugate(), a1_10.conjugate()
-
-    k0 = 2.0 * abs(v01) ** 2 / (eps[0] - eps[1])
-    k1 = -k0
-    phi = math.atan2(v01.imag, v01.real)
-
-    num0 = v10 * a0_10 + v01 * a0_01
-    num1 = v01 * a1_01 + v10 * a1_10
-    rate0 = float((-2.0 * num0 / (eps[0] - eps[1])).real)
-    rate1 = float((-2.0 * num1 / (eps[1] - eps[0])).real)
-    # Substituting 1/(eps_0 - eps_1) = K_0 / (2 |V_01|^2) into the rates.
-    rate0_curv = float((-num0 * k0 / abs(v01) ** 2).real)
-    rate1_curv = float((-num1 * k1 / abs(v01) ** 2).real)
-    # Eliminating |V_01| altogether in favor of sqrt(|K_0|) and the phase.
-    sqrt_gap = math.sqrt(gap01)
-    rate0_phase = (
-        2.0 * math.sqrt(2.0) * (a0_10 * np.exp(-1j * phi)).real
-        * math.sqrt(abs(k0)) / sqrt_gap
-    )
-    rate1_phase = (
-        -2.0 * math.sqrt(2.0) * (a1_01 * np.exp(1j * phi)).real
-        * math.sqrt(abs(k1)) / sqrt_gap
-    )
-
-    return TwoLevelRates(
-        rate0=rate0,
-        rate1=rate1,
-        rate0_curvature_form=rate0_curv,
-        rate1_curvature_form=rate1_curv,
-        rate0_phase_form=float(rate0_phase),
-        rate1_phase_form=float(rate1_phase),
-        ratio=rate1 / rate0,
-        rate0_exact=dEL_dtau(0, inputs, partition),
-        rate1_exact=dEL_dtau(1, inputs, partition),
-        k0=k0,
-        k1=k1,
-        phi=phi,
-    )
 
 
 def ensemble_deltaQ_ratios(a_const: float = 1.0) -> EnsembleRatioReport:

@@ -7,13 +7,15 @@ exact sums over off-diagonal matrix elements V_nm = <n|V|m> weighted by inverse
 level gaps.  Each derivative refuses (``quantum.require_isolated``) only the
 (near-)degenerate levels n it divides by, where the 1/(eps_n - eps_k) poles
 make the level-following picture break down.  The measures take state vectors.
+The CLI runs the row kernels; the one-level forms are the paper's quantities
+as written, which the tests check against finite differences.
 
 Every term is one reduction, A^n_nk = tr[ tr_B(|n><n|) tr_B(|n><k|) ] of a
 level n against a block of columns k, from one kernel (``_level_overlaps``):
-E_L and Q read A^n_nn, dE_L/dtau and the two-level rates (``curvature``) row
-n, and dQ0/dtau its site sum (``ground_state_site_overlaps``).  A state in one
-total-sigma_z sector needs no reduction: ``sector_mean_bipartite_Q`` takes Q
-from the site magnetizations, in the sector's own basis.
+E_L and Q read A^n_nn, dE_L/dtau row n, and dQ0/dtau its site sum
+(``ground_state_site_overlaps``).  A state in one total-sigma_z sector needs
+no reduction: ``sector_mean_bipartite_Q`` takes Q from the site
+magnetizations, in the sector's own basis.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ class EntanglementInputs:
     """
 
     decomposition: SpectralDecomposition
-    v: HermitianOperator
     v_eig: np.ndarray
     n_qubits: int
 
@@ -79,7 +80,7 @@ class EntanglementInputs:
     ) -> "EntanglementInputs":
         u = decomposition.eigenvectors
         v_eig = u.conj().T @ v.matrix @ u
-        return cls(decomposition=decomposition, v=v, v_eig=v_eig, n_qubits=n_qubits)
+        return cls(decomposition=decomposition, v_eig=v_eig, n_qubits=n_qubits)
 
 
 def _real_with_residue_check(value: complex, context: str) -> float:

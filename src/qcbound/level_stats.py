@@ -5,7 +5,8 @@ against the Poisson and Wigner-Dyson references on [0, s0]:
 
     gamma = int_0^s0 [P(s) - P_WD(s)] ds / int_0^s0 [P_P(s) - P_WD(s)] ds
 
-with s0 = 0.472, the crossing point of the two reference densities; gamma = 1
+with s0 = 0.472, the crossing point of the two reference densities P_P(s) =
+exp(-s) and the Wigner surmise P_WD(s) = (pi s / 2) exp(-pi s^2 / 4); gamma = 1
 for Poisson (regular) spectra and 0 for Wigner-Dyson (chaotic) ones.  P(s) is
 taken from a Weibull fit of the unfolded spacings, not the raw histogram.
 The Weibull (Brody) density has the cumulative distribution 1 - exp(-a s^c),
@@ -28,12 +29,8 @@ __all__ = [
     "TooFewSpacingsError",
     "WeibullParams",
     "SpacingSample",
-    "poisson_density",
-    "wigner_dyson_density",
-    "weibull_density",
     "unfold_rows",
     "unfold",
-    "spacing_sample_from_levels",
     "pool_unfolded_rows",
     "weibull_mle",
     "weibull_fit",
@@ -59,27 +56,6 @@ class TooFewSpacingsError(ValueError):
     """A spacing sample is too small for a Weibull fit."""
 
 
-def poisson_density(s):
-    """Poisson spacing density exp(-s) of regular spectra."""
-    return np.exp(-np.asarray(s, dtype=float))
-
-
-def wigner_dyson_density(s):
-    """Wigner surmise (pi s / 2) exp(-pi s^2 / 4) of chaotic (GOE-like) spectra."""
-    s = np.asarray(s, dtype=float)
-    return (np.pi * s / 2.0) * np.exp(-np.pi * s * s / 4.0)
-
-
-def weibull_density(s, a: float, c: float):
-    """Two-parameter density a c s^(c-1) exp(-a s^c) on s >= 0.
-
-    Contains both references: (a=1, c=1) is Poisson and (a=pi/4, c=2) is the
-    Wigner surmise.
-    """
-    s = np.asarray(s, dtype=float)
-    return a * c * s ** (c - 1.0) * np.exp(-a * s**c)
-
-
 # 1 - int_0^s0 P_WD(s) ds, the Wigner-Dyson survival probability at s0.
 _WD_SURVIVAL_S0 = math.exp(-math.pi * S0_CROSSING**2 / 4.0)
 
@@ -90,13 +66,13 @@ GAMMA_DENOMINATOR = _WD_SURVIVAL_S0 - math.exp(-S0_CROSSING)
 
 @dataclass(frozen=True)
 class WeibullParams:
-    """Maximum-likelihood Weibull parameters with fit diagnostics."""
+    """Maximum-likelihood Weibull parameters with fit diagnostics; a fit that
+    does not converge raises FitConvergenceError instead."""
 
     a: float
     c: float
     log_likelihood: float
     n_samples: int
-    converged: bool
     n_floored: int = 0
 
 
@@ -195,20 +171,6 @@ def unfold(eigenvalues, poly_degree: int = 6, edge_trim: float = 0.05) -> np.nda
     return kept
 
 
-def spacing_sample_from_levels(
-    eigenvalues,
-    poly_degree: int = 6,
-    edge_trim: float = 0.05,
-) -> SpacingSample:
-    """Unfold a spectrum and package the normalized spacings."""
-    levels = np.asarray(eigenvalues, dtype=float)
-    kept = unfold(levels, poly_degree=poly_degree, edge_trim=edge_trim)
-    return SpacingSample(
-        spacings=np.diff(kept),
-        n_levels_discarded=levels.size - kept.size,
-    )
-
-
 def pool_unfolded_rows(kept: np.ndarray, n_levels: int) -> SpacingSample:
     """One pooled sample of the (n, m) kept unfolded levels of n spectra of
     ``n_levels`` levels each: every row's spacings normalized to unit mean,
@@ -284,7 +246,6 @@ def weibull_mle(
         c=c,
         log_likelihood=log_lik,
         n_samples=n,
-        converged=True,
         n_floored=n_floored,
     )
 

@@ -1,11 +1,13 @@
 """Model families used by the experiments.
 
 Scatter-test models (A, B, C) produce a fixed base Hamiltonian together with
-the ``EnsembleSpec`` its perturbations V are drawn from; chaos-sweep models
-(D, E) produce one Hamiltonian per (parameter, seed).
+the ``EnsembleSpec`` its perturbations V are drawn from; the chaos-sweep
+models D and E are drawn by ``_ModelDSampler`` and ``_ModelESampler``, one
+Hamiltonian (as a matrix, or as sector blocks) per (parameter, seed).
 
-Model E convention notes: the chain is open (nearest-neighbor bonds j, j+1 for
-j = 0..N-2), defects are sigma_z-diagonal so total sigma_z is conserved for all
+Model E is the open spin chain H = sum_j (h + h_j) sigma_zj + (J/4)
+sum_{j<N-1} sigma_j . sigma_{j+1}, with defects h_j i.i.d. normal(0, d^2).
+The defects are sigma_z-diagonal, so total sigma_z is conserved for all
 parameter values, and the default homogeneous field h = 0.98 sits just above
 the clean chain's last saturation crossing (h* ~ 0.970 for N = 9, J = 1): the
 defect-free ground state is barely fully polarized, and weak defects
@@ -13,17 +15,14 @@ immediately start generating entanglement.
 
 Model E sector blocks: total sigma_z is fixed by the number n_down of down
 spins (set bits of the basis index), so H is block diagonal in the N + 1
-sectors n_down = 0..N, of dimensions C(N, n_down).  ``model_e_blocks`` builds
-each block directly from bit patterns (the standard block method, e.g.
-Sandvik, arXiv:1101.3281): a bond whose two bits are equal adds +1 to the
-diagonal of sigma_j . sigma_{j+1}; a bond whose two bits differ adds -1 to
-the diagonal and 2 to the state with that pair flipped.  The coupling blocks
-and site-z signs depend on N only and are cached, as are the coupling
-blocks scaled by J/4 per (N, J); a draw adds its field
-diagonal sum_j (h + h_j) sigma_zj.  ``_ModelESampler.block`` is the one
-writer of a block, for the sweep, ``stats`` and ``model_e_blocks``.  The
-largest block (dim 126 at N = 9) replaces a dense dim-512 solve, and the
-dense ``model_e`` is the blocks written into a 2^N matrix.
+sectors n_down = 0..N, of dimensions C(N, n_down); no path builds the 2^N
+matrix.  Each block is built from bit patterns (the standard block method,
+e.g. Sandvik, arXiv:1101.3281): a bond whose two bits are equal adds +1 to
+the diagonal of sigma_j . sigma_{j+1}; one whose bits differ adds -1 to the
+diagonal and 2 to the state with that pair flipped.  The coupling blocks and
+site-z signs depend on N only and are cached, as are the couplings scaled by
+J/4 per (N, J); a draw adds its field diagonal.  ``_ModelESampler.block`` is
+the one writer of a block: dim 126 at N = 9, not a dense dim-512 solve.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .ensembles import (
     EnsembleKind, EnsembleSpec, _child_seeds, _matrix_sampler, _normals, _seeded_generators,
     sample,
 )
-from .quantum import HermitianOperator, _embed, _one_blas_thread, _PAULI, heisenberg_coupling
+from .quantum import HermitianOperator, _embed, _PAULI, heisenberg_coupling
 
 __all__ = [
     "ModelConfig",
@@ -52,9 +51,6 @@ __all__ = [
     "model_a",
     "model_b",
     "model_c",
-    "model_d",
-    "model_e",
-    "model_e_blocks",
     "build_scatter_model",
     "sz_sector_indices",
 ]
@@ -231,42 +227,20 @@ def build_scatter_model(
     return model_c(config.ensemble, h0_seed, config.n_qubits)
 
 
-@_one_blas_thread()
-def model_d(
-    theta: float,
-    seed: int,
-    dim: int = MODEL_D_DEFAULT_DIM,
-    chaotic_scale: float = MODEL_D_CHAOTIC_SCALE,
-) -> HermitianOperator:
-    """Rotation between a Poisson-diagonal and a GOE Hamiltonian.
-
-    H(theta) = cos(theta) H_P + sin(theta) H_W, with H_P normalized to unit
-    spectral standard deviation and H_W to ``chaotic_scale`` times that, so the
-    mixing weights act on comparable (and documented) energy scales.  H_P is
-    drawn from child seed spawn_seed(seed, 0) and H_W from spawn_seed(seed, 1).
-
-    The normalization needs no eigensolve: the eigenvalue standard deviation
-    of H_W is sqrt(||H_W||_F^2 / d - (tr H_W / d)^2) (``_spectral_std``).  H_P
-    is diagonal, so H(theta) is the scaled H_W with cos(theta) p / std(p),
-    p = diag(H_P), added to its diagonal in place (``_ModelDSampler``).  The
-    ``vdot`` in that sum runs with OpenBLAS held at one thread, so the bits do
-    not depend on the caller's BLAS thread count.
-    """
-    if not 0 <= seed < 2**64:
-        raise ValueError("model D seeds must lie in [0, 2^64)")
-    return HermitianOperator(_ModelDSampler([seed], dim, chaotic_scale).matrix(theta, 0))
-
-
 class _ModelDSampler:
-    """Model-D draws of an array of seeds, for the per-draw paths of the
-    sweep and ``stats``.
+    """Model-D draws of an array of seeds, for the sweep and ``stats``.
 
-    ``matrix(theta, i, out)`` is the matrix of ``model_d(theta, seeds[i],
-    dim, chaotic_scale)`` bit for bit, as a plain array written into ``out``
-    (a new one when None): a scaled GOE draw plus a diagonal is exactly
-    symmetric, so the ``HermitianOperator`` symmetrization would not change
-    it.  Threads may draw into their own ``out`` at the same time.
-    ``diagonal(theta, i)`` is cos(theta) p / std(p) alone, which is all of
+    Model D rotates a Poisson-diagonal into a GOE Hamiltonian: H(theta) =
+    cos(theta) H_P + sin(theta) H_W, with H_P normalized to unit spectral
+    standard deviation and H_W to ``chaotic_scale`` times that, H_P drawn
+    from child seed spawn_seed(seed, 0) and H_W from spawn_seed(seed, 1).
+    The normalization needs no eigensolve (``_spectral_std``); its ``vdot``
+    sums in the BLAS's order, so the callers hold OpenBLAS at one thread.
+
+    ``matrix(theta, i, out)`` writes H(theta) of seeds[i] into ``out`` (a new
+    array when None): the scaled H_W plus cos(theta) p / std(p), p = diag(H_P),
+    on its diagonal, exactly symmetric.  Threads may draw into their own
+    ``out`` at once.  ``diagonal(theta, i)`` is that diagonal alone, all of
     H(theta) when sin(theta) = 0; it draws no GOE normals.
 
     The generators of both child streams of every seed are derived up front
@@ -300,8 +274,7 @@ class _ModelDSampler:
 
 
 class _ModelESampler:
-    """Model-E sector blocks of an array of seeds, for the per-draw paths of
-    the sweep and ``stats``, and for ``model_e_blocks``.
+    """Model-E sector blocks of an array of seeds, for the sweep and ``stats``.
 
     The defects of every seed are drawn up front, d times the standard
     normals of ``default_rng(seed)`` (``rng.normal(0, d, N)`` bit for bit;
@@ -343,45 +316,6 @@ class _ModelESampler:
         np.copyto(out, self._couplings[n_down])
         np.fill_diagonal(out, self._diagonals[n_down][i])
         return out
-
-
-def model_e_blocks(
-    n_qubits: int = 9,
-    d: float = 0.0,
-    h: float = MODEL_E_DEFAULT_FIELD,
-    J: float = 1.0,
-    seed: int = 0,
-) -> tuple:
-    """Model E as its total-sigma_z sector blocks: one (indices, block) pair per
-    n_down = 0..N, in that order (see the module notes).
-
-    ``indices`` are the sector's basis indices (``sz_sector_indices``) and
-    ``block`` the real symmetric restriction of H to them, written by
-    ``_ModelESampler.block``; the defects h_j are drawn as in ``model_e``.
-    Parameters whose H overflows raise NonFiniteHamiltonianError.
-    """
-    sampler = _ModelESampler([seed], n_qubits, d, h, J)
-    return tuple((indices, sampler.block(n_down, 0, np.empty((indices.size, indices.size))))
-                 for n_down, (indices, _, _) in enumerate(sampler.sectors))
-
-
-def model_e(
-    n_qubits: int = 9,
-    d: float = 0.0,
-    h: float = MODEL_E_DEFAULT_FIELD,
-    J: float = 1.0,
-    seed: int = 0,
-) -> HermitianOperator:
-    """Open spin chain with random sigma_z defects.
-
-    H = sum_j (h + h_j) sigma_zj + (J/4) sum_{j<N-1} sigma_j . sigma_{j+1},
-    with defects h_j i.i.d. normal(0, d^2).  Real symmetric; commutes with
-    total sigma_z.  Assembled from ``model_e_blocks``.
-    """
-    matrix = np.zeros((2**n_qubits, 2**n_qubits))
-    for indices, block in model_e_blocks(n_qubits, d, h, J, seed):
-        matrix[np.ix_(indices, indices)] = block
-    return HermitianOperator(matrix)
 
 
 def sz_sector_indices(n_qubits: int, n_down: int | None = None) -> np.ndarray:

@@ -2,7 +2,7 @@
 reduction of state vectors.
 
 ``_one_blas_thread`` holds numpy's OpenBLAS at one thread for the public
-calls whose bits a BLAS reduction sets: the experiments and ``models.model_d``.
+experiments, whose bits a BLAS reduction sets.
 
 ``require_isolated`` is the one degeneracy guard, and ``_as_site_matrix`` the
 one site reduction, under ``entanglement._level_overlaps``.  An eigensolve that
@@ -12,7 +12,7 @@ the package, so that one exception type stands for that failure.
 Tensor-ordering convention (shared by every module in this package): site 0 maps
 to the MOST significant bit of the computational-basis index.  For two qubits the
 basis is ordered |00>, |01>, |10>, |11> with the left bit belonging to site 0, so
-``embed_site(pauli('z'), 0, 2)`` is diag(+1, +1, -1, -1).
+``_embed(_PAULI['z'], 0, 2)`` is diag(+1, +1, -1, -1).
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ __all__ = [
     "HermitianOperator",
     "SpectralDecomposition",
     "QubitPartition",
-    "pauli",
-    "embed_site",
     "heisenberg_coupling",
     "eigensystem",
     "require_isolated",
@@ -141,27 +139,12 @@ class QubitPartition:
         return 2 ** len(self.kept)
 
 
-def pauli(axis: str) -> HermitianOperator:
-    """Standard 2x2 Pauli matrix for axis 'x', 'y' or 'z'."""
-    try:
-        return HermitianOperator(_PAULI[axis])
-    except KeyError:
-        raise ValueError(f"unknown Pauli axis {axis!r}; expected one of x, y, z") from None
-
-
 def _embed(matrix: np.ndarray, site: int, n_qubits: int) -> np.ndarray:
     if not 0 <= site < n_qubits:
         raise ValueError(f"site {site} out of range for {n_qubits} qubits")
     eye = np.eye(2, dtype=matrix.dtype)
     factors = [matrix if j == site else eye for j in range(n_qubits)]
     return reduce(np.kron, factors)
-
-
-def embed_site(op: HermitianOperator, site: int, n_qubits: int) -> HermitianOperator:
-    """Tensor-embed a single-qubit operator at ``site`` (identity elsewhere)."""
-    if op.dim != 2:
-        raise ValueError("embed_site expects a single-qubit (2x2) operator")
-    return HermitianOperator(_embed(op.matrix, site, n_qubits))
 
 
 def heisenberg_coupling(i: int, j: int, n_qubits: int) -> HermitianOperator:

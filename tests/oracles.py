@@ -23,6 +23,16 @@ must give the same floats.
 ``pool_spacing_samples`` pools per-draw ``SpacingSample``s, each normalized
 on its own, the way the sweeps and ``stats`` pooled before they unfolded the
 draws of a grid point as rows (``level_stats.pool_unfolded_rows``).
+
+``model_e_blocks`` is model E of one seed as its sector blocks, written by
+``models._ModelESampler`` as the sweeps write them; ``site_z`` is sigma_z at
+one site as a plain Kronecker product (site 0 the leading factor), from
+which the tests assemble the dense 2^N model E they check the blocks
+against.
+
+``poisson_density``, ``wigner_dyson_density`` and ``weibull_density`` are the
+spacing densities that ``level_stats.gamma_chaos`` integrates in closed form;
+the tests integrate them by quadrature instead.
 """
 
 import math
@@ -33,7 +43,7 @@ import numpy as np
 from qcbound.ensembles import EnsembleKind, EnsembleSpec, _sample_matrix, spawn_seed
 from qcbound.entanglement import EntanglementInputs, _real_with_residue_check
 from qcbound.level_stats import SpacingSample
-from qcbound.models import _spectral_std
+from qcbound.models import MODEL_E_DEFAULT_FIELD, _ModelESampler, _spectral_std
 from qcbound.quantum import (
     QubitPartition, SpectralDecomposition, _as_site_matrix, _require_qubit_dim, require_isolated,
 )
@@ -59,6 +69,40 @@ def model_d_matrix(theta: float, seed: int, dim: int, chaotic_scale: float) -> n
     hw *= math.sin(theta) * chaotic_scale / _spectral_std(hw)
     hw[np.diag_indices(dim)] += math.cos(theta) * (p / np.std(p))
     return hw
+
+
+def model_e_blocks(n_qubits: int, d: float = 0.0, h: float = MODEL_E_DEFAULT_FIELD,
+                   J: float = 1.0, seed: int = 0) -> tuple:
+    """One (indices, block) pair per sector n_down = 0..N, in that order:
+    ``indices`` the sector's basis indices and ``block`` the restriction of H
+    to them.  Parameters whose H overflows raise NonFiniteHamiltonianError."""
+    sampler = _ModelESampler([seed], n_qubits, d, h, J)
+    return tuple((indices, sampler.block(n_down, 0, np.empty((indices.size, indices.size))))
+                 for n_down, (indices, _, _) in enumerate(sampler.sectors))
+
+
+def site_z(site: int, n_qubits: int) -> np.ndarray:
+    """sigma_z at ``site`` of ``n_qubits``, the identity elsewhere."""
+    return np.kron(np.kron(np.eye(2**site), np.diag([1.0, -1.0])),
+                   np.eye(2 ** (n_qubits - 1 - site)))
+
+
+def poisson_density(s):
+    """Poisson spacing density exp(-s) of regular spectra."""
+    return np.exp(-np.asarray(s, dtype=float))
+
+
+def wigner_dyson_density(s):
+    """Wigner surmise (pi s / 2) exp(-pi s^2 / 4) of chaotic (GOE-like) spectra."""
+    s = np.asarray(s, dtype=float)
+    return (np.pi * s / 2.0) * np.exp(-np.pi * s * s / 4.0)
+
+
+def weibull_density(s, a: float, c: float):
+    """Two-parameter density a c s^(c-1) exp(-a s^c) on s >= 0: (a=1, c=1) is
+    Poisson and (a=pi/4, c=2) the Wigner surmise."""
+    s = np.asarray(s, dtype=float)
+    return a * c * s ** (c - 1.0) * np.exp(-a * s**c)
 
 
 def partial_trace(rho: np.ndarray, partition: QubitPartition) -> np.ndarray:

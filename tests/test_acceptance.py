@@ -26,12 +26,7 @@ from qcbound.curvature import curvature_spectrum
 from qcbound.ensembles import EnsembleKind, EnsembleSpec, sample
 from qcbound.entanglement import dEL_dtau, dQ0_dtau
 from qcbound.experiments import sweep_defect, sweep_theta
-from qcbound.level_stats import (
-    WeibullParams,
-    gamma_chaos,
-    spacing_sample_from_levels,
-    weibull_mle,
-)
+from qcbound.level_stats import SpacingSample, WeibullParams, gamma_chaos, unfold, weibull_mle
 from qcbound.models import ModelConfig
 from qcbound.quantum import QubitPartition
 
@@ -175,10 +170,10 @@ class TestAcceptance:
         u = np.random.default_rng(102).uniform(size=10_000)
         wd_fit = weibull_mle(np.sqrt(-4.0 / np.pi * np.log1p(-u)))
         gamma_p = gamma_chaos(
-            WeibullParams(a=1.0, c=1.0, log_likelihood=0.0, n_samples=1, converged=True)
+            WeibullParams(a=1.0, c=1.0, log_likelihood=0.0, n_samples=1)
         )
         gamma_wd = gamma_chaos(
-            WeibullParams(a=np.pi / 4, c=2.0, log_likelihood=0.0, n_samples=1, converged=True)
+            WeibullParams(a=np.pi / 4, c=2.0, log_likelihood=0.0, n_samples=1)
         )
         ok = (
             abs(exp_fit.c - 1.0) <= 0.05
@@ -200,7 +195,7 @@ class TestAcceptance:
             eigs = np.linalg.eigvalsh(
                 sample(EnsembleSpec(EnsembleKind.GOE, 128), seed).matrix
             )
-            spacings.append(spacing_sample_from_levels(eigs).spacings)
+            spacings.append(SpacingSample(np.diff(unfold(eigs))).spacings)
         pooled = np.concatenate(spacings)
         ks = stats.kstest(pooled, lambda s: 1.0 - np.exp(-np.pi * s * s / 4.0)).statistic
         ok = pooled.size >= 10_000 and ks < 0.02

@@ -14,14 +14,10 @@ from qcbound import (
     level_curvature,
     saturation_index,
 )
-from qcbound.curvature import (
-    TwoLevelDominanceError,
-    curvature_spectrum,
-    two_level_rates,
-)
-from qcbound.ensembles import EnsembleKind, EnsembleSpec, sample
+from qcbound.curvature import _level_differences, curvature_spectrum, level_curvature_from_row
+from qcbound.ensembles import EnsembleKind, EnsembleSpec, sample, spawn_seed
 from qcbound.entanglement import dEL_dtau, dQ0_dtau
-from qcbound.quantum import DegenerateSpectrumError, pauli, require_isolated
+from qcbound.quantum import DegenerateSpectrumError, require_isolated
 
 
 def inputs_from(h0, v, n_qubits):
@@ -31,7 +27,8 @@ def inputs_from(h0, v, n_qubits):
 class TestLevelCurvature:
     def test_two_level_closed_form(self):
         # H0 = diag(0, 1), V = sigma_x: eigenvalues (1 -+ sqrt(1 + 4 tau^2))/2
-        inputs = inputs_from(HermitianOperator(np.diag([0.0, 1.0])), pauli("x"), 1)
+        sigma_x = HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        inputs = inputs_from(HermitianOperator(np.diag([0.0, 1.0])), sigma_x, 1)
         assert level_curvature(0, inputs) == pytest.approx(-2.0)
         assert level_curvature(1, inputs) == pytest.approx(2.0)
 
@@ -172,47 +169,43 @@ class TestSaturationIndex:
         assert saturation_index(0.0, 0.0, 5.0) == 0.0
 
 
-def near_crossing_inputs(seed, gap=1e-3):
-    """Two-qubit model with generic eigenvectors and a tuned (0,1) gap."""
-    base = sample(EnsembleSpec(EnsembleKind.GENERIC_HERMITIAN, 4), 600 + seed)
-    u = eigensystem(base).eigenvectors
-    spectrum = np.array([0.0, gap, 1.0, 2.2])
-    h0 = HermitianOperator(u @ np.diag(spectrum) @ u.conj().T)
-    v = sample(EnsembleSpec(EnsembleKind.GENERIC_HERMITIAN, 4), 700 + seed)
-    return inputs_from(h0, v, 2)
+def exact_mean_sqrt_curvature(beta):
+    """<sqrt|k|> = B(3/4, beta/2 + 1/4) / B(1/2, (beta + 1)/2) under the
+    Zakrzewski-Delande law P(k) ~ (1 + k^2)^(-(beta + 2)/2)."""
+    def log_beta(a, b):
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+    return math.exp(log_beta(0.75, beta / 2 + 0.25) - log_beta(0.5, (beta + 1) / 2))
 
 
-class TestTwoLevelRates:
-    def test_curvatures_opposite(self):
-        r = two_level_rates(near_crossing_inputs(0), QubitPartition.single_site(0, 2))
-        assert r.k0 == -r.k1
-        assert r.k0 < 0
+class TestCurvatureLaw:
+    # Zakrzewski & Delande, PRE 47, 1650 (1993): k = K / (pi beta sigma^2
+    # rho(eps_n)), with sigma^2 the draw's mean |V_nn|^2 and rho the
+    # semicircle density sqrt(4d - eps^2) / (2 pi) of radius 2 sqrt(d)
+    DIM, DRAWS, CENTRAL = 200, 60, 40
 
-    def test_curvature_substitution_identity(self):
-        for seed in range(4):
-            r = two_level_rates(near_crossing_inputs(seed), QubitPartition.single_site(0, 2))
-            assert abs(r.rate0 - r.rate0_curvature_form) < 1e-12 * max(1.0, abs(r.rate0))
-            assert abs(r.rate1 - r.rate1_curvature_form) < 1e-12 * max(1.0, abs(r.rate1))
+    def test_exact_values(self):
+        assert exact_mean_sqrt_curvature(1) == pytest.approx(0.8472, abs=1e-4)
+        assert exact_mean_sqrt_curvature(2) == pytest.approx(1 / math.sqrt(2), rel=1e-12)
+        assert exact_mean_sqrt_curvature(4) == pytest.approx(0.5893, abs=1e-4)
 
-    def test_phase_form_identity(self):
-        for seed in range(4):
-            r = two_level_rates(near_crossing_inputs(seed), QubitPartition.single_site(0, 2))
-            assert r.rate0_phase_form == pytest.approx(r.rate0, rel=1e-10)
-            assert r.rate1_phase_form == pytest.approx(r.rate1, rel=1e-10)
-
-    def test_truncation_tracks_exact_rate(self):
-        for seed in range(4):
-            r = two_level_rates(near_crossing_inputs(seed), QubitPartition.single_site(0, 2))
-            assert r.rate0 == pytest.approx(r.rate0_exact, rel=0.05)
-            assert r.rate1 == pytest.approx(r.rate1_exact, rel=0.05)
-            assert r.ratio == pytest.approx(r.rate1 / r.rate0)
-
-    def test_dominance_check(self):
-        # evenly spaced spectrum: the lowest gap does not dominate
-        h0 = HermitianOperator(np.diag([0.0, 1.0, 2.0, 3.0]))
-        v = sample(EnsembleSpec(EnsembleKind.GENERIC_HERMITIAN, 4), 3)
-        with pytest.raises(TwoLevelDominanceError):
-            two_level_rates(inputs_from(h0, v, 2), QubitPartition.single_site(0, 2))
+    @pytest.mark.parametrize("kind,beta", [(EnsembleKind.GOE, 1), (EnsembleKind.GUE, 2)])
+    def test_mean_sqrt_curvature_follows_the_law(self, kind, beta):
+        spec = EnsembleSpec(kind, self.DIM)
+        levels = np.arange(self.CENTRAL) + (self.DIM - self.CENTRAL) // 2
+        means = []
+        for draw in range(self.DRAWS):
+            dec = eigensystem(sample(spec, spawn_seed(0, draw, 0)))
+            u, eps = dec.eigenvectors, dec.eigenvalues
+            v_eig = u.conj().T @ sample(spec, spawn_seed(0, draw, 1)).matrix @ u
+            sigma2 = np.mean(np.abs(np.diag(v_eig)) ** 2)
+            k = [level_curvature_from_row(v_eig[n], _level_differences(n, eps))
+                 / (math.pi * beta * sigma2 * math.sqrt(4 * self.DIM - eps[n] ** 2) / (2 * math.pi))
+                 for n in levels]
+            means.append(np.mean(np.sqrt(np.abs(k))))
+        # the levels of one spectrum are correlated: one mean per draw
+        stderr = np.std(means, ddof=1) / math.sqrt(self.DRAWS)
+        assert abs(np.mean(means) - exact_mean_sqrt_curvature(beta)) < 4 * stderr
 
 
 class TestEnsembleRatios:

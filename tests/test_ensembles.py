@@ -9,7 +9,7 @@ from qcbound.ensembles import (
     _sample_matrix,
     _sample_row, _seeded_generators, sample, spawn_seed, spawn_seeds,
 )
-from qcbound.level_stats import spacing_sample_from_levels, weibull_mle
+from qcbound.level_stats import SpacingSample, unfold, weibull_mle
 
 
 class TestSpecValidation:
@@ -268,7 +268,7 @@ class TestSpectralStatistics:
         spacings = []
         for seed in range(90):
             eigs = np.linalg.eigvalsh(sample(EnsembleSpec(EnsembleKind.GOE, 128), seed).matrix)
-            spacings.append(spacing_sample_from_levels(eigs).spacings)
+            spacings.append(SpacingSample(np.diff(unfold(eigs))).spacings)
         pooled = np.concatenate(spacings)
         assert pooled.size >= 10_000
         wd_cdf = lambda s: 1.0 - np.exp(-np.pi * s * s / 4.0)
@@ -281,7 +281,7 @@ class TestSpectralStatistics:
             eigs = np.linalg.eigvalsh(
                 sample(EnsembleSpec(EnsembleKind.POISSON_DIAGONAL, 128), seed).matrix
             )
-            spacings.append(spacing_sample_from_levels(eigs).spacings)
+            spacings.append(SpacingSample(np.diff(unfold(eigs))).spacings)
         pooled = np.concatenate(spacings)
         assert pooled.size >= 10_000
         fit = weibull_mle(pooled)

@@ -21,12 +21,13 @@ from qcbound import experiments, quantum
 from qcbound.entanglement import sector_mean_bipartite_Q
 from qcbound.level_stats import (
     FitConvergenceError,
+    SpacingSample,
     TooFewSpacingsError,
     UnfoldingError,
-    spacing_sample_from_levels,
+    unfold,
     weibull_fit,
 )
-from qcbound.models import MODEL_E_DEFAULT_FIELD, ModelConfig, model_e_blocks
+from qcbound.models import MODEL_E_DEFAULT_FIELD, ModelConfig
 from qcbound.quantum import DegenerateSpectrumError
 
 
@@ -332,7 +333,7 @@ class TestModelEStacks:
     @pytest.mark.parametrize("d", [0.0, 0.3, 2.5])
     @pytest.mark.parametrize("n", [5, 7, 9])
     def test_equal_to_one_solve_per_block(self, monkeypatch, n, d, workers):
-        from oracles import block_spectrum
+        from oracles import block_spectrum, model_e_blocks
 
         monkeypatch.setattr(experiments, "_worker_count",
                             lambda n_tasks, dim: min(workers, n_tasks))
@@ -702,7 +703,8 @@ class TestSpacingStatistics:
                    for i in range(6)]
         from oracles import pool_spacing_samples
 
-        expected = weibull_fit(pool_spacing_samples(map(spacing_sample_from_levels, spectra)))
+        expected = weibull_fit(pool_spacing_samples(SpacingSample(np.diff(unfold(s)))
+                                                     for s in spectra))
         assert spacing_statistics(source, 6, master_seed=master, dim=48) == (expected, 0)
 
     @pytest.mark.parametrize("dim", [20, 64, 96, 128])

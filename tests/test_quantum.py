@@ -6,12 +6,10 @@ from qcbound import (
     HermitianOperator,
     QubitPartition,
     eigensystem,
-    embed_site,
     heisenberg_coupling,
-    pauli,
 )
 from qcbound.ensembles import EnsembleKind, EnsembleSpec, sample
-from qcbound.quantum import DegenerateSpectrumError, require_isolated
+from qcbound.quantum import _PAULI, DegenerateSpectrumError, _embed, require_isolated
 
 from oracles import partial_trace, partial_trace_dyad
 
@@ -23,46 +21,42 @@ def random_state(dim, seed):
 
 
 class TestPauli:
+    # the matrices under heisenberg_coupling and model A's fields
     def test_z_is_diag_plus_minus_one(self):
-        assert np.array_equal(pauli("z").matrix, np.diag([1.0 + 0j, -1.0 + 0j]))
+        assert np.array_equal(_PAULI["z"], np.diag([1.0 + 0j, -1.0 + 0j]))
 
     def test_involution(self):
-        for axis in "xyz":
-            m = pauli(axis).matrix
+        for m in _PAULI.values():
             assert np.allclose(m @ m, np.eye(2))
 
     def test_commutator_xy(self):
-        x, y, z = (pauli(a).matrix for a in "xyz")
+        x, y, z = (_PAULI[a] for a in "xyz")
         assert np.allclose(x @ y - y @ x, 2j * z)
-
-    def test_unknown_axis(self):
-        with pytest.raises(ValueError):
-            pauli("w")
 
 
 class TestEmbedSite:
     def test_site0_is_most_significant_bit(self):
-        diag = np.diag(embed_site(pauli("z"), 0, 2).matrix).real
+        diag = np.diag(_embed(_PAULI["z"], 0, 2)).real
         assert np.array_equal(diag, [1, 1, -1, -1])
 
     def test_site1(self):
-        diag = np.diag(embed_site(pauli("z"), 1, 2).matrix).real
+        diag = np.diag(_embed(_PAULI["z"], 1, 2)).real
         assert np.array_equal(diag, [1, -1, 1, -1])
 
     def test_traceless(self):
         for j in range(3):
-            assert abs(np.trace(embed_site(pauli("x"), j, 3).matrix)) == 0.0
+            assert abs(np.trace(_embed(_PAULI["x"], j, 3))) == 0.0
 
     def test_site_out_of_range(self):
         with pytest.raises(ValueError):
-            embed_site(pauli("x"), 3, 3)
+            _embed(_PAULI["x"], 3, 3)
 
     @given(n=st.integers(2, 6), data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_z_sign_matches_bit_convention(self, n, data):
         j = data.draw(st.integers(0, n - 1))
         m = data.draw(st.integers(0, 2**n - 1))
-        z = embed_site(pauli("z"), j, n).matrix
+        z = _embed(_PAULI["z"], j, n)
         basis = np.zeros(2**n)
         basis[m] = 1.0
         # site j reads bit j counted from the most significant end
@@ -83,7 +77,7 @@ class TestHeisenbergCoupling:
     def test_conserves_total_z(self):
         n = 3
         h = heisenberg_coupling(0, 2, n).matrix
-        ztot = sum(embed_site(pauli("z"), j, n).matrix for j in range(n))
+        ztot = sum(_embed(_PAULI["z"], j, n) for j in range(n))
         assert np.allclose(h @ ztot - ztot @ h, 0.0, atol=1e-12)
 
     def test_same_site_rejected(self):
@@ -131,7 +125,7 @@ class TestEigensystem:
         require_isolated(dec.eigenvalues, range(3))
 
     def test_pauli_x(self):
-        dec = eigensystem(pauli("x"))
+        dec = eigensystem(HermitianOperator(_PAULI["x"]))
         assert np.allclose(dec.eigenvalues, [-1, 1])
         expected = np.array([[1, 1], [-1, 1]]) / np.sqrt(2)
         # phase gauge makes the largest component real positive
