@@ -64,6 +64,10 @@ CONFIGS = {
                              ("defect_sweep.csv",)),
     "sweep-defect-n9": (["sweep-defect", "--qubits", "9", "--points", "2",
                          "--realizations", "4", "--seed", "9"], ("defect_sweep.csv",)),
+    # model E's per-realization fits, on the restricted sector's levels
+    "sweep-defect-n9-per-realization": (
+        ["sweep-defect", "--qubits", "9", "--points", "3", "--realizations", "8", "--seed", "9",
+         "--gamma-mode", "per-realization"], ("defect_sweep.csv",)),
     # the benchmark's defect grid: ground blocks in sectors of dims 1 through 126
     "sweep-defect-n9-grid": (["sweep-defect", "--qubits", "9", "--points", "8",
                               "--realizations", "8", "--seed", "3"], ("defect_sweep.csv",)),

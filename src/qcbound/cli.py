@@ -235,12 +235,13 @@ def _check_unfolding(args) -> None:
         raise CliError("--unfold-trim must lie in [0, 0.5)")
 
 
-def _check_spectrum_size(args, chain: bool, pooled: str | None) -> None:
+def _check_spectrum_size(args, chain: bool, fit: tuple) -> None:
     """Reject, before any draw, a spectrum too small to unfold: ``--dim``
     levels, or for the defect chain C(N, N // 2) levels in the restricted
-    sector and 2^N with ``--sector full``; and a pooled fit, whose draws are
-    counted by the flag ``pooled``, of fewer than MIN_FIT_SPACINGS spacings,
-    with L - 2 floor(trim L) - 1 of them from a draw of L levels."""
+    sector and 2^N with ``--sector full``; and a Weibull fit of fewer than
+    MIN_FIT_SPACINGS spacings, with L - 2 floor(trim L) - 1 of them from
+    each draw of L levels.  ``fit`` is (the flags that set the draws of one
+    fit, their number)."""
     if chain:
         n = max(args.qubits, 0)
         levels = 2**n if args.sector == "full" else math.comb(n, n // 2)
@@ -250,18 +251,17 @@ def _check_spectrum_size(args, chain: bool, pooled: str | None) -> None:
     if levels < MIN_UNFOLD_LEVELS:
         raise CliError(f"{flag} gives {levels} levels to unfold; "
                        f"unfolding needs at least {MIN_UNFOLD_LEVELS}")
-    if pooled is None:
-        return
-    draws = getattr(args, pooled[2:])
+    fit_flags, draws = fit
     spacings = draws * (levels - 2 * math.floor(args.unfold_trim * levels) - 1)
     if spacings < MIN_FIT_SPACINGS:
-        raise CliError(f"{pooled} {draws} with {flag}, --unfold-trim {args.unfold_trim:g} gives "
-                       f"{spacings} spacings; a pooled fit needs at least {MIN_FIT_SPACINGS}")
+        raise CliError(f"{fit_flags} with {flag}, --unfold-trim {args.unfold_trim:g} gives "
+                       f"{spacings} spacings per fit; a fit needs at least {MIN_FIT_SPACINGS}")
 
 
-def _check_sweep_size(args) -> str | None:
-    """Reject bad sweep sizes; return the flag that counts the draws of the
-    pooled fit, None in per-realization mode (each draw fits alone)."""
+def _check_sweep_size(args) -> tuple:
+    """Reject bad sweep sizes; return the ``fit`` of ``_check_spectrum_size``:
+    one pooled fit of every realization of a point, or in per-realization
+    mode one fit per draw."""
     if args.points < 2:
         raise CliError("--points must be at least 2")
     if args.realizations < 4:
@@ -269,7 +269,9 @@ def _check_sweep_size(args) -> str | None:
     if not args.outlier_k >= 0.0:  # a negative k can trim every draw
         raise CliError("--outlier-k must be non-negative")
     _check_unfolding(args)
-    return "--realizations" if args.gamma_mode == "pooled" else None
+    if args.gamma_mode == "pooled":
+        return f"--realizations {args.realizations}", args.realizations
+    return "--gamma-mode per-realization", 1
 
 
 def _write_sweep(args, rows: list, kind: str, param_column: str, config: dict) -> None:
@@ -300,7 +302,7 @@ def _write_sweep(args, rows: list, kind: str, param_column: str, config: dict) -
 
 
 def _cmd_sweep_theta(args) -> int:
-    _check_spectrum_size(args, chain=False, pooled=_check_sweep_size(args))
+    _check_spectrum_size(args, chain=False, fit=_check_sweep_size(args))
     rows = sweep_theta(
         np.linspace(0.0, math.pi / 2.0, args.points),
         realizations=args.realizations,
@@ -318,10 +320,10 @@ def _cmd_sweep_theta(args) -> int:
 
 
 def _cmd_sweep_defect(args) -> int:
-    pooled = _check_sweep_size(args)
+    fit = _check_sweep_size(args)
     if args.d_max <= 0:
         raise CliError("--d-max must be positive")
-    _check_spectrum_size(args, chain=True, pooled=pooled)
+    _check_spectrum_size(args, chain=True, fit=fit)
     rows = sweep_defect(
         np.linspace(0.0, args.d_max, args.points),
         realizations=args.realizations,
@@ -349,7 +351,8 @@ def _cmd_stats(args) -> int:
     if args.draws < 1:
         raise CliError("--draws must be positive")
     _check_unfolding(args)
-    _check_spectrum_size(args, chain=args.source == "E", pooled="--draws")
+    _check_spectrum_size(args, chain=args.source == "E",
+                         fit=(f"--draws {args.draws}", args.draws))
     fit, n_failed = spacing_statistics(
         args.source,
         args.draws,

@@ -62,17 +62,14 @@ class EnsembleKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """What to draw: ensemble kind, dimension, off-diagonal scale."""
+    """What to draw: ensemble kind and dimension."""
 
     kind: EnsembleKind
     dim: int
-    scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.dim < 2:
             raise ValueError("ensemble dimension must be >= 2")
-        if self.scale <= 0:
-            raise ValueError("ensemble scale must be positive")
 
 
 def spawn_seed(master_seed: int, *indices: int) -> int:
@@ -211,11 +208,11 @@ def _mix_entropy(entropy: list) -> list:
 def sample(spec: EnsembleSpec, seed: int) -> HermitianOperator:
     """Draw one Hermitian matrix; output depends only on (spec, seed).
 
-    GOE: real symmetric, off-diagonal entries N(0, scale^2), diagonal
-    N(0, 2 scale^2).  GUE: complex Hermitian, off-diagonal real/imag parts each
-    N(0, scale^2/2), diagonal real N(0, scale^2).  PoissonDiagonal: diagonal
-    i.i.d. normal scaled so the mean-square spectral width matches a GOE draw
-    of the same dimension (sigma = scale * sqrt(dim + 1)).
+    GOE: real symmetric, off-diagonal entries N(0, 1), diagonal N(0, 2).
+    GUE: complex Hermitian, off-diagonal real/imag parts each N(0, 1/2),
+    diagonal real N(0, 1).  PoissonDiagonal: diagonal i.i.d. normal scaled so
+    the mean-square spectral width matches a GOE draw of the same dimension
+    (sigma = sqrt(dim + 1)).
     """
     return HermitianOperator(_sample_matrix(spec, seed))
 
@@ -240,7 +237,7 @@ def _matrix_sampler(spec: EnsembleSpec) -> Callable[[np.random.Generator, np.nda
     returned.  The normals go into one buffer per thread, reused from draw to
     draw, so threads may draw into their own ``out`` at the same time.
 
-    GOE: (A + A^T) scale / sqrt 2.  GUE: (B + B^dag) scale / 2 for B = X + iY,
+    GOE: (A + A^T) / sqrt 2.  GUE: (B + B^dag) / 2 for B = X + iY,
     written part by part (real X + X^T, imaginary Y - Y^T, the same floats).
     PoissonDiagonal: the normals on the diagonal of zeros.
     """
@@ -250,7 +247,7 @@ def _matrix_sampler(spec: EnsembleSpec) -> Callable[[np.random.Generator, np.nda
         z = local.z = _normals(spec, rng, getattr(local, "z", None))
         if spec.kind is EnsembleKind.GOE:
             np.add(z, z.T, out=out)
-            out *= spec.scale / math.sqrt(2.0)
+            out *= 1.0 / math.sqrt(2.0)
         elif spec.kind is EnsembleKind.POISSON_DIAGONAL:
             out[...] = 0.0
             np.fill_diagonal(out, z)
@@ -258,7 +255,7 @@ def _matrix_sampler(spec: EnsembleSpec) -> Callable[[np.random.Generator, np.nda
             x, y = z
             np.add(x, x.T, out=out.real)
             np.subtract(y, y.T, out=out.imag)
-            out *= spec.scale / 2.0
+            out *= 0.5
         return out
 
     return draw
@@ -270,8 +267,8 @@ def _sample_row(spec: EnsembleSpec, rng: np.random.Generator, c: np.ndarray) -> 
 
     With C = [Re c, Im c] as a real (d, 2) array, Z c and Z^T c are real
     (d x d)(d x 2) products read back as complex vectors, and
-    c^T V = (scale/2) [(X + X^T) c + i (Y^T - Y) c] for the GUE,
-    (scale/sqrt 2)(A + A^T) c for the GOE.  Equal to ``c @ V`` up to the
+    c^T V = (1/2) [(X + X^T) c + i (Y^T - Y) c] for the GUE,
+    (1/sqrt 2)(A + A^T) c for the GOE.  Equal to ``c @ V`` up to the
     order of roundoff.
     """
     z = _normals(spec, rng)
@@ -283,13 +280,13 @@ def _sample_row(spec: EnsembleSpec, rng: np.random.Generator, c: np.ndarray) -> 
     if spec.kind is EnsembleKind.GOE:
         zc += ztc
         row = zc.view(complex)[:, 0]
-        row *= spec.scale / math.sqrt(2.0)
+        row *= 1.0 / math.sqrt(2.0)
         return row
     sym = zc[0] + ztc[0]
     anti = ztc[1] - zc[1]
     row = sym.view(complex)[:, 0]
     row += 1j * anti.view(complex)[:, 0]
-    row *= spec.scale / 2.0
+    row *= 0.5
     return row
 
 
@@ -300,7 +297,7 @@ def _normals(spec: EnsembleSpec, rng: np.random.Generator, out: np.ndarray | Non
 
     GOE: A, (d, d).  GUE / GenericHermitian: X then Y, drawn as one (2, d, d)
     array (the same normals as two (d, d) draws).  PoissonDiagonal: the
-    diagonal, N(0, sigma^2) with sigma = scale sqrt(d + 1), always a new
+    diagonal, N(0, sigma^2) with sigma = sqrt(d + 1), always a new
     array.  ``out``, when given, is the array of an earlier draw of the same
     spec to write the (d, d) normals into.
     """
@@ -310,5 +307,5 @@ def _normals(spec: EnsembleSpec, rng: np.random.Generator, out: np.ndarray | Non
     if spec.kind in (EnsembleKind.GUE, EnsembleKind.GENERIC_HERMITIAN):
         return rng.standard_normal((2, d, d), out=out)
     if spec.kind is EnsembleKind.POISSON_DIAGONAL:
-        return rng.normal(0.0, spec.scale * math.sqrt(d + 1.0), size=d)
+        return rng.normal(0.0, math.sqrt(d + 1.0), size=d)
     raise ValueError(f"unknown ensemble kind {spec.kind!r}")  # pragma: no cover

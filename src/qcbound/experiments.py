@@ -15,39 +15,41 @@ bit the contract
 above: no draw builds a ``SeedSequence`` of its own.  At theta = 0, H(theta)
 is diagonal and its spectrum is the sorted diagonal, as is a PoissonDiagonal
 matrix's, bit for bit what ``eigvalsh`` returns.  The sweeps and ``stats``
-draw their spectra through the same draw factories and make one pass over
-them per grid point (``_run_draws``).  A sweep's draw factory
-``factory(params, seeds, ...)`` takes every grid point at once, with the
-(points, realizations) seeds, and yields one ``(eigenvalues, levels, q)``
-per point, in grid order; ``stats`` calls it on one point.  Row i of each is
-from the draw seeded with the point's seeds[i]: the (n, D) ascending
-spectra, the (n, L) levels to unfold, and the (n,) ground-state Q, which
-only model E gives (from its ground block, in its sector; None for model D
-and the ensembles), so that no draw forms a 2^N vector.  The CLI rejects a
-spectrum too small to unfold (``level_stats.MIN_UNFOLD_LEVELS``) before any
-draw.
+take their spectra from the same functions, which return arrays:
+``_ensemble_spectra`` the (n, D) spectra of n ensemble draws,
+``_model_d_spectra`` the (points, n, D) spectra of a model-D grid, and
+``_model_e_spectra`` the (n, dim_s) spectra of the requested sectors at each
+point of a model-E grid.  Row i of a point is the draw seeded with its
+seeds[i].  A sweep hands ``_sweep`` the (points, n, D) ascending spectra, the
+(points, n, L) levels to unfold and the (points, n) ground-state Q, which
+only model E gives (from its ground block, in its sector; None for model D),
+so that no draw forms a 2^N vector; ``_sweep`` makes one pass per grid point
+(``_run_draws``), as ``stats`` makes one over its draws.  A point whose
+Hamiltonian or spectrum overflows fails the whole call before any point is
+aggregated (model E before any solve).  The CLI rejects a spectrum too small
+to unfold (``level_stats.MIN_UNFOLD_LEVELS``), or a fit too small to make,
+before any draw.
 
-Threads.  The model-D, GOE/GUE and model-E factories build and solve every
-draw of a sweep or ``stats`` run up front, in stacks, on one thread per CPU
+Threads.  The model-D, GOE/GUE and model-E spectra of a sweep or ``stats``
+run are built and solved up front, in stacks, on one thread per CPU
 (``_stacked_spectra``): a stack of eigenvalue problems is solved with the
 GIL released, one matrix alone is not.  A sweep makes one such pass over all
 of its grid points, not one per point: model D one, model E two, first the
 blocks of every (point, sector), then every ground block, grouped by sector.
-So the solves hold every point's spectra at once (points x realizations x D
-floats; model E also holds as many field diagonals).  A scatter run draws its
-rows on one thread per CPU and then computes the products and kernels in the
-calling thread (``scatter_bound_test``).  The pass after the solves
-(``_run_draws``) takes all rows of a point at once, in the calling thread.
-Draws on matrices smaller than ``_THREAD_MIN_DIM`` stay on the calling
-thread.  Each public experiment holds OpenBLAS at one thread for its whole
-call (``quantum._one_blas_thread``).  Each thread works on a contiguous chunk
-of the draw indices with its own generator and buffers, so the output does
-not depend on the number of threads, of the run or of BLAS.
+So a sweep holds every point's spectra at once (points x realizations x D
+floats; model E also holds its sector spectra and as many field diagonals).
+A scatter run draws its rows on one thread per CPU and then computes the
+products and kernels in the calling thread (``scatter_bound_test``).  The
+pass after the solves (``_run_draws``) takes all rows of a point at once, in
+the calling thread.  Draws on matrices smaller than ``_THREAD_MIN_DIM`` stay
+on the calling thread.  Each public experiment holds OpenBLAS at one thread
+for its whole call (``quantum._one_blas_thread``).  Each thread works on a
+contiguous chunk of the draw indices with its own generator and buffers, so
+the output does not depend on the number of threads, of the run or of BLAS.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import os
@@ -424,9 +426,9 @@ def _stderr(x: np.ndarray) -> float:
 
 
 def _aggregate_row(param: float, ok: np.ndarray, b: np.ndarray, kept: np.ndarray,
-                   n_levels: int, gammas, q, outlier_k: float) -> SweepRow:
-    """The row of one grid point from the columns of ``_run_draws`` (each
-    spectrum of ``n_levels`` levels) and Q (None for model D), over ``ok``."""
+                   gammas, q, outlier_k: float) -> SweepRow:
+    """The row of one grid point from the columns of ``_run_draws`` and Q
+    (None for model D), over ``ok``."""
     realizations, n_failed = ok.size, int(ok.size - ok.sum())
     if n_failed > 0.10 * realizations:
         raise ExperimentError(
@@ -438,7 +440,7 @@ def _aggregate_row(param: float, ok: np.ndarray, b: np.ndarray, kept: np.ndarray
     if gammas is not None:
         gamma_mean, gamma_stderr = float(gammas[ok].mean()), _stderr(gammas[ok])
     else:
-        gamma_mean = gamma_chaos(weibull_fit(pool_unfolded_rows(kept[ok], n_levels)))
+        gamma_mean = gamma_chaos(weibull_fit(pool_unfolded_rows(kept[ok])))
         gamma_stderr = 0.0  # single pooled fit; no realization scatter available
 
     q_mean = q_stderr = None
@@ -460,86 +462,55 @@ def _aggregate_row(param: float, ok: np.ndarray, b: np.ndarray, kept: np.ndarray
     )
 
 
-def _ensemble_draws(kind: EnsembleKind, seeds, dim: int):
-    """Draws of ``ensembles.sample(EnsembleSpec(kind, dim), seeds[i])``, all
-    solved up front (``_stacked_spectra``); a PoissonDiagonal spectrum is the
-    sorted normals, with no matrix or solve."""
+def _ensemble_spectra(kind: EnsembleKind, seeds, dim: int) -> np.ndarray:
+    """The (n, dim) ascending spectra of ``ensembles.sample(EnsembleSpec(kind,
+    dim), seeds[i])``, all solved up front (``_stacked_spectra``); a
+    PoissonDiagonal spectrum is the sorted normals, with no matrix or solve."""
     spec = EnsembleSpec(kind, dim)
     rng = _seeded_generators(seeds)
     if kind is EnsembleKind.POISSON_DIAGONAL:
-        spectra = np.sort([_normals(spec, rng(i)) for i in range(len(seeds))])
-    else:
-        matrix = _matrix_sampler(spec)
-        [spectra] = _stacked_spectra([(lambda i, out: matrix(rng(i), out), len(seeds), dim)],
-                                     _matrix_dtype(spec))
-    return spectra, spectra, None
+        return np.sort([_normals(spec, rng(i)) for i in range(len(seeds))])
+    matrix = _matrix_sampler(spec)
+    [spectra] = _stacked_spectra([(lambda i, out: matrix(rng(i), out), len(seeds), dim)],
+                                 _matrix_dtype(spec))
+    return spectra
 
 
-def _model_d_draws(thetas, seeds, dim: int, chaotic_scale: float):
-    """Draws of model D at each theta of a grid, yielded point by point, the
-    draws of point t seeded by row t of ``seeds``.  One sampler holds the
-    draws of every point, and every point with sin(theta) != 0 is solved up
-    front, in one stacked pass (``_stacked_spectra``); when sin(theta) = 0
-    the spectrum is the sorted diagonal, with no GOE draw and no solve, taken
-    with its point.  A spectrum too wide for a float raises
-    NonFiniteHamiltonianError when its point is taken."""
+def _model_d_spectra(thetas, seeds, dim: int, chaotic_scale: float) -> np.ndarray:
+    """The (points, n, dim) ascending spectra of model D at each theta of a
+    grid, the draws of point t seeded by row t of ``seeds``.  One sampler
+    holds the draws of every point, and every point with sin(theta) != 0 is
+    solved in one stacked pass (``_stacked_spectra``); when sin(theta) = 0
+    the spectrum is the sorted diagonal, with no GOE draw and no solve.  A
+    spectrum too wide for a float, at any point, raises
+    NonFiniteHamiltonianError."""
     seeds = np.asarray(seeds, dtype=np.uint64)
     n = seeds.shape[1]
     sampler = _ModelDSampler(seeds, dim, chaotic_scale)
+    spectra = np.empty((len(thetas), n, dim))
     solved = [t for t, theta in enumerate(thetas) if math.sin(theta) != 0.0]
-    spectra = dict(zip(solved, _stacked_spectra(
-        [(lambda i, out, t=t: sampler.matrix(thetas[t], t * n + i, out), n, dim)
-         for t in solved], float)))
+    for t, rows in zip(solved, _stacked_spectra(
+            [(lambda i, out, t=t: sampler.matrix(thetas[t], t * n + i, out), n, dim)
+             for t in solved], float)):
+        spectra[t] = rows
     for t, theta in enumerate(thetas):
-        if t in spectra:
-            rows = spectra.pop(t)
-            _require_finite_spectrum("D", rows)
-        else:
-            rows = np.sort([sampler.diagonal(theta, t * n + i) for i in range(n)])
-        yield rows, rows, None
+        if t not in solved:
+            spectra[t] = np.sort([sampler.diagonal(theta, t * n + i) for i in range(n)])
+    _require_finite_spectrum("D", spectra)
+    return spectra
 
 
-def _model_e_draws(ds, seeds, n_qubits: int, h: float, J: float,
-                   sector_restricted: bool, levels_only: bool = False):
-    """Draws of model E at each defect strength d of a grid, yielded point by
-    point, the draws of point t seeded by row t of ``seeds``.  Every point is
-    solved up front, block by block in the total-sigma_z sectors: one stacked
-    pass (``_stacked_spectra``) over the blocks of every (point, sector),
-    then one over the ground blocks of every point (``_ground_state_q``).
-    When a point is taken its spectrum is merged and checked: one too wide
-    for a float raises NonFiniteHamiltonianError.  The levels are the
-    largest sector's (n_down = N // 2) when ``sector_restricted``, else the
-    merged spectrum, and Q that of the ground block's lowest eigenvector, in
-    its sector.  With ``levels_only`` a point is (None, levels, None): a
-    restricted run solves the largest sector alone, and neither solves a
-    ground block.  A point whose Hamiltonian overflows, and the points after
-    it, are solved by neither pass: its error is raised when it is taken."""
-    samplers, error = [], None
-    for d, row in zip(ds, seeds):
-        try:
-            samplers.append(_ModelESampler(row, n_qubits, d, h, J))
-        except ValueError as exc:  # raised at its point, after the rows before it
-            error = exc
-            break
-    middle = n_qubits // 2
-    sectors = [middle] if levels_only and sector_restricted else range(n_qubits + 1)
+def _model_e_spectra(samplers: list, sectors) -> list:
+    """For each model-E sampler (a grid point), the (n, dim_s) ascending
+    spectra of its draws' blocks in each of ``sectors``, as a list in the
+    order of ``sectors``, from one stacked pass over the blocks of every
+    (point, sector) (``_stacked_spectra``)."""
+    sectors = list(sectors)
     solved = _stacked_spectra(
-        [(functools.partial(sampler.block, s), len(row), sampler.sectors[s][0].size)
-         for sampler, row in zip(samplers, seeds) for s in sectors], float)
-    spectra = [solved[t * len(sectors):(t + 1) * len(sectors)] for t in range(len(samplers))]
-    q = None if levels_only else _ground_state_q(samplers, spectra)
-    for t, point in enumerate(spectra):
-        if len(sectors) == 1:  # the largest sector alone
-            [levels] = point
-            _require_finite_spectrum("E", levels)
-            yield None, levels, None
-            continue
-        eigenvalues = np.sort(np.concatenate(point, axis=1), axis=1)
-        _require_finite_spectrum("E", eigenvalues)
-        levels = point[middle] if sector_restricted else eigenvalues
-        yield (None, levels, None) if levels_only else (eigenvalues, levels, q[t])
-    if error is not None:
-        raise error
+        [(lambda i, out, sampler=sampler, s=s: sampler.block(s, i, out),
+          sampler.n_draws, sampler.sectors[s][0].size) for sampler in samplers for s in sectors],
+        float)
+    return [solved[t * len(sectors):(t + 1) * len(sectors)] for t in range(len(samplers))]
 
 
 def _ground_state_q(samplers: list, spectra: list) -> np.ndarray:
@@ -567,35 +538,34 @@ def _ground_state_q(samplers: list, spectra: list) -> np.ndarray:
     return q
 
 
+def _grid_seeds(master_seed: int, points: int, realizations: int) -> np.ndarray:
+    """The (points, realizations) seeds of a sweep: spawn_seed(master, t, r)
+    in row t, column r, one ``spawn_seeds`` pass per grid index t."""
+    return np.array([spawn_seeds(master_seed, np.arange(realizations), (t,))
+                     for t in range(points)], dtype=np.uint64).reshape(points, realizations)
+
+
 def _sweep(
-    grid, label: str, draws, realizations: int, master_seed: int, poly_degree: int,
+    grid, label: str, eigenvalues: np.ndarray, levels: np.ndarray, q, poly_degree: int,
     edge_trim: float, outlier_k: float, per_realization_gamma: bool,
 ) -> list:
-    """One aggregated row per grid value of a sweep's critical parameter.
+    """One aggregated row per grid value of a sweep's critical parameter,
+    from the arrays of every point's draws: the (points, n, D) ascending
+    spectra ``eigenvalues``, the ``levels`` to unfold, (n, L) per point, and
+    the (points, n) ground-state ``q`` (None for model D).
 
-    ``draws(grid, seeds)`` (a draw factory) gets every grid value at once,
-    with the seeds spawn_seed(master, t, r) of every realization r at grid
-    index t in row t of ``seeds`` (one ``spawn_seeds`` pass per t), solves
-    them all in its stacked passes, and yields the rows of their spectra
-    point by point.  Then, per point, in grid order and in the calling
-    thread, one pass over those rows (``_run_draws``) gives b from the full
-    sorted spectrum, the unfolded levels, gamma from each draw's own Weibull
-    fit in per-realization mode (from the pooled fit otherwise), and which
-    draws failed; and ``_aggregate_row`` reduces the columns of the rest,
-    with the ground-state Q where the factory gives one.  So a point's
-    warnings and errors come after the rows of the points before it, as
-    with one solve per point.
+    Per point, in grid order and in the calling thread, one pass over its
+    rows (``_run_draws``) gives b from the full sorted spectrum, the unfolded
+    levels, gamma from each draw's own Weibull fit in per-realization mode
+    (from the pooled fit otherwise), and which draws failed; and
+    ``_aggregate_row`` reduces the columns of the rest, with Q where given.
     """
-    grid = [float(p) for p in grid]
-    seeds = np.array([spawn_seeds(master_seed, np.arange(realizations), (t_index,))
-                      for t_index in range(len(grid))],
-                     dtype=np.uint64).reshape(len(grid), realizations)
     rows = []
-    for param, (eigenvalues, levels, q) in zip(grid, draws(grid, seeds)):
-        where = f"{label}={param:g}"
-        ok, b, kept, gammas = _run_draws(eigenvalues, levels, where, poly_degree, edge_trim,
-                                         per_realization_gamma)
-        rows.append(_aggregate_row(param, ok, b, kept, levels.shape[1], gammas, q, outlier_k))
+    for t, param in enumerate(grid):
+        ok, b, kept, gammas = _run_draws(eigenvalues[t], levels[t], f"{label}={param:g}",
+                                         poly_degree, edge_trim, per_realization_gamma)
+        rows.append(_aggregate_row(param, ok, b, kept, gammas, None if q is None else q[t],
+                                   outlier_k))
     return rows
 
 
@@ -617,9 +587,11 @@ def sweep_theta(
     constant b of the ground state and the unfolded spacing sample.  The chaos
     parameter comes from a pooled Weibull fit by default.
     """
-    draws = functools.partial(_model_d_draws, dim=dim, chaotic_scale=chaotic_scale)
-    return _sweep(theta_grid, "model-D theta", draws, realizations, master_seed,
-                  poly_degree, edge_trim, outlier_k, per_realization_gamma)
+    thetas = [float(theta) for theta in theta_grid]
+    spectra = _model_d_spectra(thetas, _grid_seeds(master_seed, len(thetas), realizations),
+                               dim, chaotic_scale)
+    return _sweep(thetas, "model-D theta", spectra, spectra, None, poly_degree, edge_trim,
+                  outlier_k, per_realization_gamma)
 
 
 @_one_blas_thread()
@@ -639,14 +611,28 @@ def sweep_defect(
     """Chaos, bound, and entanglement statistics of the defect chain over d.
 
     Each draw is solved block by block in the total-sigma_z sectors (see
-    ``models``).  Spacing statistics default to the largest sector, n_down =
-    N // 2 (mixing symmetry sectors fakes Poisson statistics); b and the
-    ground-state Q come from the merged spectrum of all sectors.
+    ``models``): one sampler per grid point, all built before any solve, so
+    a Hamiltonian that overflows raises first; one stacked pass over every
+    (point, sector) block (``_model_e_spectra``); and one over the ground
+    blocks (``_ground_state_q``).  Spacing statistics default to the largest
+    sector, n_down = N // 2 (mixing symmetry sectors fakes Poisson
+    statistics); b and the ground-state Q come from the merged spectrum of
+    all sectors, which is checked for overflow before the ground pass.
     """
-    draws = functools.partial(_model_e_draws, n_qubits=n_qubits, h=h, J=J,
-                              sector_restricted=sector_restricted)
-    return _sweep(d_grid, "model-E d", draws, realizations, master_seed, poly_degree,
-                  edge_trim, outlier_k, per_realization_gamma)
+    ds = [float(d) for d in d_grid]
+    samplers = [_ModelESampler(row, n_qubits, d, h, J)
+                for d, row in zip(ds, _grid_seeds(master_seed, len(ds), realizations))]
+    blocks = _model_e_spectra(samplers, range(n_qubits + 1))
+    eigenvalues = np.empty((len(ds), realizations, 2**n_qubits))
+    for t, point in enumerate(blocks):
+        np.concatenate(point, axis=1, out=eigenvalues[t])
+    eigenvalues.sort()
+    _require_finite_spectrum("E", eigenvalues)
+    # the middle sector's own arrays: a (points, n, L) copy of them raised the
+    # peak RSS of a 26 x 100 sweep at N = 9 by 2.5 MB
+    levels = [point[n_qubits // 2] for point in blocks] if sector_restricted else eigenvalues
+    return _sweep(ds, "model-E d", eigenvalues, levels, _ground_state_q(samplers, blocks),
+                  poly_degree, edge_trim, outlier_k, per_realization_gamma)
 
 
 STATS_SOURCES = ("GOE", "GUE", "PoissonDiagonal", "D", "E")
@@ -679,15 +665,16 @@ def spacing_statistics(
         raise ValueError(f"unknown source {source!r}; expected one of {STATS_SOURCES}")
     seeds = spawn_seeds(master_seed, np.arange(draws))
     if source == "D":
-        [(_, levels, _)] = _model_d_draws([theta], seeds[np.newaxis], dim,
-                                          MODEL_D_CHAOTIC_SCALE)
+        [levels] = _model_d_spectra([theta], seeds[np.newaxis], dim, MODEL_D_CHAOTIC_SCALE)
     elif source == "E":
-        [(_, levels, _)] = _model_e_draws([d], seeds[np.newaxis], n_qubits, h, J,
-                                          sector_restricted, levels_only=True)
+        sectors = [n_qubits // 2] if sector_restricted else range(n_qubits + 1)
+        [blocks] = _model_e_spectra([_ModelESampler(seeds, n_qubits, d, h, J)], sectors)
+        levels = np.sort(np.concatenate(blocks, axis=1), axis=1)
+        _require_finite_spectrum("E", levels)
     else:
-        _, levels, _ = _ensemble_draws(EnsembleKind(source), seeds, dim)
+        levels = _ensemble_spectra(EnsembleKind(source), seeds, dim)
     ok, _, kept, _ = _run_draws(None, levels, source, poly_degree, edge_trim)
     n_failed = draws - int(ok.sum())
     if n_failed > draws // 2:
         raise ExperimentError(f"{n_failed}/{draws} draws failed to unfold")
-    return weibull_fit(pool_unfolded_rows(kept[ok], levels.shape[1])), n_failed
+    return weibull_fit(pool_unfolded_rows(kept[ok])), n_failed

@@ -81,7 +81,6 @@ class SpacingSample:
     """Nearest-neighbor spacings normalized to unit mean."""
 
     spacings: np.ndarray
-    n_levels_discarded: int = 0
 
     def __post_init__(self) -> None:
         s = np.asarray(self.spacings, dtype=float)
@@ -171,14 +170,13 @@ def unfold(eigenvalues, poly_degree: int = 6, edge_trim: float = 0.05) -> np.nda
     return kept
 
 
-def pool_unfolded_rows(kept: np.ndarray, n_levels: int) -> SpacingSample:
-    """One pooled sample of the (n, m) kept unfolded levels of n spectra of
-    ``n_levels`` levels each: every row's spacings normalized to unit mean,
-    then all of them renormalized once, by ``SpacingSample``."""
+def pool_unfolded_rows(kept: np.ndarray) -> SpacingSample:
+    """One pooled sample of the (n, m) kept unfolded levels of n spectra:
+    every row's spacings normalized to unit mean, then all of them
+    renormalized once, by ``SpacingSample``."""
     spacings = np.diff(kept, axis=1)
     spacings /= spacings.mean(axis=1, keepdims=True)
-    return SpacingSample(spacings=spacings.ravel(),
-                         n_levels_discarded=kept.shape[0] * (n_levels - kept.shape[1]))
+    return SpacingSample(spacings.ravel())
 
 
 def weibull_mle(

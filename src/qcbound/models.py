@@ -284,9 +284,9 @@ class _ModelESampler:
     draw i into ``out`` (C(N, n_down) square) and returns it, only copies:
     threads may write into their own ``out`` at the same time, and an
     overflow raises NonFiniteHamiltonianError here, in the caller's thread.
-    ``sectors`` are the (indices, coupling, signs) of ``_sector_chain``, and
-    the J-scaled couplings are shared with every sampler of the same (N, J)
-    (``_scaled_couplings``).
+    ``n_draws`` is the number of seeds, ``sectors`` are the (indices,
+    coupling, signs) of ``_sector_chain``, and the J-scaled couplings are
+    shared with every sampler of the same (N, J) (``_scaled_couplings``).
     """
 
     def __init__(self, seeds, n_qubits: int, d: float, h: float, J: float):
@@ -297,6 +297,7 @@ class _ModelESampler:
         if J == 0:
             raise ValueError("coupling J must be nonzero")
         self.n_qubits = n_qubits
+        self.n_draws = len(seeds)
         self.sectors = _sector_chain(n_qubits)
         defects = np.zeros((len(seeds), n_qubits))
         self._diagonals = []

@@ -17,7 +17,7 @@ GOE matrix.  The sampler must reproduce its bytes.
 ``block_spectrum`` solves a block-diagonal operator one (indices, block)
 pair at a time, with one ``eigvalsh`` call per block and one ``eigh`` of the
 ground block: the per-draw model-E path the package used before it solved
-the blocks of all draws in stacks (``experiments._model_e_draws``), which
+the blocks of all draws in stacks (``experiments._model_e_spectra``), which
 must give the same floats.
 
 ``pool_spacing_samples`` pools per-draw ``SpacingSample``s, each normalized
@@ -54,10 +54,7 @@ def pool_spacing_samples(samples) -> SpacingSample:
     samples = list(samples)
     if not samples:
         raise ValueError("nothing to pool")
-    return SpacingSample(
-        spacings=np.concatenate([s.spacings for s in samples]),
-        n_levels_discarded=sum(s.n_levels_discarded for s in samples),
-    )
+    return SpacingSample(np.concatenate([s.spacings for s in samples]))
 
 
 def model_d_matrix(theta: float, seed: int, dim: int, chaotic_scale: float) -> np.ndarray:

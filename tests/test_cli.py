@@ -434,12 +434,27 @@ class TestSweepCommands:
     def test_smallest_unfoldable_spectrum_runs(self, tmp_path, argv):
         assert run_cli([*argv, "--out", str(tmp_path)]) == 0
 
-    def test_per_realization_fit_failures_are_counted(self, tmp_path, capsys):
-        code = run_cli(["sweep-theta", "--points", "2", "--realizations", "4",
-                        "--dim", "64", "--gamma-mode", "per-realization",
-                        "--out", str(tmp_path)])
-        assert code == 2
-        assert "4/4 draws failed at parameter 0" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv,flag,spacings", [
+        (["sweep-theta", "--dim", "64"], "--dim 64", 57),
+        (["sweep-defect", "--qubits", "8"], "--qubits 8 (--sector restricted)", 63),
+    ], ids=["theta-d64", "defect-N8"])
+    def test_per_realization_fit_too_small_exits_2_before_any_draw(
+            self, tmp_path, capsys, monkeypatch, argv, flag, spacings):
+        # each draw fits alone: L - 2 floor(trim L) - 1 spacings, 64 - 7 and 70 - 7
+        import qcbound.experiments as experiments
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a draw was made")
+
+        monkeypatch.setattr(experiments, "_sweep", no_draw)
+        monkeypatch.setattr(experiments, "spawn_seeds", no_draw)
+        out = tmp_path / "o"
+        assert run_cli([*argv, "--points", "2", "--realizations", "4",
+                        "--gamma-mode", "per-realization", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --gamma-mode per-realization with {flag}, --unfold-trim 0.05 gives "
+            f"{spacings} spacings per fit; a fit needs at least 100"]
+        assert not out.exists()
 
     def test_failed_point_aborts_the_sweep_naming_it(self, tmp_path, capsys, caplog):
         # the benchmark's defect-n9 call at workload seed 39: draw 0 at grid

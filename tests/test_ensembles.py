@@ -17,10 +17,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             EnsembleSpec(EnsembleKind.GOE, dim=1)
 
-    def test_rejects_bad_scale(self):
-        with pytest.raises(ValueError):
-            EnsembleSpec(EnsembleKind.GUE, dim=4, scale=-1.0)
-
 
 class TestHermitianByConstruction:
     # Internal samplers skip HermitianOperator, so the drawer itself must
@@ -34,18 +30,18 @@ class TestHermitianByConstruction:
 
     @pytest.mark.parametrize("dim", [4, 128])
     def test_gue_drawer_is_textbook_formula(self, dim):
-        # the drawer assembles (B + B^dag) * scale/2, B = X + iY, part by
+        # the drawer assembles (B + B^dag) / 2, B = X + iY, part by
         # part; it must give the same bytes as the textbook expression
         for seed in range(10):
             rng = np.random.default_rng(seed)
             b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            expected = (b + b.conj().T) * (0.7 / 2.0)
-            m = _sample_matrix(EnsembleSpec(EnsembleKind.GUE, dim, scale=0.7), seed)
+            expected = (b + b.conj().T) * 0.5
+            m = _sample_matrix(EnsembleSpec(EnsembleKind.GUE, dim), seed)
             assert m.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("kind", list(EnsembleKind))
     def test_sample_is_the_drawer_output(self, kind):
-        spec = EnsembleSpec(kind, 16, scale=0.7)
+        spec = EnsembleSpec(kind, 16)
         for seed in range(5):
             m = _sample_matrix(spec, seed)
             op = sample(spec, seed)
@@ -115,7 +111,7 @@ class TestBatchSeeding:
     def test_matrix_sampler_writes_into_out_and_equals_sample(self, kind):
         # the rows of one stack, filled with a nonzero value first, so the
         # PoissonDiagonal kind must clear its off-diagonal entries itself
-        spec = EnsembleSpec(kind, 24, scale=0.8)
+        spec = EnsembleSpec(kind, 24)
         draw = _matrix_sampler(spec)
         seeds = [3, 2**40 + 1, 3]
         stack = np.full((len(seeds), 24, 24), 7.0, dtype=_matrix_dtype(spec))
@@ -187,7 +183,7 @@ class TestBatchSeeding:
     def test_row_equals_row_of_sampled_matrix(self, kind, dim):
         # c^T V from the normals against c @ V for the assembled V; the
         # tolerance is roundoff of a length-d sum with unit-norm c
-        spec = EnsembleSpec(kind, dim, scale=1.3)
+        spec = EnsembleSpec(kind, dim)
         r = np.random.default_rng(dim)
         c = r.standard_normal(dim) + 1j * r.standard_normal(dim)
         c /= np.linalg.norm(c)
@@ -223,28 +219,27 @@ class TestEnsembleShapes:
         assert np.max(np.abs(m - m.conj().T)) < 1e-12
 
     def test_goe_variances(self):
-        # off-diagonal variance scale^2, diagonal variance 2 scale^2
-        scale = 1.3
+        # off-diagonal variance 1, diagonal variance 2
         draws = [
-            sample(EnsembleSpec(EnsembleKind.GOE, 40, scale=scale), s).matrix
+            sample(EnsembleSpec(EnsembleKind.GOE, 40), s).matrix
             for s in range(60)
         ]
         offs = np.concatenate([m[np.triu_indices(40, k=1)] for m in draws])
         diags = np.concatenate([np.diag(m) for m in draws])
-        assert offs.var() == pytest.approx(scale**2, rel=0.05)
-        assert diags.var() == pytest.approx(2 * scale**2, rel=0.1)
+        assert offs.var() == pytest.approx(1.0, rel=0.05)
+        assert diags.var() == pytest.approx(2.0, rel=0.1)
 
     def test_gue_variances(self):
-        scale = 0.7
+        # off-diagonal real and imaginary variances 1/2, diagonal variance 1
         draws = [
-            sample(EnsembleSpec(EnsembleKind.GUE, 40, scale=scale), s).matrix
+            sample(EnsembleSpec(EnsembleKind.GUE, 40), s).matrix
             for s in range(60)
         ]
         offs = np.concatenate([m[np.triu_indices(40, k=1)] for m in draws])
-        assert offs.real.var() == pytest.approx(scale**2 / 2, rel=0.05)
-        assert offs.imag.var() == pytest.approx(scale**2 / 2, rel=0.05)
+        assert offs.real.var() == pytest.approx(0.5, rel=0.05)
+        assert offs.imag.var() == pytest.approx(0.5, rel=0.05)
         diags = np.concatenate([np.diag(m).real for m in draws])
-        assert diags.var() == pytest.approx(scale**2, rel=0.1)
+        assert diags.var() == pytest.approx(1.0, rel=0.1)
 
 
 class TestSpectralStatistics:

@@ -27,7 +27,9 @@ from qcbound.level_stats import (
     unfold,
     weibull_fit,
 )
-from qcbound.models import MODEL_E_DEFAULT_FIELD, ModelConfig
+from qcbound.models import (
+    MODEL_E_DEFAULT_FIELD, ModelConfig, NonFiniteHamiltonianError, _ModelESampler,
+)
 from qcbound.quantum import DegenerateSpectrumError
 
 
@@ -276,11 +278,33 @@ class TestWorkerCount:
         scatter_bound_test(ModelConfig(family="B", n_qubits=3), samples=50)
 
 
-def _stacked_draws(source: str, seeds, dim: int):
+def _spectra(source: str, seeds, dim: int) -> np.ndarray:
     if source == "D":
-        [draws] = experiments._model_d_draws([0.7], seeds[np.newaxis], dim, 0.3)
-        return draws
-    return experiments._ensemble_draws(EnsembleKind(source), seeds, dim)
+        [spectra] = experiments._model_d_spectra([0.7], seeds[np.newaxis], dim, 0.3)
+        return spectra
+    return experiments._ensemble_spectra(EnsembleKind(source), seeds, dim)
+
+
+def _swept(monkeypatch, sweep, *args, **kwargs) -> tuple:
+    """``(eigenvalues, levels, q)``: the arrays ``sweep`` hands ``_sweep``."""
+    monkeypatch.setattr(experiments, "_sweep",
+                        lambda grid, label, eigenvalues, levels, q, *rest: (eigenvalues, levels, q))
+    return sweep(*args, **kwargs)
+
+
+class _Unfolded(Exception):
+    """Raised in place of ``_run_draws`` with the levels it was handed."""
+
+
+def _stats_levels(monkeypatch, *args, **kwargs) -> np.ndarray:
+    """The (n, L) levels ``spacing_statistics`` unfolds."""
+    def capture(eigenvalues, levels, *rest):
+        raise _Unfolded(levels)
+
+    monkeypatch.setattr(experiments, "_run_draws", capture)
+    with pytest.raises(_Unfolded) as unfolded:
+        spacing_statistics(*args, **kwargs)
+    return unfolded.value.args[0]
 
 
 class TestStackedSpectra:
@@ -296,8 +320,7 @@ class TestStackedSpectra:
                             lambda n_tasks, dim: min(workers, n_tasks))
         seeds = spawn_seeds(dim + workers, np.arange(n_draws))
         with quantum._one_blas_thread():
-            eigenvalues, levels, q = _stacked_draws(source, seeds, dim)
-            assert levels is eigenvalues and q is None
+            eigenvalues = _spectra(source, seeds, dim)
             assert eigenvalues.shape == (n_draws, dim)
             for i, seed in enumerate(seeds.tolist()):
                 if source == "D":
@@ -317,7 +340,7 @@ class TestStackedSpectra:
             return results
 
         monkeypatch.setattr(experiments, "_run_indexed", capture)
-        eigenvalues, _, _ = _stacked_draws(source, spawn_seeds(4, np.arange(10)), 128)
+        eigenvalues = _spectra(source, spawn_seeds(4, np.arange(10)), 128)
         [(n_tasks, workers, results)] = loops
         assert (n_tasks, workers) == (3, experiments._worker_count(3, 128))
         assert [r.shape for r in results] == [(4, 128), (4, 128), (2, 128)]
@@ -333,26 +356,34 @@ class TestModelEStacks:
     @pytest.mark.parametrize("d", [0.0, 0.3, 2.5])
     @pytest.mark.parametrize("n", [5, 7, 9])
     def test_equal_to_one_solve_per_block(self, monkeypatch, n, d, workers):
+        # what a sweep hands _sweep (realization r is spawn_seed(master, 0, r))
+        # and what stats unfolds (draw i is spawn_seed(master, i)), restricted
+        # to the middle sector or not, against one solve per block of each seed
         from oracles import block_spectrum, model_e_blocks
 
         monkeypatch.setattr(experiments, "_worker_count",
                             lambda n_tasks, dim: min(workers, n_tasks))
-        seeds = spawn_seeds(10 * n + workers, np.arange(11))
+        master = 10 * n + workers
         with quantum._one_blas_thread():
-            draws = {(restricted, levels_only): next(experiments._model_e_draws(
-                [d], seeds[np.newaxis], n, MODEL_E_DEFAULT_FIELD, 1.0, restricted, levels_only))
-                for restricted in (True, False) for levels_only in (False, True)}
-            for i, seed in enumerate(seeds.tolist()):
-                blocks = model_e_blocks(n, d, seed=seed)
-                oracle = block_spectrum(blocks)
-                q = sector_mean_bipartite_Q(oracle.ground_state, blocks[oracle.ground_block][0], n)
-                middle = oracle.block_eigenvalues[n // 2]
-                for (restricted, levels_only), (eigenvalues, levels, q_all) in draws.items():
-                    assert np.array_equal(levels[i],
-                                          middle if restricted else oracle.eigenvalues)
-                    if levels_only:
-                        assert eigenvalues is None and q_all is None
-                    else:
+            for restricted in (True, False):
+                eigenvalues, levels, q_all = _swept(
+                    monkeypatch, sweep_defect, [d], realizations=11, n_qubits=n,
+                    master_seed=master, sector_restricted=restricted)
+                stats = _stats_levels(monkeypatch, "E", 11, master_seed=master, n_qubits=n, d=d,
+                                      sector_restricted=restricted)
+                runs = [(spawn_seeds(master, np.arange(11), (0,)), eigenvalues[0], levels[0],
+                         q_all[0]), (spawn_seeds(master, np.arange(11)), None, stats, None)]
+                for seeds, eigenvalues, levels, q_all in runs:
+                    for i, seed in enumerate(seeds.tolist()):
+                        blocks = model_e_blocks(n, d, seed=seed)
+                        oracle = block_spectrum(blocks)
+                        middle = oracle.block_eigenvalues[n // 2]
+                        assert np.array_equal(levels[i],
+                                              middle if restricted else oracle.eigenvalues)
+                        if q_all is None:
+                            continue
+                        q = sector_mean_bipartite_Q(oracle.ground_state,
+                                                    blocks[oracle.ground_block][0], n)
                         assert np.array_equal(eigenvalues[i], oracle.eigenvalues)
                         assert q_all[i] == q
 
@@ -367,8 +398,8 @@ class TestModelEStacks:
             return results
 
         monkeypatch.setattr(experiments, "_run_indexed", capture)
-        [(eigenvalues, _, _)] = experiments._model_e_draws(
-            [2.5], spawn_seeds(4, np.arange(11))[np.newaxis], 9, MODEL_E_DEFAULT_FIELD, 1.0, True)
+        eigenvalues, _, _ = _swept(monkeypatch, sweep_defect, [2.5], realizations=11,
+                                   n_qubits=9, master_seed=4)
         (n_tasks, workers, results), (n_ground, ground_workers, ground) = loops
         assert (n_tasks, workers) == (16, experiments._worker_count(16, 126))
         dims = [1, 9, 36, 84, 126, 126, 84, 36, 9, 1]
@@ -378,7 +409,7 @@ class TestModelEStacks:
         merged = np.sort(np.concatenate(
             [np.concatenate(results[sum(map(len, stacks[:s])):sum(map(len, stacks[:s + 1]))])
              for s in range(10)], axis=1), axis=1)
-        assert np.array_equal(merged, eigenvalues)
+        assert np.array_equal(merged, eigenvalues[0])
         # the ground pass: the same rule, on the ground blocks' sectors
         assert n_ground == len(ground) and all(r is not None for r in ground)
         assert sum(len(r) for r in ground) == 11
@@ -395,64 +426,70 @@ class TestModelEStacks:
             spacing_statistics("E", 4, n_qubits=9, d=0.5, sector_restricted=restricted)
 
 
-class TestOnePassFactories:
-    # a factory called on a whole grid (one set of stacked passes) yields, bit
-    # for bit, the rows it gives when called on each grid point alone
-    @staticmethod
-    def _grid_and_alone(factory, params, realizations, *args, **kwargs) -> tuple:
-        seeds = np.array([spawn_seeds(5, np.arange(realizations), (t,))
-                          for t in range(len(params))])
-        with quantum._one_blas_thread():
-            together = list(factory(params, seeds, *args, **kwargs))
-            alone = [next(factory([param], row[np.newaxis], *args, **kwargs))
-                     for param, row in zip(params, seeds)]
-        assert len(together) == len(alone) == len(params)
-        return together, alone
+class TestOnePassPerSweep:
+    # a grid solved in one set of stacked passes gives, bit for bit, the
+    # spectra (and model E's Q) of each grid point solved alone
+    PARAMS = {"D": [0.0, 0.4, math.pi / 2], "E": [0.0, 0.3, 2.5]}
 
     @staticmethod
-    def _equal(a, b) -> bool:
-        return (a is None and b is None) or np.array_equal(a, b)
+    def _seeds(points: int, realizations: int) -> np.ndarray:
+        return np.array([spawn_seeds(5, np.arange(realizations), (t,)) for t in range(points)])
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_model_d(self, monkeypatch, workers):
         # theta = 0 is solved by no pass; 9 draws are two stacks at dim 64
         monkeypatch.setattr(experiments, "_worker_count",
                             lambda n_tasks, dim: min(workers, n_tasks))
-        together, alone = self._grid_and_alone(
-            experiments._model_d_draws, [0.0, 0.4, math.pi / 2], 9, 64, 0.3)
-        for point, one in zip(together, alone):
-            assert all(map(self._equal, point, one))
+        thetas, seeds = self.PARAMS["D"], self._seeds(3, 9)
+        with quantum._one_blas_thread():
+            together = experiments._model_d_spectra(thetas, seeds, 64, 0.3)
+            alone = [experiments._model_d_spectra([theta], row[np.newaxis], 64, 0.3)[0]
+                     for theta, row in zip(thetas, seeds)]
+        assert together.shape == (3, 9, 64)
+        assert all(map(np.array_equal, together, alone))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("n", [7, 9])
     def test_model_e(self, monkeypatch, n, workers):
-        # ground blocks in one sector at d = 0, spread over several at 2.5
+        # ground blocks in one sector at d = 0, spread over several at 2.5;
+        # every sector, as a sweep asks, and the middle one, as stats does
         monkeypatch.setattr(experiments, "_worker_count",
                             lambda n_tasks, dim: min(workers, n_tasks))
-        for restricted in (True, False):
-            for levels_only in (False, True):
-                together, alone = self._grid_and_alone(
-                    experiments._model_e_draws, [0.0, 0.3, 2.5], 7, n, MODEL_E_DEFAULT_FIELD,
-                    1.0, restricted, levels_only)
+        samplers = [_ModelESampler(row, n, d, MODEL_E_DEFAULT_FIELD, 1.0)
+                    for d, row in zip(self.PARAMS["E"], self._seeds(3, 7))]
+        with quantum._one_blas_thread():
+            for sectors in ([n // 2], range(n + 1)):  # the last gives the Q below
+                together = experiments._model_e_spectra(samplers, sectors)
+                alone = [experiments._model_e_spectra([s], sectors)[0] for s in samplers]
+                assert len(together) == len(alone) == 3
                 for point, one in zip(together, alone):
-                    assert all(map(self._equal, point, one))
-                    assert (point[0] is None) == levels_only
+                    assert len(point) == len(one) == len(sectors)
+                    assert all(map(np.array_equal, point, one))
+            q_together = experiments._ground_state_q(samplers, together)
+            q_alone = [experiments._ground_state_q([s], [blocks])[0]
+                       for s, blocks in zip(samplers, alone)]
+        assert all(map(np.array_equal, q_together, q_alone))
 
-    def test_point_errors_come_after_the_rows_before_them(self, monkeypatch):
-        # the last Hamiltonian overflows: its error is raised at its point,
-        # after the points before it are aggregated, as with one pass each
-        from qcbound.models import NonFiniteHamiltonianError
+    def test_overflowing_model_e_point_fails_before_any_solve(self, monkeypatch):
+        # the last Hamiltonian overflows: every sampler is built before any
+        # solve, so the sweep raises before a block is solved or a row made
+        def refuse(*args, **kwargs):
+            raise AssertionError("called")
 
-        real, aggregated = experiments._aggregate_row, []
-
-        def recorded(param, *args):
-            aggregated.append(param)
-            return real(param, *args)
-
-        monkeypatch.setattr(experiments, "_aggregate_row", recorded)
+        monkeypatch.setattr(experiments, "_aggregate_row", refuse)
+        monkeypatch.setattr(experiments, "_stacked_spectra", refuse)
         with pytest.raises(NonFiniteHamiltonianError, match="Hamiltonian is not finite"):
             sweep_defect([0.0, 0.5, 1e308], realizations=6, n_qubits=7)
-        assert aggregated == [0.0, 0.5]
+
+    def test_overflowing_model_d_spectrum_fails_before_any_row(self, monkeypatch):
+        # theta = 0 is finite, the others overflow: the check runs once over
+        # every point, before the first one is aggregated
+        def refuse(*args, **kwargs):
+            raise AssertionError("_aggregate_row called")
+
+        monkeypatch.setattr(experiments, "_aggregate_row", refuse)
+        with pytest.raises(NonFiniteHamiltonianError, match="spectrum overflows"):
+            sweep_theta([0.0, 0.5, math.pi / 2], realizations=6, dim=64, chaotic_scale=1e308)
 
 
 class TestRunDraws:
@@ -464,7 +501,7 @@ class TestRunDraws:
 
     @staticmethod
     def _rows() -> tuple:
-        [(eigenvalues, _, _)] = experiments._model_d_draws(
+        [eigenvalues] = experiments._model_d_spectra(
             [0.0], spawn_seeds(9, np.arange(44), (0,))[np.newaxis], 64, 0.3)
         levels = eigenvalues.copy()
         eigenvalues[[2, 8], 1] = eigenvalues[[2, 8], 0]
@@ -712,8 +749,7 @@ class TestSpacingStatistics:
         # no eigensolve: the same floats as eigvalsh of the diagonal matrix
         spec = EnsembleSpec(EnsembleKind.POISSON_DIAGONAL, dim)
         seeds = spawn_seeds(dim, np.arange(20))
-        eigenvalues, levels, _ = experiments._ensemble_draws(spec.kind, seeds, dim)
-        assert levels is eigenvalues
+        eigenvalues = experiments._ensemble_spectra(spec.kind, seeds, dim)
         for i, seed in enumerate(seeds.tolist()):
             assert np.array_equal(eigenvalues[i],
                                   np.linalg.eigvalsh(_sample_matrix(spec, seed)))

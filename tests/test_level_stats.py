@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from qcbound.ensembles import spawn_seed, spawn_seeds
-from qcbound.experiments import _model_d_draws
+from qcbound.experiments import _model_d_spectra
 from qcbound.level_stats import (
     GAMMA_DENOMINATOR,
     S0_CROSSING,
@@ -125,8 +125,8 @@ class TestCountingFunctionFit:
 def _model_d_rows(n: int = 24) -> np.ndarray:
     # model D at theta = 0, dim 64: draws 4, 19 and 21 of these unfold only at
     # degree 5, and draw 8 at neither 6 nor 5
-    [(_, levels, _)] = _model_d_draws([0.0], spawn_seeds(9, np.arange(n), (0,))[np.newaxis],
-                                      64, MODEL_D_CHAOTIC_SCALE)
+    [levels] = _model_d_spectra([0.0], spawn_seeds(9, np.arange(n), (0,))[np.newaxis],
+                                64, MODEL_D_CHAOTIC_SCALE)
     return levels
 
 
@@ -157,10 +157,9 @@ class TestUnfoldRows:
         levels = _model_d_rows()
         kept, degrees = unfold_rows(levels)
         ok = degrees > 0
-        pooled = pool_unfolded_rows(kept[ok], levels.shape[1])
+        pooled = pool_unfolded_rows(kept[ok])
         expected = pool_spacing_samples(SpacingSample(np.diff(unfold(row))) for row in levels[ok])
         assert np.array_equal(pooled.spacings, expected.spacings)
-        assert pooled.n_levels_discarded == 23 * 6
 
 
 class TestSpacingSample:
@@ -173,11 +172,10 @@ class TestSpacingSample:
             SpacingSample(spacings=np.array([0.5, -0.1]))
 
     def test_pooling(self):
-        a = SpacingSample(np.array([1.0, 2.0]), n_levels_discarded=2)
-        b = SpacingSample(np.array([0.5, 0.5, 3.0]), n_levels_discarded=1)
+        a = SpacingSample(np.array([1.0, 2.0]))
+        b = SpacingSample(np.array([0.5, 0.5, 3.0]))
         pooled = pool_spacing_samples([a, b])
         assert len(pooled) == 5
-        assert pooled.n_levels_discarded == 3
         assert pooled.spacings.mean() == pytest.approx(1.0)
 
 

@@ -15,7 +15,7 @@ from qcbound.entanglement import sector_mean_bipartite_Q
 from qcbound.ensembles import (
     EnsembleKind, EnsembleSpec, _sample_matrix, sample, spawn_seed, spawn_seeds,
 )
-from qcbound.experiments import _model_d_draws
+from qcbound.experiments import _model_d_spectra
 from qcbound.models import (
     MODEL_D_CHAOTIC_SCALE,
     MODEL_D_DEFAULT_DIM,
@@ -245,7 +245,7 @@ class TestModelDSampler:
     @pytest.mark.parametrize("dim", [20, 64, 128])
     def test_theta_zero_sorted_diagonal_equals_eigvalsh(self, dim):
         sampler = _ModelDSampler(self.SEEDS, dim, MODEL_D_CHAOTIC_SCALE)
-        [(eigenvalues, _, _)] = _model_d_draws([0.0], [self.SEEDS], dim, MODEL_D_CHAOTIC_SCALE)
+        [eigenvalues] = _model_d_spectra([0.0], [self.SEEDS], dim, MODEL_D_CHAOTIC_SCALE)
         for i, seed in enumerate(self.SEEDS):
             expected = np.linalg.eigvalsh(model_d_matrix(0.0, seed, dim, MODEL_D_CHAOTIC_SCALE))
             assert np.array_equal(np.sort(sampler.diagonal(0.0, i)), expected)

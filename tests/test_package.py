@@ -64,3 +64,13 @@ def test_removed_name_stays_removed(module, name):
 def test_weibull_params_has_no_converged_flag():
     # weibull_mle raises FitConvergenceError instead of returning an unconverged fit
     assert "converged" not in qcbound.WeibullParams.__dataclass_fields__
+
+
+def test_spacing_sample_has_no_discarded_count():
+    # no output read it; a pooled sample is its spacings alone
+    assert "n_levels_discarded" not in qcbound.SpacingSample.__dataclass_fields__
+
+
+def test_ensemble_spec_has_no_scale():
+    # no caller set it: every draw is at unit scale
+    assert "scale" not in qcbound.EnsembleSpec.__dataclass_fields__
