@@ -18,9 +18,9 @@ matrix's, bit for bit what ``eigvalsh`` returns.  The sweeps and ``stats``
 take their spectra from the same functions, which return arrays:
 ``_ensemble_spectra`` the (n, D) spectra of n ensemble draws,
 ``_model_d_spectra`` the (points, n, D) spectra of a model-D grid, and
-``_model_e_spectra`` the (n, dim_s) spectra of the requested sectors at each
-point of a model-E grid.  Row i of a point is the draw seeded with its
-seeds[i].  A sweep hands ``_sweep`` the (points, n, D) ascending spectra, the
+``_model_e_spectra`` the (points, n, sum of dim_s) spectra of the requested
+sectors of a model-E grid, sector after sector.  Row i of a point is the
+draw seeded with its seeds[i].  A sweep hands ``_sweep`` the (points, n, D) ascending spectra, the
 (points, n, L) levels to unfold and the (points, n) ground-state Q, which
 only model E gives (from its ground block, in its sector; None for model D),
 so that no draw forms a 2^N vector; ``_sweep`` makes one pass per grid point
@@ -34,10 +34,13 @@ Threads.  The model-D, GOE/GUE and model-E spectra of a sweep or ``stats``
 run are built and solved up front, in stacks, on one thread per CPU
 (``_stacked_spectra``): a stack of eigenvalue problems is solved with the
 GIL released, one matrix alone is not.  A sweep makes one such pass over all
-of its grid points, not one per point: model D one, model E two, first the
-blocks of every (point, sector), then every ground block, grouped by sector.
-So a sweep holds every point's spectra at once (points x realizations x D
-floats; model E also holds its sector spectra and as many field diagonals).
+of its grid points, not one per point (``_run_stacks``): model D one, model
+E two, first the eigenvalues of the blocks of every (point, sector), then
+the ground state of every ground block, grouped by sector, by inverse
+iteration (``_ground_states``: two stacked solves, shifted just below the
+ground level that the first pass found, with an ``eigh`` fallback).  So a
+sweep holds every point's spectra at once (points x realizations x D
+floats; model E also holds as many field diagonals).
 A scatter run draws its rows on one thread per CPU and then computes the
 products and kernels in the calling thread (``scatter_bound_test``).  The
 pass after the solves (``_run_draws``) takes all rows of a point at once, in
@@ -50,6 +53,7 @@ the output does not depend on the number of threads, of the run or of BLAS.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import os
@@ -236,46 +240,52 @@ def _worker_count(n_tasks: int, dim: int) -> int:
 _STACK_LEVELS = 500
 
 
-def _stacked_spectra(shapes, dtype, vectors=None) -> list:
-    """For each (build, n, dim) of ``shapes``, the (n, dim) ascending
-    eigenvalues of the n matrices that ``build(i, out)`` writes into ``out``,
-    a (dim, dim) array of ``dtype``.
+def _run_stacks(shapes, dtype, solve) -> None:
+    """For each (build, n, dim) of ``shapes``, build the n matrices that
+    ``build(i, out)`` writes into ``out``, a (dim, dim) array of ``dtype``,
+    in stacks, and hand each stack to ``solve(s, start, stack)``: matrix j
+    of the (k, dim, dim) ``stack`` is matrix start + j of shape s.
 
     Each shape's matrices are cut into stacks of k = _STACK_LEVELS // dim + 1
     (the last one shorter), and one ``_run_indexed`` call runs the stacks of
     every shape, in that order, on ``_worker_count(n_stacks, largest dim)``
-    threads, each on a contiguous chunk.  A stack is built in place and
-    solved by one ``eigvalsh`` call, which gives the same floats as one call
-    per matrix; builds that draw their normals release the GIL too, so they
-    overlap as well.  With ``vectors`` a stack is solved by ``eigh`` instead,
-    and ``vectors(s, i, u)`` gets the eigenvector columns ``u`` of matrix i
-    of shape s, in the stack's task.  With no matrix to solve no loop runs.
+    threads, each on a contiguous chunk; ``solve`` runs in the stack's task
+    and must return non-None (a None result would read as a dropped draw).
+    A stack is built in place; builds that draw their normals release the
+    GIL, as stacked LAPACK calls do, so they overlap as well.  With no
+    matrix to solve no loop runs.
     """
     tasks = [(s, start, min(start + _STACK_LEVELS // dim + 1, n))
              for s, (_, n, dim) in enumerate(shapes)
              for start in range(0, n, _STACK_LEVELS // dim + 1)]
-    spectra = [np.empty((n, dim)) for _, n, dim in shapes]
 
-    def solve(t: int) -> np.ndarray:
-        # returns its rows: a None result would read as a dropped draw
+    def run(t: int):
         s, start, stop = tasks[t]
         build, _, dim = shapes[s]
         stack = np.empty((stop - start, dim, dim), dtype)
         for j in range(stop - start):
             build(start + j, stack[j])
-        rows = spectra[s][start:stop]
-        if vectors is None:
-            rows[...] = np.linalg.eigvalsh(stack)
-        else:
-            rows[...], u = np.linalg.eigh(stack)
-            for j in range(stop - start):
-                vectors(s, start + j, u[j])
-        return rows
+        return solve(s, start, stack)
 
     if tasks:
         largest = max(dim for _, n, dim in shapes if n)
-        _run_indexed(solve, len(tasks), _worker_count(len(tasks), largest))
-    return spectra
+        _run_indexed(run, len(tasks), _worker_count(len(tasks), largest))
+
+
+def _stacked_spectra(shapes, dtype) -> None:
+    """For each (build, out) of ``shapes``, write into row i of the (n, dim)
+    array ``out`` the ascending eigenvalues of the matrix that ``build(i,
+    m)`` writes into ``m``, a (dim, dim) array of ``dtype``: one
+    ``eigvalsh`` call per stack (``_run_stacks``), which gives the same
+    floats as one call per matrix.  ``out`` may be a view, such as a
+    sector's columns of model E's merged spectra."""
+
+    def solve(s: int, start: int, stack: np.ndarray) -> np.ndarray:
+        rows = shapes[s][1][start:start + len(stack)]
+        rows[...] = np.linalg.eigvalsh(stack)
+        return rows
+
+    _run_stacks([(build, *out.shape) for build, out in shapes], dtype, solve)
 
 
 # Rows per U-product block in a scatter run: bounds the temporaries of the
@@ -471,8 +481,8 @@ def _ensemble_spectra(kind: EnsembleKind, seeds, dim: int) -> np.ndarray:
     if kind is EnsembleKind.POISSON_DIAGONAL:
         return np.sort([_normals(spec, rng(i)) for i in range(len(seeds))])
     matrix = _matrix_sampler(spec)
-    [spectra] = _stacked_spectra([(lambda i, out: matrix(rng(i), out), len(seeds), dim)],
-                                 _matrix_dtype(spec))
+    spectra = np.empty((len(seeds), dim))
+    _stacked_spectra([(lambda i, out: matrix(rng(i), out), spectra)], _matrix_dtype(spec))
     return spectra
 
 
@@ -489,10 +499,8 @@ def _model_d_spectra(thetas, seeds, dim: int, chaotic_scale: float) -> np.ndarra
     sampler = _ModelDSampler(seeds, dim, chaotic_scale)
     spectra = np.empty((len(thetas), n, dim))
     solved = [t for t, theta in enumerate(thetas) if math.sin(theta) != 0.0]
-    for t, rows in zip(solved, _stacked_spectra(
-            [(lambda i, out, t=t: sampler.matrix(thetas[t], t * n + i, out), n, dim)
-             for t in solved], float)):
-        spectra[t] = rows
+    _stacked_spectra([(lambda i, out, t=t: sampler.matrix(thetas[t], t * n + i, out), spectra[t])
+                      for t in solved], float)
     for t, theta in enumerate(thetas):
         if t not in solved:
             spectra[t] = np.sort([sampler.diagonal(theta, t * n + i) for i in range(n)])
@@ -500,41 +508,127 @@ def _model_d_spectra(thetas, seeds, dim: int, chaotic_scale: float) -> np.ndarra
     return spectra
 
 
-def _model_e_spectra(samplers: list, sectors) -> list:
-    """For each model-E sampler (a grid point), the (n, dim_s) ascending
-    spectra of its draws' blocks in each of ``sectors``, as a list in the
-    order of ``sectors``, from one stacked pass over the blocks of every
-    (point, sector) (``_stacked_spectra``)."""
+def _model_e_spectra(samplers: list, sectors) -> np.ndarray:
+    """The (points, n, sum of dim_s) spectra of the model-E samplers (one
+    per grid point) in ``sectors``: row i of point t holds the ascending
+    levels of draw i's block in each sector, sector after sector in the order
+    of ``sectors``, unsorted across them.  One stacked pass over the blocks
+    of every (point, sector) (``_stacked_spectra``) writes each block's rows
+    straight into its columns."""
     sectors = list(sectors)
-    solved = _stacked_spectra(
+    dims = [samplers[0].sectors[s][0].size for s in sectors]
+    edges = np.cumsum([0, *dims]).tolist()
+    spectra = np.empty((len(samplers), samplers[0].n_draws, edges[-1]))
+    _stacked_spectra(
         [(lambda i, out, sampler=sampler, s=s: sampler.block(s, i, out),
-          sampler.n_draws, sampler.sectors[s][0].size) for sampler in samplers for s in sectors],
+          spectra[t, :, edges[k]:edges[k + 1]])
+         for t, sampler in enumerate(samplers) for k, s in enumerate(sectors)],
         float)
-    return [solved[t * len(sectors):(t + 1) * len(sectors)] for t in range(len(samplers))]
+    return spectra
 
 
-def _ground_state_q(samplers: list, spectra: list) -> np.ndarray:
+def _sector_bottoms(spectra: np.ndarray, n_qubits: int) -> np.ndarray:
+    """The (points, n, N + 1, 2) two lowest levels of each sector block, from
+    the (points, n, 2^N) spectra that ``_model_e_spectra`` gives for every
+    sector; a 1-dim block has +inf as its second level."""
+    bottoms = np.full((*spectra.shape[:-1], n_qubits + 1, 2), np.inf)
+    start = 0
+    for s in range(n_qubits + 1):
+        size = math.comb(n_qubits, s)
+        bottoms[..., s, :min(size, 2)] = spectra[..., start:start + min(size, 2)]
+        start += size
+    return bottoms
+
+
+# Inverse iteration on a ground block A shifts it by sigma = lambda_0 -
+# _GROUND_SHIFT r, r the draw's spectral radius (max |level|), which bounds
+# the norm of each of its blocks.  eigvalsh gives lambda_0 within about
+# 2e-15 r (N = 5..9), so A - sigma I is positive definite with a 50-fold
+# margin, and each solve divides an excited component, relative to the
+# ground one, by at least gap / (_GROUND_SHIFT r).  A unit x with |A x - lambda_0 x| <= t gap, gap
+# the block's lowest gap, is within an angle of sin = t of the ground state
+# (Davis-Kahan), and its Rayleigh quotient within t gap of lambda_0.  The
+# residual of a converged state is about 4e-15 r (N = 9), so the bound t =
+# _GROUND_SIN_BOUND holds where gap > about 1e-4 r; the ground blocks of a 26 x
+# 100 sweep at N = 9 have gap >= 3e-3 r.  A state that misses it is solved
+# again by ``eigh``.
+_GROUND_SHIFT = 1e-13
+_GROUND_SIN_BOUND = 1e-10
+
+
+@functools.lru_cache(maxsize=None)
+def _start_vector(dim: int) -> np.ndarray:
+    """The start of inverse iteration on a dim x dim block: standard normals
+    from a fixed seed.  All ones would not do: on the clean chain that
+    vector is orthogonal to the ground state, to roundoff."""
+    x = np.random.default_rng(0).standard_normal(dim)
+    x.flags.writeable = False
+    return x
+
+
+def _ground_states(stack: np.ndarray, lowest: np.ndarray, gap: np.ndarray, radius: np.ndarray,
+                   label) -> np.ndarray:
+    """The (k, dim) lowest eigenvectors of the (k, dim, dim) real symmetric
+    ``stack``, given each matrix's lowest eigenvalue ``lowest``, the gap
+    from it to the next, and its spectral radius (or a bound on its norm)
+    ``radius``: two steps of inverse iteration from ``_start_vector``, each
+    a stacked ``np.linalg.solve`` and a normalization, on the stack shifted
+    in place to just below each lowest eigenvalue.  A state whose residual
+    against ``lowest`` is above _GROUND_SIN_BOUND ``gap`` (or not finite,
+    or on a stack that ``solve`` finds singular) comes from ``eigh`` of its
+    shifted matrix instead, with one DEBUG line naming ``label(j)``.  No
+    sign is fixed."""
+    k, dim = stack.shape[:2]
+    shift = _GROUND_SHIFT * radius
+    stack.reshape(k, -1)[:, ::dim + 1] -= (lowest - shift)[:, np.newaxis]  # in place
+    x = np.broadcast_to(_start_vector(dim), (k, dim))
+    try:
+        for _ in range(2):
+            x = np.linalg.solve(stack, x[..., np.newaxis])[..., 0]
+            x /= np.linalg.norm(x, axis=1)[:, np.newaxis]
+        residual = np.linalg.norm(
+            np.matmul(stack, x[..., np.newaxis])[..., 0] - shift[:, np.newaxis] * x, axis=1)
+    except np.linalg.LinAlgError:
+        x, residual = np.empty((k, dim)), np.full(k, np.nan)
+    for j in np.flatnonzero(~(residual <= _GROUND_SIN_BOUND * gap)).tolist():
+        logger.debug("%s: inverse-iteration residual %.3e at gap %.3e, ground state by eigh",
+                     label(j), residual[j], gap[j])
+        x[j] = np.linalg.eigh(stack[j])[1][:, 0]
+    return x
+
+
+def _ground_state_q(samplers: list, bottoms: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
     """Q of every draw's ground state, (points, draws), from the lowest
-    eigenvector of its ground block: the sector whose lowest level is the
-    lowest (the first such sector on a tie).  The ground blocks of every
-    point are grouped by sector and solved by ``eigh`` in stacks, in one
-    pass (``_stacked_spectra``), with Q computed in the stack's task
-    (``sector_mean_bipartite_Q``)."""
-    ground = np.array([np.argmin([s[:, 0] for s in point], axis=0) for point in spectra])
+    eigenvector of its ground block: the sector whose lowest level, in the
+    (points, draws, sectors, 2) two lowest levels ``bottoms``, is the lowest
+    (the first such sector on a tie).  The spectral radius comes from the
+    sorted merged spectra ``eigenvalues``.  The ground blocks of every point
+    are grouped by sector and solved in stacks in one pass (``_run_stacks``)
+    by inverse iteration (``_ground_states``), with Q computed in the
+    stack's task (``sector_mean_bipartite_Q``)."""
+    ground = bottoms[..., 0].argmin(axis=-1)
+    pair = np.take_along_axis(bottoms, ground[..., np.newaxis, np.newaxis], axis=-2)[..., 0, :]
+    lowest, gap = pair[..., 0], pair[..., 1] - pair[..., 0]
+    radius = np.maximum(-eigenvalues[..., 0], eigenvalues[..., -1])
     groups = [(s, *np.nonzero(ground == s)) for s in np.unique(ground).tolist()]
     q = np.empty(ground.shape)
 
-    def keep(g: int, j: int, u: np.ndarray) -> None:
+    def solve(g: int, start: int, stack: np.ndarray) -> np.ndarray:
         s, points, draws = groups[g]
-        sampler = samplers[points[j]]
-        q[points[j], draws[j]] = sector_mean_bipartite_Q(u[:, 0], sampler.sectors[s][0],
-                                                         sampler.n_qubits)
+        at = points[start:start + len(stack)], draws[start:start + len(stack)]
+        states = _ground_states(stack, lowest[at], gap[at], radius[at],
+                                lambda j: f"model-E grid point {at[0][j]} draw {at[1][j]}")
+        for j, state in enumerate(states):
+            sampler = samplers[at[0][j]]
+            q[at[0][j], at[1][j]] = sector_mean_bipartite_Q(state, sampler.sectors[s][0],
+                                                            sampler.n_qubits)
+        return states
 
-    _stacked_spectra(
+    _run_stacks(
         [(lambda j, out, s=s, points=points, draws=draws:
           samplers[points[j]].block(s, draws[j], out),
           points.size, samplers[0].sectors[s][0].size) for s, points, draws in groups],
-        float, vectors=keep)
+        float, solve)
     return q
 
 
@@ -613,25 +707,27 @@ def sweep_defect(
     Each draw is solved block by block in the total-sigma_z sectors (see
     ``models``): one sampler per grid point, all built before any solve, so
     a Hamiltonian that overflows raises first; one stacked pass over every
-    (point, sector) block (``_model_e_spectra``); and one over the ground
-    blocks (``_ground_state_q``).  Spacing statistics default to the largest
-    sector, n_down = N // 2 (mixing symmetry sectors fakes Poisson
-    statistics); b and the ground-state Q come from the merged spectrum of
-    all sectors, which is checked for overflow before the ground pass.
+    (point, sector) block (``_model_e_spectra``), which writes the levels
+    into the one (points, n, 2^N) array that is then sorted in place; and
+    one over the ground blocks (``_ground_state_q``), by inverse iteration
+    from each sector's two lowest levels, kept before the sort.  Spacing
+    statistics default to the largest sector, n_down = N // 2 (mixing
+    symmetry sectors fakes Poisson statistics), whose levels are copied out
+    before the sort; b and the ground-state Q come from the merged spectrum
+    of all sectors, which is checked for overflow before the ground pass.
     """
     ds = [float(d) for d in d_grid]
     samplers = [_ModelESampler(row, n_qubits, d, h, J)
                 for d, row in zip(ds, _grid_seeds(master_seed, len(ds), realizations))]
-    blocks = _model_e_spectra(samplers, range(n_qubits + 1))
-    eigenvalues = np.empty((len(ds), realizations, 2**n_qubits))
-    for t, point in enumerate(blocks):
-        np.concatenate(point, axis=1, out=eigenvalues[t])
+    eigenvalues = _model_e_spectra(samplers, range(n_qubits + 1))
+    bottoms = _sector_bottoms(eigenvalues, n_qubits)
+    middle = sum(math.comb(n_qubits, s) for s in range(n_qubits // 2))
+    levels = (eigenvalues[..., middle:middle + math.comb(n_qubits, n_qubits // 2)].copy()
+              if sector_restricted else eigenvalues)
     eigenvalues.sort()
     _require_finite_spectrum("E", eigenvalues)
-    # the middle sector's own arrays: a (points, n, L) copy of them raised the
-    # peak RSS of a 26 x 100 sweep at N = 9 by 2.5 MB
-    levels = [point[n_qubits // 2] for point in blocks] if sector_restricted else eigenvalues
-    return _sweep(ds, "model-E d", eigenvalues, levels, _ground_state_q(samplers, blocks),
+    return _sweep(ds, "model-E d", eigenvalues, levels,
+                  _ground_state_q(samplers, bottoms, eigenvalues),
                   poly_degree, edge_trim, outlier_k, per_realization_gamma)
 
 
@@ -668,8 +764,8 @@ def spacing_statistics(
         [levels] = _model_d_spectra([theta], seeds[np.newaxis], dim, MODEL_D_CHAOTIC_SCALE)
     elif source == "E":
         sectors = [n_qubits // 2] if sector_restricted else range(n_qubits + 1)
-        [blocks] = _model_e_spectra([_ModelESampler(seeds, n_qubits, d, h, J)], sectors)
-        levels = np.sort(np.concatenate(blocks, axis=1), axis=1)
+        [levels] = _model_e_spectra([_ModelESampler(seeds, n_qubits, d, h, J)], sectors)
+        levels.sort()
         _require_finite_spectrum("E", levels)
     else:
         levels = _ensemble_spectra(EnsembleKind(source), seeds, dim)

@@ -20,6 +20,11 @@ ground block: the per-draw model-E path the package used before it solved
 the blocks of all draws in stacks (``experiments._model_e_spectra``), which
 must give the same floats.
 
+``ground_state_q`` is the Q of each model-E draw's ground state from
+``block_spectrum``: the eigenvector column 0 of ``eigh`` on the ground
+block, the route the sweeps took before they solved the ground blocks by
+inverse iteration (``experiments._ground_states``).
+
 ``pool_spacing_samples`` pools per-draw ``SpacingSample``s, each normalized
 on its own, the way the sweeps and ``stats`` pooled before they unfolded the
 draws of a grid point as rows (``level_stats.pool_unfolded_rows``).
@@ -41,7 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from qcbound.ensembles import EnsembleKind, EnsembleSpec, _sample_matrix, spawn_seed
-from qcbound.entanglement import EntanglementInputs, _real_with_residue_check
+from qcbound.entanglement import (
+    EntanglementInputs, _real_with_residue_check, sector_mean_bipartite_Q,
+)
 from qcbound.level_stats import SpacingSample
 from qcbound.models import MODEL_E_DEFAULT_FIELD, _ModelESampler, _spectral_std
 from qcbound.quantum import (
@@ -199,3 +206,18 @@ def block_spectrum(blocks) -> BlockSpectrum:
         ground_block=ground_block,
         ground_state=vectors[:, 0],
     )
+
+
+def ground_state_q(samplers) -> np.ndarray:
+    """The (points, draws) Q of the ground state of draw i of each model-E
+    sampler, from ``block_spectrum`` of its sector blocks: the lowest
+    ``eigh`` eigenvector of the block holding the lowest level."""
+    q = np.empty((len(samplers), samplers[0].n_draws))
+    for t, sampler in enumerate(samplers):
+        for i in range(sampler.n_draws):
+            blocks = [(indices, sampler.block(s, i, np.empty((indices.size, indices.size))))
+                      for s, (indices, _, _) in enumerate(sampler.sectors)]
+            spectrum = block_spectrum(blocks)
+            q[t, i] = sector_mean_bipartite_Q(spectrum.ground_state,
+                                              blocks[spectrum.ground_block][0], sampler.n_qubits)
+    return q

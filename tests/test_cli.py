@@ -843,13 +843,13 @@ class TestSerialDraws:
                                                  shapes):
         import qcbound.experiments as experiments
 
-        real, calls = experiments._stacked_spectra, []
+        real, calls = experiments._run_stacks, []
 
         def counted(*args, **kwargs):
             calls.append(args[0])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "_stacked_spectra", counted)
+        monkeypatch.setattr(experiments, "_run_stacks", counted)
         for points in (2, 5):
             calls.clear()
             assert run_cli([*argv, "--points", str(points), "--realizations", "6",
@@ -901,6 +901,9 @@ class TestBlasThreadCount:
           "--seed", "3"], ["theta_sweep.csv"]),
         (["check", "--model", "B", "--qubits", "7", "--samples", "20", "--seed", "3"],
          ["records.csv", "summary.json"]),
+        # model E's ground states by inverse iteration, in stacks of dim 1 to 126
+        (["sweep-defect", "--qubits", "9", "--points", "8", "--realizations", "8",
+          "--seed", "3"], ["defect_sweep.csv"]),
     ]
 
     @pytest.mark.parametrize("argv,outputs", RUNS, ids=[r[0][0] for r in RUNS])

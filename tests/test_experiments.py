@@ -385,7 +385,8 @@ class TestModelEStacks:
                         q = sector_mean_bipartite_Q(oracle.ground_state,
                                                     blocks[oracle.ground_block][0], n)
                         assert np.array_equal(eigenvalues[i], oracle.eigenvalues)
-                        assert q_all[i] == q
+                        # inverse iteration, against eigh (see TestGroundStates)
+                        assert abs(q_all[i] - q) <= 1e-12
 
     def test_one_task_per_sector_stack_each_returning_its_rows(self, monkeypatch):
         # N = 9, 11 draws at d = 2.5: the ten sectors (dims 1, 9, 36, 84,
@@ -426,6 +427,113 @@ class TestModelEStacks:
             spacing_statistics("E", 4, n_qubits=9, d=0.5, sector_restricted=restricted)
 
 
+class TestGroundStates:
+    # model E's ground pass takes each ground state from two steps of inverse
+    # iteration (experiments._ground_states); oracles.ground_state_q takes it
+    # from eigh, as the sweeps did before
+    @staticmethod
+    def _q(monkeypatch, caplog, n, ds, realizations, seed, h=MODEL_E_DEFAULT_FIELD,
+           sector_restricted=True) -> tuple:
+        """The sweep's Q, as sweep_defect hands it to _sweep, and the oracle's
+        Q of the same draws; and that no state was solved again by eigh."""
+        from oracles import ground_state_q
+
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="qcbound.experiments"):
+            _, _, q = _swept(monkeypatch, sweep_defect, ds, realizations=realizations,
+                             n_qubits=n, h=h, master_seed=seed,
+                             sector_restricted=sector_restricted)
+        assert not [r for r in caplog.records if "by eigh" in r.getMessage()]
+        samplers = [_ModelESampler(row, n, d, h, 1.0) for d, row in
+                    zip(ds, experiments._grid_seeds(seed, len(ds), realizations))]
+        return q, ground_state_q(samplers)
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_q_equals_the_eigh_oracle(self, monkeypatch, caplog, n):
+        for h in (0.0, 0.5, 0.98):
+            q, oracle = self._q(monkeypatch, caplog, n, [0.0, 0.1, 2.5], 5, seed=n, h=h)
+            assert np.abs(q - oracle).max() <= 1e-12
+
+    # the configs of the five sweep-defect-* digests in scripts/output_digests.py
+    @pytest.mark.parametrize("n,points,realizations,seed,restricted", [
+        (7, 3, 8, 9, True), (7, 3, 8, 9, False), (9, 2, 4, 9, True), (9, 3, 8, 9, True),
+        (9, 8, 8, 3, True),
+    ], ids=["n7", "n7-full", "n9", "n9-per-realization", "n9-grid"])
+    def test_digest_grids_equal_the_eigh_oracle(self, monkeypatch, caplog, n, points,
+                                                realizations, seed, restricted):
+        ds = np.linspace(0.0, 2.5, points).tolist()
+        q, oracle = self._q(monkeypatch, caplog, n, ds, realizations, seed,
+                            sector_restricted=restricted)
+        assert np.abs(q - oracle).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_clean_chain_where_all_ones_is_orthogonal(self, monkeypatch, caplog, n):
+        # at d = 0 and h <= 0.8 the all-ones vector of the ground block is
+        # orthogonal to the ground state to roundoff; the fixed start is not
+        from oracles import block_spectrum, model_e_blocks
+
+        for h in (0.0, 0.4, 0.8):
+            blocks = model_e_blocks(n, 0.0, h)
+            ground = block_spectrum(blocks)
+            state = ground.ground_state
+            assert abs(state.sum()) / math.sqrt(state.size) <= 1e-14
+            start = experiments._start_vector(state.size)
+            assert abs(start @ state) / np.linalg.norm(start) > 1e-3
+            q, oracle = self._q(monkeypatch, caplog, n, [0.0], 3, seed=1, h=h)
+            assert np.abs(q - oracle).max() <= 1e-12
+
+    def test_one_dim_ground_blocks(self, monkeypatch, caplog):
+        # a strong field polarizes the chain: the ground block is n_down = N,
+        # a 1 x 1 block whose state is exact, with Q = 0
+        q, oracle = self._q(monkeypatch, caplog, 7, [0.0, 0.1], 4, seed=2, h=3.0)
+        assert np.array_equal(q, oracle) and not q.any()
+        states = experiments._ground_states(np.array([[[2.0]], [[-3.0]]]), np.array([2.0, -3.0]),
+                                            np.full(2, np.inf), np.array([3.0, 3.0]), str)
+        assert np.array_equal(np.abs(states), np.ones((2, 1)))
+
+    # gaps of 1.01, 1e3 and 1e6 times the degeneracy guard's floor: below
+    # about 1e-4 r the residual bound is under roundoff, and eigh solves it
+    @pytest.mark.parametrize("factor,by_eigh", [(1.01, True), (1e3, True), (1e6, False)])
+    def test_gap_just_above_the_degeneracy_guard(self, caplog, factor, by_eigh):
+        # A = V diag(levels) V^T, width 10: the ground state, by inverse
+        # iteration or by eigh, is within 10 eps r / gap of V's column 0 (an
+        # eigenvector's condition number is r / gap)
+        dim, width = 40, 10.0
+        gap = factor * quantum.DEGENERACY_RTOL * width
+        levels = np.concatenate([[-5.0, -5.0 + gap], np.linspace(-4.0, 5.0, dim - 2)])
+        v, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((dim, dim)))
+        a = (v * levels) @ v.T
+        a = (a + a.T) / 2.0
+        w = np.linalg.eigvalsh(a)
+        radius = max(-w[0], w[-1])
+        with caplog.at_level(logging.DEBUG, logger="qcbound.experiments"):
+            [state] = experiments._ground_states(a[np.newaxis], w[:1], w[1:2] - w[:1],
+                                                 np.array([radius]), lambda j: "edge")
+        assert any("edge" in r.getMessage() for r in caplog.records) == by_eigh
+        error = min(np.linalg.norm(state - v[:, 0]), np.linalg.norm(state + v[:, 0]))
+        assert error <= 10 * np.finfo(float).eps * radius / gap
+
+    def test_bad_start_or_level_takes_eigh(self, monkeypatch, caplog):
+        # a start orthogonal to the ground state in exact arithmetic (a
+        # diagonal block and a unit vector) converges to the top level; a lowest
+        # level that is wrong makes the shifted 1 x 1 block exactly singular.
+        # Both miss the residual bound and are solved by eigh, one DEBUG
+        # line each, with the label
+        monkeypatch.setattr(experiments, "_start_vector", lambda dim: np.eye(dim)[-1])
+        stack = np.array([np.diag(np.arange(5.0)), np.diag(np.arange(5.0) - 2.0)])
+        with caplog.at_level(logging.DEBUG, logger="qcbound.experiments"):
+            states = experiments._ground_states(stack, np.array([0.0, -2.0]), np.ones(2),
+                                                np.array([4.0, 2.0]), lambda j: f"block {j}")
+            assert np.array_equal(np.abs(states), np.eye(5)[[0, 0]])
+            [state] = experiments._ground_states(np.zeros((1, 1, 1)), np.array([1e-13]),
+                                                 np.array([np.inf]), np.ones(1), str)
+            assert abs(state[0]) == 1.0
+        lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert len(lines) == 3
+        assert lines[0].startswith("block 0:") and lines[1].startswith("block 1:")
+        assert all("ground state by eigh" in line for line in lines)
+
+
 class TestOnePassPerSweep:
     # a grid solved in one set of stacked passes gives, bit for bit, the
     # spectra (and model E's Q) of each grid point solved alone
@@ -461,13 +569,12 @@ class TestOnePassPerSweep:
             for sectors in ([n // 2], range(n + 1)):  # the last gives the Q below
                 together = experiments._model_e_spectra(samplers, sectors)
                 alone = [experiments._model_e_spectra([s], sectors)[0] for s in samplers]
-                assert len(together) == len(alone) == 3
-                for point, one in zip(together, alone):
-                    assert len(point) == len(one) == len(sectors)
-                    assert all(map(np.array_equal, point, one))
-            q_together = experiments._ground_state_q(samplers, together)
-            q_alone = [experiments._ground_state_q([s], [blocks])[0]
-                       for s, blocks in zip(samplers, alone)]
+                assert together.shape == (3, 7, sum(math.comb(n, s) for s in sectors))
+                assert all(map(np.array_equal, together, alone))
+            bottoms, eigenvalues = experiments._sector_bottoms(together, n), np.sort(together)
+            q_together = experiments._ground_state_q(samplers, bottoms, eigenvalues)
+            q_alone = [experiments._ground_state_q([s], bottoms[t:t + 1], eigenvalues[t:t + 1])[0]
+                       for t, s in enumerate(samplers)]
         assert all(map(np.array_equal, q_together, q_alone))
 
     def test_overflowing_model_e_point_fails_before_any_solve(self, monkeypatch):
