@@ -42,6 +42,9 @@ CONFIGS = {
                     "--seed", "5"], _CHECK),
     "check-B-N5": (["check", "--model", "B", "--qubits", "5", "--samples", "200",
                     "--seed", "5"], _CHECK),
+    # dim 64, the smallest whose draws run on threads (experiments._THREAD_MIN_DIM)
+    "check-B-N6": (["check", "--model", "B", "--qubits", "6", "--samples", "200",
+                    "--seed", "5"], _CHECK),
     # the one check run with b' violations (46 of 1000 draws)
     "check-B-N3-bprime": (["check", "--model", "B", "--qubits", "3", "--samples", "1000",
                            "--seed", "3"], _CHECK),
@@ -49,6 +52,9 @@ CONFIGS = {
     "check-B-N7": (["check", "--model", "B", "--qubits", "7", "--samples", "1000",
                     "--seed", "3"], _CHECK),
     "check-C-GOE": (["check", "--model", "C", "--ensemble", "GOE", "--samples", "200",
+                     "--seed", "6"], _CHECK),
+    # the benchmark also times model C with GUE perturbations
+    "check-C-GUE": (["check", "--model", "C", "--ensemble", "GUE", "--samples", "200",
                      "--seed", "6"], _CHECK),
     "sweep-theta-d64": (["sweep-theta", "--points", "4", "--realizations", "12",
                          "--dim", "64", "--seed", "9"], ("theta_sweep.csv",)),

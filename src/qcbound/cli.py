@@ -186,12 +186,16 @@ def _cmd_check(args) -> int:
     )
     out = _out_dir(args)
     records_path = out / "records.csv"
+    # the constants once per run, the columns as Python floats: the bytes of _fmt
+    b, b_prime = _fmt(result.b), _fmt(result.b_prime)
     _write_csv(
         records_path,
         ["sample_seed", "dq_abs", "k0", "b", "b_prime", "delta"],
         [
-            [str(seed), _fmt(dq_abs), _fmt(k0), _fmt(result.b), _fmt(result.b_prime), _fmt(delta)]
-            for seed, dq_abs, k0, delta in zip(result.seeds, result.dq_abs, result.k0, result.delta)
+            [str(seed), format(dq_abs, ".17g"), format(k0, ".17g"), b, b_prime,
+             format(delta, ".17g")]
+            for seed, dq_abs, k0, delta in zip(result.seeds.tolist(), result.dq_abs.tolist(),
+                                               result.k0.tolist(), result.delta.tolist())
         ],
     )
     summary_path = out / "summary.json"

@@ -261,9 +261,12 @@ def _matrix_sampler(spec: EnsembleSpec) -> Callable[[np.random.Generator, np.nda
     return draw
 
 
-def _sample_row(spec: EnsembleSpec, rng: np.random.Generator, c: np.ndarray) -> np.ndarray:
-    """c^T V for the V that ``_sample_matrix`` builds from the same stream,
-    without forming V: O(d^2) reads of the normals and no d x d temporary.
+def _sample_rows(spec: EnsembleSpec, z: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """c^T V for the V that ``_sample_matrix`` builds from the normals ``z``
+    (``_normals``), without forming V: O(d^2) reads of the normals and no
+    d x d temporary.  ``z`` may be a stack of draws' normals, (k, *shape):
+    the result is then the (k, d) stack of their rows, each the same floats
+    as the row of its slice alone (the products run per slice).
 
     With C = [Re c, Im c] as a real (d, 2) array, Z c and Z^T c are real
     (d x d)(d x 2) products read back as complex vectors, and
@@ -271,7 +274,6 @@ def _sample_row(spec: EnsembleSpec, rng: np.random.Generator, c: np.ndarray) -> 
     (1/sqrt 2)(A + A^T) c for the GOE.  Equal to ``c @ V`` up to the
     order of roundoff.
     """
-    z = _normals(spec, rng)
     if spec.kind is EnsembleKind.POISSON_DIAGONAL:
         return c * z
     cc = np.ascontiguousarray(c, dtype=complex).view(float).reshape(-1, 2)
@@ -279,33 +281,42 @@ def _sample_row(spec: EnsembleSpec, rng: np.random.Generator, c: np.ndarray) -> 
     ztc = np.swapaxes(z, -1, -2) @ cc
     if spec.kind is EnsembleKind.GOE:
         zc += ztc
-        row = zc.view(complex)[:, 0]
-        row *= 1.0 / math.sqrt(2.0)
-        return row
-    sym = zc[0] + ztc[0]
-    anti = ztc[1] - zc[1]
-    row = sym.view(complex)[:, 0]
-    row += 1j * anti.view(complex)[:, 0]
-    row *= 0.5
-    return row
+        rows = zc.view(complex)[..., 0]
+        rows *= 1.0 / math.sqrt(2.0)
+        return rows
+    sym = zc[..., 0, :, :] + ztc[..., 0, :, :]
+    anti = ztc[..., 1, :, :] - zc[..., 1, :, :]
+    rows = sym.view(complex)[..., 0]
+    rows += 1j * anti.view(complex)[..., 0]
+    rows *= 0.5
+    return rows
+
+
+def _normals_shape(spec: EnsembleSpec) -> tuple:
+    """The shape of one draw's ``_normals``."""
+    d = spec.dim
+    if spec.kind is EnsembleKind.GOE:
+        return (d, d)
+    if spec.kind in (EnsembleKind.GUE, EnsembleKind.GENERIC_HERMITIAN):
+        return (2, d, d)
+    if spec.kind is EnsembleKind.POISSON_DIAGONAL:
+        return (d,)
+    raise ValueError(f"unknown ensemble kind {spec.kind!r}")  # pragma: no cover
 
 
 def _normals(spec: EnsembleSpec, rng: np.random.Generator, out: np.ndarray | None = None
              ) -> np.ndarray:
-    """The random numbers of one draw, in stream order; ``_sample_matrix``
-    and ``_sample_row`` both read them, so they see the same V.
+    """The random numbers of one draw, in stream order, of shape
+    ``_normals_shape(spec)``; ``_sample_matrix`` and ``_sample_rows`` both
+    read them, so they see the same V.
 
     GOE: A, (d, d).  GUE / GenericHermitian: X then Y, drawn as one (2, d, d)
     array (the same normals as two (d, d) draws).  PoissonDiagonal: the
     diagonal, N(0, sigma^2) with sigma = sqrt(d + 1), always a new
-    array.  ``out``, when given, is the array of an earlier draw of the same
-    spec to write the (d, d) normals into.
+    array.  ``out``, when given, is an array of that shape to write the
+    GOE/GUE normals into.
     """
-    d = spec.dim
-    if spec.kind is EnsembleKind.GOE:
-        return rng.standard_normal((d, d), out=out)
-    if spec.kind in (EnsembleKind.GUE, EnsembleKind.GENERIC_HERMITIAN):
-        return rng.standard_normal((2, d, d), out=out)
+    shape = _normals_shape(spec)
     if spec.kind is EnsembleKind.POISSON_DIAGONAL:
-        return rng.normal(0.0, math.sqrt(d + 1.0), size=d)
-    raise ValueError(f"unknown ensemble kind {spec.kind!r}")  # pragma: no cover
+        return rng.normal(0.0, math.sqrt(spec.dim + 1.0), size=shape)
+    return rng.standard_normal(shape, out=out)

@@ -41,12 +41,13 @@ iteration (``_ground_states``: two stacked solves, shifted just below the
 ground level that the first pass found, with an ``eigh`` fallback).  So a
 sweep holds every point's spectra at once (points x realizations x D
 floats; model E also holds as many field diagonals).
-A scatter run draws its rows on one thread per CPU and then computes the
-products and kernels in the calling thread (``scatter_bound_test``).  The
-pass after the solves (``_run_draws``) takes all rows of a point at once, in
-the calling thread.  Draws on matrices smaller than ``_THREAD_MIN_DIM`` stay
-on the calling thread.  Each public experiment holds OpenBLAS at one thread
-for its whole call (``quantum._one_blas_thread``).  Each thread works on a
+A scatter run makes one pass of blocks of consecutive draws on one thread
+per CPU, each block drawing its normals, then its rows, products and kernels
+(``scatter_bound_test``).  The pass after the solves (``_run_draws``) takes
+all rows of a point at once, in the calling thread.  Draws on matrices
+smaller than ``_THREAD_MIN_DIM`` stay on the calling thread.  Each public
+experiment holds OpenBLAS at one thread for its whole call
+(``quantum._one_blas_thread``).  Each thread works on a
 contiguous chunk of the draw indices with its own generator and buffers, so
 the output does not depend on the number of threads, of the run or of BLAS.
 """
@@ -67,8 +68,8 @@ from .curvature import (
     saturation_index,
 )
 from .ensembles import (
-    EnsembleKind, EnsembleSpec, _matrix_dtype, _matrix_sampler, _normals, _sample_row,
-    _seeded_generators, spawn_seed, spawn_seeds,
+    EnsembleKind, EnsembleSpec, _matrix_dtype, _matrix_sampler, _normals, _normals_shape,
+    _sample_rows, _seeded_generators, spawn_seed, spawn_seeds,
 )
 from .entanglement import (
     IMAG_RESIDUE_ATOL, dQ0_dtau_from_row, ground_state_site_overlaps, sector_mean_bipartite_Q,
@@ -184,7 +185,7 @@ def _run_indexed(task, n_tasks: int, workers: int) -> list:
     into min(workers, n_tasks) contiguous chunks, each run in order on a
     plain thread started here and joined before this returns; the exception
     of the first chunk that failed is raised in the caller.  A task must be
-    safe to run concurrently with the others, as the scatter's row fills and
+    safe to run concurrently with the others, as the scatter's blocks and
     the stacked solves are (each writes its own rows, from its own thread's
     generator and normals).  perfbench's tracer wraps this loop by its three
     positional arguments, records the third, and reads a None result as a
@@ -218,9 +219,9 @@ def _run_indexed(task, n_tasks: int, workers: int) -> list:
 
 # Smallest matrix dimension whose draws run on threads.  Below it a draw is
 # a few numpy calls on tiny arrays, held up by the GIL, so threads contend:
-# 1000 scatter draws took 27 ms on one thread and 59 ms on two at dim 16,
-# 56 and 65 ms at dim 32, 177 and 112 ms at dim 64 (2 vCPU, OpenBLAS at one
-# thread, in-process medians of 15).
+# 1000 scatter draws, in blocks, took 13-14 ms on one thread and 14-20 ms on
+# two at dim 16, 36-39 and 28-37 ms at dim 32, 121 and 74-99 ms at dim 64
+# (2 vCPU, OpenBLAS at one thread, in-process medians of 15).
 _THREAD_MIN_DIM = 64
 
 
@@ -288,8 +289,8 @@ def _stacked_spectra(shapes, dtype) -> None:
     _run_stacks([(build, *out.shape) for build, out in shapes], dtype, solve)
 
 
-# Rows per U-product block in a scatter run: bounds the temporaries of the
-# block's product and kernels to a few (128, d) arrays.
+# Most draws per block of a scatter run: bounds a block's normals and the
+# temporaries of its products and kernels to a few (128, d) arrays.
 _ROW_BLOCK = 128
 
 
@@ -312,20 +313,23 @@ def scatter_bound_test(
 
     Both kernels read only row 0 of U^dag V U, so a draw needs just that row,
     w = (u_0^dag V) U, and takes u_0^dag V straight from the normals
-    (``ensembles._sample_row``): O(d^2) after the sample instead of O(d^3),
+    (``ensembles._sample_rows``): O(d^2) after the sample instead of O(d^3),
     and no d x d matrix besides the normals.  The child seeds and their
     generators are derived for all draws in one pass, bit-identical to
     ``spawn_seed`` and ``default_rng``.
 
-    Two phases.  First every row c^T V_i is written into one (samples, 1, d)
-    buffer by ``_run_indexed`` on ``_worker_count(samples, d)`` threads,
-    each with its own generator: the normals, most of a draw's time, are
-    drawn with the GIL released, so the threads draw concurrently.  Then, in the
-    calling thread, blocks of at most ``_ROW_BLOCK`` rows go through
-    w = rows @ U (one vector-matrix product per row, the same floats as a
-    serial run) and both kernels at once.  The entry w_0 = <0|V|0> must be
-    real; an imaginary part above IMAG_RESIDUE_ATOL means V is not Hermitian
-    and raises ValueError naming the first such sample.
+    One pass of blocks.  The draws are cut into blocks of k =
+    min(_STACK_LEVELS // d + 1, _ROW_BLOCK) consecutive draws, run by one
+    ``_run_indexed`` call on ``_worker_count(blocks, d)`` threads.  A block
+    re-seeds each of its draws in turn and writes its normals into the
+    thread's (k, ...) buffer (drawn with the GIL released, so threads draw
+    concurrently), turns them into rows in one stacked product, then runs
+    w = rows @ U (one vector-matrix product per row) and both kernels on
+    all of its rows at once, writing its entries of the columns: the same
+    floats as one draw at a time, for any k and thread count.  The entry
+    w_0 = <0|V|0> must be real; an imaginary part above IMAG_RESIDUE_ATOL
+    means V is not Hermitian and raises ValueError naming the first such
+    sample.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -342,18 +346,20 @@ def scatter_bound_test(
     c = np.ascontiguousarray(u[:, 0].conj(), dtype=complex)
     seeds = spawn_seeds(master_seed, np.arange(1, samples + 1, dtype=np.uint64))
     rng = _seeded_generators(seeds)
-    rows = np.empty((samples, 1, c.size), dtype=complex)
-
-    def fill(i: int) -> np.ndarray:
-        # returns the row it wrote: a None result would read as a dropped draw
-        rows[i, 0] = _sample_row(v_spec, rng(i), c)
-        return rows[i, 0]
-
-    _run_indexed(fill, samples, _worker_count(samples, c.size))
     dq_abs, k0 = np.empty(samples), np.empty(samples)
-    for start in range(0, samples, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, samples)
-        w = np.matmul(rows[start:stop], u)[:, 0]
+    per_block = min(_STACK_LEVELS // c.size + 1, _ROW_BLOCK)
+    local = threading.local()
+
+    def block(t: int) -> int:
+        # returns its draw count: a None result would read as a dropped draw
+        start, stop = t * per_block, min((t + 1) * per_block, samples)
+        if not hasattr(local, "z"):
+            local.z = np.empty((per_block, *_normals_shape(v_spec)))
+        z = local.z[:stop - start]
+        for j in range(stop - start):
+            # PoissonDiagonal normals come as a new array, the others in z[j]
+            z[j] = _normals(v_spec, rng(start + j), z[j])
+        w = np.matmul(_sample_rows(v_spec, z, c)[:, np.newaxis], u)[:, 0]
         bad = np.flatnonzero(np.abs(w[:, 0].imag) > IMAG_RESIDUE_ATOL)
         if bad.size:
             i = start + int(bad[0])
@@ -363,6 +369,10 @@ def scatter_bound_test(
             )
         dq_abs[start:stop] = np.abs(dQ0_dtau_from_row(w, gaps, overlaps, n))
         k0[start:stop] = level_curvature_from_row(w, diffs)
+        return stop - start
+
+    n_blocks = -(-samples // per_block)
+    _run_indexed(block, n_blocks, _worker_count(n_blocks, c.size))
     delta = saturation_index(dq_abs, k0, b)
     return ScatterResult(
         seeds=seeds,

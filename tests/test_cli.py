@@ -62,6 +62,23 @@ class TestCheckCommand:
                  "--out", str(out2), "--threads", "4"])
         assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
 
+    def test_records_are_the_result_in_17_digits(self, tmp_path, monkeypatch):
+        import qcbound.cli as cli_mod
+
+        real, results = cli_mod.scatter_bound_test, []
+        monkeypatch.setattr(cli_mod, "scatter_bound_test",
+                            lambda *a, **k: results.append(real(*a, **k)) or results[-1])
+        out = tmp_path / "r"
+        assert run_cli(["check", "--model", "C", "--ensemble", "GOE", "--samples", "40",
+                        "--seed", "2", "--out", str(out)]) == 0
+        [res] = results
+        lines = (out / "records.csv").read_text().splitlines()[1:]
+        assert lines == [
+            ",".join([str(int(seed)), *(format(float(x), ".17g")
+                                        for x in (dq, k0, res.b, res.b_prime, delta))])
+            for seed, dq, k0, delta in zip(res.seeds, res.dq_abs, res.k0, res.delta)
+        ]
+
     def test_bound_violation_exits_3(self, tmp_path, monkeypatch):
         # the proved inequality cannot be violated by real runs, so fake one
         import qcbound.cli as cli_mod
@@ -84,7 +101,12 @@ class TestCheckCommand:
         def no_draw(*args):
             raise AssertionError("a perturbation was drawn on a degenerate H0")
 
-        monkeypatch.setattr(experiments, "_sample_row", no_draw)
+        monkeypatch.setattr(experiments, "_normals", no_draw)
+        monkeypatch.setattr(experiments, "_sample_rows", no_draw)
+        # the seam is live: a run on an isolated ground level reaches it
+        with pytest.raises(AssertionError, match="was drawn"):
+            run_cli(["check", "--model", "A", "--a-coeffs", "0,0.3,0.3", "--lambda", "0.5",
+                     "--samples", "5", "--out", str(tmp_path / "live")])
         out = tmp_path / "d"
         code = run_cli(["check", "--model", "A", "--a-coeffs", "0.1,0.1,0.1",
                         "--lambda", "0.5", "--samples", "5", "--out", str(out)])
@@ -858,25 +880,32 @@ class TestSerialDraws:
             assert len(calls[0]) == shapes(points)
 
     def test_check_bytes_do_not_depend_on_its_threads(self, tmp_path, monkeypatch):
-        # 300 samples: three U-product blocks, and chunks that end inside them
+        # 300 samples at dim 8: blocks of 63 draws by default (five, the last
+        # one short), else of the forced length 1, 7 or 128
         import qcbound.experiments as experiments
 
         started = self._count_threads(monkeypatch)
+        real_worker_count = experiments._worker_count
         outputs = {}
-        for workers in (None, 1, 2, 3):
-            if workers is not None:
-                monkeypatch.setattr(experiments, "_worker_count",
+        for block in (None, 1, 7, 128):
+            if block is not None:  # the cap applies: the stack rule gives more
+                monkeypatch.setattr(experiments, "_STACK_LEVELS", 10**6)
+                monkeypatch.setattr(experiments, "_ROW_BLOCK", block)
+            blocks = -(-300 // (block or 500 // 8 + 1))
+            for workers in (None, 1, 2, 3):
+                monkeypatch.setattr(experiments, "_worker_count", real_worker_count
+                                    if workers is None else
                                     lambda n_tasks, dim, w=workers: min(w, n_tasks))
-            started.clear()
-            out = tmp_path / str(workers)
-            assert run_cli([*self.CHECK, "--threads", "1", "--out", str(out)]) == 0
-            # the default: no thread for dim-8 draws (below _THREAD_MIN_DIM)
-            count = workers or 1
-            assert len(started) == (count if count > 1 else 0)
-            assert not any(thread.is_alive() for thread in started)
-            outputs[workers] = [(out / name).read_bytes()
-                                for name in ("records.csv", "summary.json")]
-        assert outputs[1] == outputs[2] == outputs[3] == outputs[None]
+                started.clear()
+                out = tmp_path / f"{block}-{workers}"
+                assert run_cli([*self.CHECK, "--threads", "1", "--out", str(out)]) == 0
+                # the default: no thread for dim-8 draws (below _THREAD_MIN_DIM)
+                count = min(workers or 1, blocks)
+                assert len(started) == (count if count > 1 else 0)
+                assert not any(thread.is_alive() for thread in started)
+                outputs[block, workers] = [(out / name).read_bytes()
+                                           for name in ("records.csv", "summary.json")]
+        assert len(set(map(tuple, outputs.values()))) == 1
 
     def test_no_openblas_found_gives_the_same_bytes(self, tmp_path, monkeypatch):
         # dim 64: OpenBLAS at its own thread count gives the same floats

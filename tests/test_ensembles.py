@@ -6,8 +6,8 @@ from scipy import stats
 
 from qcbound.ensembles import (
     EnsembleKind, EnsembleSpec, RNG_ALGORITHM, _child_seeds, _matrix_dtype, _matrix_sampler,
-    _sample_matrix,
-    _sample_row, _seeded_generators, sample, spawn_seed, spawn_seeds,
+    _normals, _normals_shape, _sample_matrix, _sample_rows, _seeded_generators, sample,
+    spawn_seed, spawn_seeds,
 )
 from qcbound.level_stats import SpacingSample, unfold, weibull_mle
 
@@ -189,9 +189,27 @@ class TestBatchSeeding:
         c /= np.linalg.norm(c)
         for seed in (0, 2**40 + 1):
             v = _sample_matrix(spec, seed)
+            z = _normals(spec, np.random.default_rng(seed))
             for vec in (c, c.real / np.linalg.norm(c.real)):
-                row = _sample_row(spec, np.random.default_rng(seed), vec)
+                row = _sample_rows(spec, z, vec)
                 assert np.max(np.abs(row - vec @ v)) <= 1e-14 * np.max(np.abs(v))
+
+    @pytest.mark.parametrize("kind", list(EnsembleKind))
+    @pytest.mark.parametrize("dim", [4, 8, 32, 128])
+    def test_stacked_rows_equal_rows_of_one_draw(self, kind, dim):
+        # a scatter block's rows, bit for bit the rows of its draws one by one
+        spec = EnsembleSpec(kind, dim)
+        r = np.random.default_rng(dim)
+        c = r.standard_normal(dim) + 1j * r.standard_normal(dim)
+        c /= np.linalg.norm(c)
+        z = np.empty((128, *_normals_shape(spec)))
+        for j in range(len(z)):
+            z[j] = _normals(spec, np.random.default_rng(j), z[j])
+        for k in (1, 3, 128):
+            rows = _sample_rows(spec, z[:k], c)
+            assert rows.shape == (k, dim)
+            for j in range(k):
+                assert rows[j].tobytes() == _sample_rows(spec, z[j], c).tobytes()
 
 
 class TestEnsembleShapes:

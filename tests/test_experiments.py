@@ -2,12 +2,15 @@ import logging
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcbound.ensembles import EnsembleKind, EnsembleSpec, _sample_matrix, spawn_seed, spawn_seeds
+from qcbound.ensembles import (
+    EnsembleKind, EnsembleSpec, _normals, _sample_matrix, spawn_seed, spawn_seeds,
+)
 from qcbound.experiments import (
     BOUND_SLACK_RTOL,
     ExperimentError,
@@ -188,36 +191,51 @@ class TestScatterBoundTest:
 
     def test_non_hermitian_error_names_the_first_bad_sample_of_the_second_chunk(
             self, monkeypatch):
-        # two row fills, chunks 0..4 and 5..9; samples 6 and 9 are bad, so a
-        # fill finishing out of order must not change the sample named
-        seeds = spawn_seeds(0, np.arange(1, 11, dtype=np.uint64))
-        index_of_state = {
-            np.random.default_rng(int(s)).bit_generator.state["state"]["state"]: i
-            for i, s in enumerate(seeds)
-        }
-        sample_row = experiments._sample_row
+        # blocks of two draws on three threads: chunks 0..3, 4..7 and 8..11;
+        # samples 6 and 9 are bad, in blocks 3 and 4 of chunks 1 and 2, so a
+        # chunk finishing out of order must not change the sample named
+        seeds = spawn_seeds(0, np.arange(1, 13, dtype=np.uint64))
+        spec = EnsembleSpec(EnsembleKind.GENERIC_HERMITIAN, 8)  # model B at N = 3
+        bad_normals = [_normals(spec, np.random.default_rng(int(seeds[i]))) for i in (6, 9)]
+        sample_rows, blocks = experiments._sample_rows, []
 
-        def bad_row(spec, rng, c):
-            i = index_of_state[rng.bit_generator.state["state"]["state"]]
-            row = sample_row(spec, rng, c)
-            return row + 1e-3j * c if i in (6, 9) else row
+        def bad_rows(spec, z, c):
+            blocks.append(len(z))
+            rows = sample_rows(spec, z, c)
+            for j in range(len(z)):
+                if any(np.array_equal(z[j], bad) for bad in bad_normals):
+                    rows[j] += 1e-3j * c
+            return rows
 
-        monkeypatch.setattr(experiments, "_sample_row", bad_row)
-        monkeypatch.setattr(experiments, "_worker_count", lambda n_tasks, dim: 2)
+        monkeypatch.setattr(experiments, "_sample_rows", bad_rows)
+        monkeypatch.setattr(experiments, "_ROW_BLOCK", 2)
+        monkeypatch.setattr(experiments, "_worker_count", lambda n_tasks, dim: 3)
         first_bad = rf"^sample 6 \(seed {seeds[6]}\): .* not Hermitian"
         with pytest.raises(ValueError, match=first_bad):
-            scatter_bound_test(ModelConfig(family="B", n_qubits=3), samples=10)
+            scatter_bound_test(ModelConfig(family="B", n_qubits=3), samples=12)
+        assert sorted(blocks) == [2] * 5  # chunk 2 stopped at its first block
 
     def test_non_hermitian_perturbation_raises(self, monkeypatch):
-        sample_row = experiments._sample_row
+        sample_rows = experiments._sample_rows
 
-        def bad_row(spec, rng, c):
+        def bad_rows(spec, z, c):
             # c^T (V + 1e-3j I): V with a non-real diagonal
-            return sample_row(spec, rng, c) + 1e-3j * c
+            return sample_rows(spec, z, c) + 1e-3j * c
 
-        monkeypatch.setattr(experiments, "_sample_row", bad_row)
+        monkeypatch.setattr(experiments, "_sample_rows", bad_rows)
         with pytest.raises(ValueError, match="not Hermitian"):
             scatter_bound_test(ModelConfig(family="B", n_qubits=3), samples=5)
+
+    def test_rows_are_drawn_in_blocks_without_a_row_buffer(self):
+        # dim 64, 20000 draws: the (samples, 1, d) complex rows would take
+        # 20 MB; blocks of 8 draws hold 0.5 MB of normals per thread
+        tracemalloc.start()
+        try:
+            scatter_bound_test(ModelConfig(family="B", n_qubits=6), samples=20000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
 
 class TestRunIndexed:
