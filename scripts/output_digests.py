@@ -38,6 +38,9 @@ ROOT = Path(__file__).resolve().parents[1]
 _CHECK = ("records.csv", "summary.json")
 CONFIGS = {
     "check-A": (["check", "--model", "A", "--samples", "200", "--seed", "7"], _CHECK),
+    # model A away from its default coefficients and coupling
+    "check-A-custom": (["check", "--model", "A", "--a-coeffs", "0.05,0.25,0.4", "--lambda",
+                        "0.8", "--samples", "200", "--seed", "11"], _CHECK),
     "check-B-N3": (["check", "--model", "B", "--qubits", "3", "--samples", "300",
                     "--seed", "5"], _CHECK),
     "check-B-N5": (["check", "--model", "B", "--qubits", "5", "--samples", "200",
@@ -53,6 +56,9 @@ CONFIGS = {
                     "--seed", "3"], _CHECK),
     "check-C-GOE": (["check", "--model", "C", "--ensemble", "GOE", "--samples", "200",
                      "--seed", "6"], _CHECK),
+    # model C on a base drawn at more than its default 2 qubits
+    "check-C-GOE-N3": (["check", "--model", "C", "--ensemble", "GOE", "--qubits", "3",
+                        "--samples", "200", "--seed", "6"], _CHECK),
     # the benchmark also times model C with GUE perturbations
     "check-C-GUE": (["check", "--model", "C", "--ensemble", "GUE", "--samples", "200",
                      "--seed", "6"], _CHECK),

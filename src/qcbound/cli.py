@@ -205,7 +205,9 @@ def _cmd_check(args) -> int:
             "model": config.tag,
             "samples_requested": args.samples,
             "samples_recorded": len(result.seeds),
-            "rejected": result.n_rejected,
+            # always 0: the degeneracy guard runs once, on the ground level of
+            # H0, before any draw; the key stays for readers of summary.json
+            "rejected": 0,
             "violations_b": result.violations_b,
             "violations_b_prime": result.violations_b_prime,
             "b": result.b,
@@ -528,6 +530,8 @@ def main(argv=None) -> int:
             # config values become the subcommand's defaults, so flags still win
             args.parser.set_defaults(**_load_config_file(args))
             args = parser.parse_args(argv)
+        if args.seed < 0:  # from a flag or the config file, before any output
+            raise CliError("--seed must be non-negative")
         return args.func(args)
     except NonFiniteHamiltonianError as exc:
         print(f"error: {exc}; lower {SCALE_FLAGS[args.subcommand]}", file=sys.stderr)

@@ -16,14 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import EntanglementInputs
 from .quantum import _ground_isolated, require_isolated
 
 __all__ = [
     "EnsembleRatioReport",
-    "level_curvature",
     "level_curvature_from_row",
-    "curvature_spectrum",
     "bound_b",
     "bound_b_prime",
     "saturation_index",
@@ -49,20 +46,13 @@ class EnsembleRatioReport:
     ratio_goe_gse: float
 
 
-def level_curvature(n: int, inputs: EntanglementInputs) -> float:
-    """K_n = 2 sum_{m != n} |V_nm|^2 / (eps_n - eps_m)."""
-    eps = inputs.decomposition.eigenvalues
-    require_isolated(eps, n)
-    diffs = _level_differences(n, eps)
-    return float(level_curvature_from_row(inputs.v_eig[n], diffs))
-
-
 def level_curvature_from_row(v_row: np.ndarray, diffs: np.ndarray) -> np.ndarray:
-    """:func:`level_curvature` from row n of the perturbation in the
-    eigenbasis, ``v_row[..., m]`` = <n|V|m> (a stack of rows gives one value
-    per row), and ``diffs = _level_differences(n, eps)``.  The differences
-    depend on H0 alone, so a run of many draws on one H0 computes them once;
-    the caller has checked level n with ``require_isolated``."""
+    """K_n = 2 sum_{m != n} |V_nm|^2 / (eps_n - eps_m) from row n of the
+    perturbation in the eigenbasis, ``v_row[..., m]`` = <n|V|m> (a stack of
+    rows gives one value per row), and ``diffs = _level_differences(n, eps)``.
+    The differences depend on H0 alone, so a run of many draws on one H0
+    computes them once; the caller has checked level n with
+    ``require_isolated``."""
     return 2.0 * (np.abs(v_row) ** 2 / diffs).sum(axis=-1)
 
 
@@ -72,17 +62,6 @@ def _level_differences(n: int, eigenvalues: np.ndarray) -> np.ndarray:
     diffs = eigenvalues[n] - eigenvalues
     diffs[n] = np.inf
     return diffs
-
-
-def curvature_spectrum(inputs: EntanglementInputs) -> np.ndarray:
-    """All level curvatures K_n at once (antisymmetric double sum)."""
-    eps = inputs.decomposition.eigenvalues
-    require_isolated(eps, range(eps.size))
-    diffs = eps[:, None] - eps[None, :]
-    np.fill_diagonal(diffs, 1.0)
-    terms = np.abs(inputs.v_eig) ** 2 / diffs
-    np.fill_diagonal(terms, 0.0)
-    return 2.0 * terms.sum(axis=1)
 
 
 def bound_b(eigenvalues: np.ndarray) -> float:
@@ -106,21 +85,18 @@ def _bound_b_rows(eigenvalues: np.ndarray) -> np.ndarray:
     return b
 
 
-def bound_b_prime(
-    eigenvalues: np.ndarray, n_qubits: int, a: float | None = None
-) -> float:
-    """Statistical bound b' = (8a/sqrt(3N)) sqrt( sum_{k>=1} 1/(eps_k - eps_0) ).
-
-    Takes the ascending eigenvalues of H0, like ``bound_b``.  ``a`` is the
-    half-width of the assumed uniform range of the per-site overlap terms;
-    default 1/2^N (the empirically good choice), with 1/N the natural
-    alternative.
+def bound_b_prime(b: float, n_qubits: int, a: float | None = None) -> float:
+    """Statistical bound b' = (8a/sqrt(3N)) sqrt( sum_{k>=1} 1/(eps_k - eps_0) ),
+    that is b (a / sqrt(3N)) for the run's ``b = bound_b(eps)``, so the guard
+    and the sum run once.  ``a`` is the half-width of the assumed uniform
+    range of the per-site overlap terms; default 1/2^N (the empirically good
+    choice), with 1/N the natural alternative.
     """
     if a is None:
         a = 2.0**-n_qubits
     if a <= 0:
         raise ValueError("overlap half-width a must be positive")
-    return bound_b(eigenvalues) * (a / math.sqrt(3.0 * n_qubits))
+    return b * (a / math.sqrt(3.0 * n_qubits))
 
 
 def saturation_index(dq_abs, k0, b: float) -> np.ndarray:

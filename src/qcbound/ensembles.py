@@ -28,10 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum import HermitianOperator
-
 __all__ = [
-    "RNG_ALGORITHM", "EnsembleKind", "EnsembleSpec", "sample", "spawn_seed", "spawn_seeds",
+    "RNG_ALGORITHM", "EnsembleKind", "EnsembleSpec", "spawn_seed", "spawn_seeds",
 ]
 
 RNG_ALGORITHM = "numpy PCG64 (default_rng); children via SeedSequence([master, *indices])"
@@ -55,9 +53,6 @@ class EnsembleKind(str, enum.Enum):
     GOE = "GOE"
     GUE = "GUE"
     POISSON_DIAGONAL = "PoissonDiagonal"
-    # Alias used wherever a model just needs "random Hermitian matrix elements";
-    # sampled identically to the GUE.
-    GENERIC_HERMITIAN = "GenericHermitian"
 
 
 @dataclass(frozen=True)
@@ -205,30 +200,24 @@ def _mix_entropy(entropy: list) -> list:
     return pool
 
 
-def sample(spec: EnsembleSpec, seed: int) -> HermitianOperator:
+def _sample_matrix(spec: EnsembleSpec, seed: int) -> np.ndarray:
     """Draw one Hermitian matrix; output depends only on (spec, seed).
 
     GOE: real symmetric, off-diagonal entries N(0, 1), diagonal N(0, 2).
     GUE: complex Hermitian, off-diagonal real/imag parts each N(0, 1/2),
     diagonal real N(0, 1).  PoissonDiagonal: diagonal i.i.d. normal scaled so
     the mean-square spectral width matches a GOE draw of the same dimension
-    (sigma = sqrt(dim + 1)).
-    """
-    return HermitianOperator(_sample_matrix(spec, seed))
-
-
-def _sample_matrix(spec: EnsembleSpec, seed: int) -> np.ndarray:
-    """The matrix of ``sample(spec, seed)`` as a plain array, for internal hot
-    paths.  Every kind is exactly Hermitian by construction (m == m^dag
-    bitwise), so the ``HermitianOperator`` symmetrization would not change it.
+    (sigma = sqrt(dim + 1)).  Every kind is exactly Hermitian by construction
+    (m == m^dag bitwise), so the ``HermitianOperator`` symmetrization of the
+    scatter models' H0 does not change it.
     """
     out = np.empty((spec.dim, spec.dim), dtype=_matrix_dtype(spec))
     return _matrix_sampler(spec)(np.random.default_rng(int(seed)), out)
 
 
 def _matrix_dtype(spec: EnsembleSpec) -> type:
-    """``complex`` for the GUE and GenericHermitian kinds, else ``float``."""
-    return complex if spec.kind in (EnsembleKind.GUE, EnsembleKind.GENERIC_HERMITIAN) else float
+    """``complex`` for the GUE, else ``float``."""
+    return complex if spec.kind is EnsembleKind.GUE else float
 
 
 def _matrix_sampler(spec: EnsembleSpec) -> Callable[[np.random.Generator, np.ndarray], np.ndarray]:
@@ -297,7 +286,7 @@ def _normals_shape(spec: EnsembleSpec) -> tuple:
     d = spec.dim
     if spec.kind is EnsembleKind.GOE:
         return (d, d)
-    if spec.kind in (EnsembleKind.GUE, EnsembleKind.GENERIC_HERMITIAN):
+    if spec.kind is EnsembleKind.GUE:
         return (2, d, d)
     if spec.kind is EnsembleKind.POISSON_DIAGONAL:
         return (d,)
@@ -310,7 +299,7 @@ def _normals(spec: EnsembleSpec, rng: np.random.Generator, out: np.ndarray | Non
     ``_normals_shape(spec)``; ``_sample_matrix`` and ``_sample_rows`` both
     read them, so they see the same V.
 
-    GOE: A, (d, d).  GUE / GenericHermitian: X then Y, drawn as one (2, d, d)
+    GOE: A, (d, d).  GUE: X then Y, drawn as one (2, d, d)
     array (the same normals as two (d, d) draws).  PoissonDiagonal: the
     diagonal, N(0, sigma^2) with sigma = sqrt(d + 1), always a new
     array.  ``out``, when given, is an array of that shape to write the

@@ -143,9 +143,6 @@ class ScatterResult:
     delta: np.ndarray
     violations_b: int
     violations_b_prime: int
-    # Always 0: the degeneracy guard runs once, on the ground level of H0,
-    # before any draw.  Kept because summary.json reports it as "rejected".
-    n_rejected: int
     b: float
     b_prime: float
 
@@ -338,7 +335,7 @@ def scatter_bound_test(
     n = config.n_qubits
     eps = decomposition.eigenvalues
     b = bound_b(eps)
-    b_prime = bound_b_prime(eps, n, a_value)
+    b_prime = bound_b_prime(b, n, a_value)
     u = decomposition.eigenvectors
     overlaps = ground_state_site_overlaps(u, n)
     gaps = eps[1:] - eps[0]
@@ -381,7 +378,6 @@ def scatter_bound_test(
         delta=delta,
         violations_b=int(np.count_nonzero(delta > BOUND_SLACK_RTOL * b)),
         violations_b_prime=int(np.count_nonzero(saturation_index(dq_abs, k0, b_prime) > 0)),
-        n_rejected=0,
         b=b,
         b_prime=b_prime,
     )
@@ -483,9 +479,10 @@ def _aggregate_row(param: float, ok: np.ndarray, b: np.ndarray, kept: np.ndarray
 
 
 def _ensemble_spectra(kind: EnsembleKind, seeds, dim: int) -> np.ndarray:
-    """The (n, dim) ascending spectra of ``ensembles.sample(EnsembleSpec(kind,
-    dim), seeds[i])``, all solved up front (``_stacked_spectra``); a
-    PoissonDiagonal spectrum is the sorted normals, with no matrix or solve."""
+    """The (n, dim) ascending spectra of
+    ``ensembles._sample_matrix(EnsembleSpec(kind, dim), seeds[i])``, all
+    solved up front (``_stacked_spectra``); a PoissonDiagonal spectrum is the
+    sorted normals, with no matrix or solve."""
     spec = EnsembleSpec(kind, dim)
     rng = _seeded_generators(seeds)
     if kind is EnsembleKind.POISSON_DIAGONAL:

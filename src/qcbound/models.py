@@ -1,9 +1,10 @@
 """Model families used by the experiments.
 
-Scatter-test models (A, B, C) produce a fixed base Hamiltonian together with
-the ``EnsembleSpec`` its perturbations V are drawn from; the chaos-sweep
-models D and E are drawn by ``_ModelDSampler`` and ``_ModelESampler``, one
-Hamiltonian (as a matrix, or as sector blocks) per (parameter, seed).
+``build_scatter_model`` resolves a scatter-test ``ModelConfig`` (families A,
+B, C) into a fixed base Hamiltonian and the ``EnsembleSpec`` its
+perturbations V are drawn from; the chaos-sweep models D and E are drawn by
+``_ModelDSampler`` and ``_ModelESampler``, one Hamiltonian (as a matrix, or as
+sector blocks) per (parameter, seed).
 
 Model E is the open spin chain H = sum_j (h + h_j) sigma_zj + (J/4)
 sum_{j<N-1} sigma_j . sigma_{j+1}, with defects h_j i.i.d. normal(0, d^2).
@@ -35,8 +36,8 @@ from functools import lru_cache
 import numpy as np
 
 from .ensembles import (
-    EnsembleKind, EnsembleSpec, _child_seeds, _matrix_sampler, _normals, _seeded_generators,
-    sample,
+    EnsembleKind, EnsembleSpec, _child_seeds, _matrix_sampler, _normals, _sample_matrix,
+    _seeded_generators,
 )
 from .quantum import HermitianOperator, _embed, _PAULI, heisenberg_coupling
 
@@ -48,9 +49,6 @@ __all__ = [
     "MODEL_D_DEFAULT_DIM",
     "MODEL_D_CHAOTIC_SCALE",
     "MODEL_E_DEFAULT_FIELD",
-    "model_a",
-    "model_b",
-    "model_c",
     "build_scatter_model",
     "sz_sector_indices",
 ]
@@ -121,6 +119,8 @@ class ModelConfig:
             raise ValueError("need at least 2 qubits")
         if family == "C" and self.ensemble not in ("GOE", "GUE"):
             raise ValueError("model C perturbations come from GOE or GUE")
+        if family == "A" and len(self.a_coeffs) != 3:
+            raise ValueError("model A takes exactly three field coefficients")
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "a_coeffs", tuple(float(a) for a in self.a_coeffs))
@@ -175,56 +175,28 @@ def _spectral_std(h: np.ndarray) -> float:
     return math.sqrt(np.vdot(h, h).real / d - (np.trace(h).real / d) ** 2)
 
 
-def model_a(
-    a_coeffs=MODEL_A_DEFAULT_COEFFS, lam: float = MODEL_A_DEFAULT_LAMBDA
-) -> tuple[HermitianOperator, EnsembleSpec]:
-    """Three qubits with split fields and all-pairs isotropic coupling.
-
-    H0 = sum_j a_j sigma_zj + lambda sum_{i<j} sigma_i . sigma_j, perturbed by
-    generic random Hermitian matrices.  Parameters whose H0 overflows raise
-    NonFiniteHamiltonianError.
-    """
-    a_coeffs = tuple(float(a) for a in a_coeffs)
-    if len(a_coeffs) != 3:
-        raise ValueError("model A takes exactly three field coefficients")
-    n = 3
-    with _finite_hamiltonian("A"):
-        matrix = lam * sum(heisenberg_coupling(i, j, n).matrix
-                           for i in range(n) for j in range(i + 1, n))
-        for j, aj in enumerate(a_coeffs):
-            matrix = matrix + aj * _embed(_PAULI["z"], j, n).real
-        h0 = HermitianOperator(matrix)
-    return h0, EnsembleSpec(EnsembleKind.GENERIC_HERMITIAN, 2**n)
-
-
-def model_b(n_qubits: int, seed: int) -> tuple[HermitianOperator, EnsembleSpec]:
-    """Arbitrary Hermitian base drawn once (seeded), generic Hermitian perturbations."""
-    dim = 2**n_qubits
-    h0 = sample(EnsembleSpec(EnsembleKind.GENERIC_HERMITIAN, dim), seed)
-    return h0, EnsembleSpec(EnsembleKind.GENERIC_HERMITIAN, dim)
-
-
-def model_c(
-    ensemble: EnsembleKind | str, seed: int, n_qubits: int = 2
-) -> tuple[HermitianOperator, EnsembleSpec]:
-    """Base as model B; perturbations drawn from a specific symmetry ensemble."""
-    kind = EnsembleKind(ensemble)
-    if kind not in (EnsembleKind.GOE, EnsembleKind.GUE):
-        raise ValueError("model C perturbations come from GOE or GUE")
-    dim = 2**n_qubits
-    h0 = sample(EnsembleSpec(EnsembleKind.GENERIC_HERMITIAN, dim), seed)
-    return h0, EnsembleSpec(kind, dim)
-
-
 def build_scatter_model(
     config: ModelConfig, h0_seed: int
 ) -> tuple[HermitianOperator, EnsembleSpec]:
-    """Resolve a scatter ModelConfig into H0 and the ensemble of its perturbations."""
-    if config.family == "A":
-        return model_a(config.a_coeffs, config.lam)
-    if config.family == "B":
-        return model_b(config.n_qubits, h0_seed)
-    return model_c(config.ensemble, h0_seed, config.n_qubits)
+    """H0 of a scatter ModelConfig and the ensemble of its perturbations V.
+
+    A: H0 = sum_j a_j sigma_zj + lambda sum_{i<j} sigma_i . sigma_j on three
+    qubits; parameters whose H0 overflows raise NonFiniteHamiltonianError.
+    B and C: a GUE base drawn from ``h0_seed``.  V is GUE, for C the config's
+    ensemble (GOE or GUE).
+    """
+    n, dim = config.n_qubits, 2**config.n_qubits
+    v_spec = EnsembleSpec(EnsembleKind(config.ensemble) if config.family == "C"
+                          else EnsembleKind.GUE, dim)
+    if config.family != "A":
+        h0 = _sample_matrix(EnsembleSpec(EnsembleKind.GUE, dim), h0_seed)
+        return HermitianOperator(h0), v_spec
+    with _finite_hamiltonian("A"):
+        matrix = config.lam * sum(heisenberg_coupling(i, j, n)
+                                  for i in range(n) for j in range(i + 1, n))
+        for j, aj in enumerate(config.a_coeffs):
+            matrix = matrix + aj * _embed(_PAULI["z"], j, n).real
+        return HermitianOperator(matrix), v_spec
 
 
 class _ModelDSampler:

@@ -107,9 +107,6 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def vector(self, n: int) -> np.ndarray:
-        return self.eigenvectors[:, n]
-
 
 @dataclass(frozen=True)
 class QubitPartition:
@@ -147,15 +144,16 @@ def _embed(matrix: np.ndarray, site: int, n_qubits: int) -> np.ndarray:
     return reduce(np.kron, factors)
 
 
-def heisenberg_coupling(i: int, j: int, n_qubits: int) -> HermitianOperator:
-    """sigma_i . sigma_j: isotropic Pauli-vector coupling of two sites."""
+def heisenberg_coupling(i: int, j: int, n_qubits: int) -> np.ndarray:
+    """sigma_i . sigma_j: isotropic Pauli-vector coupling of two sites, a real
+    symmetric matrix of small integers (the y-y product is real)."""
     if i == j:
         raise ValueError("coupling requires two distinct sites")
     total = sum(
         _embed(_PAULI[a], i, n_qubits) @ _embed(_PAULI[a], j, n_qubits)
         for a in ("x", "y", "z")
     )
-    return HermitianOperator(total.real if np.allclose(total.imag, 0.0) else total)
+    return total.real
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,11 @@
 """Reference implementations that only the tests use.
 
+The paper's one-level formulas, as written, which no CLI path runs:
+``linear_entropy``, ``mean_bipartite_Q``, ``dEL_dtau``, ``dQ0_dtau``,
+``level_curvature`` and ``curvature_spectrum`` (all K_n at once).  ``check``
+takes dQ0/dtau and K_0 of many draws from the row kernels they call or must
+match.  ``sample_operator`` wraps one ensemble draw as a ``HermitianOperator``.
+
 ``partial_trace`` and ``dEL_dtau_from_gamma`` (with its ``gamma_coeff`` and
 ``overlap_coeff``) are independent routes to quantities the package computes
 another way: the reduced state by contracting the full density matrix, and
@@ -45,15 +51,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qcbound.curvature import _level_differences, level_curvature_from_row
 from qcbound.ensembles import EnsembleKind, EnsembleSpec, _sample_matrix, spawn_seed
 from qcbound.entanglement import (
-    EntanglementInputs, _real_with_residue_check, sector_mean_bipartite_Q,
+    IMAG_RESIDUE_ATOL, EntanglementInputs, _level_overlaps, dQ0_dtau_from_row,
+    ground_state_site_overlaps, sector_mean_bipartite_Q,
 )
 from qcbound.level_stats import SpacingSample
 from qcbound.models import MODEL_E_DEFAULT_FIELD, _ModelESampler, _spectral_std
 from qcbound.quantum import (
-    QubitPartition, SpectralDecomposition, _as_site_matrix, _require_qubit_dim, require_isolated,
+    HermitianOperator, QubitPartition, SpectralDecomposition, _as_site_matrix, _require_qubit_dim,
+    require_isolated,
 )
+
+
+def sample_operator(spec: EnsembleSpec, seed: int) -> HermitianOperator:
+    return HermitianOperator(_sample_matrix(spec, seed))
 
 
 def pool_spacing_samples(samples) -> SpacingSample:
@@ -109,6 +122,78 @@ def weibull_density(s, a: float, c: float):
     return a * c * s ** (c - 1.0) * np.exp(-a * s**c)
 
 
+def _real_with_residue_check(value: complex, context: str) -> float:
+    if abs(value.imag) > IMAG_RESIDUE_ATOL:
+        raise ArithmeticError(
+            f"{context}: imaginary residue {value.imag:.3e} exceeds "
+            f"{IMAG_RESIDUE_ATOL:.0e}; upstream inputs are inconsistent"
+        )
+    return float(value.real)
+
+
+def linear_entropy(state, partition: QubitPartition) -> float:
+    """E_L = 1 - tr(rho_A^2) of a pure state under the given bipartition."""
+    (purity,) = _level_overlaps(np.asarray(state)[:, np.newaxis], 0, partition)
+    return 1.0 - _real_with_residue_check(complex(purity), "linear_entropy purity")
+
+
+def mean_bipartite_Q(state, n_qubits: int) -> float:
+    """Q = 2 - (2/N) sum_j tr(rho_j^2): mean over single-site reductions, in [0, 1]."""
+    (purity_sum,) = ground_state_site_overlaps(np.asarray(state)[:, np.newaxis], n_qubits)
+    purity_sum = _real_with_residue_check(complex(purity_sum), "mean_bipartite_Q purity")
+    return 2.0 - (2.0 / n_qubits) * purity_sum
+
+
+def dEL_dtau(n: int, inputs: EntanglementInputs, partition: QubitPartition) -> float:
+    """Rate of change of the level-n linear entropy along the perturbation.
+
+    dE_L/dtau = -2 sum_{k != n} [V_kn A^n_kn + V_nk A^n_nk] / (eps_n - eps_k)
+              = -4 sum_{k != n} Re[V_nk A^n_nk] / (eps_n - eps_k).
+    """
+    eps = inputs.decomposition.eigenvalues
+    require_isolated(eps, n)
+    overlaps = _level_overlaps(inputs.decomposition.eigenvectors, n, partition)
+    others = np.arange(eps.size) != n
+    terms = (inputs.v_eig[n, others] * overlaps[others]).real / (eps[n] - eps[others])
+    return -4.0 * float(terms.sum())
+
+
+def dQ0_dtau(inputs: EntanglementInputs, site_overlaps: np.ndarray | None = None) -> float:
+    """Exact tau-derivative of the ground state's mean bi-partite entanglement.
+
+    dQ^0/dtau = (8/N) sum_{k >= 1} Re[V_0k A^0_0k] / (eps_k - eps_0), with the
+    site-summed overlaps A^0_0k of :func:`ground_state_site_overlaps` (pass them
+    in to amortize over many perturbation draws).  Only row 0 of ``v_eig``
+    enters; see :func:`dQ0_dtau_from_row`.
+    """
+    eps = inputs.decomposition.eigenvalues
+    require_isolated(eps, 0)
+    if site_overlaps is None:
+        u = inputs.decomposition.eigenvectors
+        site_overlaps = ground_state_site_overlaps(u, inputs.n_qubits)
+    return float(dQ0_dtau_from_row(
+        inputs.v_eig[0], eps[1:] - eps[0], site_overlaps, inputs.n_qubits))
+
+
+def level_curvature(n: int, inputs: EntanglementInputs) -> float:
+    """K_n = 2 sum_{m != n} |V_nm|^2 / (eps_n - eps_m)."""
+    eps = inputs.decomposition.eigenvalues
+    require_isolated(eps, n)
+    diffs = _level_differences(n, eps)
+    return float(level_curvature_from_row(inputs.v_eig[n], diffs))
+
+
+def curvature_spectrum(inputs: EntanglementInputs) -> np.ndarray:
+    """All level curvatures K_n at once (antisymmetric double sum)."""
+    eps = inputs.decomposition.eigenvalues
+    require_isolated(eps, range(eps.size))
+    diffs = eps[:, None] - eps[None, :]
+    np.fill_diagonal(diffs, 1.0)
+    terms = np.abs(inputs.v_eig) ** 2 / diffs
+    np.fill_diagonal(terms, 0.0)
+    return 2.0 * terms.sum(axis=1)
+
+
 def partial_trace(rho: np.ndarray, partition: QubitPartition) -> np.ndarray:
     """tr_B of a density matrix (independent matrix-contraction code path)."""
     n = partition.n_qubits
@@ -132,9 +217,9 @@ def overlap_coeff(
     n: int, k: int, l: int, decomposition: SpectralDecomposition, partition: QubitPartition
 ) -> complex:
     """A^n_kl = tr[ tr_B(|n><n|) tr_B(|k><l|) ], bounded by the subsystem size."""
-    vec = decomposition.vector
-    rho_n = partial_trace_dyad(vec(n), vec(n), partition)
-    dyad_kl = partial_trace_dyad(vec(k), vec(l), partition)
+    u = decomposition.eigenvectors
+    rho_n = partial_trace_dyad(u[:, n], u[:, n], partition)
+    dyad_kl = partial_trace_dyad(u[:, k], u[:, l], partition)
     return complex(np.trace(rho_n @ dyad_kl))
 
 

@@ -33,7 +33,7 @@ def bound_terms(h0: np.ndarray, v: np.ndarray, n_qubits: int) -> tuple:
 
 
 def generic_pair(n_qubits: int, seed: int) -> tuple:
-    spec = EnsembleSpec(EnsembleKind.GENERIC_HERMITIAN, 2**n_qubits)
+    spec = EnsembleSpec(EnsembleKind.GUE, 2**n_qubits)
     return _sample_matrix(spec, seed), _sample_matrix(spec, seed + 1)
 
 
@@ -84,7 +84,7 @@ class TestBound:
         q *= np.diag(r) / np.abs(np.diag(r))
         h0 = (q * eps) @ q.conj().T
         h0 = (h0 + h0.conj().T) / 2.0
-        spec = EnsembleSpec(EnsembleKind.GENERIC_HERMITIAN, d)
+        spec = EnsembleSpec(EnsembleKind.GUE, d)
         for v_seed in range(5):
             b, k0, dq = bound_terms(h0, _sample_matrix(spec, seed + v_seed), n)
             assert dq <= b * math.sqrt(abs(k0)) + BOUND_SLACK_RTOL * b

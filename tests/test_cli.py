@@ -16,6 +16,8 @@ from qcbound import cli as cli_module
 from qcbound.cli import main
 from qcbound.level_stats import UnfoldingError
 
+from oracles import mean_bipartite_Q
+
 
 def run_cli(args):
     return main(args)
@@ -87,7 +89,7 @@ class TestCheckCommand:
         fake = ScatterResult(
             seeds=np.array([1], dtype=np.uint64), dq_abs=np.array([9.0]),
             k0=np.array([-1.0]), delta=np.array([7.0]),
-            violations_b=1, violations_b_prime=1, n_rejected=0, b=2.0, b_prime=0.2,
+            violations_b=1, violations_b_prime=1, b=2.0, b_prime=0.2,
         )
         monkeypatch.setattr(cli_mod, "scatter_bound_test", lambda *a, **k: fake)
         code = run_cli(["check", "--model", "B", "--samples", "1",
@@ -117,7 +119,7 @@ class TestCheckCommand:
         # a = (0, 0.3, 0.3), lambda = 0.5: an isolated ground level at -1.92
         # below an excited doublet at -1.5; the bound divides only by the
         # ground gaps, so the run goes ahead
-        from qcbound import HermitianOperator, eigensystem, mean_bipartite_Q
+        from qcbound import HermitianOperator, eigensystem
         from qcbound.ensembles import _sample_matrix, spawn_seed
         from qcbound.models import ModelConfig, build_scatter_model
 
@@ -136,7 +138,7 @@ class TestCheckCommand:
 
             def q(tau):
                 dec = eigensystem(HermitianOperator(h0.matrix + tau * v))
-                return mean_bipartite_Q(dec.vector(0), 3)
+                return mean_bipartite_Q(dec.eigenvectors[:, 0], 3)
 
             h = 1e-5  # central differences with one Richardson step
             d1 = (q(h) - q(-h)) / (2 * h)
@@ -714,6 +716,27 @@ class TestReportEnsembles:
         assert "DQ_GOE/DQ_GUE = 0.84" in out
         assert "DQ_GOE/DQ_GSE = 0.70" in out
         assert (tmp_path / "manifest.json").exists()
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("argv", [
+        ["check", "--model", "B", "--samples", "5"],
+        ["sweep-theta", "--points", "2", "--realizations", "4", "--dim", "64"],
+        ["sweep-defect", "--qubits", "6", "--points", "2", "--realizations", "4"],
+        ["stats", "--source", "GOE", "--draws", "4", "--dim", "64"],
+        ["report-ensembles"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+    def test_exits_2_naming_the_flag_before_any_output(self, tmp_path, capsys, argv,
+                                                       from_config):
+        if from_config:
+            (tmp_path / "cfg.json").write_text(json.dumps({"seed": -1}))
+            argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+        out = tmp_path / "o"
+        code = run_cli([*argv, *([] if from_config else ["--seed", "-1"]), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --seed must be non-negative\n"
+        assert not out.exists()
 
 
 class TestNonFiniteFloats:

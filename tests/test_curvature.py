@@ -4,20 +4,14 @@ import numpy as np
 import pytest
 
 from qcbound import (
-    EntanglementInputs,
-    HermitianOperator,
-    QubitPartition,
-    bound_b,
-    bound_b_prime,
-    eigensystem,
-    ensemble_deltaQ_ratios,
-    level_curvature,
-    saturation_index,
+    EntanglementInputs, HermitianOperator, QubitPartition, bound_b, bound_b_prime, eigensystem,
+    ensemble_deltaQ_ratios, saturation_index,
 )
-from qcbound.curvature import _level_differences, curvature_spectrum, level_curvature_from_row
-from qcbound.ensembles import EnsembleKind, EnsembleSpec, sample, spawn_seed
-from qcbound.entanglement import dEL_dtau, dQ0_dtau
+from qcbound.curvature import _level_differences, level_curvature_from_row
+from qcbound.ensembles import EnsembleKind, EnsembleSpec, _sample_matrix, spawn_seed
 from qcbound.quantum import DegenerateSpectrumError, require_isolated
+
+from oracles import curvature_spectrum, dEL_dtau, dQ0_dtau, level_curvature, sample_operator
 
 
 def inputs_from(h0, v, n_qubits):
@@ -33,7 +27,7 @@ class TestLevelCurvature:
         assert level_curvature(1, inputs) == pytest.approx(2.0)
 
     def test_diagonal_perturbation_flat(self):
-        h0 = sample(EnsembleSpec(EnsembleKind.GUE, 8), 1)
+        h0 = sample_operator(EnsembleSpec(EnsembleKind.GUE, 8), 1)
         dec = eigensystem(h0)
         v = HermitianOperator(
             dec.eigenvectors @ np.diag(np.arange(8.0)) @ dec.eigenvectors.conj().T
@@ -43,8 +37,8 @@ class TestLevelCurvature:
             assert level_curvature(n, inputs) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_second_finite_difference(self):
-        h0 = sample(EnsembleSpec(EnsembleKind.GENERIC_HERMITIAN, 16), 40)
-        v = sample(EnsembleSpec(EnsembleKind.GENERIC_HERMITIAN, 16), 41)
+        h0 = sample_operator(EnsembleSpec(EnsembleKind.GUE, 16), 40)
+        v = sample_operator(EnsembleSpec(EnsembleKind.GUE, 16), 41)
         inputs = inputs_from(h0, v, 4)
         step = 1e-3
 
@@ -57,14 +51,14 @@ class TestLevelCurvature:
 
     def test_sum_rule(self):
         for seed in range(10):
-            h0 = sample(EnsembleSpec(EnsembleKind.GENERIC_HERMITIAN, 16), 100 + seed)
-            v = sample(EnsembleSpec(EnsembleKind.GENERIC_HERMITIAN, 16), 200 + seed)
+            h0 = sample_operator(EnsembleSpec(EnsembleKind.GUE, 16), 100 + seed)
+            v = sample_operator(EnsembleSpec(EnsembleKind.GUE, 16), 200 + seed)
             ks = curvature_spectrum(inputs_from(h0, v, 4))
             assert abs(ks.sum()) < 1e-9 * np.abs(ks).sum()
 
     def test_spectrum_matches_single_level(self):
-        h0 = sample(EnsembleSpec(EnsembleKind.GUE, 8), 7)
-        v = sample(EnsembleSpec(EnsembleKind.GUE, 8), 8)
+        h0 = sample_operator(EnsembleSpec(EnsembleKind.GUE, 8), 7)
+        v = sample_operator(EnsembleSpec(EnsembleKind.GUE, 8), 8)
         inputs = inputs_from(h0, v, 3)
         ks = curvature_spectrum(inputs)
         for n in range(8):
@@ -79,12 +73,12 @@ class TestBoundB:
     def test_model_a_regression_value(self):
         # pinned on first run with the documented defaults a=(0.1,0.2,0.3),
         # lambda=0.5; changes mean the model or the solver changed
-        from qcbound.models import model_a
+        from qcbound.models import ModelConfig, build_scatter_model
 
-        h0, _ = model_a()
-        dec = eigensystem(h0)
-        assert bound_b(dec.eigenvalues) == pytest.approx(24.844450458020454, rel=1e-12)
-        assert bound_b_prime(dec.eigenvalues, 3) == pytest.approx(1.035185435750852, rel=1e-12)
+        h0, _ = build_scatter_model(ModelConfig(family="A"), h0_seed=0)
+        b = bound_b(eigensystem(h0).eigenvalues)
+        assert b == pytest.approx(24.844450458020454, rel=1e-12)
+        assert bound_b_prime(b, 3) == pytest.approx(1.035185435750852, rel=1e-12)
 
     def test_harmonic_gaps(self):
         dec = eigensystem(HermitianOperator(np.diag([0.0, 1.0, 2.0, 3.0])))
@@ -113,7 +107,7 @@ class TestDegeneracyGuard:
                              ids=[f[0] for f in FORMULAS])
     def test_excited_doublet(self, formula, accepts):
         h0 = HermitianOperator(np.diag([0.0, 1.0, 1.0, 2.0]))
-        v = sample(EnsembleSpec(EnsembleKind.GENERIC_HERMITIAN, 4), 3)
+        v = sample_operator(EnsembleSpec(EnsembleKind.GUE, 4), 3)
         inputs = inputs_from(h0, v, 2)
         if accepts:
             assert math.isfinite(formula(inputs))
@@ -140,25 +134,25 @@ class TestBoundBPrime:
         dec = eigensystem(HermitianOperator(np.diag([0.0, 0.7, 1.9, 3.4])))
         n = 2
         a = 2.0**-n
-        eps = dec.eigenvalues
-        assert bound_b_prime(eps, n) / bound_b(eps) == a / math.sqrt(3 * n)
+        b = bound_b(dec.eigenvalues)
+        assert bound_b_prime(b, n) / b == a / math.sqrt(3 * n)
 
     def test_default_a_value(self):
         dec = eigensystem(HermitianOperator(np.diag([0.0, 1.0, 2.0, 3.0])))
         expected = (8.0 * 0.25 / math.sqrt(6.0)) * math.sqrt(11.0 / 6.0)
-        assert bound_b_prime(dec.eigenvalues, 2) == pytest.approx(expected)
+        assert bound_b_prime(bound_b(dec.eigenvalues), 2) == pytest.approx(expected)
 
     def test_a_choice_scaling(self):
         dec = eigensystem(HermitianOperator(np.diag([0.0, 1.0, 2.0, 3.0])))
         n = 2
-        eps = dec.eigenvalues
-        ratio = bound_b_prime(eps, n, a=1.0 / n) / bound_b_prime(eps, n, a=2.0**-n)
+        b = bound_b(dec.eigenvalues)
+        ratio = bound_b_prime(b, n, a=1.0 / n) / bound_b_prime(b, n, a=2.0**-n)
         assert ratio == pytest.approx(2.0**n / n, rel=1e-14)
 
     def test_rejects_nonpositive_a(self):
         dec = eigensystem(HermitianOperator(np.diag([0.0, 1.0])))
         with pytest.raises(ValueError):
-            bound_b_prime(dec.eigenvalues, 1, a=0.0)
+            bound_b_prime(bound_b(dec.eigenvalues), 1, a=0.0)
 
 
 class TestSaturationIndex:
@@ -195,9 +189,9 @@ class TestCurvatureLaw:
         levels = np.arange(self.CENTRAL) + (self.DIM - self.CENTRAL) // 2
         means = []
         for draw in range(self.DRAWS):
-            dec = eigensystem(sample(spec, spawn_seed(0, draw, 0)))
+            dec = eigensystem(sample_operator(spec, spawn_seed(0, draw, 0)))
             u, eps = dec.eigenvectors, dec.eigenvalues
-            v_eig = u.conj().T @ sample(spec, spawn_seed(0, draw, 1)).matrix @ u
+            v_eig = u.conj().T @ _sample_matrix(spec, spawn_seed(0, draw, 1)) @ u
             sigma2 = np.mean(np.abs(np.diag(v_eig)) ** 2)
             k = [level_curvature_from_row(v_eig[n], _level_differences(n, eps))
                  / (math.pi * beta * sigma2 * math.sqrt(4 * self.DIM - eps[n] ** 2) / (2 * math.pi))

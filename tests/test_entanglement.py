@@ -2,23 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcbound import (
-    EntanglementInputs,
-    HermitianOperator,
-    QubitPartition,
-    dQ0_dtau,
-    eigensystem,
-    linear_entropy,
-    mean_bipartite_Q,
-)
-from qcbound.ensembles import EnsembleKind, EnsembleSpec, sample
-from qcbound.entanglement import (
-    dEL_dtau, ground_state_site_overlaps, sector_mean_bipartite_Q,
-)
+from qcbound import EntanglementInputs, HermitianOperator, QubitPartition, eigensystem
+from qcbound.ensembles import EnsembleKind, EnsembleSpec
+from qcbound.entanglement import ground_state_site_overlaps, sector_mean_bipartite_Q
 from qcbound.models import sz_sector_indices
 from qcbound.quantum import DegenerateSpectrumError
 
-from oracles import dEL_dtau_from_gamma, gamma_coeff, overlap_coeff, partial_trace
+from oracles import (
+    dEL_dtau, dEL_dtau_from_gamma, dQ0_dtau, gamma_coeff, linear_entropy, mean_bipartite_Q,
+    overlap_coeff, partial_trace, sample_operator,
+)
 
 
 def random_state(dim, seed):
@@ -29,8 +22,8 @@ def random_state(dim, seed):
 
 def random_inputs(n_qubits, seed):
     dim = 2**n_qubits
-    h0 = sample(EnsembleSpec(EnsembleKind.GENERIC_HERMITIAN, dim), 1000 + seed)
-    v = sample(EnsembleSpec(EnsembleKind.GENERIC_HERMITIAN, dim), 2000 + seed)
+    h0 = sample_operator(EnsembleSpec(EnsembleKind.GUE, dim), 1000 + seed)
+    v = sample_operator(EnsembleSpec(EnsembleKind.GUE, dim), 2000 + seed)
     dec = eigensystem(h0)
     return h0, v, EntanglementInputs.from_perturbation(dec, v, n_qubits)
 
@@ -154,7 +147,7 @@ class TestGammaCoeff:
 
         def projector(tau):
             dec = eigensystem(HermitianOperator(h0.matrix + tau * v.matrix))
-            vec = dec.vector(n)
+            vec = dec.eigenvectors[:, n]
             return np.outer(vec, vec.conj())
 
         step = 1e-5
@@ -172,7 +165,7 @@ class TestGammaCoeff:
 
     def test_degenerate_spectrum_rejected(self):
         h0 = HermitianOperator(np.diag([0.0, 0.0, 1.0, 2.0]))
-        v = sample(EnsembleSpec(EnsembleKind.GENERIC_HERMITIAN, 4), 5)
+        v = sample_operator(EnsembleSpec(EnsembleKind.GUE, 4), 5)
         inputs = EntanglementInputs.from_perturbation(eigensystem(h0), v, 2)
         with pytest.raises(DegenerateSpectrumError):
             gamma_coeff(0, 1, 0, inputs)
@@ -233,7 +226,7 @@ class TestDELdtau:
 
         def el(tau):
             dec = eigensystem(HermitianOperator(h0.matrix + tau * v.matrix))
-            return linear_entropy(dec.vector(0), p)
+            return linear_entropy(dec.eigenvectors[:, 0], p)
 
         fd = richardson_derivative(el)
         assert dEL_dtau(0, inputs, p) == pytest.approx(fd, rel=1e-6)
@@ -272,7 +265,7 @@ class TestDQ0dtau:
 
         def q(tau):
             dec = eigensystem(HermitianOperator(h0.matrix + tau * v.matrix))
-            return mean_bipartite_Q(dec.vector(0), 3)
+            return mean_bipartite_Q(dec.eigenvectors[:, 0], 3)
 
         fd = richardson_derivative(q)
         assert dQ0_dtau(inputs) == pytest.approx(fd, rel=1e-5)
@@ -303,11 +296,11 @@ class TestDerivativeOracleSweep:
 
             def q(tau):
                 dec = eigensystem(HermitianOperator(h0.matrix + tau * v.matrix))
-                return mean_bipartite_Q(dec.vector(0), n)
+                return mean_bipartite_Q(dec.eigenvectors[:, 0], n)
 
             def el(tau):
                 dec = eigensystem(HermitianOperator(h0.matrix + tau * v.matrix))
-                return linear_entropy(dec.vector(0), p)
+                return linear_entropy(dec.eigenvectors[:, 0], p)
 
             fd_q = richardson_derivative(q)
             fd_el = richardson_derivative(el)

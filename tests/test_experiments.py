@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 import os
@@ -95,8 +96,15 @@ class TestScatterBoundTest:
             cfg = ModelConfig(family=family, n_qubits=n, ensemble=ens)
             res = scatter_bound_test(cfg, samples=200, master_seed=11)
             assert res.violations_b == 0
-            assert res.n_rejected == 0
             assert len(res.seeds) == len(res.dq_abs) == len(res.k0) == len(res.delta) == 200
+
+    def test_summary_reports_no_rejected_draws(self, tmp_path):
+        # the degeneracy guard runs once, on H0's ground level, before any draw
+        from qcbound.cli import main
+
+        assert main(["check", "--model", "B", "--samples", "20", "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["rejected"] == 0 and summary["samples_recorded"] == 20
 
     def test_records_satisfy_delta_definition(self):
         cfg = ModelConfig(family="B", n_qubits=2)
@@ -140,9 +148,9 @@ class TestScatterBoundTest:
         assert res.violations_b_prime / len(res.seeds) <= 0.05
 
     def test_record_rederivable_from_child_seed(self):
-        from qcbound.curvature import level_curvature
-        from qcbound.entanglement import EntanglementInputs, dQ0_dtau
+        from qcbound.entanglement import EntanglementInputs
         from qcbound.models import build_scatter_model
+        from oracles import dQ0_dtau, level_curvature
         from qcbound.ensembles import _sample_matrix, spawn_seed
         from qcbound.quantum import HermitianOperator, eigensystem
 
@@ -167,11 +175,9 @@ class TestScatterBoundTest:
         # The scatter draw computes only row 0 of U^dag V U; the full
         # transform through EntanglementInputs is the oracle.  dq_abs is a
         # sum with cancellation, so it gets an absolute floor.
-        from qcbound.curvature import level_curvature
-        from qcbound.entanglement import (
-            EntanglementInputs, dQ0_dtau, ground_state_site_overlaps,
-        )
+        from qcbound.entanglement import EntanglementInputs, ground_state_site_overlaps
         from qcbound.models import build_scatter_model
+        from oracles import dQ0_dtau, level_curvature
         from qcbound.ensembles import _sample_matrix, spawn_seed
         from qcbound.quantum import HermitianOperator, eigensystem
 
@@ -195,7 +201,7 @@ class TestScatterBoundTest:
         # samples 6 and 9 are bad, in blocks 3 and 4 of chunks 1 and 2, so a
         # chunk finishing out of order must not change the sample named
         seeds = spawn_seeds(0, np.arange(1, 13, dtype=np.uint64))
-        spec = EnsembleSpec(EnsembleKind.GENERIC_HERMITIAN, 8)  # model B at N = 3
+        spec = EnsembleSpec(EnsembleKind.GUE, 8)  # model B at N = 3
         bad_normals = [_normals(spec, np.random.default_rng(int(seeds[i]))) for i in (6, 9)]
         sample_rows, blocks = experiments._sample_rows, []
 

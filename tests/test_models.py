@@ -4,17 +4,9 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from qcbound import (
-    HermitianOperator,
-    bound_b,
-    eigensystem,
-    heisenberg_coupling,
-    mean_bipartite_Q,
-)
+from qcbound import HermitianOperator, bound_b, eigensystem, heisenberg_coupling
 from qcbound.entanglement import sector_mean_bipartite_Q
-from qcbound.ensembles import (
-    EnsembleKind, EnsembleSpec, _sample_matrix, sample, spawn_seed, spawn_seeds,
-)
+from qcbound.ensembles import EnsembleKind, EnsembleSpec, _sample_matrix, spawn_seed, spawn_seeds
 from qcbound.experiments import _model_d_spectra
 from qcbound.models import (
     MODEL_D_CHAOTIC_SCALE,
@@ -24,19 +16,21 @@ from qcbound.models import (
     NonFiniteHamiltonianError,
     _ModelDSampler,
     build_scatter_model,
-    model_a,
-    model_b,
-    model_c,
     sz_sector_indices,
     _spectral_std,
 )
 from qcbound.quantum import DegenerateSpectrumError, _one_blas_thread
 
-from oracles import block_spectrum, model_d_matrix, model_e_blocks, site_z
+from oracles import block_spectrum, mean_bipartite_Q, model_d_matrix, model_e_blocks, site_z
 
 
 def total_z(n):
     return sum(site_z(j, n) for j in range(n))
+
+
+def scatter_model(family, n_qubits=0, seed=0, **config):
+    """H0 and the perturbation spec of a scatter model, as ``check`` builds them."""
+    return build_scatter_model(ModelConfig(family, n_qubits, **config), h0_seed=seed)
 
 
 def model_d_draw(theta, seed, dim=MODEL_D_DEFAULT_DIM, chaotic_scale=MODEL_D_CHAOTIC_SCALE):
@@ -54,7 +48,7 @@ def model_e_matrix(n_qubits, d=0.0, h=MODEL_E_DEFAULT_FIELD, J=1.0, seed=0):
 
 class TestModelA:
     def test_lambda_zero_is_diagonal_field_sum(self):
-        h0, _ = model_a(a_coeffs=(0.1, 0.2, 0.3), lam=0.0)
+        h0, _ = scatter_model("A", a_coeffs=(0.1, 0.2, 0.3), lam=0.0)
         m = h0.matrix
         assert np.max(np.abs(m - np.diag(np.diag(m)))) == 0.0
         # eigenvalues are all sign combinations sum_j (+-a_j)
@@ -65,24 +59,24 @@ class TestModelA:
         assert np.allclose(np.sort(np.diag(m).real), expected)
 
     def test_conserves_total_z(self):
-        h0, _ = model_a()
+        h0, _ = scatter_model("A")
         z = total_z(3)
         assert np.max(np.abs(h0.matrix @ z - z @ h0.matrix)) < 1e-12
 
     def test_perturbation_spec(self):
-        _, spec = model_a()
-        assert spec == EnsembleSpec(EnsembleKind.GENERIC_HERMITIAN, 8)
+        _, spec = scatter_model("A")
+        assert spec == EnsembleSpec(EnsembleKind.GUE, 8)
 
     def test_rejects_wrong_coefficient_count(self):
         with pytest.raises(ValueError):
-            model_a(a_coeffs=(0.1, 0.2))
+            scatter_model("A", a_coeffs=(0.1, 0.2))
 
 
 class TestNonFiniteHamiltonian:
     # finite parameters whose Hamiltonian overflows: refused, with no warning
     @pytest.mark.parametrize("build,model", [
-        (lambda: model_a(lam=1e308), "A"),
-        (lambda: model_a(a_coeffs=(1e308, 1e308, 1e308)), "A"),
+        (lambda: scatter_model("A", lam=1e308), "A"),
+        (lambda: scatter_model("A", a_coeffs=(1e308, 1e308, 1e308)), "A"),
         (lambda: model_e_blocks(n_qubits=5, d=1e308, seed=1), "E"),
         # seed 68: one standard normal of 1.87, so one defect alone overflows
         (lambda: model_e_blocks(n_qubits=2, d=1e308, seed=68), "E"),
@@ -98,7 +92,7 @@ class TestNonFiniteHamiltonian:
 
     def test_largest_finite_scales_still_build(self):
         # just below overflow: every entry finite, as built before the guard
-        h0, _ = model_a(a_coeffs=(1e307, 0.0, 0.0), lam=1e307)
+        h0, _ = scatter_model("A", a_coeffs=(1e307, 0.0, 0.0), lam=1e307)
         assert np.isfinite(h0.matrix).all()
         blocks = model_e_blocks(n_qubits=3, d=1e306, h=1e306, seed=4)
         assert all(np.isfinite(block).all() for _, block in blocks)
@@ -106,33 +100,33 @@ class TestNonFiniteHamiltonian:
 
 class TestModelB:
     def test_seed_determinism(self):
-        h1, _ = model_b(2, seed=9)
-        h2, _ = model_b(2, seed=9)
+        h1, _ = scatter_model("B", 2, seed=9)
+        h2, _ = scatter_model("B", 2, seed=9)
         assert np.array_equal(h1.matrix, h2.matrix)
 
     @pytest.mark.parametrize("n,dim", [(2, 4), (3, 8), (6, 64)])
     def test_dimensions(self, n, dim):
-        h0, spec = model_b(n, seed=0)
+        h0, spec = scatter_model("B", n, seed=0)
         assert h0.dim == dim
-        assert spec == EnsembleSpec(EnsembleKind.GENERIC_HERMITIAN, dim)
+        assert spec == EnsembleSpec(EnsembleKind.GUE, dim)
         assert _sample_matrix(spec, 1).shape == (dim, dim)
 
 
 class TestModelC:
     def test_goe_perturbations_are_real(self):
-        _, spec = model_c("GOE", seed=4)
+        _, spec = scatter_model("C", ensemble="GOE", seed=4)
         assert spec.kind is EnsembleKind.GOE
         for s in range(3):
             assert not np.iscomplexobj(_sample_matrix(spec, s))
 
     def test_gue_perturbations_are_complex(self):
-        _, spec = model_c(EnsembleKind.GUE, seed=4)
+        _, spec = scatter_model("C", ensemble="GUE", seed=4)
         assert spec.kind is EnsembleKind.GUE
         assert np.iscomplexobj(_sample_matrix(spec, 0))
 
     def test_rejects_other_ensembles(self):
         with pytest.raises(ValueError):
-            model_c("PoissonDiagonal", seed=0)
+            scatter_model("C", ensemble="PoissonDiagonal", seed=0)
 
 
 class TestModelConfig:
@@ -189,13 +183,13 @@ class TestModelD:
     @pytest.mark.parametrize("dim", [8, 32, 128])
     def test_frobenius_spread_is_eigenvalue_std(self, dim):
         for seed in range(6):
-            hw = sample(EnsembleSpec(EnsembleKind.GOE, dim), spawn_seed(seed, 1)).matrix
+            hw = _sample_matrix(EnsembleSpec(EnsembleKind.GOE, dim), spawn_seed(seed, 1))
             assert _spectral_std(hw) == pytest.approx(
                 np.std(np.linalg.eigvalsh(hw)), rel=1e-12
             )
 
     def test_frobenius_spread_complex_and_shifted(self):
-        h = sample(EnsembleSpec(EnsembleKind.GUE, 16), 4).matrix + 3.0 * np.eye(16)
+        h = _sample_matrix(EnsembleSpec(EnsembleKind.GUE, 16), 4) + 3.0 * np.eye(16)
         assert _spectral_std(h) == pytest.approx(np.std(np.linalg.eigvalsh(h)), rel=1e-12)
 
     @pytest.mark.parametrize("dim", [32, 128])
@@ -299,7 +293,7 @@ class TestModelE:
     def test_ground_state_polarized_at_default_field(self):
         # the clean chain at the default field is just above saturation
         dec = eigensystem(HermitianOperator(model_e_matrix(n_qubits=5, d=0.0, seed=0)))
-        assert mean_bipartite_Q(dec.vector(0), 5) == pytest.approx(0.0, abs=1e-10)
+        assert mean_bipartite_Q(dec.eigenvectors[:, 0], 5) == pytest.approx(0.0, abs=1e-10)
 
     def test_rejects_zero_coupling(self):
         with pytest.raises(ValueError):
@@ -329,7 +323,7 @@ class TestSectorRestriction:
 
 @lru_cache(maxsize=None)
 def dense_chain_coupling(n):
-    return sum(heisenberg_coupling(j, j + 1, n).matrix for j in range(n - 1))
+    return sum(heisenberg_coupling(j, j + 1, n) for j in range(n - 1))
 
 
 def dense_model_e(n, d, h=MODEL_E_DEFAULT_FIELD, J=1.0, seed=0):
@@ -380,11 +374,11 @@ class TestModelEBlocks:
         width = eps[-1] - eps[0]
         assert np.max(np.abs(spectrum.eigenvalues - eps)) <= 1e-12 * width
         indices = blocks[spectrum.ground_block][0]
-        assert abs(spectrum.ground_state @ dense.vector(0)[indices]) >= 1.0 - 1e-12
+        assert abs(spectrum.ground_state @ dense.eigenvectors[indices, 0]) >= 1.0 - 1e-12
         assert bound_b(spectrum.eigenvalues) == pytest.approx(bound_b(eps), rel=1e-12)
         # Q = 2 - (2/N) sum of purities near 1: its rounding error is absolute
         assert sector_mean_bipartite_Q(spectrum.ground_state, indices, n) == pytest.approx(
-            mean_bipartite_Q(dense.vector(0), n), rel=1e-12, abs=1e-12
+            mean_bipartite_Q(dense.eigenvectors[:, 0], n), rel=1e-12, abs=1e-12
         )
 
     def test_sectors_in_n_down_order(self):

@@ -8,10 +8,10 @@ from qcbound import (
     eigensystem,
     heisenberg_coupling,
 )
-from qcbound.ensembles import EnsembleKind, EnsembleSpec, sample
+from qcbound.ensembles import EnsembleKind, EnsembleSpec
 from qcbound.quantum import _PAULI, DegenerateSpectrumError, _embed, require_isolated
 
-from oracles import partial_trace, partial_trace_dyad
+from oracles import partial_trace, partial_trace_dyad, sample_operator
 
 
 def random_state(dim, seed):
@@ -66,17 +66,17 @@ class TestEmbedSite:
 
 class TestHeisenbergCoupling:
     def test_singlet_triplet_spectrum(self):
-        eigs = np.linalg.eigvalsh(heisenberg_coupling(0, 1, 2).matrix)
+        eigs = np.linalg.eigvalsh(heisenberg_coupling(0, 1, 2))
         assert np.allclose(eigs, [-3, 1, 1, 1])
 
     def test_singlet_is_eigenstate(self):
         singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)
-        h = heisenberg_coupling(0, 1, 2).matrix
+        h = heisenberg_coupling(0, 1, 2)
         assert np.allclose(h @ singlet, -3 * singlet)
 
     def test_conserves_total_z(self):
         n = 3
-        h = heisenberg_coupling(0, 2, n).matrix
+        h = heisenberg_coupling(0, 2, n)
         ztot = sum(_embed(_PAULI["z"], j, n) for j in range(n))
         assert np.allclose(h @ ztot - ztot @ h, 0.0, atol=1e-12)
 
@@ -135,7 +135,7 @@ class TestEigensystem:
             assert pivot.real > 0 and abs(pivot.imag) < 1e-14
 
     def test_reconstruction_64dim_goe(self):
-        h = sample(EnsembleSpec(EnsembleKind.GOE, 64), seed=11)
+        h = sample_operator(EnsembleSpec(EnsembleKind.GOE, 64), seed=11)
         dec = eigensystem(h)
         rebuilt = dec.eigenvectors @ np.diag(dec.eigenvalues) @ dec.eigenvectors.conj().T
         assert np.max(np.abs(rebuilt - h.matrix)) < 1e-10
@@ -146,18 +146,18 @@ class TestEigensystem:
 
     def test_trace_matches_eigenvalue_sum(self):
         for seed in range(5):
-            h = sample(EnsembleSpec(EnsembleKind.GUE, 16), seed=seed)
+            h = sample_operator(EnsembleSpec(EnsembleKind.GUE, 16), seed=seed)
             dec = eigensystem(h)
             tr = np.trace(h.matrix).real
             assert abs(dec.eigenvalues.sum() - tr) < 1e-10 * max(1.0, abs(tr))
 
     def test_orthonormality(self):
-        h = sample(EnsembleSpec(EnsembleKind.GUE, 32), seed=3)
+        h = sample_operator(EnsembleSpec(EnsembleKind.GUE, 32), seed=3)
         u = eigensystem(h).eigenvectors
         assert np.max(np.abs(u.conj().T @ u - np.eye(32))) < 1e-10
 
     def test_phase_gauge_reproducible(self):
-        h = sample(EnsembleSpec(EnsembleKind.GUE, 8), seed=5)
+        h = sample_operator(EnsembleSpec(EnsembleKind.GUE, 8), seed=5)
         u1 = eigensystem(h).eigenvectors
         u2 = eigensystem(h).eigenvectors
         assert np.array_equal(u1, u2)
@@ -198,12 +198,12 @@ class TestPartialTrace:
         assert np.allclose(rho, np.diag([1.0, 0.0]))
 
     def test_dyad_trace_is_overlap(self):
-        h = sample(EnsembleSpec(EnsembleKind.GUE, 8), seed=9)
+        h = sample_operator(EnsembleSpec(EnsembleKind.GUE, 8), seed=9)
         dec = eigensystem(h)
         p = QubitPartition.single_site(1, 3)
         for k in range(3):
             for l in range(3):
-                tr = np.trace(partial_trace_dyad(dec.vector(k), dec.vector(l), p))
+                tr = np.trace(partial_trace_dyad(dec.eigenvectors[:, k], dec.eigenvectors[:, l], p))
                 assert abs(tr - (1.0 if k == l else 0.0)) < 1e-12
 
     def test_matches_matrix_code_path(self):
