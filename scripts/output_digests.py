@@ -48,6 +48,9 @@ CONFIGS = {
     # dim 64, the smallest whose draws run on threads (experiments._THREAD_MIN_DIM)
     "check-B-N6": (["check", "--model", "B", "--qubits", "6", "--samples", "200",
                     "--seed", "5"], _CHECK),
+    # threaded dim-64 stacks of 8 draws, the last of 203 a short one of 3
+    "check-B-N6-short": (["check", "--model", "B", "--qubits", "6", "--samples", "203",
+                          "--seed", "5"], _CHECK),
     # the one check run with b' violations (46 of 1000 draws)
     "check-B-N3-bprime": (["check", "--model", "B", "--qubits", "3", "--samples", "1000",
                            "--seed", "3"], _CHECK),

@@ -30,26 +30,27 @@ aggregated (model E before any solve).  The CLI rejects a spectrum too small
 to unfold (``level_stats.MIN_UNFOLD_LEVELS``), or a fit too small to make,
 before any draw.
 
-Threads.  The model-D, GOE/GUE and model-E spectra of a sweep or ``stats``
-run are built and solved up front, in stacks, on one thread per CPU
-(``_stacked_spectra``): a stack of eigenvalue problems is solved with the
-GIL released, one matrix alone is not.  A sweep makes one such pass over all
-of its grid points, not one per point (``_run_stacks``): model D one, model
-E two, first the eigenvalues of the blocks of every (point, sector), then
-the ground state of every ground block, grouped by sector, by inverse
+Threads.  Every batched pass runs through one driver, ``_run_stacks``: n
+items of one shape, d along its last axis, in stacks of ``_STACK_LEVELS //
+d + 1`` built in place, each handed to a solve, on one thread per CPU.  The
+model-D, GOE/GUE and model-E spectra of a sweep or ``stats`` run are solved
+up front that way (``_stacked_spectra``): a stack of eigenvalue problems is
+solved with the GIL released, one matrix alone is not.  A sweep makes one
+such pass over all of its grid points, not one per point: model D one,
+model E two, first the eigenvalues of the blocks of every (point, sector),
+then the ground state of every ground block, grouped by sector, by inverse
 iteration (``_ground_states``: two stacked solves, shifted just below the
 ground level that the first pass found, with an ``eigh`` fallback).  So a
 sweep holds every point's spectra at once (points x realizations x D
-floats; model E also holds as many field diagonals).
-A scatter run makes one pass of blocks of consecutive draws on one thread
-per CPU, each block drawing its normals, then its rows, products and kernels
-(``scatter_bound_test``).  The pass after the solves (``_run_draws``) takes
-all rows of a point at once, in the calling thread.  Draws on matrices
-smaller than ``_THREAD_MIN_DIM`` stay on the calling thread.  Each public
-experiment holds OpenBLAS at one thread for its whole call
-(``quantum._one_blas_thread``).  Each thread works on a
-contiguous chunk of the draw indices with its own generator and buffers, so
-the output does not depend on the number of threads, of the run or of BLAS.
+floats; model E also holds as many field diagonals).  A scatter run makes
+one pass of stacks of its draws' normals, each turned into rows, products
+and kernels (``scatter_bound_test``).  The pass after the solves
+(``_run_draws``) takes all rows of a point at once, in the calling thread.
+Draws on matrices smaller than ``_THREAD_MIN_DIM`` stay on the calling
+thread.  Each public experiment holds OpenBLAS at one thread for its whole
+call (``quantum._one_blas_thread``).  Each thread works on a contiguous
+chunk of the stacks, each item with its own generator, so the output does
+not depend on the number of threads, of the run or of BLAS.
 """
 
 from __future__ import annotations
@@ -182,9 +183,9 @@ def _run_indexed(task, n_tasks: int, workers: int) -> list:
     into min(workers, n_tasks) contiguous chunks, each run in order on a
     plain thread started here and joined before this returns; the exception
     of the first chunk that failed is raised in the caller.  A task must be
-    safe to run concurrently with the others, as the scatter's blocks and
-    the stacked solves are (each writes its own rows, from its own thread's
-    generator and normals).  perfbench's tracer wraps this loop by its three
+    safe to run concurrently with the others, as the stacks of
+    ``_run_stacks`` are (each writes its own rows, from its own generators
+    and stack).  perfbench's tracer wraps this loop by its three
     positional arguments, records the third, and reads a None result as a
     dropped draw.
     """
@@ -239,34 +240,36 @@ _STACK_LEVELS = 500
 
 
 def _run_stacks(shapes, dtype, solve) -> None:
-    """For each (build, n, dim) of ``shapes``, build the n matrices that
-    ``build(i, out)`` writes into ``out``, a (dim, dim) array of ``dtype``,
-    in stacks, and hand each stack to ``solve(s, start, stack)``: matrix j
-    of the (k, dim, dim) ``stack`` is matrix start + j of shape s.
+    """For each (build, n, item_shape) of ``shapes``, build the n arrays that
+    ``build(i, out)`` writes into ``out``, an ``item_shape`` array of
+    ``dtype``, in stacks, and hand each stack to ``solve(s, start, stack)``:
+    item j of the (k, *item_shape) ``stack`` is item start + j of shape s.
 
-    Each shape's matrices are cut into stacks of k = _STACK_LEVELS // dim + 1
-    (the last one shorter), and one ``_run_indexed`` call runs the stacks of
-    every shape, in that order, on ``_worker_count(n_stacks, largest dim)``
-    threads, each on a contiguous chunk; ``solve`` runs in the stack's task
-    and must return non-None (a None result would read as a dropped draw).
-    A stack is built in place; builds that draw their normals release the
-    GIL, as stacked LAPACK calls do, so they overlap as well.  With no
-    matrix to solve no loop runs.
+    Each shape's items are cut into stacks of k = _STACK_LEVELS // d + 1, d
+    the last axis of its ``item_shape`` (the last stack shorter), and one
+    ``_run_indexed`` call runs the stacks of every shape, in that order, on
+    ``_worker_count(n_stacks, largest d)`` threads, each on a contiguous
+    chunk.  ``solve`` runs in the stack's task and returns len(stack), never
+    an array: ``_run_indexed`` keeps every result until the pass ends, and
+    a None result would read as a dropped draw.  A stack is built in place;
+    builds that draw their normals release the GIL, as stacked LAPACK calls
+    do, so they overlap as well.  With no item to solve no loop runs.
     """
-    tasks = [(s, start, min(start + _STACK_LEVELS // dim + 1, n))
-             for s, (_, n, dim) in enumerate(shapes)
-             for start in range(0, n, _STACK_LEVELS // dim + 1)]
+    tasks = []
+    for s, (_, n, item_shape) in enumerate(shapes):
+        k = _STACK_LEVELS // item_shape[-1] + 1
+        tasks += [(s, start, min(start + k, n)) for start in range(0, n, k)]
 
     def run(t: int):
         s, start, stop = tasks[t]
-        build, _, dim = shapes[s]
-        stack = np.empty((stop - start, dim, dim), dtype)
+        build, _, item_shape = shapes[s]
+        stack = np.empty((stop - start, *item_shape), dtype)
         for j in range(stop - start):
             build(start + j, stack[j])
         return solve(s, start, stack)
 
     if tasks:
-        largest = max(dim for _, n, dim in shapes if n)
+        largest = max(item_shape[-1] for _, n, item_shape in shapes if n)
         _run_indexed(run, len(tasks), _worker_count(len(tasks), largest))
 
 
@@ -278,17 +281,11 @@ def _stacked_spectra(shapes, dtype) -> None:
     floats as one call per matrix.  ``out`` may be a view, such as a
     sector's columns of model E's merged spectra."""
 
-    def solve(s: int, start: int, stack: np.ndarray) -> np.ndarray:
-        rows = shapes[s][1][start:start + len(stack)]
-        rows[...] = np.linalg.eigvalsh(stack)
-        return rows
+    def solve(s: int, start: int, stack: np.ndarray) -> int:
+        shapes[s][1][start:start + len(stack)] = np.linalg.eigvalsh(stack)
+        return len(stack)
 
-    _run_stacks([(build, *out.shape) for build, out in shapes], dtype, solve)
-
-
-# Most draws per block of a scatter run: bounds a block's normals and the
-# temporaries of its products and kernels to a few (128, d) arrays.
-_ROW_BLOCK = 128
+    _run_stacks([(build, len(out), (out.shape[1],) * 2) for build, out in shapes], dtype, solve)
 
 
 @_one_blas_thread()
@@ -315,18 +312,16 @@ def scatter_bound_test(
     generators are derived for all draws in one pass, bit-identical to
     ``spawn_seed`` and ``default_rng``.
 
-    One pass of blocks.  The draws are cut into blocks of k =
-    min(_STACK_LEVELS // d + 1, _ROW_BLOCK) consecutive draws, run by one
-    ``_run_indexed`` call on ``_worker_count(blocks, d)`` threads.  A block
-    re-seeds each of its draws in turn and writes its normals into the
-    thread's (k, ...) buffer (drawn with the GIL released, so threads draw
-    concurrently), turns them into rows in one stacked product, then runs
-    w = rows @ U (one vector-matrix product per row) and both kernels on
-    all of its rows at once, writing its entries of the columns: the same
-    floats as one draw at a time, for any k and thread count.  The entry
-    w_0 = <0|V|0> must be real; an imaginary part above IMAG_RESIDUE_ATOL
-    means V is not Hermitian and raises ValueError naming the first such
-    sample.
+    One pass of stacks (``_run_stacks``), of k = _STACK_LEVELS // d + 1
+    consecutive draws each.  A stack's build re-seeds each of its draws in
+    turn and writes its normals into the stack (drawn with the GIL released,
+    so threads draw concurrently); its solve turns them into rows in one
+    stacked product, then runs w = rows @ U (one vector-matrix product per
+    row) and both kernels on all of its rows at once, writing its entries of
+    the columns: the same floats as one draw at a time, for any k and thread
+    count.  The entry w_0 = <0|V|0> must be real; an imaginary part above
+    IMAG_RESIDUE_ATOL means V is not Hermitian and raises ValueError naming
+    the first such sample.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -344,18 +339,12 @@ def scatter_bound_test(
     seeds = spawn_seeds(master_seed, np.arange(1, samples + 1, dtype=np.uint64))
     rng = _seeded_generators(seeds)
     dq_abs, k0 = np.empty(samples), np.empty(samples)
-    per_block = min(_STACK_LEVELS // c.size + 1, _ROW_BLOCK)
-    local = threading.local()
 
-    def block(t: int) -> int:
-        # returns its draw count: a None result would read as a dropped draw
-        start, stop = t * per_block, min((t + 1) * per_block, samples)
-        if not hasattr(local, "z"):
-            local.z = np.empty((per_block, *_normals_shape(v_spec)))
-        z = local.z[:stop - start]
-        for j in range(stop - start):
-            # PoissonDiagonal normals come as a new array, the others in z[j]
-            z[j] = _normals(v_spec, rng(start + j), z[j])
+    def build(i: int, out: np.ndarray) -> None:
+        # PoissonDiagonal normals come as a new array, the others in out
+        out[...] = _normals(v_spec, rng(i), out)
+
+    def solve(_, start: int, z: np.ndarray) -> int:
         w = np.matmul(_sample_rows(v_spec, z, c)[:, np.newaxis], u)[:, 0]
         bad = np.flatnonzero(np.abs(w[:, 0].imag) > IMAG_RESIDUE_ATOL)
         if bad.size:
@@ -364,12 +353,11 @@ def scatter_bound_test(
                 f"sample {i} (seed {int(seeds[i])}): <0|V|0> has imaginary part "
                 f"{w[bad[0], 0].imag:.3e}; the perturbation is not Hermitian"
             )
-        dq_abs[start:stop] = np.abs(dQ0_dtau_from_row(w, gaps, overlaps, n))
-        k0[start:stop] = level_curvature_from_row(w, diffs)
-        return stop - start
+        dq_abs[start:start + len(z)] = np.abs(dQ0_dtau_from_row(w, gaps, overlaps, n))
+        k0[start:start + len(z)] = level_curvature_from_row(w, diffs)
+        return len(z)
 
-    n_blocks = -(-samples // per_block)
-    _run_indexed(block, n_blocks, _worker_count(n_blocks, c.size))
+    _run_stacks([(build, samples, _normals_shape(v_spec))], float, solve)
     delta = saturation_index(dq_abs, k0, b)
     return ScatterResult(
         seeds=seeds,
@@ -620,7 +608,7 @@ def _ground_state_q(samplers: list, bottoms: np.ndarray, eigenvalues: np.ndarray
     groups = [(s, *np.nonzero(ground == s)) for s in np.unique(ground).tolist()]
     q = np.empty(ground.shape)
 
-    def solve(g: int, start: int, stack: np.ndarray) -> np.ndarray:
+    def solve(g: int, start: int, stack: np.ndarray) -> int:
         s, points, draws = groups[g]
         at = points[start:start + len(stack)], draws[start:start + len(stack)]
         states = _ground_states(stack, lowest[at], gap[at], radius[at],
@@ -629,12 +617,12 @@ def _ground_state_q(samplers: list, bottoms: np.ndarray, eigenvalues: np.ndarray
             sampler = samplers[at[0][j]]
             q[at[0][j], at[1][j]] = sector_mean_bipartite_Q(state, sampler.sectors[s][0],
                                                             sampler.n_qubits)
-        return states
+        return len(stack)
 
     _run_stacks(
         [(lambda j, out, s=s, points=points, draws=draws:
           samplers[points[j]].block(s, draws[j], out),
-          points.size, samplers[0].sectors[s][0].size) for s, points, draws in groups],
+          points.size, (samplers[0].sectors[s][0].size,) * 2) for s, points, draws in groups],
         float, solve)
     return q
 

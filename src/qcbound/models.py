@@ -99,7 +99,9 @@ def _require_finite_spectrum(model: str, eigenvalues: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Scatter-model description (families A, B, C), JSON-serializable."""
+    """Scatter-model description (families A, B, C), JSON-serializable.  Only
+    C reads ``ensemble``, only A ``a_coeffs`` and ``lam``; the other families
+    take their defaults alone, so a manifest holds no parameter a run ignores."""
 
     family: str
     n_qubits: int = 0
@@ -119,8 +121,15 @@ class ModelConfig:
             raise ValueError("need at least 2 qubits")
         if family == "C" and self.ensemble not in ("GOE", "GUE"):
             raise ValueError("model C perturbations come from GOE or GUE")
+        if family != "C" and self.ensemble != "GUE":
+            raise ValueError(f"--ensemble applies to model C only; model {family} "
+                             "perturbations are GUE")
         if family == "A" and len(self.a_coeffs) != 3:
             raise ValueError("model A takes exactly three field coefficients")
+        if family != "A" and tuple(map(float, self.a_coeffs)) != MODEL_A_DEFAULT_COEFFS:
+            raise ValueError(f"--a-coeffs applies to model A only; model {family} has no fields")
+        if family != "A" and self.lam != MODEL_A_DEFAULT_LAMBDA:
+            raise ValueError(f"--lambda applies to model A only; model {family} has no coupling")
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "a_coeffs", tuple(float(a) for a in self.a_coeffs))

@@ -739,6 +739,53 @@ class TestNegativeSeed:
         assert not out.exists()
 
 
+class TestIgnoredScatterFlags:
+    # a scatter parameter its model does not read is refused, not written
+    # into the manifest: the ensemble is model C's, the fields and coupling A's
+    @pytest.mark.parametrize("model,flag,value,key,config_value,message", [
+        ("B", "--ensemble", "GOE", "ensemble", "GOE",
+         "--ensemble applies to model C only; model B perturbations are GUE"),
+        ("A", "--ensemble", "GOE", "ensemble", "GOE",
+         "--ensemble applies to model C only; model A perturbations are GUE"),
+        ("B", "--lambda", "9", "lam", 9,
+         "--lambda applies to model A only; model B has no coupling"),
+        ("C", "--lambda", "0.7", "lam", 0.7,
+         "--lambda applies to model A only; model C has no coupling"),
+        ("B", "--a-coeffs", "0.1,0.2,0.4", "a-coeffs", [0.1, 0.2, 0.4],
+         "--a-coeffs applies to model A only; model B has no fields"),
+        ("C", "--a-coeffs", "0,0,0", "a_coeffs", "0,0,0",
+         "--a-coeffs applies to model A only; model C has no fields"),
+    ], ids=["B-ensemble", "A-ensemble", "B-lambda", "C-lambda", "B-a-coeffs", "C-a-coeffs"])
+    @pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+    def test_exits_2_naming_the_flag_before_any_output(self, tmp_path, capsys, model, flag,
+                                                       value, key, config_value, message,
+                                                       from_config):
+        argv = ["check", "--model", model, "--samples", "3"]
+        if from_config:
+            (tmp_path / "cfg.json").write_text(json.dumps({key: config_value}))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        else:
+            argv += [flag, value]
+        out = tmp_path / "o"
+        assert run_cli([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["A", "B", "C"])
+    def test_defaults_given_as_flags_write_the_same_bytes(self, tmp_path, model):
+        argv = ["check", "--model", model, "--samples", "20", "--seed", "2"]
+        defaults = ["--lambda", "0.5", "--a-coeffs", "0.1,0.2,0.3"]
+        if model != "C":
+            defaults += ["--ensemble", "GUE"]
+        assert run_cli([*argv, "--out", str(tmp_path / "plain")]) == 0
+        assert run_cli([*argv, *defaults, "--out", str(tmp_path / "given")]) == 0
+        for name in ("records.csv", "summary.json", "manifest.json"):
+            plain, given = ((tmp_path / d / name).read_text().splitlines()
+                            for d in ("plain", "given"))
+            assert ([line for line in plain if "created_utc" not in line]
+                    == [line for line in given if "created_utc" not in line])
+
+
 class TestNonFiniteFloats:
     # every float flag of every subcommand, and the config key of each
     FLOAT_FLAGS = [("check", "lambda"), ("check", "a-coeffs"),
@@ -903,7 +950,7 @@ class TestSerialDraws:
             assert len(calls[0]) == shapes(points)
 
     def test_check_bytes_do_not_depend_on_its_threads(self, tmp_path, monkeypatch):
-        # 300 samples at dim 8: blocks of 63 draws by default (five, the last
+        # 300 samples at dim 8: stacks of 63 draws by default (five, the last
         # one short), else of the forced length 1, 7 or 128
         import qcbound.experiments as experiments
 
@@ -911,9 +958,8 @@ class TestSerialDraws:
         real_worker_count = experiments._worker_count
         outputs = {}
         for block in (None, 1, 7, 128):
-            if block is not None:  # the cap applies: the stack rule gives more
-                monkeypatch.setattr(experiments, "_STACK_LEVELS", 10**6)
-                monkeypatch.setattr(experiments, "_ROW_BLOCK", block)
+            if block is not None:  # 8 (k - 1) // 8 + 1 = k draws per stack
+                monkeypatch.setattr(experiments, "_STACK_LEVELS", 8 * (block - 1))
             blocks = -(-300 // (block or 500 // 8 + 1))
             for workers in (None, 1, 2, 3):
                 monkeypatch.setattr(experiments, "_worker_count", real_worker_count

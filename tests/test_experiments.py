@@ -4,6 +4,7 @@ import math
 import os
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -197,8 +198,8 @@ class TestScatterBoundTest:
 
     def test_non_hermitian_error_names_the_first_bad_sample_of_the_second_chunk(
             self, monkeypatch):
-        # blocks of two draws on three threads: chunks 0..3, 4..7 and 8..11;
-        # samples 6 and 9 are bad, in blocks 3 and 4 of chunks 1 and 2, so a
+        # stacks of two draws on three threads: chunks 0..3, 4..7 and 8..11;
+        # samples 6 and 9 are bad, in stacks 3 and 4 of chunks 1 and 2, so a
         # chunk finishing out of order must not change the sample named
         seeds = spawn_seeds(0, np.arange(1, 13, dtype=np.uint64))
         spec = EnsembleSpec(EnsembleKind.GUE, 8)  # model B at N = 3
@@ -214,12 +215,12 @@ class TestScatterBoundTest:
             return rows
 
         monkeypatch.setattr(experiments, "_sample_rows", bad_rows)
-        monkeypatch.setattr(experiments, "_ROW_BLOCK", 2)
+        monkeypatch.setattr(experiments, "_STACK_LEVELS", 8)  # stacks of 8 // 8 + 1 = 2
         monkeypatch.setattr(experiments, "_worker_count", lambda n_tasks, dim: 3)
         first_bad = rf"^sample 6 \(seed {seeds[6]}\): .* not Hermitian"
         with pytest.raises(ValueError, match=first_bad):
             scatter_bound_test(ModelConfig(family="B", n_qubits=3), samples=12)
-        assert sorted(blocks) == [2] * 5  # chunk 2 stopped at its first block
+        assert sorted(blocks) == [2] * 5  # chunk 2 stopped at its first stack
 
     def test_non_hermitian_perturbation_raises(self, monkeypatch):
         sample_rows = experiments._sample_rows
@@ -274,6 +275,38 @@ class TestRunIndexed:
             experiments._run_indexed(lambda i: i, n_tasks, workers)
             assert len(started) == threads
             assert not any(thread.is_alive() for thread in started)
+
+
+class TestRunStacks:
+    # the stack rule reads d off the last axis of an item, whatever its
+    # other axes: k = _STACK_LEVELS // d + 1 items per stack
+    @pytest.mark.parametrize("n", [0, 1, 62, 63, 64, 200])
+    @pytest.mark.parametrize("item_shape", [(8,), (8, 8), (2, 8, 8), (64,), (64, 64),
+                                            (2, 64, 64)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_items_reach_solve_in_stacks_of_the_rule(self, item_shape, n):
+        k = experiments._STACK_LEVELS // item_shape[-1] + 1
+        n_stacks = -(-n // k)
+        workers = experiments._worker_count(n_stacks, item_shape[-1])
+        lock, stacks, seen = threading.Lock(), [], np.zeros(n, int)
+
+        def build(i: int, out: np.ndarray) -> None:
+            assert out.shape == item_shape
+            out[...] = i
+
+        def solve(s: int, start: int, stack: np.ndarray) -> int:
+            assert s == 0 and stack.shape == (min(k, n - start), *item_shape)
+            assert all(np.all(stack[j] == start + j) for j in range(len(stack)))
+            with lock:
+                seen[start:start + len(stack)] += 1
+                stacks.append(weakref.ref(stack))
+                # the stacks of finished tasks are gone: one per thread at most
+                assert sum(ref() is not None for ref in stacks) <= workers
+            return len(stack)
+
+        experiments._run_stacks([(build, n, item_shape)], float, solve)
+        assert len(stacks) == n_stacks and np.all(seen == 1)
+        assert all(ref() is None for ref in stacks)
 
 
 class TestWorkerCount:
@@ -354,8 +387,9 @@ class TestStackedSpectra:
                 assert np.array_equal(eigenvalues[i], np.linalg.eigvalsh(matrix))
 
     @pytest.mark.parametrize("source", ["GOE", "GUE", "D"])
-    def test_one_task_per_stack_each_returning_its_rows(self, monkeypatch, source):
-        # a None task result would read as a dropped draw in a traced run
+    def test_one_task_per_stack_each_returning_its_length(self, monkeypatch, source):
+        # a None task result would read as a dropped draw in a traced run, and
+        # an array would be kept until the pass ends
         real, loops = experiments._run_indexed, []
 
         def capture(task, n_tasks, workers):
@@ -364,11 +398,10 @@ class TestStackedSpectra:
             return results
 
         monkeypatch.setattr(experiments, "_run_indexed", capture)
-        eigenvalues = _spectra(source, spawn_seeds(4, np.arange(10)), 128)
+        _spectra(source, spawn_seeds(4, np.arange(10)), 128)
         [(n_tasks, workers, results)] = loops
         assert (n_tasks, workers) == (3, experiments._worker_count(3, 128))
-        assert [r.shape for r in results] == [(4, 128), (4, 128), (2, 128)]
-        assert np.array_equal(np.concatenate(results), eigenvalues)
+        assert results == [4, 4, 2]
 
 
 class TestModelEStacks:
@@ -412,34 +445,34 @@ class TestModelEStacks:
                         # inverse iteration, against eigh (see TestGroundStates)
                         assert abs(q_all[i] - q) <= 1e-12
 
-    def test_one_task_per_sector_stack_each_returning_its_rows(self, monkeypatch):
+    def test_one_task_per_sector_stack_each_returning_its_length(self, monkeypatch):
         # N = 9, 11 draws at d = 2.5: the ten sectors (dims 1, 9, 36, 84,
         # 126, ...) take 1, 1, 1, 2, 3, 3, 2, 1, 1, 1 stacks, in n_down order
         real, loops = experiments._run_indexed, []
+        real_stacks, passes = experiments._run_stacks, []
 
         def capture(task, n_tasks, workers):
             results = real(task, n_tasks, workers)
             loops.append((n_tasks, workers, results))
             return results
 
+        def capture_stacks(shapes, dtype, solve):
+            passes.append([item_shape for _, _, item_shape in shapes])
+            return real_stacks(shapes, dtype, solve)
+
         monkeypatch.setattr(experiments, "_run_indexed", capture)
-        eigenvalues, _, _ = _swept(monkeypatch, sweep_defect, [2.5], realizations=11,
-                                   n_qubits=9, master_seed=4)
+        monkeypatch.setattr(experiments, "_run_stacks", capture_stacks)
+        _swept(monkeypatch, sweep_defect, [2.5], realizations=11, n_qubits=9, master_seed=4)
         (n_tasks, workers, results), (n_ground, ground_workers, ground) = loops
         assert (n_tasks, workers) == (16, experiments._worker_count(16, 126))
         dims = [1, 9, 36, 84, 126, 126, 84, 36, 9, 1]
-        stacks = [[(min(k, 11 - start), dim) for start in range(0, 11, k)]
-                  for dim, k in ((dim, 500 // dim + 1) for dim in dims)]
-        assert [r.shape for r in results] == [shape for sector in stacks for shape in sector]
-        merged = np.sort(np.concatenate(
-            [np.concatenate(results[sum(map(len, stacks[:s])):sum(map(len, stacks[:s + 1]))])
-             for s in range(10)], axis=1), axis=1)
-        assert np.array_equal(merged, eigenvalues[0])
+        assert passes[0] == [(dim, dim) for dim in dims]
+        assert results == [min(k, 11 - start) for k in (500 // dim + 1 for dim in dims)
+                           for start in range(0, 11, k)]
         # the ground pass: the same rule, on the ground blocks' sectors
-        assert n_ground == len(ground) and all(r is not None for r in ground)
-        assert sum(len(r) for r in ground) == 11
+        assert n_ground == len(ground) and sum(ground) == 11
         assert ground_workers == experiments._worker_count(
-            n_ground, max(r.shape[1] for r in ground))
+            n_ground, max(dim for dim, _ in passes[1]))
 
     def test_stats_solves_no_ground_block(self, monkeypatch):
         # restricted: the middle sector alone; full: all ten, and no eigh
