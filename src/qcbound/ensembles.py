@@ -261,10 +261,8 @@ def _sample_rows(spec: EnsembleSpec, z: np.ndarray, c: np.ndarray) -> np.ndarray
     (d x d)(d x 2) products read back as complex vectors, and
     c^T V = (1/2) [(X + X^T) c + i (Y^T - Y) c] for the GUE,
     (1/sqrt 2)(A + A^T) c for the GOE.  Equal to ``c @ V`` up to the
-    order of roundoff.
+    order of roundoff.  The GOE and GUE only, the ensembles of a scatter V.
     """
-    if spec.kind is EnsembleKind.POISSON_DIAGONAL:
-        return c * z
     cc = np.ascontiguousarray(c, dtype=complex).view(float).reshape(-1, 2)
     zc = z @ cc
     ztc = np.swapaxes(z, -1, -2) @ cc

@@ -8,8 +8,9 @@ Its overlaps A^0_0k are the site sum (``ground_state_site_overlaps``) of one
 reduction kernel, A^n_nk = tr[ tr_B(|n><n|) tr_B(|n><k|) ] of a level n
 against a block of columns k (``_level_overlaps``).  A state in one
 total-sigma_z sector needs no reduction: ``sector_mean_bipartite_Q`` takes Q
-from the site magnetizations, in the sector's own basis.  The paper's
-one-level forms (E_L, Q, dE_L/dtau, dQ0/dtau) are the tests' oracles.
+from the site magnetizations, in the sector's own basis, given its site-z
+signs.  The paper's one-level forms (E_L, Q, dE_L/dtau, dQ0/dtau) are the
+tests' oracles.
 """
 
 from __future__ import annotations
@@ -86,19 +87,15 @@ def _level_overlaps(vectors: np.ndarray, n: int, partition: QubitPartition) -> n
     return np.einsum("st,kts->k", rho_n, dyads)
 
 
-def sector_mean_bipartite_Q(state, indices, n_qubits: int) -> float:
+def sector_mean_bipartite_Q(state, signs, n_qubits: int) -> float:
     """Q = 2 - (2/N) sum_j tr(rho_j^2) of a state confined to one total-sigma_z sector.
 
-    ``state[i]`` is the amplitude of basis index ``indices[i]``; all indices
-    must have the same number of set bits (one sector), or ValueError.  In one
-    sector every rho_j is diagonal, so Q = 1 - (1/N) sum_j <sigma_zj>^2 with
-    <sigma_zj> = sum_i |state_i|^2 s_ij, s_ij = +1 (-1) where bit j of
-    indices[i] is 0 (1), site 0 the most significant bit.
+    ``state[i]`` is the amplitude of the sector's basis state i, and
+    ``signs[i, j]`` its sigma_z at site j, +1 or -1 (``models._sector_chain``
+    holds them per sector).  In one sector every rho_j is diagonal, so
+    Q = 1 - (1/N) sum_j <sigma_zj>^2 with <sigma_zj> = sum_i |state_i|^2 signs_ij.
     """
-    bits = (np.asarray(indices)[:, np.newaxis] >> np.arange(n_qubits - 1, -1, -1)) & 1
-    if np.ptp(bits.sum(axis=1)) != 0:
-        raise ValueError("the basis indices span more than one total-sigma_z sector")
-    sz = np.abs(state) ** 2 @ (1.0 - 2.0 * bits)
+    sz = np.abs(state) ** 2 @ signs
     return 1.0 - float(sz @ sz) / n_qubits
 
 

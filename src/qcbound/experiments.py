@@ -124,7 +124,6 @@ class ExperimentError(RuntimeError):
 @dataclass(frozen=True)
 class TrimResult:
     kept: np.ndarray
-    trimmed: np.ndarray
     mask: np.ndarray  # True where the input value was kept
 
 
@@ -172,7 +171,7 @@ def trim_outliers(values, k: float = 1.5) -> TrimResult:
     q1, q3 = np.percentile(x, [25.0, 75.0])
     iqr = q3 - q1
     mask = (x >= q1 - k * iqr) & (x <= q3 + k * iqr)
-    return TrimResult(kept=x[mask], trimmed=x[~mask], mask=mask)
+    return TrimResult(kept=x[mask], mask=mask)
 
 
 def _run_indexed(task, n_tasks: int, workers: int) -> list:
@@ -249,11 +248,12 @@ def _run_stacks(shapes, dtype, solve) -> None:
     the last axis of its ``item_shape`` (the last stack shorter), and one
     ``_run_indexed`` call runs the stacks of every shape, in that order, on
     ``_worker_count(n_stacks, largest d)`` threads, each on a contiguous
-    chunk.  ``solve`` runs in the stack's task and returns len(stack), never
-    an array: ``_run_indexed`` keeps every result until the pass ends, and
-    a None result would read as a dropped draw.  A stack is built in place;
-    builds that draw their normals release the GIL, as stacked LAPACK calls
-    do, so they overlap as well.  With no item to solve no loop runs.
+    chunk.  ``solve`` runs in the stack's task and returns nothing; the task
+    itself returns len(stack), never an array or None: ``_run_indexed``
+    keeps every result until the pass ends, and perfbench's tracer reads a
+    None result as a dropped draw.  A stack is built in place; builds that
+    draw their normals release the GIL, as stacked LAPACK calls do, so they
+    overlap as well.  With no item to solve no loop runs.
     """
     tasks = []
     for s, (_, n, item_shape) in enumerate(shapes):
@@ -266,7 +266,8 @@ def _run_stacks(shapes, dtype, solve) -> None:
         stack = np.empty((stop - start, *item_shape), dtype)
         for j in range(stop - start):
             build(start + j, stack[j])
-        return solve(s, start, stack)
+        solve(s, start, stack)
+        return len(stack)
 
     if tasks:
         largest = max(item_shape[-1] for _, n, item_shape in shapes if n)
@@ -281,9 +282,8 @@ def _stacked_spectra(shapes, dtype) -> None:
     floats as one call per matrix.  ``out`` may be a view, such as a
     sector's columns of model E's merged spectra."""
 
-    def solve(s: int, start: int, stack: np.ndarray) -> int:
+    def solve(s: int, start: int, stack: np.ndarray) -> None:
         shapes[s][1][start:start + len(stack)] = np.linalg.eigvalsh(stack)
-        return len(stack)
 
     _run_stacks([(build, len(out), (out.shape[1],) * 2) for build, out in shapes], dtype, solve)
 
@@ -291,19 +291,21 @@ def _stacked_spectra(shapes, dtype) -> None:
 @_one_blas_thread()
 def scatter_bound_test(
     config: ModelConfig,
+    a_value: float,
     samples: int = 3000,
     master_seed: int = 0,
-    a_value: float | None = None,
 ) -> ScatterResult:
     """Sample the inequality over perturbation draws on a fixed base Hamiltonian.
 
     Per sample: draw V with a child seed and compute |dQ^0/dtau| and K_0.
     Once per run, on those columns, ``saturation_index`` gives delta against
-    the per-model constant b and the b' comparison: the two violation counts
-    are delta > BOUND_SLACK_RTOL b and |dQ^0/dtau| - b' sqrt(|K_0|) > 0.  The
-    degeneracy guard runs once, in ``bound_b`` on the ground level of H0,
-    before the overlaps and any draw, so no draw can be rejected; the sums do
-    not depend on the basis ``eigh`` picks in a degenerate excited level.
+    the per-model constant b and the b' comparison, b' from the overlap
+    half-width ``a_value`` (``curvature.bound_b_prime``): the two violation
+    counts are delta > BOUND_SLACK_RTOL b and |dQ^0/dtau| - b' sqrt(|K_0|) >
+    0.  The degeneracy guard runs once, in ``bound_b`` on the ground level of
+    H0, before the overlaps and any draw, so no draw can be rejected; the
+    sums do not depend on the basis ``eigh`` picks in a degenerate excited
+    level.
 
     Both kernels read only row 0 of U^dag V U, so a draw needs just that row,
     w = (u_0^dag V) U, and takes u_0^dag V straight from the normals
@@ -341,10 +343,9 @@ def scatter_bound_test(
     dq_abs, k0 = np.empty(samples), np.empty(samples)
 
     def build(i: int, out: np.ndarray) -> None:
-        # PoissonDiagonal normals come as a new array, the others in out
-        out[...] = _normals(v_spec, rng(i), out)
+        _normals(v_spec, rng(i), out)
 
-    def solve(_, start: int, z: np.ndarray) -> int:
+    def solve(_, start: int, z: np.ndarray) -> None:
         w = np.matmul(_sample_rows(v_spec, z, c)[:, np.newaxis], u)[:, 0]
         bad = np.flatnonzero(np.abs(w[:, 0].imag) > IMAG_RESIDUE_ATOL)
         if bad.size:
@@ -355,7 +356,6 @@ def scatter_bound_test(
             )
         dq_abs[start:start + len(z)] = np.abs(dQ0_dtau_from_row(w, gaps, overlaps, n))
         k0[start:start + len(z)] = level_curvature_from_row(w, diffs)
-        return len(z)
 
     _run_stacks([(build, samples, _normals_shape(v_spec))], float, solve)
     delta = saturation_index(dq_abs, k0, b)
@@ -608,16 +608,15 @@ def _ground_state_q(samplers: list, bottoms: np.ndarray, eigenvalues: np.ndarray
     groups = [(s, *np.nonzero(ground == s)) for s in np.unique(ground).tolist()]
     q = np.empty(ground.shape)
 
-    def solve(g: int, start: int, stack: np.ndarray) -> int:
+    def solve(g: int, start: int, stack: np.ndarray) -> None:
         s, points, draws = groups[g]
         at = points[start:start + len(stack)], draws[start:start + len(stack)]
         states = _ground_states(stack, lowest[at], gap[at], radius[at],
                                 lambda j: f"model-E grid point {at[0][j]} draw {at[1][j]}")
         for j, state in enumerate(states):
             sampler = samplers[at[0][j]]
-            q[at[0][j], at[1][j]] = sector_mean_bipartite_Q(state, sampler.sectors[s][0],
+            q[at[0][j], at[1][j]] = sector_mean_bipartite_Q(state, sampler.sectors[s][2],
                                                             sampler.n_qubits)
-        return len(stack)
 
     _run_stacks(
         [(lambda j, out, s=s, points=points, draws=draws:

@@ -179,9 +179,12 @@ def pool_unfolded_rows(kept: np.ndarray) -> SpacingSample:
     return SpacingSample(spacings.ravel())
 
 
-def weibull_mle(
-    values, max_iter: int = 100, tol: float = 1e-8
-) -> WeibullParams:
+# Newton iterations of ``weibull_mle``, and the step in c that ends them.
+_WEIBULL_MAX_ITER = 100
+_WEIBULL_TOL = 1e-8
+
+
+def weibull_mle(values) -> WeibullParams:
     """Maximum-likelihood Weibull fit by damped Newton on the shape parameter.
 
     For fixed shape c the scale solves in closed form, a = n / sum(x^c); the
@@ -213,7 +216,7 @@ def weibull_mle(
 
     c = 1.0
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_WEIBULL_MAX_ITER):
         score, slope = score_and_slope(c)
         step = score / slope
         c_next = c - step
@@ -222,14 +225,14 @@ def weibull_mle(
             c_next = c - step
         if not math.isfinite(c_next):
             raise FitConvergenceError("Newton iteration diverged")
-        if abs(c_next - c) < tol:
+        if abs(c_next - c) < _WEIBULL_TOL:
             c = c_next
             converged = True
             break
         c = c_next
     if not converged:
         raise FitConvergenceError(
-            f"shape parameter did not converge within {max_iter} iterations"
+            f"shape parameter did not converge within {_WEIBULL_MAX_ITER} iterations"
         )
 
     a = n / float((x**c).sum())

@@ -20,10 +20,11 @@ sectors n_down = 0..N, of dimensions C(N, n_down); no path builds the 2^N
 matrix.  Each block is built from bit patterns (the standard block method,
 e.g. Sandvik, arXiv:1101.3281): a bond whose two bits are equal adds +1 to
 the diagonal of sigma_j . sigma_{j+1}; one whose bits differ adds -1 to the
-diagonal and 2 to the state with that pair flipped.  The coupling blocks and
-site-z signs depend on N only and are cached, as are the couplings scaled by
-J/4 per (N, J); a draw adds its field diagonal.  ``_ModelESampler.block`` is
-the one writer of a block: dim 126 at N = 9, not a dense dim-512 solve.
+diagonal and 2 to the state with that pair flipped.  One table per (N, J),
+cached, holds each sector's basis indices, its coupling block scaled by J/4
+and its site-z signs (``_sector_chain``); a draw adds its field diagonal, and
+the ground-state Q reads the signs.  ``_ModelESampler.block`` is the one
+writer of a block: dim 126 at N = 9, not a dense dim-512 solve.
 """
 
 from __future__ import annotations
@@ -141,10 +142,14 @@ class ModelConfig:
         return f"{self.family}-N{self.n_qubits}"
 
 
-@lru_cache(maxsize=16)
-def _sector_chain(n_qubits: int) -> tuple:
+# A sweep's samplers, one per grid point, share one table (its blocks take
+# 389 KB at N = 9); the cache holds few, since they take 83 MB at N = 13.
+@lru_cache(maxsize=4)
+def _sector_chain(n_qubits: int, J: float) -> tuple:
     """Per sector n_down = 0..N: its basis indices, the block of
-    sum_j sigma_j . sigma_{j+1}, and the site-z signs (column j = site j)."""
+    (J/4) sum_j sigma_j . sigma_{j+1}, and the site-z signs (column j = site
+    j), all read-only.  An overflow raises FloatingPointError under the
+    caller's errstate, and nothing is cached."""
     masks = 1 << (n_qubits - 1 - np.arange(n_qubits))  # site 0 = most significant bit
     sectors = []
     for n_down in range(n_qubits + 1):
@@ -157,23 +162,12 @@ def _sector_chain(n_qubits: int) -> tuple:
             coupling[rows, rows] += np.where(differ, -1.0, 1.0)
             flipped = indices[differ] ^ (masks[j] | masks[j + 1])
             coupling[rows[differ], np.searchsorted(indices, flipped)] += 2.0
+        coupling *= J / 4.0
         signs = np.where(bits, -1.0, 1.0)
         for a in (indices, coupling, signs):
             a.setflags(write=False)
         sectors.append((indices, coupling, signs))
     return tuple(sectors)
-
-
-# A sweep's samplers, one per grid point, share these (389 KB at N = 9); the
-# cache holds few, since the blocks at N = 13 take 83 MB per J.
-@lru_cache(maxsize=4)
-def _scaled_couplings(n_qubits: int, J: float) -> tuple:
-    """Per sector n_down = 0..N, (J/4) times its coupling block, read-only.
-    An overflow raises FloatingPointError under the caller's errstate."""
-    blocks = tuple((J / 4.0) * coupling for _, coupling, _ in _sector_chain(n_qubits))
-    for block in blocks:
-        block.setflags(write=False)
-    return blocks
 
 
 def _spectral_std(h: np.ndarray) -> float:
@@ -265,9 +259,9 @@ class _ModelESampler:
     draw i into ``out`` (C(N, n_down) square) and returns it, only copies:
     threads may write into their own ``out`` at the same time, and an
     overflow raises NonFiniteHamiltonianError here, in the caller's thread.
-    ``n_draws`` is the number of seeds, ``sectors`` are the (indices,
-    coupling, signs) of ``_sector_chain``, and the J-scaled couplings are
-    shared with every sampler of the same (N, J) (``_scaled_couplings``).
+    ``n_draws`` is the number of seeds, and ``sectors`` is the (indices,
+    (J/4) coupling, signs) table of ``_sector_chain``, one object shared by
+    every sampler of the same (N, J).
     """
 
     def __init__(self, seeds, n_qubits: int, d: float, h: float, J: float):
@@ -279,7 +273,6 @@ class _ModelESampler:
             raise ValueError("coupling J must be nonzero")
         self.n_qubits = n_qubits
         self.n_draws = len(seeds)
-        self.sectors = _sector_chain(n_qubits)
         defects = np.zeros((len(seeds), n_qubits))
         self._diagonals = []
         with _finite_hamiltonian("E"):
@@ -287,28 +280,25 @@ class _ModelESampler:
                 for i, seed in enumerate(seeds):
                     defects[i] = d * np.random.default_rng(int(seed)).standard_normal(n_qubits)
             fields = h + defects
-            self._couplings = _scaled_couplings(n_qubits, J)
-            for scaled, (_, _, signs) in zip(self._couplings, self.sectors):
-                diagonal = scaled.diagonal()
+            self.sectors = _sector_chain(n_qubits, J)
+            for _, coupling, signs in self.sectors:
+                diagonal = coupling.diagonal()
                 for j in range(n_qubits):
                     diagonal = diagonal + fields[:, j, np.newaxis] * signs[:, j]
                 self._diagonals.append(diagonal)
 
     def block(self, n_down: int, i: int, out: np.ndarray) -> np.ndarray:
-        np.copyto(out, self._couplings[n_down])
+        np.copyto(out, self.sectors[n_down][1])
         np.fill_diagonal(out, self._diagonals[n_down][i])
         return out
 
 
-def sz_sector_indices(n_qubits: int, n_down: int | None = None) -> np.ndarray:
+def sz_sector_indices(n_qubits: int, n_down: int) -> np.ndarray:
     """Basis indices of one total-sigma_z sector.
 
     Bit j of a basis index (site 0 = most significant bit) set to 1 means
     sigma_z = -1 at site j, so the sector is fixed by the popcount ``n_down``.
-    Defaults to the largest sector, n_down = N // 2.
     """
-    if n_down is None:
-        n_down = n_qubits // 2
     if not 0 <= n_down <= n_qubits:
         raise ValueError("n_down out of range")
     indices = [m for m in range(2**n_qubits) if bin(m).count("1") == n_down]

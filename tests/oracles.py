@@ -304,5 +304,6 @@ def ground_state_q(samplers) -> np.ndarray:
                       for s, (indices, _, _) in enumerate(sampler.sectors)]
             spectrum = block_spectrum(blocks)
             q[t, i] = sector_mean_bipartite_Q(spectrum.ground_state,
-                                              blocks[spectrum.ground_block][0], sampler.n_qubits)
+                                              sampler.sectors[spectrum.ground_block][2],
+                                              sampler.n_qubits)
     return q

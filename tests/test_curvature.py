@@ -78,7 +78,7 @@ class TestBoundB:
         h0, _ = build_scatter_model(ModelConfig(family="A"), h0_seed=0)
         b = bound_b(eigensystem(h0).eigenvalues)
         assert b == pytest.approx(24.844450458020454, rel=1e-12)
-        assert bound_b_prime(b, 3) == pytest.approx(1.035185435750852, rel=1e-12)
+        assert bound_b_prime(b, 3, a=2.0**-3) == pytest.approx(1.035185435750852, rel=1e-12)
 
     def test_harmonic_gaps(self):
         dec = eigensystem(HermitianOperator(np.diag([0.0, 1.0, 2.0, 3.0])))
@@ -135,12 +135,7 @@ class TestBoundBPrime:
         n = 2
         a = 2.0**-n
         b = bound_b(dec.eigenvalues)
-        assert bound_b_prime(b, n) / b == a / math.sqrt(3 * n)
-
-    def test_default_a_value(self):
-        dec = eigensystem(HermitianOperator(np.diag([0.0, 1.0, 2.0, 3.0])))
-        expected = (8.0 * 0.25 / math.sqrt(6.0)) * math.sqrt(11.0 / 6.0)
-        assert bound_b_prime(bound_b(dec.eigenvalues), 2) == pytest.approx(expected)
+        assert bound_b_prime(b, n, a) / b == a / math.sqrt(3 * n)
 
     def test_a_choice_scaling(self):
         dec = eigensystem(HermitianOperator(np.diag([0.0, 1.0, 2.0, 3.0])))
@@ -207,14 +202,3 @@ class TestEnsembleRatios:
         report = ensemble_deltaQ_ratios()
         assert round(report.ratio_goe_gue, 2) == 0.84
         assert round(report.ratio_goe_gse, 2) == 0.70
-
-    def test_constant_cancels(self):
-        r1 = ensemble_deltaQ_ratios(1.0)
-        r2 = ensemble_deltaQ_ratios(7.3)
-        assert r1.ratio_goe_gue == pytest.approx(r2.ratio_goe_gue, rel=1e-14)
-        assert r1.ratio_goe_gse == pytest.approx(r2.ratio_goe_gse, rel=1e-14)
-        assert r2.mean_sqrtK_goe == pytest.approx(r1.mean_sqrtK_goe * math.sqrt(7.3))
-
-    def test_rejects_bad_constant(self):
-        with pytest.raises(ValueError):
-            ensemble_deltaQ_ratios(0.0)

@@ -180,7 +180,7 @@ class TestBatchSeeding:
         for i, seed in enumerate(seeds):
             assert got[i] == np.random.default_rng(seed).standard_normal(10).tobytes()
 
-    @pytest.mark.parametrize("kind", list(EnsembleKind))
+    @pytest.mark.parametrize("kind", [EnsembleKind.GOE, EnsembleKind.GUE])
     @pytest.mark.parametrize("dim", [4, 8, 32, 128, 512])
     def test_row_equals_row_of_sampled_matrix(self, kind, dim):
         # c^T V from the normals against c @ V for the assembled V; the
@@ -196,7 +196,7 @@ class TestBatchSeeding:
                 row = _sample_rows(spec, z, vec)
                 assert np.max(np.abs(row - vec @ v)) <= 1e-14 * np.max(np.abs(v))
 
-    @pytest.mark.parametrize("kind", list(EnsembleKind))
+    @pytest.mark.parametrize("kind", [EnsembleKind.GOE, EnsembleKind.GUE])
     @pytest.mark.parametrize("dim", [4, 8, 32, 128])
     def test_stacked_rows_equal_rows_of_one_draw(self, kind, dim):
         # a scatter block's rows, bit for bit the rows of its draws one by one

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from qcbound import EntanglementInputs, HermitianOperator, QubitPartition, eigensystem
 from qcbound.ensembles import EnsembleKind, EnsembleSpec
 from qcbound.entanglement import ground_state_site_overlaps, sector_mean_bipartite_Q
-from qcbound.models import sz_sector_indices
+from qcbound.models import _sector_chain
 from qcbound.quantum import DegenerateSpectrumError
 
 from oracles import (
@@ -109,25 +109,21 @@ class TestMeanBipartiteQ:
 class TestSectorQ:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_matches_dense_on_every_sector(self, n):
-        for n_down in range(n + 1):
-            indices = sz_sector_indices(n, n_down)
+        for n_down, (indices, _, signs) in enumerate(_sector_chain(n, 1.0)):
             amplitudes = random_state(indices.size, seed=10 * n + n_down)
             embedded = np.zeros(2**n, dtype=complex)
             embedded[indices] = amplitudes
-            assert sector_mean_bipartite_Q(amplitudes, indices, n) == pytest.approx(
+            assert sector_mean_bipartite_Q(amplitudes, signs, n) == pytest.approx(
                 mean_bipartite_Q(embedded, n), abs=1e-12
             )
 
     def test_w_state(self):
-        w = np.ones(3) / np.sqrt(3)  # |001>, |010>, |100>
-        assert sector_mean_bipartite_Q(w, [1, 2, 4], 3) == pytest.approx(
+        indices, _, signs = _sector_chain(3, 1.0)[1]
+        assert np.array_equal(indices, [1, 2, 4])  # |001>, |010>, |100>
+        w = np.ones(3) / np.sqrt(3)
+        assert sector_mean_bipartite_Q(w, signs, 3) == pytest.approx(
             2.0 - 2.0 * (5.0 / 9.0), abs=1e-15
         )
-
-    def test_two_sectors_refused(self):
-        # |001> has one down spin, |011> two
-        with pytest.raises(ValueError, match="more than one"):
-            sector_mean_bipartite_Q(np.ones(2) / np.sqrt(2), [1, 3], 3)
 
 
 class TestGammaCoeff:

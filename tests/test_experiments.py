@@ -33,7 +33,7 @@ from qcbound.level_stats import (
     weibull_fit,
 )
 from qcbound.models import (
-    MODEL_E_DEFAULT_FIELD, ModelConfig, NonFiniteHamiltonianError, _ModelESampler,
+    MODEL_E_DEFAULT_FIELD, ModelConfig, NonFiniteHamiltonianError, _ModelESampler, _sector_chain,
 )
 from qcbound.quantum import DegenerateSpectrumError
 
@@ -41,14 +41,15 @@ from qcbound.quantum import DegenerateSpectrumError
 class TestTrimOutliers:
     def test_all_equal_kept(self):
         res = trim_outliers([2.0, 2.0, 2.0, 2.0])
-        assert res.trimmed.size == 0
+        assert res.mask.all()
         assert res.kept.size == 4
         # idempotent on the kept set
-        assert trim_outliers(res.kept).trimmed.size == 0
+        assert trim_outliers(res.kept).mask.all()
 
     def test_gross_outlier_trimmed(self):
-        res = trim_outliers([1.0, 2.0, 3.0, 4.0, 1000.0])
-        assert list(res.trimmed) == [1000.0]
+        x = np.array([1.0, 2.0, 3.0, 4.0, 1000.0])
+        res = trim_outliers(x)
+        assert list(x[~res.mask]) == [1000.0]
         assert res.kept.size == 4
 
     def test_too_few_values(self):
@@ -59,14 +60,13 @@ class TestTrimOutliers:
         rng = np.random.default_rng(0)
         x = rng.normal(size=50)
         res = trim_outliers(x)
-        assert res.kept.size + res.trimmed.size == 50
+        assert res.kept.size + x[~res.mask].size == 50
 
     def test_mask_selects_kept_in_input_order(self):
         x = np.array([3.0, 1000.0, 1.0, 2.0, -900.0, 4.0])
         res = trim_outliers(x)
         assert list(res.mask) == [True, False, True, True, False, True]
         assert np.array_equal(res.kept, x[res.mask])
-        assert np.array_equal(res.trimmed, x[~res.mask])
 
     @given(seed=st.integers(0, 5000), k=st.floats(1.0, 3.0))
     @settings(max_examples=30, deadline=None)
@@ -76,26 +76,27 @@ class TestTrimOutliers:
         res = trim_outliers(x, k=k)
         q1, q3 = np.percentile(x, [25.0, 75.0])
         iqr = q3 - q1
-        assert res.kept.size + res.trimmed.size == x.size
+        trimmed = x[~res.mask]
+        assert res.kept.size + trimmed.size == x.size
         assert np.all(res.kept >= q1 - k * iqr)
         assert np.all(res.kept <= q3 + k * iqr)
-        if res.trimmed.size:
-            outside = (res.trimmed < q1 - k * iqr) | (res.trimmed > q3 + k * iqr)
+        if trimmed.size:
+            outside = (trimmed < q1 - k * iqr) | (trimmed > q3 + k * iqr)
             assert np.all(outside)
 
 
 class TestScatterBoundTest:
     def test_single_sample_deterministic(self):
         cfg = ModelConfig(family="B", n_qubits=2)
-        r1 = scatter_bound_test(cfg, samples=1, master_seed=5)
-        r2 = scatter_bound_test(cfg, samples=1, master_seed=5)
+        r1 = scatter_bound_test(cfg, 2.0**-cfg.n_qubits, samples=1, master_seed=5)
+        r2 = scatter_bound_test(cfg, 2.0**-cfg.n_qubits, samples=1, master_seed=5)
         for column in ("seeds", "dq_abs", "k0", "delta"):
             assert np.array_equal(getattr(r1, column), getattr(r2, column))
 
     def test_no_bound_violations_small_run(self):
         for family, n, ens in (("A", 3, "GUE"), ("B", 2, "GUE"), ("C", 2, "GOE")):
             cfg = ModelConfig(family=family, n_qubits=n, ensemble=ens)
-            res = scatter_bound_test(cfg, samples=200, master_seed=11)
+            res = scatter_bound_test(cfg, 2.0**-cfg.n_qubits, samples=200, master_seed=11)
             assert res.violations_b == 0
             assert len(res.seeds) == len(res.dq_abs) == len(res.k0) == len(res.delta) == 200
 
@@ -109,7 +110,7 @@ class TestScatterBoundTest:
 
     def test_records_satisfy_delta_definition(self):
         cfg = ModelConfig(family="B", n_qubits=2)
-        res = scatter_bound_test(cfg, samples=50, master_seed=3)
+        res = scatter_bound_test(cfg, 2.0**-cfg.n_qubits, samples=50, master_seed=3)
         for dq, k0, delta in zip(res.dq_abs, res.k0, res.delta):
             assert delta == pytest.approx(dq - res.b * math.sqrt(abs(k0)))
             assert delta <= 0
@@ -117,15 +118,15 @@ class TestScatterBoundTest:
 
     def test_reruns_give_the_same_records(self):
         cfg = ModelConfig(family="B", n_qubits=3)
-        r1 = scatter_bound_test(cfg, samples=40, master_seed=7)
-        r2 = scatter_bound_test(cfg, samples=40, master_seed=7)
+        r1 = scatter_bound_test(cfg, 2.0**-cfg.n_qubits, samples=40, master_seed=7)
+        r2 = scatter_bound_test(cfg, 2.0**-cfg.n_qubits, samples=40, master_seed=7)
         for column in ("seeds", "dq_abs", "k0", "delta"):
             assert np.array_equal(getattr(r1, column), getattr(r2, column))
 
     def test_delta_and_counts_match_the_scalar_comparisons(self):
         # B-N3, seed 3: 46 of 1000 draws exceed b' sqrt|K0|, so both counts
         # are exercised; the columns give the per-draw scalar results exactly
-        res = scatter_bound_test(ModelConfig(family="B", n_qubits=3), samples=1000,
+        res = scatter_bound_test(ModelConfig(family="B", n_qubits=3), 2.0**-3, samples=1000,
                                  master_seed=3)
         pairs = list(zip(res.dq_abs.tolist(), res.k0.tolist()))
         scalar = [dq - res.b * math.sqrt(abs(k0)) for dq, k0 in pairs]
@@ -138,12 +139,12 @@ class TestScatterBoundTest:
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
-            scatter_bound_test(ModelConfig(family="B"), samples=0)
+            scatter_bound_test(ModelConfig(family="B"), 2.0**-2, samples=0)
 
     @pytest.mark.slow
     def test_six_qubit_scatter_full_scale(self):
         res = scatter_bound_test(
-            ModelConfig(family="B", n_qubits=6), samples=3000, master_seed=42
+            ModelConfig(family="B", n_qubits=6), 2.0**-6, samples=3000, master_seed=42
         )
         assert res.violations_b == 0
         assert res.violations_b_prime / len(res.seeds) <= 0.05
@@ -156,7 +157,7 @@ class TestScatterBoundTest:
         from qcbound.quantum import HermitianOperator, eigensystem
 
         cfg = ModelConfig(family="B", n_qubits=2)
-        res = scatter_bound_test(cfg, samples=3, master_seed=21)
+        res = scatter_bound_test(cfg, 2.0**-cfg.n_qubits, samples=3, master_seed=21)
         seed = int(res.seeds[2])
         assert seed == spawn_seed(21, 3)
         h0, v_spec = build_scatter_model(cfg, h0_seed=spawn_seed(21, 0))
@@ -183,7 +184,7 @@ class TestScatterBoundTest:
         from qcbound.quantum import HermitianOperator, eigensystem
 
         cfg = ModelConfig(family=family, n_qubits=n, ensemble=ensemble)
-        res = scatter_bound_test(cfg, samples=20, master_seed=13)
+        res = scatter_bound_test(cfg, 2.0**-cfg.n_qubits, samples=20, master_seed=13)
         assert len(res.seeds) == 20
         h0, v_spec = build_scatter_model(cfg, h0_seed=spawn_seed(13, 0))
         dec = eigensystem(h0)
@@ -219,7 +220,7 @@ class TestScatterBoundTest:
         monkeypatch.setattr(experiments, "_worker_count", lambda n_tasks, dim: 3)
         first_bad = rf"^sample 6 \(seed {seeds[6]}\): .* not Hermitian"
         with pytest.raises(ValueError, match=first_bad):
-            scatter_bound_test(ModelConfig(family="B", n_qubits=3), samples=12)
+            scatter_bound_test(ModelConfig(family="B", n_qubits=3), 2.0**-3, samples=12)
         assert sorted(blocks) == [2] * 5  # chunk 2 stopped at its first stack
 
     def test_non_hermitian_perturbation_raises(self, monkeypatch):
@@ -231,14 +232,14 @@ class TestScatterBoundTest:
 
         monkeypatch.setattr(experiments, "_sample_rows", bad_rows)
         with pytest.raises(ValueError, match="not Hermitian"):
-            scatter_bound_test(ModelConfig(family="B", n_qubits=3), samples=5)
+            scatter_bound_test(ModelConfig(family="B", n_qubits=3), 2.0**-3, samples=5)
 
     def test_rows_are_drawn_in_blocks_without_a_row_buffer(self):
         # dim 64, 20000 draws: the (samples, 1, d) complex rows would take
         # 20 MB; blocks of 8 draws hold 0.5 MB of normals per thread
         tracemalloc.start()
         try:
-            scatter_bound_test(ModelConfig(family="B", n_qubits=6), samples=20000)
+            scatter_bound_test(ModelConfig(family="B", n_qubits=6), 2.0**-6, samples=20000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -294,7 +295,7 @@ class TestRunStacks:
             assert out.shape == item_shape
             out[...] = i
 
-        def solve(s: int, start: int, stack: np.ndarray) -> int:
+        def solve(s: int, start: int, stack: np.ndarray) -> None:
             assert s == 0 and stack.shape == (min(k, n - start), *item_shape)
             assert all(np.all(stack[j] == start + j) for j in range(len(stack)))
             with lock:
@@ -302,7 +303,6 @@ class TestRunStacks:
                 stacks.append(weakref.ref(stack))
                 # the stacks of finished tasks are gone: one per thread at most
                 assert sum(ref() is not None for ref in stacks) <= workers
-            return len(stack)
 
         experiments._run_stacks([(build, n, item_shape)], float, solve)
         assert len(stacks) == n_stacks and np.all(seen == 1)
@@ -332,7 +332,7 @@ class TestWorkerCount:
             raise AssertionError(f"thread {thread.name} started")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        scatter_bound_test(ModelConfig(family="B", n_qubits=3), samples=50)
+        scatter_bound_test(ModelConfig(family="B", n_qubits=3), 2.0**-3, samples=50)
 
 
 def _spectra(source: str, seeds, dim: int) -> np.ndarray:
@@ -439,8 +439,8 @@ class TestModelEStacks:
                                               middle if restricted else oracle.eigenvalues)
                         if q_all is None:
                             continue
-                        q = sector_mean_bipartite_Q(oracle.ground_state,
-                                                    blocks[oracle.ground_block][0], n)
+                        q = sector_mean_bipartite_Q(
+                            oracle.ground_state, _sector_chain(n, 1.0)[oracle.ground_block][2], n)
                         assert np.array_equal(eigenvalues[i], oracle.eigenvalues)
                         # inverse iteration, against eigh (see TestGroundStates)
                         assert abs(q_all[i] - q) <= 1e-12
@@ -722,7 +722,7 @@ class TestRunDraws:
 @pytest.mark.skipif(quantum._openblas() is None, reason="numpy loaded no OpenBLAS")
 class TestOneBlasThread:
     RUNS = [
-        lambda: scatter_bound_test(ModelConfig(family="B", n_qubits=6), samples=20),
+        lambda: scatter_bound_test(ModelConfig(family="B", n_qubits=6), 2.0**-6, samples=20),
         lambda: sweep_theta([0.0, 0.8], realizations=12, dim=64),
         lambda: sweep_defect([0.0, 0.5], realizations=4, n_qubits=7),
         lambda: spacing_statistics("GUE", 10, dim=64),

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from functools import lru_cache
 
@@ -15,6 +16,8 @@ from qcbound.models import (
     ModelConfig,
     NonFiniteHamiltonianError,
     _ModelDSampler,
+    _ModelESampler,
+    _sector_chain,
     build_scatter_model,
     sz_sector_indices,
     _spectral_std,
@@ -302,14 +305,14 @@ class TestModelE:
 
 class TestSectorRestriction:
     def test_largest_sector_size(self):
-        idx = sz_sector_indices(9)
+        idx = sz_sector_indices(9, 4)
         from math import comb
 
         assert idx.size == comb(9, 4)
 
     def test_sector_block_is_invariant_subspace(self):
         ham = dense_model_e(4, d=0.7, seed=3)
-        idx = sz_sector_indices(4)
+        idx = sz_sector_indices(4, 2)
         outside = np.setdiff1d(np.arange(16), idx)
         # no coupling between the sector and its complement
         assert np.max(np.abs(ham[np.ix_(idx, outside)])) == 0.0
@@ -338,18 +341,17 @@ def dense_model_e(n, d, h=MODEL_E_DEFAULT_FIELD, J=1.0, seed=0):
 
 class TestModelESampler:
     def test_samplers_of_one_chain_share_the_scaled_couplings(self):
-        from qcbound.models import _ModelESampler, _sector_chain
-
         first = _ModelESampler([1, 2], 9, 0.3, MODEL_E_DEFAULT_FIELD, 0.7)
         second = _ModelESampler([3], 9, 2.5, 0.5, 0.7)
         other_j = _ModelESampler([3], 9, 2.5, 0.5, 1.0)
-        assert all(a is b for a, b in zip(first._couplings, second._couplings, strict=True))
-        assert not any(a is b for a, b in zip(first._couplings, other_j._couplings))
-        for n_down, (_, coupling, signs) in enumerate(_sector_chain(9)):
-            shared = second._couplings[n_down]
-            assert not shared.flags.writeable
+        assert first.sectors is second.sectors is _sector_chain(9, 0.7)
+        assert other_j.sectors is not first.sectors
+        # at J = 4 the scale J / 4 is 1: the unscaled bond sum, bit for bit
+        unscaled = _sector_chain(9, 4.0)
+        for n_down, (indices, shared, signs) in enumerate(second.sectors):
+            assert not any(a.flags.writeable for a in (indices, shared, signs))
             # the block a sampler of its own would write, bit for bit
-            expected = (0.7 / 4.0) * coupling
+            expected = (0.7 / 4.0) * unscaled[n_down][1]
             diagonal = expected.diagonal()
             fields = 0.5 + 2.5 * np.random.default_rng(3).standard_normal(9)
             for j in range(9):
@@ -357,6 +359,28 @@ class TestModelESampler:
             np.fill_diagonal(expected, diagonal)
             block = second.block(n_down, 0, np.empty_like(expected))
             assert block.tobytes() == expected.tobytes()
+
+    def test_a_sampler_keeps_one_scaled_copy_of_the_blocks(self):
+        # N = 11: the scaled blocks take 5.6 MB; an unscaled copy beside
+        # them would take as much again
+        _sector_chain.cache_clear()
+        tracemalloc.start()
+        try:
+            sampler = _ModelESampler([1, 2], 11, 0.3, MODEL_E_DEFAULT_FIELD, 0.83)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sampler.sectors is _sector_chain(11, 0.83)
+        assert kept < 8e6
+
+    def test_overflowing_coupling_raises_and_caches_nothing(self):
+        # J / 4 times the all-up diagonal, N - 1 = 8, overflows
+        _sector_chain.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteHamiltonianError, match="model-E Hamiltonian"):
+                _ModelESampler([1], 9, 0.0, MODEL_E_DEFAULT_FIELD, 1e308)
+        assert _sector_chain.cache_info().currsize == 0
 
 
 class TestModelEBlocks:
@@ -377,7 +401,8 @@ class TestModelEBlocks:
         assert abs(spectrum.ground_state @ dense.eigenvectors[indices, 0]) >= 1.0 - 1e-12
         assert bound_b(spectrum.eigenvalues) == pytest.approx(bound_b(eps), rel=1e-12)
         # Q = 2 - (2/N) sum of purities near 1: its rounding error is absolute
-        assert sector_mean_bipartite_Q(spectrum.ground_state, indices, n) == pytest.approx(
+        signs = _sector_chain(n, 1.0)[spectrum.ground_block][2]
+        assert sector_mean_bipartite_Q(spectrum.ground_state, signs, n) == pytest.approx(
             mean_bipartite_Q(dense.eigenvectors[:, 0], n), rel=1e-12, abs=1e-12
         )
 
@@ -407,4 +432,5 @@ class TestModelEBlocks:
         indices = blocks[n][0]
         assert np.array_equal(indices, [2**n - 1])
         assert np.array_equal(np.abs(spectrum.ground_state), [1.0])
-        assert sector_mean_bipartite_Q(spectrum.ground_state, indices, n) == 0.0
+        signs = _sector_chain(n, 1.0)[n][2]
+        assert sector_mean_bipartite_Q(spectrum.ground_state, signs, n) == 0.0

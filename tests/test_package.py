@@ -43,7 +43,7 @@ REMOVED = [
     ("entanglement", "_real_with_residue_check"), ("entanglement", "dEL_dtau"),
     ("entanglement", "dQ0_dtau"), ("curvature", "level_curvature"),
     ("curvature", "curvature_spectrum"), ("quantum", "SpectralDecomposition.vector"),
-    ("experiments", "ScatterResult.n_rejected"),
+    ("experiments", "ScatterResult.n_rejected"), ("experiments", "TrimResult.trimmed"),
 ]
 
 # Public code no src module references, each with the reason it stays
